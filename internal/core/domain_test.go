@@ -79,7 +79,7 @@ func TestShedTakeBound(t *testing.T) {
 		tasks[i].alive.Store(1)
 		rt.schedAdd(&tasks[i], 3) // slot 3 → domain 1
 	}
-	if got := rt.domains[1].pending.v.Load(); got != backlog {
+	if got := rt.domains[1].pending(); got != backlog {
 		t.Fatalf("domain 1 pending = %d after enqueue, want %d", got, backlog)
 	}
 
@@ -99,20 +99,20 @@ func TestShedTakeBound(t *testing.T) {
 	}
 	// First task is in hand; the other two re-homed into domain 0's
 	// scheduler, where the thief's domain-mates can claim them.
-	if got := rt.domains[0].pending.v.Load(); got != 2 {
+	if got := rt.domains[0].pending(); got != 2 {
 		t.Fatalf("thief domain pending = %d after re-home, want 2", got)
 	}
-	if got := rt.domains[1].pending.v.Load(); got != backlog-3 {
+	if got := rt.domains[1].pending(); got != backlog-3 {
 		t.Fatalf("victim pending = %d, want %d", got, backlog-3)
 	}
 
 	// A second cycle takes at most another batch — the bound is per
 	// empty-recheck cycle, never cumulative slack.
-	before := rt.domains[1].pending.v.Load()
+	before := rt.domains[1].pending()
 	if rt.shedTake(0, 0, &victim) == nil {
 		t.Fatal("second shed cycle found nothing")
 	}
-	if moved := before - rt.domains[1].pending.v.Load(); moved > 3 {
+	if moved := before - rt.domains[1].pending(); moved > 3 {
 		t.Fatalf("second cycle moved %d tasks, want <= 3", moved)
 	}
 }

@@ -92,7 +92,10 @@ type Runtime struct {
 	elevated paddedCount
 
 	// global is the completion parent of every root task submitted
-	// through Run/Submit: it counts live roots and never completes.
+	// through Run/Submit: the sentinel completeOne's cascade stops at
+	// and the source of a root's inherited (zero) attributes. It counts
+	// nothing — its alive stays at the 1 set in build, and live roots
+	// are counted by the sharded live counter — and never completes.
 	// Root dependency chains do not live under it — they live in the
 	// sharded rootDom, so unrelated submissions register in parallel.
 	global Task
@@ -117,14 +120,14 @@ type Runtime struct {
 
 	// Elastic worker pool state. parker holds the per-worker parking
 	// channels and per-domain state words; each domain's pending count
-	// (raised in schedAdd, lowered in schedTook) is the pre-park
-	// recheck's primary signal; parkRecheck is the recheck closure,
-	// built once at New so the park path never allocates — it sweeps
-	// every domain's pending count so a worker never parks while any
-	// domain holds shed-reachable work; elastic gates the whole
-	// mechanism — false for the blocking scheduler (its workers sleep
-	// in the scheduler's own condvar) and for IdleSpin<0 (the pure-spin
-	// baseline).
+	// (slot-sharded: added in schedAdd, taken in schedTook, summed by
+	// domain.pending) is the pre-park recheck's primary signal;
+	// parkRecheck is the recheck closure, built once at New so the park
+	// path never allocates — it sweeps every domain's pending count so
+	// a worker never parks while any domain holds shed-reachable work;
+	// elastic gates the whole mechanism — false for the blocking
+	// scheduler (its workers sleep in the scheduler's own condvar) and
+	// for IdleSpin<0 (the pure-spin baseline).
 	parker      *sched.Parker
 	parkRecheck func() bool
 	elastic     bool
@@ -218,11 +221,16 @@ type domain struct {
 	sched sched.Scheduler[*Task]
 	alloc alloc.Allocator[Task]
 
-	// pending counts this domain's scheduler-queued tasks (raised in
-	// schedAdd/promote, lowered in schedTook). It is the domain's half
-	// of the Dekker no-lost-wakeup argument and the shed protocol's
-	// victim signal.
-	pending paddedCount
+	// added and taken are the two halves of this domain's pending count
+	// (scheduler-queued tasks), sharded per slot like Runtime.live and
+	// both monotone: a producer bumps added on its own slot's line
+	// (schedAdd/promote), a taker bumps taken on its own (schedTook), so
+	// the per-task hot path writes no line another core writes. Their
+	// difference (pending) is the domain's half of the Dekker
+	// no-lost-wakeup argument and the shed protocol's victim signal, and
+	// is only summed on slow paths.
+	added *counter.Sharded
+	taken *counter.Sharded
 
 	// priPending counts this domain's scheduler-queued tasks per
 	// elevated priority level (level 0 is never counted — there is no
@@ -246,7 +254,22 @@ type domain struct {
 	shedOut      atomic.Uint64
 	executed     atomic.Uint64
 	executedHome atomic.Uint64
-	_            [32]byte
+	_            [48]byte // a whole number of lines per domain
+}
+
+// pending returns the number of tasks queued in the domain's scheduler
+// (added and not yet taken). The read order is load-bearing: taken is
+// summed FIRST, then added. Both are monotone and every take follows
+// its add, so the result over-approximates the true count at the
+// instant between the two sums — never negative, and never zero while
+// an add the caller must observe (one sequenced before its read, the
+// producer half of the Dekker argument) is still untaken. The error
+// can keep a worker awake one poll too long; it cannot strand work.
+// Summing added first could net a later take against a count that
+// lacks its add and hide a queued task.
+func (d *domain) pending() int64 {
+	taken := d.taken.Sum()
+	return d.added.Sum() - taken
 }
 
 // qstate encoding: a queued task's qstate word is dom<<8 | (level+1) —
@@ -264,9 +287,10 @@ const qstateDomShift = 8
 // qstate before the insertion so a concurrent promotion (promote) can
 // re-rank the entry and move the right domain's pending counts with
 // it. The order against wakeWorker is the lost-wakeup argument's
-// producer half: pending is raised (sequentially consistent) before
-// the parked count is read, so a worker concurrently publishing itself
-// as parked either sees pending > 0 in its recheck or is seen here.
+// producer half: the slot's added count is raised (sequentially
+// consistent) before the parked count is read, so a worker concurrently
+// publishing itself as parked either sees pending > 0 in its recheck or
+// is seen here.
 func (rt *Runtime) schedAdd(t *Task, worker int) {
 	dom := int(rt.slotDom[worker])
 	d := &rt.domains[dom]
@@ -276,29 +300,31 @@ func (rt *Runtime) schedAdd(t *Task, worker int) {
 		d.priPending[lvl].v.Add(1)
 		rt.elevated.v.Add(1)
 	}
-	d.pending.v.Add(1)
+	d.added.Add(worker, 1)
 	d.sched.Add(t, worker)
 	rt.wakeWorker(dom)
 }
 
-// schedTook books a task obtained from domain from's sched.Get/TryGet
-// out of the pending counts and claims it for execution: the Swap on
-// qstate is what makes a promotion's duplicate queue entry
-// exactly-once — the first entry to pop wins the task, later (stale)
-// entries observe qstate 0 and dissolve into a nil return. The
-// per-level pending decrement uses the queue level and domain the
-// winning Swap observed, which is where the increments were moved to,
+// schedTook books a task that slot id obtained from domain from's
+// sched.Get/TryGet out of the pending counts — on id's own taken line;
+// a stale promotion duplicate counts as taken like any other entry,
+// which is what keeps added - taken exact — and claims it for
+// execution: the Swap on qstate is what makes a promotion's duplicate
+// queue entry exactly-once — the first entry to pop wins the task,
+// later (stale) entries observe qstate 0 and dissolve into a nil
+// return. The per-level pending decrement uses the queue level and
+// domain the winning Swap observed, which is where the increments were moved to,
 // so the counts stay exact under concurrent promotion (a task's live
 // entries all sit in one domain, so for a genuine claim the encoded
 // domain and from agree). A recycled-shell entry (the task completed
 // and the shell was re-queued for a new incarnation) is
 // indistinguishable from a genuine one and harmlessly claims the new
 // incarnation — it is ready and queued either way.
-func (rt *Runtime) schedTook(t *Task, from int) *Task {
+func (rt *Runtime) schedTook(t *Task, from, id int) *Task {
 	if t == nil {
 		return nil
 	}
-	rt.domains[from].pending.v.Add(-1)
+	rt.domains[from].taken.Add(id, 1)
 	s := t.qstate.Swap(0)
 	if s == 0 {
 		return nil // stale duplicate left behind by a promotion re-push
@@ -358,7 +384,7 @@ func (rt *Runtime) promote(t *Task, lvl, worker int) bool {
 				rt.elevated.v.Add(1)
 			}
 			d.priPending[lvl].v.Add(1)
-			d.pending.v.Add(1)
+			d.added.Add(worker, 1)
 			d.sched.Add(t, worker)
 			rt.wakeWorker(dom)
 			return true
@@ -389,14 +415,17 @@ func (rt *Runtime) promotePreds(n *deps.Node, lvl, worker int) {
 // wakeWorker wakes at most one parked worker on behalf of domain dom's
 // queue; producers call it after making work visible (scheduler
 // insertion). With no worker parked — or elastic parking disabled — it
-// is a single atomic load. The domain's pending count is re-read here,
-// after the insertion, and handed to the parker's wake-throttle: when
-// enough woken-but-not-yet-polling workers already cover the backlog,
-// the redundant claim scan is skipped (burst producers would otherwise
-// pay one scan per enqueue).
+// is a single atomic load: the parked count is tested BEFORE the
+// domain's pending count is summed, so a busy pool never pays the sum.
+// With someone parked, pending is computed here, after the insertion,
+// and handed to the parker's wake-throttle: when enough
+// woken-but-not-yet-polling workers already cover the backlog, the
+// redundant claim scan is skipped (burst producers would otherwise pay
+// one scan per enqueue). pending's over-approximation only makes the
+// throttle fire less often.
 func (rt *Runtime) wakeWorker(dom int) {
-	if rt.elastic {
-		rt.parker.WakeOne(dom, rt.domains[dom].pending.v.Load())
+	if rt.elastic && rt.parker.Parked() > 0 {
+		rt.parker.WakeOne(dom, rt.domains[dom].pending())
 	}
 }
 
@@ -488,7 +517,7 @@ func build(cfg Config) *Runtime {
 		// holds work it could reach through the shed protocol (the
 		// cross-domain half of the no-lost-wakeup argument).
 		for d := range rt.domains {
-			if rt.domains[d].pending.v.Load() > 0 {
+			if rt.domains[d].pending() > 0 {
 				return true
 			}
 		}
@@ -614,6 +643,8 @@ func build(cfg Config) *Runtime {
 	rt.domains = make([]domain, cfg.Domains)
 	for i := range rt.domains {
 		d := &rt.domains[i]
+		d.added = counter.NewSharded(slots)
+		d.taken = counter.NewSharded(slots)
 		switch cfg.Scheduler {
 		case SchedSyncDTLock:
 			d.sched = sched.NewSync(mkPolicy(), cfg.Workers, slots-cfg.Workers, cfg.NUMANodes, cfg.SPSCCap, hooks)
@@ -636,7 +667,6 @@ func build(cfg Config) *Runtime {
 		}
 	}
 
-	rt.global.rt = rt
 	rt.global.alive.Store(1) // never completes
 	return rt
 }
@@ -772,7 +802,6 @@ func (rt *Runtime) submitRoot(ctx context.Context, body func(*Ctx), fn func(*Ctx
 // last pin (usually completeOne itself, on the fast path).
 func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec, worker int) *Task {
 	t := rt.allocGet(worker)
-	t.rt = rt
 	t.body = body
 	t.parent = parent
 	t.sc = parent.sc
@@ -780,7 +809,11 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec
 	t.inherit = parent.inherit
 	t.deadline = parent.deadline
 	t.alive.Store(1)
-	t.node.Payload = t
+	if t.node.Payload == nil {
+		// First use of a fresh shell; Node.Reset keeps the payload, so
+		// a recycled shell's is already this task.
+		t.node.Payload = t
+	}
 	t.node.Pin()
 	// Pseudo accesses (priority, deadline, inheritance clauses) are
 	// stripped here: they set the task's scheduling attributes (last
@@ -833,7 +866,12 @@ func (rt *Runtime) register(parent *Task, t *Task, worker int) {
 // call — against parent's own domain for nested tasks, or the sharded
 // root domain when d is non-nil (mirroring deps' register shape).
 func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worker int) {
-	parent.alive.Add(1)
+	// Roots have no parent to keep alive: completeOne stops at
+	// &rt.global, so counting them there would be a dead RMW on a line
+	// every submitter shares.
+	if parent != &rt.global {
+		parent.alive.Add(1)
+	}
 	rt.live.Add(worker, 1)
 	// The tracer is nil-receiver-safe (a nil *trace.Tracer no-ops every
 	// method), so emission sites call it unconditionally.
@@ -933,7 +971,7 @@ func (rt *Runtime) workerLoop(id int) {
 			t = rt.takeElevated(id, home)
 		}
 		if t == nil {
-			t = rt.schedTook(rt.domains[home].sched.Get(id), home)
+			t = rt.schedTook(rt.domains[home].sched.Get(id), home, id)
 		}
 		if t == nil && rt.ndomains > 1 {
 			empties++
@@ -1006,7 +1044,7 @@ func (rt *Runtime) shedTake(id, home int, victim *int) *Task {
 			continue
 		}
 		d := &rt.domains[v]
-		if d.pending.v.Load() <= 0 {
+		if d.pending() <= 0 {
 			continue
 		}
 		var first *Task
@@ -1016,7 +1054,7 @@ func (rt *Runtime) shedTake(id, home int, victim *int) *Task {
 			if raw == nil {
 				break
 			}
-			t := rt.schedTook(raw, v)
+			t := rt.schedTook(raw, v, id)
 			if t == nil {
 				continue // stale promotion duplicate: consumed, not stolen
 			}
@@ -1054,7 +1092,7 @@ func (rt *Runtime) takeElevated(id, home int) *Task {
 		if v == home || !rt.higherPriPending(0, v) {
 			continue
 		}
-		if t := rt.schedTook(rt.domains[v].sched.TryGet(id), v); t != nil {
+		if t := rt.schedTook(rt.domains[v].sched.TryGet(id), v, id); t != nil {
 			rt.domains[v].shedOut.Add(1)
 			rt.domains[home].shedIn.Add(1)
 			return t
@@ -1083,16 +1121,16 @@ func (rt *Runtime) takeWork(id int) *Task {
 			rt.schedAdd(t, id)
 		}
 	}
-	if t := rt.schedTook(rt.domains[home].sched.TryGet(id), home); t != nil {
+	if t := rt.schedTook(rt.domains[home].sched.TryGet(id), home, id); t != nil {
 		return t
 	}
 	for off := 1; off < rt.ndomains; off++ {
 		v := (home + off) % rt.ndomains
 		d := &rt.domains[v]
-		if d.pending.v.Load() <= 0 {
+		if d.pending() <= 0 {
 			continue
 		}
-		if t := rt.schedTook(d.sched.TryGet(id), v); t != nil {
+		if t := rt.schedTook(d.sched.TryGet(id), v, id); t != nil {
 			d.shedOut.Add(1)
 			rt.domains[home].shedIn.Add(1)
 			return t
@@ -1475,7 +1513,7 @@ func (rt *Runtime) Stats() Stats {
 		ds.Parked = rt.parker.ParkedIn(i)
 		ds.Parks = rt.parker.ParksIn(i)
 		ds.Wakes = rt.parker.WakesIn(i)
-		ds.Pending = d.pending.v.Load()
+		ds.Pending = d.pending()
 		ds.ShedIn = d.shedIn.Load()
 		ds.ShedOut = d.shedOut.Load()
 		ds.Executed = d.executed.Load()

@@ -13,17 +13,19 @@ import (
 // with Runtime.Run (root tasks) or Ctx.Spawn (nested tasks) and recycled
 // through the configured allocator once fully complete (body finished and
 // every descendant fully complete).
+//
+// Field order is a performance contract (pinned by TestTaskLayout; line
+// map in DESIGN.md, "Task lifetime and memory"). A recycled shell is
+// written by the core that creates the next task in it and again by the
+// core that executes and completes that task, so every cache line both
+// touch crosses between them once per task. Everything an access-free
+// task's lifecycle touches sits in the first four lines, and the
+// creating core writes only two of them.
 type Task struct {
-	node   deps.Node
-	body   func(*Ctx)
-	fn     func(*Ctx) (any, error) // typed body (futures); body xor fn
-	parent *Task
-	rt     *Runtime
-
-	// sc is the error/cancellation scope of the root submission this
-	// task belongs to, inherited from the parent on spawn. Tasks of the
-	// global domain itself have a nil scope.
-	sc *scope
+	// Line 0 — completion-side references: tested by execute and
+	// completeOne, cleared by resetBody; a plain Spawn never writes
+	// them, so for Spawn-only tasks the line stays in the executing
+	// core's cache.
 
 	// handle, when non-nil (roots and future-backed spawns), receives
 	// the task's result/error and is closed at full completion.
@@ -34,11 +36,6 @@ type Task struct {
 	// path: completeOne folds the scope's aggregate error into it and
 	// signals it after releasing the scope.
 	req *Req
-
-	// ownsScope marks the root task of a scope: its full completion
-	// releases the scope's context registration and folds the scope's
-	// aggregate error into the handle.
-	ownsScope bool
 
 	// loop, when non-nil, marks a work-sharing loop participant: the
 	// loop's owner task (loop.owner == this task) or one of its steal
@@ -54,21 +51,28 @@ type Task struct {
 	// drained counter, not corrupt a recycled shell.
 	events *EventCounter
 
-	// pri is the task's scheduling priority level, in
-	// [0, MaxPriority]. It is inherited from the parent at creation
-	// (children of an interactive request stay interactive; taskloop
-	// steal descriptors ride at their loop's level) and overridden by a
-	// PriorityClause pseudo access in the task's access list. newTask
-	// assigns it unconditionally, so recycled shells cannot leak a
-	// stale level.
-	pri int8
+	fn func(*Ctx) (any, error) // typed body (futures); body xor fn
 
-	// inherit marks the task as a priority-inheritance donor: at
-	// registration the runtime promotes its recorded unsatisfied
-	// predecessors (transitively) to the task's effective priority,
-	// closing the priority-inversion window. Set by the Inherit clause,
-	// inherited from the parent like pri.
-	inherit bool
+	// ownsScope marks the root task of a scope: its full completion
+	// releases the scope's context registration and folds the scope's
+	// aggregate error into the handle.
+	ownsScope bool
+
+	_ [23]byte
+
+	// Line 1 — the attribute line: written by newTask, read by the
+	// scheduler and execute, wiped by resetBody. While a task's body
+	// runs (and spawns) only its own thread writes this line, so the
+	// children's newTask reads of parent.sc/pri/inherit/deadline stay
+	// cache hits.
+
+	body   func(*Ctx)
+	parent *Task
+
+	// sc is the error/cancellation scope of the root submission this
+	// task belongs to, inherited from the parent on spawn. Tasks of the
+	// global domain itself have a nil scope.
+	sc *scope
 
 	// deadline is the task's absolute scheduling deadline in
 	// nanoseconds on the runtime's monotonic clock (NowNS); 0 means no
@@ -77,14 +81,6 @@ type Task struct {
 	// deadline-less tasks last. Written only before registration, so
 	// scheduler-side reads need no atomics.
 	deadline int64
-
-	// home is the NUMA domain the task's ready callback homed it to
-	// (the readying slot's domain; see topology.go for the partition).
-	// Written by the ready callback before any routing, read by the
-	// executing worker for the affinity-retention accounting — both
-	// single-writer-then-single-reader within the task's scheduled
-	// window, so no atomics. Only meaningful on multi-domain runtimes.
-	home int8
 
 	// epri is the task's *effective* priority level: pri, possibly
 	// raised by priority inheritance after a high-priority successor
@@ -103,9 +99,50 @@ type Task struct {
 	// runtime.go.
 	qstate atomic.Int32
 
+	// pri is the task's scheduling priority level, in
+	// [0, MaxPriority]. It is inherited from the parent at creation
+	// (children of an interactive request stay interactive; taskloop
+	// steal descriptors ride at their loop's level) and overridden by a
+	// PriorityClause pseudo access in the task's access list. newTask
+	// assigns it unconditionally, so recycled shells cannot leak a
+	// stale level.
+	pri int8
+
+	// inherit marks the task as a priority-inheritance donor: at
+	// registration the runtime promotes its recorded unsatisfied
+	// predecessors (transitively) to the task's effective priority,
+	// closing the priority-inversion window. Set by the Inherit clause,
+	// inherited from the parent like pri.
+	inherit bool
+
+	// home is the NUMA domain the task's ready callback homed it to
+	// (the readying slot's domain; see topology.go for the partition).
+	// Written by the ready callback before any routing, read by the
+	// executing worker for the affinity-retention accounting — both
+	// single-writer-then-single-reader within the task's scheduled
+	// window, so no atomics. Only meaningful on multi-domain runtimes.
+	home int8
+
+	_ [21]byte
+
+	// Line 2 — the completion line: alive is the one word of a
+	// *running* task that other cores write (every child completion
+	// lowers it), so it lives apart from the attribute line the
+	// spawning core keeps reading. The node's hot header — payload,
+	// access slice, pin and pending counts — fills the rest of the
+	// line, which makes lines 1 and 2 the only ones a Spawn writes.
+
 	// alive counts full completions outstanding: 1 guard for the body
 	// plus one per live child. The decrement to zero completes the task.
 	alive atomic.Int64
+
+	_ [8]byte
+
+	// Line 3 starts 48 bytes into the node: its generation, domain
+	// maps and predecessor cursor, touched only by the core that
+	// unregisters and recycles the task. The cold access storage
+	// (node.inline, node.preds) follows.
+	node deps.Node
 }
 
 // resetBody drops the task-level references — closure, scope, handle,
@@ -118,7 +155,6 @@ func (t *Task) resetBody() {
 	t.body = nil
 	t.fn = nil
 	t.parent = nil
-	t.rt = nil
 	t.sc = nil
 	t.handle = nil
 	t.req = nil
@@ -126,9 +162,9 @@ func (t *Task) resetBody() {
 	t.events = nil
 	t.inherit = false
 	t.deadline = 0
-	t.epri.Store(0)
-	t.qstate.Store(0)
-	t.alive.Store(0)
+	// The three atomics need no reset: alive reached zero to get here,
+	// qstate was zeroed by the Swap that claimed the task (and is only
+	// set again by schedAdd), and newTask stores epri unconditionally.
 }
 
 // reset fully prepares a recycled Task shell for reuse. It must only

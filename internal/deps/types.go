@@ -161,16 +161,16 @@ const InlineAccessCap = 4
 
 // Node is the per-task dependency record, embedded in the runtime's Task
 // structure. Payload carries the owning task for the ready callback.
+//
+// Field order is a performance contract (see core.Task, and
+// TestNodeLayout): the header — everything the registration, release
+// and recycling of a task with no accesses touches — comes first, the
+// four fields its *registration* touches ahead of the ones only release
+// and recycling touch; the access storage and predecessor slots, which
+// only tasks with accesses use, follow.
 type Node struct {
 	Payload  any
 	Accesses []Access
-
-	// inline is the allocation-free backing store for small access
-	// sets; InitAccesses points Accesses at it when the count fits.
-	// Because it is embedded in the recycled task shell, its reuse is
-	// gated by the pin count below — unlike the overflow slice, which
-	// is simply abandoned to the GC at reset.
-	inline [InlineAccessCap]Access
 
 	// pins counts outstanding reasons the node's access storage may
 	// still be dereferenced by another thread: the runtime's shell
@@ -189,6 +189,16 @@ type Node struct {
 	// guard; the transition to zero fires ReadyFn.
 	pending atomic.Int32
 
+	// gen counts shell reuses; bumped by Reset before the pred slots
+	// are cleared, so a walker holding a stale slot observes a
+	// generation mismatch instead of promoting an unrelated task.
+	gen atomic.Uint32
+
+	// npreds is the registration thread's write cursor into preds
+	// (walkers scan the slots); 32 bits so it fills gen's padding and
+	// the shell stays in its allocator size class (core.TestTaskLayout).
+	npreds int32
+
 	// domain maps address -> chain tail for the children of this task.
 	// It is written only by the thread executing this task (the creator
 	// of the children), so it needs no lock.
@@ -196,6 +206,13 @@ type Node struct {
 
 	// ldomain is the equivalent domain map of the locking baseline.
 	ldomain map[unsafe.Pointer]*lchain
+
+	// inline is the allocation-free backing store for small access
+	// sets; InitAccesses points Accesses at it when the count fits.
+	// Because it is embedded in the recycled task shell, its reuse is
+	// gated by the pin count above — unlike the overflow slice, which
+	// is simply abandoned to the GC at reset.
+	inline [InlineAccessCap]Access
 
 	// preds records the node's immediate plain-access chain
 	// predecessors at registration time, one slot per recorded
@@ -208,13 +225,7 @@ type Node struct {
 	// generation and skips recycled shells. Group predecessors
 	// (reduction/commutative runs) are not recorded — promotion is
 	// best-effort and those tasks are satisfied eagerly anyway.
-	preds  [InlineAccessCap]predSlot
-	npreds int // registration-thread-only write cursor; walkers scan slots
-
-	// gen counts shell reuses; bumped by Reset before the pred slots
-	// are cleared, so a walker holding a stale slot observes a
-	// generation mismatch instead of promoting an unrelated task.
-	gen atomic.Uint32
+	preds [InlineAccessCap]predSlot
 }
 
 // predSlot is one recorded immediate predecessor: the node pointer and
@@ -304,13 +315,15 @@ func (n *Node) Reset() {
 			n.Accesses[i].clearRefs()
 		}
 	}
-	n.Payload = nil
+	// Payload stays: it names the shell the node is embedded in and
+	// recycled with, and the priority-inheritance walk may read it from
+	// a recorded predecessor concurrently with this reset.
 	n.Accesses = nil
 	n.pending.Store(0)
 	// Invalidate outstanding pred-slot references to this shell before
 	// clearing our own slots: walkers compare against gen first.
 	n.gen.Add(1)
-	for i := 0; i < n.npreds; i++ {
+	for i := range n.preds[:n.npreds] {
 		n.preds[i].n.Store(nil)
 	}
 	n.npreds = 0

@@ -25,15 +25,27 @@ type paddedUint64 struct {
 //   - ticket t may enter once waitq[t%size] >= t;
 //   - tail-1 is the most recently granted ticket, so the lock is free
 //     exactly when head == tail-1.
+//
+// Layout: head and tail are each written on every acquisition, size and
+// the wait header are read on every acquisition and never written. Each
+// of the three groups keeps a cache line to itself, and the struct is
+// padded at both ends, because it lives on the heap beside whatever was
+// allocated around it — in sched.Sync that is the *other* lock (the
+// scheduler's DTLock next to the insertion queue's PTLock), and without
+// the padding one lock's read-only words shared a line with the other
+// lock's head: every producer insertion invalidated a line every
+// consumer Get reads, and back.
 type PTLock struct {
-	size uint64
+	_    [64]byte
 	head atomic.Uint64
 	_    [56]byte
 	// tail is written only by the lock owner but read by TryLock and by
 	// the DTLock service operations, hence atomic.
 	tail atomic.Uint64
 	_    [56]byte
+	size uint64
 	wait []paddedUint64
+	_    [32]byte
 }
 
 // DefaultPTLockSize is the waiting-array size used when callers do not
@@ -91,10 +103,24 @@ func (l *PTLock) Unlock() {
 
 // TryLock acquires the lock only if it is currently free. The lock is
 // free exactly when the next ticket to be drawn (head) is the most
-// recently granted one (tail-1); claiming that ticket by CAS therefore
-// acquires without waiting.
+// recently granted one (tail-1) AND that grant has been published;
+// claiming the ticket by CAS then acquires without waiting.
+//
+// The grant check is load-bearing. Unlock advances tail before it
+// stores the grant, so between the two stores head == tail-1 already
+// holds. A TryLock that went ahead there would own the lock while the
+// releasing thread still owes its grant store; if that thread is
+// descheduled for size further lock cycles (a goroutine preemption is
+// enough), the late store lands on a slot since granted to ticket
+// t+size and moves it backwards, and the thread that draws t+size waits
+// forever (the insertion-overflow hang of sched.Sync: producer spinning
+// in Add on a full queue, consumer in LockOrDelegate). Lock needs no
+// such check: it waits for the grant itself.
 func (l *PTLock) TryLock() bool {
 	g := l.tail.Load() - 1
+	if l.wait[g%l.size].v.Load() < g {
+		return false // release in progress: the grant is not out yet
+	}
 	return l.head.CompareAndSwap(g, g+1)
 }
 

@@ -14,8 +14,8 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/deps"
 	"repro/internal/workloads"
 )
 
@@ -94,17 +94,44 @@ func BenchmarkAblationPolicyFIFOvsLIFO(b *testing.B) {
 }
 
 // BenchmarkAblationTaskloopGrain sweeps the work-sharing loop's chunk
-// size on the tier-2 dot-product shape (bench.TaskloopDotWithGrain, so
-// the measured loop cannot drift from the gated one): tiny grains
+// size on a 1e5-element dot product with a reduction: tiny grains
 // expose the per-chunk claim cost, huge grains starve the late
 // joiners, and grain=0 is the adaptive default the runtime picks.
 func BenchmarkAblationTaskloopGrain(b *testing.B) {
+	const iters = 100_000
+	x, y := make([]float64, iters), make([]float64, iters)
+	want := 0.0
+	for i := range x {
+		x[i], y[i] = float64(1+i%7), float64(1+i%5)
+		want += x[i] * y[i]
+	}
 	for _, grain := range []int{16, 256, 4096, 0} {
 		name := fmt.Sprintf("grain=%d", grain)
 		if grain == 0 {
 			name = "grain=adaptive"
 		}
-		b.Run(name, bench.TaskloopDotWithGrain(grain))
+		b.Run(name, func(b *testing.B) {
+			rt := core.New(core.ConfigFor(core.VariantOptimized, 8, 2))
+			defer rt.Close()
+			var result float64
+			chunk := func(cc *core.Ctx, lo, hi int) {
+				s := 0.0
+				for i := lo; i < hi; i++ {
+					s += x[i] * y[i]
+				}
+				cc.ReductionBuffer(&result)[0] += s
+			}
+			for i := 0; i < b.N; i++ {
+				result = 0
+				err := rt.Run(func(c *core.Ctx) {
+					c.Loop(0, iters, grain, chunk, core.RedSpec(&result, 1, deps.OpSum))
+					c.Taskwait()
+				})
+				if err != nil || result != want {
+					b.Fatalf("dot product = %v (err %v), want %v", result, err, want)
+				}
+			}
+		})
 	}
 }
 

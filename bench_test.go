@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -114,18 +113,5 @@ func BenchmarkSection34SchedulerComparison(b *testing.B) {
 		b.ReportMetric(r.SchedulingSpeedup, "dtlock_vs_ptlock_x")
 		b.ReportMetric(r.InsertionSpeedup, "buffered_vs_serial_x")
 		b.ReportMetric(r.DTLockOpsPerSec, "dtlock_tasks/s")
-	}
-}
-
-// BenchmarkTier2 runs the task-lifecycle hot-path set — spawn overhead,
-// dependency chains, fan-out, allocation counts, concurrent root
-// submission, taskloop work-sharing — as sub-benchmarks. The bodies AND
-// the name list live in internal/bench (bench.Tier2), so `go test
-// -bench Tier2`, cmd/benchjson's BENCH_*.json snapshots and the CI perf
-// gate all iterate exactly the same set; earlier PRs duplicated the
-// names here and in the CI grep pattern, and they drifted.
-func BenchmarkTier2(b *testing.B) {
-	for _, bm := range bench.Tier2 {
-		b.Run(bm.Name, bm.F)
 	}
 }

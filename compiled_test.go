@@ -120,7 +120,7 @@ func TestCompiledDifferentialCollectAll(t *testing.T) {
 			failAt = rnd.Intn(n)
 		}
 		g, _ := randomGraph(rnd, n, failAt)
-		ref, refErr := g.RunInterpreted(context.Background(), rt)
+		ref, refErr := repro.RunInterpreted(g, context.Background(), rt)
 		cg, err := g.Compile(rt)
 		if err != nil {
 			t.Fatalf("trial %d: Compile: %v", trial, err)

@@ -227,7 +227,7 @@ func TestGraphSetDeadline(t *testing.T) {
 	}
 
 	lo = repro.NowNS()
-	res, err = g.RunInterpreted(nil, rt)
+	res, err = repro.RunInterpreted(g, nil, rt)
 	check(t, res, err, lo)
 
 	if _, err := repro.NewGraph().SetDeadline("nope", time.Second).Run(nil, rt); err == nil {

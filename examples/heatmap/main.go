@@ -22,7 +22,7 @@ func main() {
 
 	rt := repro.New(
 		repro.WithWorkers(*workers),
-		repro.WithNUMANodes(2),
+		repro.WithTopology(repro.Topology{NUMANodes: 2}),
 		repro.WithTracing(1<<16),
 	)
 	defer rt.Close()

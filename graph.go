@@ -74,7 +74,7 @@ type gnode struct {
 
 	// val/err are written once by the node's task body (or its skip
 	// path) and read by dependents after the dependency edge's
-	// happens-before, and by RunInterpreted after full completion.
+	// happens-before, and by runInterpreted after full completion.
 	val any
 	err error
 
@@ -251,14 +251,13 @@ func (g *Graph) Run(ctx context.Context, rt *Runtime) (map[string]Result, error)
 	return res, runErr
 }
 
-// RunInterpreted is the seed interpreted execution path: it re-runs
+// runInterpreted is the seed interpreted execution path: it re-runs
 // name resolution and the cycle check, then registers one closure-built
 // task per node, every call. It is retained as the reference
-// implementation the compiled path is differentially tested (and
-// benchmarked) against; use Run or Compile+Do otherwise. Unlike Run it
-// must not execute the same Graph concurrently with itself — per-call
-// node state lives on the builder.
-func (g *Graph) RunInterpreted(ctx context.Context, rt *Runtime) (map[string]Result, error) {
+// implementation the compiled path is differentially tested against
+// (export_test.go). Unlike Run it must not execute the same Graph
+// concurrently with itself — per-call node state lives on the builder.
+func (g *Graph) runInterpreted(ctx context.Context, rt *Runtime) (map[string]Result, error) {
 	order, err := g.validate()
 	if err != nil {
 		return nil, err

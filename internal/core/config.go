@@ -144,10 +144,9 @@ type Config struct {
 	// IdleSpin is the per-worker idle spin budget: how many consecutive
 	// empty scheduler polls a worker tolerates before parking on its
 	// wake channel. 0 selects the default (1024); negative disables
-	// parking entirely — every worker spins, the pure-spin baseline the
-	// IdleBurn benchmark compares against. The blocking scheduler
-	// ignores both knobs: its workers already sleep in the scheduler's
-	// own condvar.
+	// parking entirely — every worker spins, the pre-elastic pure-spin
+	// baseline. The blocking scheduler ignores both knobs: its workers
+	// already sleep in the scheduler's own condvar.
 	IdleSpin int
 
 	Scheduler SchedulerKind
@@ -159,8 +158,8 @@ type Config struct {
 	// class pops earliest-deadline-first (sched.EDF) instead of in the
 	// configured Policy order, using the absolute deadlines tasks carry
 	// via the Deadline clause (deadline-less tasks sort last, FIFO among
-	// themselves). Lower levels keep the configured policy. With the
-	// work-stealing scheduler the ordering is per-deque only — see
+	// themselves). Lower levels keep the configured policy. The
+	// work-stealing baseline ignores it, like priorities — see
 	// sched.WorkStealing.
 	EDF bool
 

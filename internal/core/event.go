@@ -155,8 +155,12 @@ func (rt *Runtime) releaseDeferred(t *Task, id int, isWorker bool) {
 	} else {
 		rt.deps.Unregister(&t.node, id)
 	}
-	rt.completeOne(t, id)
+	// Lowered before completeOne, which resolves the handle: a waiter
+	// that reads PendingEvents right after Wait returns must not see
+	// this task. Drain cannot pass early — the task stays in live until
+	// completeOne lowers that.
 	rt.eventsHeld.v.Add(-1)
+	rt.completeOne(t, id)
 	for next != nil {
 		next = rt.execute(next, id)
 	}

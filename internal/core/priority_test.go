@@ -14,9 +14,11 @@ import (
 // schedKindsUnderStress returns the scheduler designs the priority
 // stress tests exercise. The CI stress matrix pins one design per job
 // through REPRO_STRESS_SCHED ("sync", "central", "worksteal",
-// "blocking"), mirroring REPRO_STRESS_DEPS; locally the three designs
+// "blocking"), mirroring REPRO_STRESS_DEPS; locally the two designs
 // with distinct priority machinery run (blocking shares the central
-// policy path).
+// policy path) plus the work-stealing baseline, which ignores
+// priorities and deadlines: the suites assert safety, never order, so
+// they must hold there unchanged.
 func schedKindsUnderStress() []SchedulerKind {
 	switch os.Getenv("REPRO_STRESS_SCHED") {
 	case "sync":

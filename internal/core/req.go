@@ -99,9 +99,9 @@ func (rt *Runtime) SubmitReq(ctx context.Context, r *Req, d time.Duration, body 
 			r.mu.Unlock()
 		})
 	}
-	if slot := rt.acquireServe(); slot >= 0 {
+	if slot := rt.serveSlots.TryAcquire(); slot >= 0 {
 		rt.submitReqInline(r, sc, body, slot)
-		rt.releaseServe(slot)
+		rt.serveSlots.Release(slot)
 		return
 	}
 	lease := rt.rootDom.AcquireFor(uintptr(unsafe.Pointer(r)))
@@ -125,7 +125,7 @@ func (rt *Runtime) SubmitReq(ctx context.Context, r *Req, d time.Duration, body 
 // claimed the Req. The drain gate is entered around registration only,
 // exactly like the dispatch path.
 func (rt *Runtime) submitReqInline(r *Req, sc *scope, body func(*Ctx), slot int) {
-	shard := (slot - rt.serveBase) % rt.cfg.RootShards
+	shard := (slot - rt.serveSlots.Base()) % rt.cfg.RootShards
 	if !rt.gate.Enter(shard) {
 		rt.failDraining(r, sc)
 		return

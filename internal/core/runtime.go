@@ -165,42 +165,19 @@ type Runtime struct {
 	gate       *event.Gate
 	eventsHeld paddedCount
 
-	// Inline-serving slots (see SubmitReq): serveMu[i] guards the
-	// exclusive use of thread index serveBase+i by one inline-serving
-	// submitter at a time. Acquisition is TryLock-only — a busy pool
-	// falls back to the dispatch path — so holding a slot while
-	// executing arbitrary task bodies can never deadlock another
-	// goroutine on it.
-	serveMu   []serveSlot
-	serveBase int
+	// serveSlots pools the exclusive thread indices inline-serving
+	// submitters borrow (see SubmitReq); nil when Config.ServeSlots is
+	// negative. Acquisition is TryAcquire-only — a busy pool falls back
+	// to the dispatch path — so holding a slot while executing arbitrary
+	// task bodies can never deadlock another goroutine on it. It is a
+	// second pool, never merged with evSlots: see topology.go.
+	serveSlots *event.Slots
 
 	// noise state for the Figure 11 experiment. serves is sharded for
 	// the same reason as live; it is only touched while the experiment
 	// is armed (noise configured and not yet fired).
 	serves    *counter.Sharded
 	noiseDone atomic.Bool
-}
-
-// serveSlot pads each inline-serving mutex onto its own cache line.
-type serveSlot struct {
-	mu sync.Mutex
-	_  [56]byte
-}
-
-// acquireServe claims a free inline-serving thread index, or returns -1
-// when the pool is exhausted (or disabled). Never blocks.
-func (rt *Runtime) acquireServe() int {
-	for i := range rt.serveMu {
-		if rt.serveMu[i].mu.TryLock() {
-			return rt.serveBase + i
-		}
-	}
-	return -1
-}
-
-// releaseServe returns a slot claimed by acquireServe.
-func (rt *Runtime) releaseServe(slot int) {
-	rt.serveMu[slot-rt.serveBase].mu.Unlock()
 }
 
 // paddedCount is one cache-line-isolated atomic counter (the per-level
@@ -486,8 +463,9 @@ func build(cfg Config) *Runtime {
 	rt.live = counter.NewSharded(slots)
 	rt.serves = counter.NewSharded(slots)
 	rt.bypass = make([]bypassSlot, slots)
-	rt.serveMu = make([]serveSlot, cfg.ServeSlots)
-	rt.serveBase = cfg.Workers + cfg.RootShards + cfg.EventSlots
+	if cfg.ServeSlots > 0 {
+		rt.serveSlots = event.NewSlots(cfg.Workers+cfg.RootShards+cfg.EventSlots, cfg.ServeSlots)
+	}
 	// Every slot gets a reusable execution context, not just the
 	// workers: inline-serving submitters execute task bodies on their
 	// own index.
@@ -653,7 +631,7 @@ func build(cfg Config) *Runtime {
 		case SchedBlocking:
 			d.sched = sched.NewBlocking(mkPolicy())
 		case SchedWorkStealing:
-			d.sched = sched.NewWorkStealing(slots-1, priOf, dlOf)
+			d.sched = sched.NewWorkStealing[*Task](slots - 1)
 		default:
 			panic(fmt.Sprintf("core: unknown scheduler kind %d", cfg.Scheduler))
 		}
@@ -1230,10 +1208,13 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 			// creation pin and the alive guard both survive the park
 			// (completeOne has not run), so the shell cannot be
 			// recycled under the pending events. eventsHeld is raised
-			// before the guard drop so Drain can never observe live==0
-			// with a release still in flight. After a losing guard
-			// drop, t belongs to the final decrementer and must not be
-			// touched here.
+			// before the guard drop, so the final decrementer always
+			// finds it counted, and lowered (releaseDeferred) before
+			// completeOne lowers live and resolves the handle: Drain's
+			// live == 0 && eventsHeld == 0 can never hold with a
+			// release in flight, and PendingEvents never lags a
+			// resolved handle. After a losing guard drop, t belongs to
+			// the final decrementer and must not be touched here.
 			rt.eventsHeld.v.Add(1)
 			if ec.n.Add(-1) > 0 {
 				rt.tracer.Emit(id, trace.KEventHold, 0)

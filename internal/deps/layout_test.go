@@ -40,3 +40,12 @@ func TestNodeLayout(t *testing.T) {
 		t.Errorf("Node.preds at %d precedes inline at %d", unsafe.Offsetof(n.preds), unsafe.Offsetof(n.inline))
 	}
 }
+
+// TestWaitFreeLayout pins the read-mostly system header to exactly one
+// cache line (a 64-byte heap object is line-aligned), so no neighbour's
+// writes can invalidate it.
+func TestWaitFreeLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(WaitFree{}); sz != 64 {
+		t.Errorf("WaitFree is %d bytes, want one 64-byte line", sz)
+	}
+}

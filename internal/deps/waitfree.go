@@ -38,11 +38,18 @@ type mbSlot struct {
 // triggered by an exactly-once flag-conjunction transition. Reduction and
 // commutative runs use a tiny per-run mutex off the critical path (see
 // group).
+//
+// The struct is read-only after construction and read by every thread
+// on every register and unregister, so it is padded to one cache line
+// (a 64-byte heap object is line-aligned): at 48 bytes it shared lines
+// with whatever the allocator placed beside it — the scheduler's FIFO
+// structs, whose lock owner writes them per task; see sched.FIFO.
 type WaitFree struct {
 	ready     ReadyFn
 	quiescent ReadyFn
 	workers   int
 	mbs       []mbSlot
+	_         [16]byte
 }
 
 // NewWaitFree returns a wait-free dependency system for the given worker

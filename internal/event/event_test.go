@@ -106,6 +106,27 @@ func TestSlotsExclusiveAndInRange(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSlotsTryAcquire: the non-blocking acquisition hands out the lowest
+// free index, reports exhaustion instead of waiting, and a nil pool has
+// nothing to lend.
+func TestSlotsTryAcquire(t *testing.T) {
+	s := NewSlots(10, 2)
+	a, b := s.TryAcquire(), s.TryAcquire()
+	if a != 10 || b != 11 {
+		t.Fatalf("TryAcquire = %d, %d, want 10, 11", a, b)
+	}
+	if got := s.TryAcquire(); got != -1 {
+		t.Fatalf("TryAcquire on an exhausted pool = %d, want -1", got)
+	}
+	s.Release(a)
+	if got := s.TryAcquire(); got != a {
+		t.Fatalf("TryAcquire after Release = %d, want %d", got, a)
+	}
+	if got := (*Slots)(nil).TryAcquire(); got != -1 {
+		t.Fatalf("nil pool TryAcquire = %d, want -1", got)
+	}
+}
+
 func TestGateCloseExcludesNewEntrants(t *testing.T) {
 	g := NewGate(4)
 	if g.Closed() {

@@ -14,9 +14,12 @@ import (
 // insertion, trace buffer) requires an index unique among concurrent
 // callers. The pool hands out indices [base, base+n) guarded by one
 // mutex each; Acquire round-robins a cursor over the slots and takes
-// the first free one, spinning (with yields) when all n are busy.
-// Release paths are short and never block on user code, so a small n
-// bounds completer parallelism without risking deadlock.
+// the first free one, spinning (with yields) when all n are busy —
+// for holders whose critical section is short and never blocks on user
+// code, so a small n bounds parallelism without risking deadlock.
+// TryAcquire never waits, for holders that keep their index across
+// arbitrary code (the runtime's inline-serving pool); the two kinds of
+// holder must not share one pool, see core/topology.go.
 type Slots struct {
 	base int
 	next atomic.Uint32
@@ -53,7 +56,24 @@ func (s *Slots) Acquire() int {
 	}
 }
 
-// Release returns a slot obtained from Acquire.
+// TryAcquire returns an exclusive thread index, or -1 when every slot
+// is busy. It never waits and — unlike Acquire — touches no shared
+// cursor: it scans from slot 0, so a lightly loaded pool keeps reusing
+// the lowest slots and a caller on a hot path adds no cross-core write
+// beyond the slot lock itself. A nil pool has no slots.
+func (s *Slots) TryAcquire() int {
+	if s == nil {
+		return -1
+	}
+	for i := range s.mus {
+		if s.mus[i].mu.TryLock() {
+			return s.base + i
+		}
+	}
+	return -1
+}
+
+// Release returns a slot obtained from Acquire or TryAcquire.
 func (s *Slots) Release(slot int) {
 	s.mus[slot-s.base].mu.Unlock()
 }

@@ -4,9 +4,8 @@ package platform
 
 import "time"
 
-// ProcessCPUTime reports false on platforms without rusage; the
-// IdleBurn benchmark then records wall-clock activity only and its
-// CPU-ratio gate stands down.
+// ProcessCPUTime reports false on platforms without rusage; callers
+// then have wall-clock time only.
 func ProcessCPUTime() (time.Duration, bool) {
 	return 0, false
 }

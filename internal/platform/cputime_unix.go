@@ -8,11 +8,10 @@ import (
 )
 
 // ProcessCPUTime returns the process's cumulative CPU time (user +
-// system, all threads) and whether the host can report it. The IdleBurn
-// benchmark differences two readings around an idle window to measure
-// what the worker pool burns while parked versus spinning — wall-clock
-// time cannot see that, a sleeping and a spinning pool idle for the
-// same duration.
+// system, all threads) and whether the host can report it. The
+// benchmark differences two readings around a window for its
+// cpu_us_per_op metric — what wall-clock time cannot see: a parked and a
+// spinning pool idle for the same duration.
 func ProcessCPUTime() (time.Duration, bool) {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

@@ -6,9 +6,9 @@ package sched
 // synchronized scheduler wraps one unsynchronized Policy, a QoS
 // dimension is a policy wrapper, not a rework of the scheduler's
 // synchronization. The Priority policy below slots under Sync, Central
-// and Blocking unchanged; only the work-stealing baseline — whose
-// per-worker deques bypass the Policy abstraction — needs its own
-// (weaker) treatment, see worksteal.go.
+// and Blocking unchanged; the work-stealing baseline — whose per-worker
+// deques bypass the Policy abstraction — ignores priorities, see
+// worksteal.go.
 
 // PriorityLevels is the number of scheduling priority levels. Level 0
 // is the default (batch) class; level PriorityLevels-1 is the most
@@ -20,7 +20,7 @@ const PriorityLevels = 4
 // courtesyInterval bounds priority starvation: after this many
 // consecutive pops were served over a waiting lower level, the next pop
 // is granted to a waiting lower level instead of the highest. The
-// courtesy rotates across the waiting levels (see scanState.courtesy),
+// courtesy rotates across the waiting levels (see Priority.courtesy),
 // so *every* level's wait is bounded — a task at the front of its
 // level is served within at most (PriorityLevels-1)·(courtesyInterval+1)
 // pops no matter which mix of other levels stays saturated. Sustained
@@ -28,12 +28,33 @@ const PriorityLevels = 4
 // them forever.
 const courtesyInterval = 16
 
-// scanState is the bounded-levels pop discipline, shared by the
-// Priority policy and the work-stealing deques (one per deque): the
-// elevated fast-path count, the starvation counter and the rotating
-// courtesy cursor. It is unsynchronized — the owner (scheduler lock or
-// deque mutex) serializes access.
-type scanState struct {
+// ClampPriority maps an arbitrary requested priority onto the bounded
+// level range.
+func ClampPriority(pri int) int {
+	if pri < 0 {
+		return 0
+	}
+	if pri >= PriorityLevels {
+		return PriorityLevels - 1
+	}
+	return pri
+}
+
+// Priority is the bounded-levels priority policy: one inner policy per
+// level, popped highest level first with a rotating anti-starvation
+// courtesy slot. It composes with the existing policies rather than
+// replacing them — each level is its own FIFO/LIFO/Locality instance,
+// so within a level the configured policy's order (and NUMA affinity)
+// is preserved.
+//
+// Like every Policy it is unsynchronized: the wrapping scheduler
+// serializes all calls, so the scan counters are plain ints.
+type Priority[T any] struct {
+	levels [PriorityLevels]Policy[T]
+	local  [PriorityLevels]LocalityAware[T] // levels[i], if NUMA-aware
+
+	priOf func(T) int
+
 	// elevated counts tasks queued above level 0; while it is zero
 	// every operation short-circuits to level 0, so runs that never set
 	// a priority pay one predictable branch.
@@ -50,136 +71,6 @@ type scanState struct {
 	// highest-first scan nor by a lowest-first courtesy).
 	courtesy int
 }
-
-// levelAccessor abstracts one ordered set of PriorityLevels lanes: the
-// Priority policy's per-level inner policies, or one work-stealing
-// deque's lanes from either end.
-type levelAccessor[T any] interface {
-	// length reports how many tasks level l holds.
-	length(l int) int
-	// take removes one task from level l.
-	take(l int) (T, bool)
-}
-
-// popLevels runs one pop of the bounded-levels discipline over a's
-// lanes: highest non-empty level first, except that every
-// courtesyInterval-th pop that would starve a waiting lower level
-// serves the rotation's next waiting level below the highest instead.
-func popLevels[T any, A levelAccessor[T]](s *scanState, a A) (T, bool) {
-	var zero T
-	if s.elevated == 0 {
-		// No elevated tasks anywhere: the priority dimension is inert
-		// and level 0 behaves exactly like the bare inner lane.
-		return a.take(0)
-	}
-	if s.starved >= courtesyInterval {
-		hi := PriorityLevels - 1
-		for hi >= 0 && a.length(hi) == 0 {
-			hi--
-		}
-		for off := 0; hi > 0 && off < PriorityLevels; off++ {
-			l := (s.courtesy + off) % PriorityLevels
-			if l >= hi {
-				// The courtesy slot is for levels the normal scan would
-				// starve; the top level needs no courtesy.
-				continue
-			}
-			t, ok := a.take(l)
-			if !ok {
-				continue
-			}
-			s.courtesy = (l + 1) % PriorityLevels
-			s.starved = 0
-			if l > 0 {
-				s.elevated--
-			}
-			return t, true
-		}
-		// No waiting lower level after all: fall through to the normal
-		// scan (starved stays armed for the next pop).
-	}
-	for l := PriorityLevels - 1; l >= 0; l-- {
-		t, ok := a.take(l)
-		if !ok {
-			continue
-		}
-		if l > 0 {
-			s.elevated--
-			if lowerWaiting(a, l) {
-				s.starved++
-			} else {
-				s.starved = 0
-			}
-		} else {
-			s.starved = 0
-		}
-		return t, true
-	}
-	return zero, false
-}
-
-// lowerWaiting reports whether any level below l holds a task — the
-// condition under which serving level l counts toward starvation.
-func lowerWaiting[T any, A levelAccessor[T]](a A, l int) bool {
-	for i := 0; i < l; i++ {
-		if a.length(i) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ClampPriority maps an arbitrary requested priority onto the bounded
-// level range.
-func ClampPriority(pri int) int {
-	if pri < 0 {
-		return 0
-	}
-	if pri >= PriorityLevels {
-		return PriorityLevels - 1
-	}
-	return pri
-}
-
-// PriorityAware is an optional Policy extension mirroring
-// LocalityAware: a policy that understands per-task priorities accepts
-// them through PushPri. Callers that hold richer information (the
-// Priority wrapper's own Push uses its extractor; the runtime could
-// push with an explicit level) route through it.
-type PriorityAware[T any] interface {
-	Policy[T]
-	// PushPri inserts a task at the given priority level (clamped to
-	// [0, PriorityLevels)).
-	PushPri(t T, pri int)
-}
-
-// Priority is the bounded-levels priority policy: one inner policy per
-// level, popped through the shared scanState discipline (highest level
-// first, rotating anti-starvation courtesy slot). It composes with the
-// existing policies rather than replacing them — each level is its own
-// FIFO/LIFO/Locality instance, so within a level the configured
-// policy's order (and NUMA affinity) is preserved.
-//
-// Like every Policy it is unsynchronized: the wrapping scheduler
-// serializes all calls, so the scan counters are plain ints.
-type Priority[T any] struct {
-	levels [PriorityLevels]Policy[T]
-	local  [PriorityLevels]LocalityAware[T] // levels[i], if NUMA-aware
-
-	priOf func(T) int
-	scan  scanState
-}
-
-// prioLanes adapts the per-level inner policies to the shared pop
-// discipline. It is a value type so popLevels sees it without
-// allocation.
-type prioLanes[T any] struct {
-	p      *Priority[T]
-	worker int
-}
-
-func (a prioLanes[T]) length(l int) int     { return a.p.levels[l].Len() }
-func (a prioLanes[T]) take(l int) (T, bool) { return a.p.levels[l].Pop(a.worker) }
 
 // NewPriority builds a priority policy whose levels are created by mk
 // and whose per-task level is read by priOf (clamped). mk is invoked
@@ -201,26 +92,24 @@ func NewPriorityLevels[T any](mk func(level int) Policy[T], priOf func(T) int) *
 	return p
 }
 
-// Push implements Policy: the task's level comes from the extractor.
-func (p *Priority[T]) Push(t T) { p.PushPri(t, p.priOf(t)) }
-
-// PushPri implements PriorityAware.
-func (p *Priority[T]) PushPri(t T, pri int) {
-	pri = ClampPriority(pri)
+// admit returns the level t queues at — the extractor's, clamped — and
+// counts it if elevated.
+func (p *Priority[T]) admit(t T) int {
+	pri := ClampPriority(p.priOf(t))
 	if pri > 0 {
-		p.scan.elevated++
+		p.elevated++
 	}
-	p.levels[pri].Push(t)
+	return pri
 }
+
+// Push implements Policy.
+func (p *Priority[T]) Push(t T) { p.levels[p.admit(t)].Push(t) }
 
 // PushLocal implements LocalityAware by forwarding the NUMA node to the
 // task's level; levels whose inner policy has no locality support fall
 // back to a plain Push.
 func (p *Priority[T]) PushLocal(t T, node int) {
-	pri := ClampPriority(p.priOf(t))
-	if pri > 0 {
-		p.scan.elevated++
-	}
+	pri := p.admit(t)
 	if l := p.local[pri]; l != nil {
 		l.PushLocal(t, node)
 		return
@@ -228,9 +117,69 @@ func (p *Priority[T]) PushLocal(t T, node int) {
 	p.levels[pri].Push(t)
 }
 
-// Pop implements Policy via the shared bounded-levels discipline.
+// Pop implements Policy: highest non-empty level first, except that
+// every courtesyInterval-th pop that would starve a waiting lower level
+// serves the rotation's next waiting level below the highest instead.
 func (p *Priority[T]) Pop(worker int) (T, bool) {
-	return popLevels[T](&p.scan, prioLanes[T]{p: p, worker: worker})
+	if p.elevated == 0 {
+		// No elevated tasks anywhere: the priority dimension is inert
+		// and level 0 behaves exactly like the bare inner policy.
+		return p.levels[0].Pop(worker)
+	}
+	if p.starved >= courtesyInterval {
+		hi := PriorityLevels - 1
+		for hi >= 0 && p.levels[hi].Len() == 0 {
+			hi--
+		}
+		for off := 0; hi > 0 && off < PriorityLevels; off++ {
+			l := (p.courtesy + off) % PriorityLevels
+			if l >= hi {
+				// The courtesy slot is for levels the normal scan would
+				// starve; the top level needs no courtesy.
+				continue
+			}
+			t, ok := p.levels[l].Pop(worker)
+			if !ok {
+				continue
+			}
+			p.courtesy = (l + 1) % PriorityLevels
+			p.starved = 0
+			if l > 0 {
+				p.elevated--
+			}
+			return t, true
+		}
+		// No waiting lower level after all: fall through to the normal
+		// scan (starved stays armed for the next pop).
+	}
+	for l := PriorityLevels - 1; l >= 0; l-- {
+		t, ok := p.levels[l].Pop(worker)
+		if !ok {
+			continue
+		}
+		if l > 0 {
+			p.elevated--
+		}
+		if p.lowerWaiting(l) {
+			p.starved++
+		} else {
+			p.starved = 0
+		}
+		return t, true
+	}
+	var zero T
+	return zero, false
+}
+
+// lowerWaiting reports whether any level below l holds a task — the
+// condition under which serving level l counts toward starvation.
+func (p *Priority[T]) lowerWaiting(l int) bool {
+	for i := 0; i < l; i++ {
+		if p.levels[i].Len() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Len implements Policy.
@@ -242,7 +191,4 @@ func (p *Priority[T]) Len() int {
 	return n
 }
 
-var (
-	_ PriorityAware[*int] = (*Priority[*int])(nil)
-	_ LocalityAware[*int] = (*Priority[*int])(nil)
-)
+var _ LocalityAware[*int] = (*Priority[*int])(nil)

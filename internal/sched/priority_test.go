@@ -49,8 +49,8 @@ func TestPriorityClamping(t *testing.T) {
 		t.Fatal("oversized priority not clamped to the top level")
 	}
 	p := NewPriority[*int](func() Policy[*int] { return NewFIFO[*int]() }, priOfInt)
-	v := 0
-	p.PushPri(&v, 99) // must not panic, lands on the top level
+	v := 9900 // level 99: must not panic, lands on the top level
+	p.Push(&v)
 	got, ok := p.Pop(0)
 	if !ok || got != &v {
 		t.Fatal("clamped push lost the task")
@@ -169,63 +169,4 @@ func TestPrioritySyncSchedulerOrder(t *testing.T) {
 		}
 	}
 	s.Stop()
-}
-
-// TestWorkStealingPriorityPerDeque pins the work-stealing design's
-// per-deque ordering: within one deque both the owner and a thief see
-// the highest level first, but a thief stealing from a random victim
-// may still bypass a higher-priority task on another deque (the
-// documented weaker ordering — not asserted here, by construction it
-// is a non-guarantee).
-func TestWorkStealingPriorityPerDeque(t *testing.T) {
-	s := NewWorkStealing[*int](2, priOfInt, nil)
-	vals := []int{1, 302, 103, 4}
-	for i := range vals {
-		s.Add(&vals[i], 0)
-	}
-	// Owner: highest level first, LIFO within a level.
-	if got := s.Get(0); got == nil || *got != 302 {
-		t.Fatalf("owner pop = %v, want 302", got)
-	}
-	// Thief: highest remaining level first, FIFO within a level.
-	if got := s.Get(1); got == nil || *got != 103 {
-		t.Fatalf("thief steal = %v, want 103", got)
-	}
-	if got := s.Get(1); got == nil || *got != 1 {
-		t.Fatalf("thief steal = %v, want 1 (FIFO at level 0)", got)
-	}
-	if got := s.Get(0); got == nil || *got != 4 {
-		t.Fatalf("owner pop = %v, want 4", got)
-	}
-}
-
-// TestWorkStealingCourtesySlot: the per-deque starvation bound holds
-// for the work-stealing lanes too.
-func TestWorkStealingCourtesySlot(t *testing.T) {
-	s := NewWorkStealing[*int](1, priOfInt, nil)
-	batch := 1
-	s.Add(&batch, 0)
-	hi := make([]int, 4*courtesyInterval)
-	for i := range hi {
-		hi[i] = 300 + i%10
-	}
-	next := 0
-	for i := 0; i < courtesyInterval; i++ {
-		s.Add(&hi[next], 0)
-		next++
-	}
-	for i := 0; ; i++ {
-		if i > courtesyInterval+1 {
-			t.Fatalf("batch task not served within %d pops", courtesyInterval+1)
-		}
-		got := s.Get(0)
-		if got == nil {
-			t.Fatal("Get failed with tasks queued")
-		}
-		if got == &batch {
-			break
-		}
-		s.Add(&hi[next], 0)
-		next++
-	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestTryGetNonBlocking(t *testing.T) {
@@ -53,7 +54,7 @@ func TestSchedulerNames(t *testing.T) {
 
 func TestWorkStealingCompaction(t *testing.T) {
 	// Stealing from the head many times exercises the compaction path.
-	s := NewWorkStealing[*int](1, nil, nil)
+	s := NewWorkStealing[*int](1)
 	vals := make([]int, 2000)
 	for i := range vals {
 		s.Add(&vals[i], 0)
@@ -88,5 +89,14 @@ func TestFIFOGrowPreservesOrderAcrossWrap(t *testing.T) {
 		if !ok || *p != want {
 			t.Fatalf("got %v want %d", p, want)
 		}
+	}
+}
+
+// TestFIFOLayout pins the FIFO's per-task-written control words to
+// exactly one cache line (a 64-byte heap object is line-aligned), so
+// they share no line with a heap neighbour.
+func TestFIFOLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(FIFO[*int]{}); sz != 64 {
+		t.Errorf("FIFO is %d bytes, want one 64-byte line", sz)
 	}
 }

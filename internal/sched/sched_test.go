@@ -10,11 +10,10 @@ import (
 
 func allSchedulers(workers int) map[string]Scheduler[*int] {
 	return map[string]Scheduler[*int]{
-		"sync":     NewSync[*int](NewFIFO[*int](), workers, 1, 2, 64, Hooks{}),
-		"central":  NewCentral[*int](NewFIFO[*int](), workers),
-		"blocking": NewBlocking[*int](NewFIFO[*int]()),
-		"worksteal": NewWorkStealing[*int](
-			workers, nil, nil),
+		"sync":      NewSync[*int](NewFIFO[*int](), workers, 1, 2, 64, Hooks{}),
+		"central":   NewCentral[*int](NewFIFO[*int](), workers),
+		"blocking":  NewBlocking[*int](NewFIFO[*int]()),
+		"worksteal": NewWorkStealing[*int](workers),
 	}
 }
 
@@ -140,7 +139,7 @@ func TestBlockingStopUnblocks(t *testing.T) {
 }
 
 func TestWorkStealingStealsFromCreator(t *testing.T) {
-	s := NewWorkStealing[*int](2, nil, nil)
+	s := NewWorkStealing[*int](2)
 	vals := []int{1, 2, 3, 4}
 	for i := range vals {
 		s.Add(&vals[i], 0) // all on worker 0's deque
@@ -157,7 +156,7 @@ func TestWorkStealingStealsFromCreator(t *testing.T) {
 }
 
 func TestWorkStealingOwnerLIFOThiefFIFO(t *testing.T) {
-	s := NewWorkStealing[*int](2, nil, nil)
+	s := NewWorkStealing[*int](2)
 	vals := []int{10, 20, 30}
 	for i := range vals {
 		s.Add(&vals[i], 0)

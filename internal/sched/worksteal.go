@@ -16,78 +16,25 @@ import (
 // ends up stealing from the creator's one deque, and that deque's lock
 // becomes the scheduler bottleneck.
 //
-// Priority support is deliberately *weaker* here than in the
-// policy-wrapping schedulers, and that asymmetry is the point of
-// keeping this baseline around: each deque orders its own tasks by
-// level (owner pops and thieves steal the highest level first, with
-// the same courtesy-slot starvation bound as the Priority policy), but
-// victims are still chosen at random, without comparing priorities
-// across deques — a thief happily takes a level-0 task from one victim
-// while a level-3 task waits in another. Retrofitting global priority
-// order onto a hierarchy of deques is exactly the "rework" the paper's
-// centralized design argues against; see DESIGN.md ("Priority
-// scheduling and QoS").
-//
-// Deadline awareness carries the same per-deque caveat: with a
-// deadline extractor each deque's top lane is its own EDF heap (owner
-// and thieves both pop its earliest deadline — there is no "tail end"
-// of a heap), but deadlines are never compared across deques, so a
-// thief may take a later-deadline task from one victim while an
-// earlier one waits in another. EDF order is per-deque, not global.
+// It exists to reproduce Figures 7–9 and is not a QoS design: task
+// priorities and deadlines are ignored. Ordering ready tasks globally
+// over a hierarchy of deques is exactly the rework the paper's
+// centralized design argues against (DESIGN.md, "Priority scheduling
+// and QoS"); configurations that need priority or EDF order use the
+// policy-wrapping schedulers.
 type WorkStealing[T comparable] struct {
 	queues []wsDeque[T]
-	priOf  func(T) int
-}
-
-// wsLane is one priority level of one deque.
-type wsLane[T comparable] struct {
-	dq   []T
-	head int
 }
 
 type wsDeque[T comparable] struct {
-	mu    sync.Mutex
-	lanes [PriorityLevels]wsLane[T]
-	// edf, when non-nil, replaces the top lane with a per-deque EDF
-	// heap (deadline-aware mode); lanes[PriorityLevels-1] then stays
-	// empty.
-	edf *EDF[T]
-	// scan is the shared bounded-levels pop discipline (see
-	// sched.scanState): per-deque elevated fast path, starvation
-	// counter and rotating courtesy cursor.
-	scan scanState
-	_    [32]byte
+	mu   sync.Mutex
+	dq   []T
+	head int
+	_    [24]byte
 }
 
-// dequeLanes adapts one deque's lanes — from the owner (tail) or thief
-// (head) end — to the shared pop discipline. Caller holds the deque's
-// mutex.
-type dequeLanes[T comparable] struct {
-	q        *wsDeque[T]
-	fromTail bool
-}
-
-func (a dequeLanes[T]) length(l int) int {
-	if l == PriorityLevels-1 && a.q.edf != nil {
-		return a.q.edf.Len()
-	}
-	return len(a.q.lanes[l].dq) - a.q.lanes[l].head
-}
-
-func (a dequeLanes[T]) take(l int) (T, bool) {
-	if l == PriorityLevels-1 && a.q.edf != nil {
-		// Both ends pop the heap root: a heap has no meaningful tail,
-		// so owner and thief alike take the earliest deadline.
-		return a.q.edf.Pop(0)
-	}
-	if a.fromTail {
-		return a.q.lanes[l].popTail()
-	}
-	return a.q.lanes[l].popHead()
-}
-
-// popTail removes from the owner end of one lane. Caller holds mu.
-func (q *wsLane[T]) popTail() (T, bool) {
+// popTail removes from the owner end. Caller holds mu.
+func (q *wsDeque[T]) popTail() (T, bool) {
 	var zero T
 	if len(q.dq) <= q.head {
 		return zero, false
@@ -103,8 +50,8 @@ func (q *wsLane[T]) popTail() (T, bool) {
 	return t, true
 }
 
-// popHead removes from the thief end of one lane. Caller holds mu.
-func (q *wsLane[T]) popHead() (T, bool) {
+// popHead removes from the thief end. Caller holds mu.
+func (q *wsDeque[T]) popHead() (T, bool) {
 	var zero T
 	if len(q.dq) <= q.head {
 		return zero, false
@@ -124,52 +71,22 @@ func (q *wsLane[T]) popHead() (T, bool) {
 	return t, true
 }
 
-// pop removes one task from the deque under the shared bounded-levels
-// discipline, from the tail (owner) or head (thief) end. Caller holds
-// mu.
-func (q *wsDeque[T]) pop(fromTail bool) (T, bool) {
-	return popLevels[T](&q.scan, dequeLanes[T]{q: q, fromTail: fromTail})
-}
-
 // NewWorkStealing builds a work-stealing scheduler with workers+1
 // deques: one per worker thread plus the external-submitter deques
-// (the runtime passes workers + submitter slots - 1; every deque has
-// its own mutex, so any slot may Add concurrently). priOf reads a
-// task's priority level; nil treats every task as level 0. dlOf, when
-// non-nil, reads a task's absolute deadline and turns each deque's top
-// lane into a per-deque EDF heap (see the type comment for the weaker
-// cross-deque guarantee).
-func NewWorkStealing[T comparable](workers int, priOf func(T) int, dlOf func(T) int64) *WorkStealing[T] {
-	s := &WorkStealing[T]{queues: make([]wsDeque[T], workers+1), priOf: priOf}
-	if dlOf != nil {
-		for i := range s.queues {
-			s.queues[i].edf = NewEDF(dlOf)
-		}
-	}
-	return s
+// (the runtime passes its slot count - 1; every deque has its own
+// mutex, so any slot may Add concurrently).
+func NewWorkStealing[T comparable](workers int) *WorkStealing[T] {
+	return &WorkStealing[T]{queues: make([]wsDeque[T], workers+1)}
 }
 
 // Name implements Scheduler.
 func (s *WorkStealing[T]) Name() string { return "work-stealing" }
 
-// Add pushes the task onto the producing worker's own deque, into the
-// lane of the task's priority level (the per-deque EDF heap for the
-// top level in deadline-aware mode).
+// Add pushes the task onto the producing worker's own deque.
 func (s *WorkStealing[T]) Add(t T, worker int) {
-	pri := 0
-	if s.priOf != nil {
-		pri = ClampPriority(s.priOf(t))
-	}
 	q := &s.queues[worker]
 	q.mu.Lock()
-	if pri == PriorityLevels-1 && q.edf != nil {
-		q.edf.Push(t)
-	} else {
-		q.lanes[pri].dq = append(q.lanes[pri].dq, t)
-	}
-	if pri > 0 {
-		q.scan.elevated++
-	}
+	q.dq = append(q.dq, t)
 	q.mu.Unlock()
 }
 
@@ -179,11 +96,11 @@ func (s *WorkStealing[T]) Get(worker int) T {
 	var zero T
 	q := &s.queues[worker]
 	q.mu.Lock()
-	if t, ok := q.pop(true); ok {
-		q.mu.Unlock()
+	t, ok := q.popTail()
+	q.mu.Unlock()
+	if ok {
 		return t
 	}
-	q.mu.Unlock()
 
 	n := len(s.queues)
 	start := rand.Intn(n)
@@ -193,11 +110,11 @@ func (s *WorkStealing[T]) Get(worker int) T {
 			continue
 		}
 		v.mu.Lock()
-		if t, ok := v.pop(false); ok {
-			v.mu.Unlock()
+		t, ok := v.popHead()
+		v.mu.Unlock()
+		if ok {
 			return t
 		}
-		v.mu.Unlock()
 	}
 	return zero
 }

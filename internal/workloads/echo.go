@@ -55,8 +55,6 @@ type Echo struct {
 	// requests/Elapsed × backendLat is the mean number of request
 	// graphs simultaneously waiting on the backend.
 	Elapsed time.Duration
-
-	lastWorkers int
 }
 
 // NewEcho builds an echo scenario: `requests` three-task request
@@ -188,7 +186,6 @@ func (e *Echo) Run(rt *core.Runtime) error {
 	if w := rt.Slots(); e.Latency.Recorders() != w {
 		e.Latency = counter.NewHistogram(w)
 	}
-	e.lastWorkers = rt.Config().Workers
 	start := time.Now()
 	errs := make([]error, e.clients)
 	var wg sync.WaitGroup
@@ -260,19 +257,6 @@ func (e *Echo) Verify() error {
 		}
 	}
 	return nil
-}
-
-// InflightPerWorker returns the last Run's mean number of request
-// graphs concurrently waiting on the backend, per worker: by Little's
-// law, throughput × backendLat, over the worker count. The blocking
-// baseline cannot exceed 1.0 (a waiting request holds a worker); the
-// events mode is bounded by the client windows, not the workers.
-func (e *Echo) InflightPerWorker() float64 {
-	if e.Elapsed == 0 || e.lastWorkers == 0 {
-		return 0
-	}
-	throughput := float64(e.requests) / e.Elapsed.Seconds()
-	return throughput * e.backendLat.Seconds() / float64(e.lastWorkers)
 }
 
 // TotalWork implements Workload: three element updates per request.

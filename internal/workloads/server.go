@@ -172,32 +172,15 @@ var _ Workload = (*Server)(nil)
 // only *ready* tasks), so the final key table is exact and
 // mode-independent: Verify replays the deterministic traffic serially.
 // An interactive request whose key collides with an in-flight batch
-// chain still waits for that chain through the dependency system; in
-// deadline mode (SetDeadline) the interactive chain carries the
-// inheritance clause, so a colliding queued batch predecessor is
-// promoted to the interactive level instead of waiting its FIFO turn
-// behind the flood (see DESIGN.md on priority inversion). The key
-// table is sized so collisions stay rare enough not to dominate the
-// tail either way.
-//
-// Deadline mode additionally stamps each interactive chain with an
-// absolute deadline of "issue + d" — EDF ordering within the top
-// priority class on WithEDF runtimes — and counts a *miss* whenever an
-// interactive request's server-side completion exceeds its deadline,
-// in both scheduling modes, so priority-blind and EDF+inheritance runs
-// report comparable InteractiveMissRate figures.
+// chain still waits for that chain through the dependency system; the
+// key table is sized so collisions stay rare enough not to dominate the
+// tail.
 type QoSServer struct {
 	nkeys         int
 	batchClients  int
 	interRequests int
 	spin          int
 	usePriority   bool
-
-	// deadline, when positive, enables deadline mode: interactive
-	// chains carry Deadline/Inherit clauses (the latter only with
-	// usePriority) and misses are counted against it.
-	deadline  time.Duration
-	interMiss atomic.Int64
 
 	// The batch class is stop-controlled, not count-controlled: each
 	// client floods request chains through its window until the
@@ -318,30 +301,7 @@ func (s *QoSServer) Reset() {
 	s.stop.Store(false)
 	s.Interactive.Reset()
 	s.Batch.Reset()
-	s.interMiss.Store(0)
 	s.Elapsed = 0
-}
-
-// SetDeadline enables deadline mode: every interactive request is
-// stamped with an absolute scheduling deadline of "issue instant + d"
-// (plus the inheritance clause when the server runs with priorities),
-// and completions past the deadline count as misses. d <= 0 restores
-// the deadline-free default.
-func (s *QoSServer) SetDeadline(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.deadline = d
-}
-
-// InteractiveMisses returns how many interactive requests of the last
-// Run completed after their deadline (0 outside deadline mode).
-func (s *QoSServer) InteractiveMisses() int { return int(s.interMiss.Load()) }
-
-// InteractiveMissRate returns the fraction of interactive requests
-// that missed their deadline in the last Run.
-func (s *QoSServer) InteractiveMissRate() float64 {
-	return float64(s.interMiss.Load()) / float64(s.interRequests)
 }
 
 // Deterministic per-request traffic, replayable by the serial
@@ -381,18 +341,9 @@ type qosInflight struct {
 // tagged with the interactive priority level. The apply body records
 // the request's server-side latency — from t0, the request's issue (or
 // open-loop scheduled) instant, to apply completion — into the
-// executing worker's shard of hist. In deadline mode an interactive
-// chain (inter) additionally carries an absolute deadline clause of
-// "t0 + deadline" — and, with priorities on, the inheritance clause,
-// so a colliding queued batch predecessor is promoted out of the flood
-// — and the apply body counts a miss when its completion overruns the
-// deadline.
-func (s *QoSServer) submitChain(rt *core.Runtime, stage, key *float64, delta float64, pri, inter bool, hist *counter.Histogram, t0 time.Time) qosInflight {
+// executing worker's shard of hist.
+func (s *QoSServer) submitChain(rt *core.Runtime, stage, key *float64, delta float64, pri bool, hist *counter.Histogram, t0 time.Time) qosInflight {
 	spin := s.spin
-	dl := time.Duration(0)
-	if inter {
-		dl = s.deadline
-	}
 	var f qosInflight
 	compute := func(*core.Ctx) (any, error) {
 		*stage = delta + spinWork(delta, spin)
@@ -400,24 +351,13 @@ func (s *QoSServer) submitChain(rt *core.Runtime, stage, key *float64, delta flo
 	}
 	apply := func(c *core.Ctx) (any, error) {
 		*key += *stage + spinWork(*stage, spin)
-		lat := time.Since(t0)
-		hist.Record(c.Worker(), lat.Nanoseconds())
-		if dl > 0 && lat > dl {
-			s.interMiss.Add(1)
-		}
+		hist.Record(c.Worker(), time.Since(t0).Nanoseconds())
 		return nil, nil
 	}
-	switch {
-	case pri && dl > 0:
-		abs := core.NowNS() + dl.Nanoseconds()
-		f.compute = rt.Submit(compute, core.Out(stage),
-			core.Priority(core.MaxPriority), core.Deadline(abs), core.Inherit())
-		f.apply = rt.Submit(apply, core.In(stage), core.InOut(key),
-			core.Priority(core.MaxPriority), core.Deadline(abs), core.Inherit())
-	case pri:
+	if pri {
 		f.compute = rt.Submit(compute, core.Out(stage), core.Priority(core.MaxPriority))
 		f.apply = rt.Submit(apply, core.In(stage), core.InOut(key), core.Priority(core.MaxPriority))
-	default:
+	} else {
 		f.compute = rt.Submit(compute, core.Out(stage))
 		f.apply = rt.Submit(apply, core.In(stage), core.InOut(key))
 	}
@@ -469,7 +409,7 @@ func (s *QoSServer) Run(rt *core.Runtime) error {
 				i := n % qosBatchWindow
 				win[i].await(&errs[g])
 				win[i] = s.submitChain(rt,
-					&s.batchStage[r], &s.keys[s.batchKey(r)], s.batchDelta(r), false, false, s.Batch, time.Now())
+					&s.batchStage[r], &s.keys[s.batchKey(r)], s.batchDelta(r), false, s.Batch, time.Now())
 			}
 			s.batchIssued[g] = n
 			for i := range win {
@@ -485,7 +425,7 @@ func (s *QoSServer) Run(rt *core.Runtime) error {
 			// Closed loop: one outstanding request, latency from issue.
 			for r := 0; r < s.interRequests; r++ {
 				f := s.submitChain(rt,
-					&s.interStage[r], &s.keys[s.interKey(r)], s.interDelta(r), s.usePriority, true, s.Interactive, time.Now())
+					&s.interStage[r], &s.keys[s.interKey(r)], s.interDelta(r), s.usePriority, s.Interactive, time.Now())
 				f.await(&errs[s.batchClients])
 			}
 			return
@@ -501,7 +441,7 @@ func (s *QoSServer) Run(rt *core.Runtime) error {
 			}
 			t0 := s.interArrivals.Pace(sched0, i)
 			inflight[r] = s.submitChain(rt,
-				&s.interStage[r], &s.keys[s.interKey(r)], s.interDelta(r), s.usePriority, true, s.Interactive, t0)
+				&s.interStage[r], &s.keys[s.interKey(r)], s.interDelta(r), s.usePriority, s.Interactive, t0)
 		}
 		for r := range inflight {
 			inflight[r].await(&errs[s.batchClients])

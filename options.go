@@ -25,8 +25,8 @@ func New(opts ...Option) *Runtime {
 // NUMA runtime domains the runtime is sharded into, how many workers
 // each domain owns, whether workers are pinned to OS threads, and how
 // aggressively an idle domain may shed work from a loaded one. It is
-// applied with WithTopology; the per-dimension options (WithWorkers,
-// WithNUMANodes, WithPinnedWorkers) are thin wrappers over it.
+// applied with WithTopology; WithWorkers is shorthand for its
+// WorkersPerDomain field.
 //
 // Zero fields leave the corresponding configuration untouched, so a
 // Topology composes with other options regardless of order.
@@ -106,26 +106,9 @@ func WithWorkers(n int) Option {
 	return WithTopology(Topology{WorkersPerDomain: n})
 }
 
-// WithNUMANodes sets the number of SPSC insertion queues of the sync
-// scheduler (§3.1: one queue and lock per NUMA node). Equivalent to
-// WithTopology(Topology{NUMANodes: n}); note this shapes each domain's
-// scheduler, it does not shard the runtime — Topology.Domains does.
-func WithNUMANodes(n int) Option {
-	return WithTopology(Topology{NUMANodes: n})
-}
-
 // WithSPSCCap sets the capacity of each insertion queue.
 func WithSPSCCap(n int) Option {
 	return func(c *core.Config) { c.SPSCCap = n }
-}
-
-// WithRootShards sets the shard count of the root dependency domain:
-// concurrent Submit/Run callers whose access addresses hash to
-// different shards register in parallel. 0 selects a worker-scaled
-// default; 1 fully serializes root registration (the pre-sharding
-// behaviour, useful as a contention baseline).
-func WithRootShards(n int) Option {
-	return func(c *core.Config) { c.RootShards = n }
 }
 
 // WithScheduler selects the scheduler design.
@@ -152,8 +135,8 @@ func WithPolicy(k PolicyKind) Option {
 // tasks of the highest class, the one with the earliest absolute
 // deadline (WithDeadline) runs first; deadline-less tasks sort last
 // and keep FIFO order among themselves. Lower priority levels keep the
-// configured policy. With the work-stealing scheduler the ordering is
-// per-deque only — a thief never compares deadlines across victims.
+// configured policy. The work-stealing baseline (SchedWorkStealing)
+// ignores deadlines.
 func WithEDF() Option {
 	return func(c *core.Config) { c.EDF = true }
 }
@@ -164,30 +147,6 @@ func WithErrorPolicy(p ErrorPolicy) Option {
 	return func(c *core.Config) { c.OnError = p }
 }
 
-// WithPinnedWorkers locks each worker goroutine to an OS thread, the
-// closest Go equivalent of the paper's one-thread-per-core binding.
-// Equivalent to WithTopology(Topology{PinWorkers: true}).
-func WithPinnedWorkers() Option {
-	return WithTopology(Topology{PinWorkers: true})
-}
-
-// WithMinWorkers keeps the first n workers out of the elastic parking
-// ladder: they idle by spin-yielding forever, immune to wake-up
-// latency at the cost of idle CPU. 0 (the default) lets every worker
-// park; values above the worker count clamp.
-func WithMinWorkers(n int) Option {
-	return func(c *core.Config) { c.MinWorkers = n }
-}
-
-// WithIdleSpin sets the per-worker idle spin budget: how many
-// consecutive empty scheduler polls a worker tolerates before parking
-// on its wake channel. 0 selects the default (1024); negative disables
-// parking entirely — the pure-spin idle behaviour the IdleBurn
-// benchmark uses as its baseline.
-func WithIdleSpin(n int) Option {
-	return func(c *core.Config) { c.IdleSpin = n }
-}
-
 // WithEventSlots sets the number of exclusive completer slots external
 // event decrements borrow when the final Done arrives from a
 // non-worker goroutine. The count bounds completer parallelism, never
@@ -195,17 +154,6 @@ func WithIdleSpin(n int) Option {
 // default of 4.
 func WithEventSlots(n int) Option {
 	return func(c *core.Config) { c.EventSlots = n }
-}
-
-// WithServeSlots sets the number of exclusive inline-serving slots for
-// the compiled-graph fast path (CompiledGraph.Do): when a slot is
-// free, the submitting goroutine executes the request's tasks itself
-// instead of dispatching through the scheduler and sleeping on the
-// completion latch. The count bounds inline parallelism, never
-// correctness (excess submitters fall back to the dispatch path); 0
-// selects the default of 2, negative disables inline serving.
-func WithServeSlots(n int) Option {
-	return func(c *core.Config) { c.ServeSlots = n }
 }
 
 // WithEventTick sets the resolution of the shared timer wheel behind
@@ -223,14 +171,6 @@ func WithTracing(capacity int) Option {
 			capacity = 1 << 16
 		}
 		c.TraceCapacity = capacity
-	}
-}
-
-// WithNoise injects simulated OS noise: after the DTLock owner has
-// performed afterServes service operations it stalls for d (Figure 11).
-func WithNoise(afterServes int, d time.Duration) Option {
-	return func(c *core.Config) {
-		c.Noise = core.NoiseConfig{AfterServes: afterServes, Duration: d}
 	}
 }
 
@@ -270,9 +210,11 @@ func WithNodeStats(hook func(NodeStat)) CompileOption {
 	}
 }
 
-// WithConfig replaces the whole configuration — an escape hatch for
-// callers that already hold a core.Config (presets, the harness).
-// Options after it still apply on top.
+// WithConfig replaces the whole configuration — the one escape hatch
+// that reaches every Config field, including those with no option of
+// their own (RootShards, ServeSlots, MinWorkers, IdleSpin, Noise), for
+// callers that already hold a Config (presets, the harness). Options
+// after it still apply on top.
 func WithConfig(cfg Config) Option {
 	return func(c *core.Config) { *c = cfg }
 }

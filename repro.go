@@ -97,9 +97,12 @@
 // loop's WithAccesses, or Graph.SetPriority for named tasks. Priority
 // orders *ready* tasks only: data dependencies always win, children
 // inherit their parent's level, and a bounded courtesy slot keeps
-// sustained high-priority load from starving the batch class. See
+// sustained high-priority load from starving the batch class. The
+// synchronized, central and blocking schedulers honour it; the
+// work-stealing baseline (SchedWorkStealing, the LLVM- and Intel-like
+// variants of Figures 7–9) ignores priorities and deadlines. See
 // DESIGN.md ("Priority scheduling and QoS") for the per-scheduler
-// ordering guarantees.
+// table.
 //
 // # Deadlines and priority inheritance
 //
@@ -296,7 +299,8 @@ const MaxPriority = core.MaxPriority
 // grants the lowest waiting level a bounded courtesy slot). Children
 // inherit the spawning task's level unless they carry their own
 // clause; taskloop chunks run at their loop's level. Graph nodes take
-// theirs through Graph.SetPriority.
+// theirs through Graph.SetPriority. The work-stealing baseline
+// (SchedWorkStealing) ignores the clause.
 //
 //	f := repro.Submit(rt, handle, repro.InOut(&row), repro.WithPriority(repro.MaxPriority))
 //	err := repro.ForEach(rt, 0, n, body, repro.WithAccesses(repro.WithPriority(1)))

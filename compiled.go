@@ -334,14 +334,18 @@ func (cg *CompiledGraph) newFrame() *GraphExec {
 // (and, on deadline templates, deadline) clauses when the template has
 // any elevated or deadlined node (spawns inherit the spawning task's
 // level otherwise). The frame's restamped spec wins over the template's.
+// Both callers spawn as their last act before returning or helping (a
+// node body's wrapper, the request root before its Taskwait), which is
+// SpawnNext's contract: the first node a caller readies runs next on
+// the same thread, its siblings are offered to the workers.
 func (e *GraphExec) spawnNode(c *Ctx, i int) {
-	if spec := e.spec; spec != nil {
-		c.Spawn(e.bodies[i], spec[i]...)
-	} else if spec := e.cg.spec; spec != nil {
-		c.Spawn(e.bodies[i], spec[i]...)
-	} else {
-		c.Spawn(e.bodies[i])
+	var spec []AccessSpec
+	if e.spec != nil {
+		spec = e.spec[i]
+	} else if e.cg.spec != nil {
+		spec = e.cg.spec[i]
 	}
+	core.SpawnNext(c, e.bodies[i], spec...)
 }
 
 // begin readies a pooled frame for the next request. On deadline

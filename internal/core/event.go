@@ -135,9 +135,11 @@ func (rt *Runtime) releaseExternal(t *Task) {
 // dependency unregister, completion cascade — so successors, handle
 // and scope observe exactly what an inline completion would have
 // produced. When the final decrementer is itself a worker (isWorker),
-// the bypass slot is armed around the unregister and any parked
-// successor chain is executed inline, matching the worker release
-// path; decrements from completer slots route every readied successor
+// the bypass slot is armed around the unregister and whatever it then
+// holds — the first successor this release readied, or a SpawnNext
+// child the calling body had already left there — is executed inline
+// with its chain, matching the worker release path; decrements from
+// completer slots route every readied successor
 // through the scheduler (whose Add maintains the priority pending
 // counts — a deferred release never lets a successor jump a queued
 // higher-priority task).
@@ -150,8 +152,7 @@ func (rt *Runtime) releaseDeferred(t *Task, id int, isWorker bool) {
 		bs.armed = true
 		rt.deps.Unregister(&t.node, id)
 		bs.armed = false
-		next = bs.next
-		bs.next = nil
+		next = bs.take()
 	} else {
 		rt.deps.Unregister(&t.node, id)
 	}

@@ -100,3 +100,24 @@ func TestFIFOLayout(t *testing.T) {
 		t.Errorf("FIFO is %d bytes, want one 64-byte line", sz)
 	}
 }
+
+// TestSyncLayout pins the synchronized scheduler to whole cache lines:
+// the published backlog word, which every poller reads, has line 0 to
+// itself, everything after it is written only by NewSync, and the
+// struct's size is a line-aligned allocator class — so neither part
+// shares a line with a heap neighbour.
+func TestSyncLayout(t *testing.T) {
+	var s Sync[*int]
+	if off := unsafe.Offsetof(s.lock); off != 64 {
+		t.Errorf("first field after backlog at offset %d, want 64: backlog must own its line", off)
+	}
+	if sz := unsafe.Sizeof(s); sz != 192 {
+		t.Errorf("Sync is %d bytes, want 192 (three lines, a line-aligned size class)", sz)
+	}
+	for i := 0; i < 8; i++ {
+		p := NewSync[*int](NewFIFO[*int](), 1, 1, 1, 2, Hooks{})
+		if a := uintptr(unsafe.Pointer(p)) % 64; a != 0 {
+			t.Fatalf("NewSync returned a scheduler %d bytes into a cache line", a)
+		}
+	}
+}

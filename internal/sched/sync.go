@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync/atomic"
+
 	"repro/internal/locks"
 	"repro/internal/spsc"
 )
@@ -30,13 +32,27 @@ type addQueue[T comparable] struct {
 // asking for tasks; whichever worker owns the Delegation Ticket Lock
 // drains the buffers into the actual scheduling policy and serves tasks
 // directly to the workers waiting on the lock.
+//
+// The struct is a whole number of cache lines (a 192-byte heap object is
+// line-aligned; TestSyncLayout): line 0 is the one word every poller
+// reads, the rest is written only by NewSync, so neither shares a line
+// with a heap neighbour's writes.
 type Sync[T comparable] struct {
+	// backlog reports whether the policy holds a task. The policy only
+	// changes under the lock and the owner publishes the word before it
+	// releases (unlock), so between two lock tenures it is exact; it is
+	// stored only when it flips, so a standing backlog — or a policy
+	// that is drained as fast as it fills — writes nothing.
+	backlog atomic.Bool
+	_       [60]byte
+
 	lock   *locks.DTLock[T]
 	inner  Policy[T]
 	local  LocalityAware[T] // inner, if it understands locality
 	queues []addQueue[T]
 	qOf    []int // worker -> add-queue index
 	hooks  Hooks
+	_      [24]byte
 }
 
 // NewSync builds a synchronized scheduler for `workers` worker threads
@@ -98,7 +114,7 @@ func (s *Sync[T]) Add(t T, worker int) {
 		}
 		if s.lock.TryLock() {
 			s.processReadyTasks(worker)
-			s.lock.Unlock()
+			s.unlock()
 		}
 		locks.Spin(i)
 	}
@@ -121,12 +137,46 @@ func (s *Sync[T]) processReadyTasks(owner int) {
 	}
 }
 
+// unlock releases the scheduler lock after publishing whether the policy
+// still holds a task. Every tenure that may have changed the policy ends
+// here, which is what lets idle trust backlog.
+func (s *Sync[T]) unlock() {
+	if b := s.inner.Len() > 0; b != s.backlog.Load() {
+		s.backlog.Store(b)
+	}
+	s.lock.Unlock()
+}
+
+// idle reports that there is nothing to hand out: no published backlog
+// and every insertion queue empty. It reads lines that change only on a
+// push, a drain or a backlog flip, so polling an empty scheduler moves no
+// cache line and takes no ticket. A drain in flight can hide its tasks
+// from one call (out of the queue, backlog not yet published); they are
+// visible again once the owner unlocks, so a false "idle" costs the
+// caller one more poll. Nothing may sleep on it: the runtime parks on its
+// own added-taken count, which Add's caller raises before the push.
+func (s *Sync[T]) idle() bool {
+	if s.backlog.Load() {
+		return false
+	}
+	for i := range s.queues {
+		if !s.queues[i].q.Empty() {
+			return false
+		}
+	}
+	return true
+}
+
 // Get returns a ready task or the zero value (Listing 5 getReadyTask).
-// If another worker owns the DTLock the call delegates: the owner either
+// An idle scheduler answers without touching the lock. Otherwise, if
+// another worker owns the DTLock the call delegates: the owner either
 // serves this worker a task directly or releases the lock, in which case
 // the worker acquires it and serves itself (and the others).
 func (s *Sync[T]) Get(worker int) T {
 	var task T
+	if s.idle() {
+		return task
+	}
 	if !s.lock.LockOrDelegate(uint64(worker), &task) {
 		return task // served by the previous owner
 	}
@@ -144,7 +194,7 @@ func (s *Sync[T]) Get(worker int) T {
 		}
 	}
 	task, _ = s.inner.Pop(worker)
-	s.lock.Unlock()
+	s.unlock()
 	return task
 }
 

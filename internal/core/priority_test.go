@@ -258,6 +258,190 @@ func TestPriorityWithTaskloopsStress(t *testing.T) {
 	}
 }
 
+// --- Batched service must not reorder across priority levels ---
+
+// runBatchForTests mirrors sched.Sync's run-buffer size: the tests below
+// only need "a backlog of several buffers".
+const runBatchForTests = 16
+
+// TestRunBufferYieldsToElevated pins batched service against the
+// priority dimension: a worker part-way through its run buffer must not
+// start another buffered level-0 task once an elevated task is queued.
+// Task 3 is known to run out of a buffer (whoever pops task 0 over this
+// backlog buffers 1..16 with it). On one worker, task 3 spawns the
+// elevated task itself and returns. On two, worker B is held inside
+// task 3 while the root, on worker A, spawns the elevated task from the
+// other thread, lets B go and stays out of the scheduler until the
+// elevated task has started — so B is the only poller, and a worker
+// that holds a claimed task while it is descheduled cannot blur the
+// order. Either way the elevated task must be the very next to start.
+// Without the runtime-wide elevated gate on buffer consumption the
+// worker finishes its buffer first: thirteen tasks.
+func TestRunBufferYieldsToElevated(t *testing.T) {
+	const n = 8 * runBatchForTests
+	cases := []struct {
+		name    string
+		workers int
+		edf     bool
+	}{
+		{"priority/1worker", 1, false},
+		{"priority/2workers", 2, false},
+		{"deadline/1worker", 1, true},
+		{"deadline/2workers", 2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				// A runtime per round: over one runtime's life every
+				// courtesyInterval-th elevated pop over waiting level-0
+				// work rightly yields to it.
+				rt := New(Config{Workers: tc.workers, EDF: tc.edf})
+				var seq, spawnedAt, elevatedAt atomic.Int64
+				var held, queued, midBuffer, release atomic.Bool
+				starts := make([]int64, n)
+				spawnElevated := func(c *Ctx) {
+					specs := []AccessSpec{Priority(MaxPriority)}
+					if tc.edf {
+						specs = append(specs, Deadline(NowNS()+int64(time.Millisecond)))
+					}
+					c.Spawn(func(*Ctx) { elevatedAt.Store(seq.Add(1)) }, specs...)
+					spawnedAt.Store(seq.Load())
+				}
+				err := rt.Run(func(c *Ctx) {
+					if tc.workers > 1 {
+						// Hold worker B until the backlog stands, so it takes
+						// task 3 as part of a batch.
+						c.Spawn(func(*Ctx) {
+							held.Store(true)
+							for !queued.Load() {
+								runtime.Gosched()
+							}
+						})
+						for !held.Load() {
+							runtime.Gosched()
+						}
+					}
+					for i := 0; i < n; i++ {
+						c.Spawn(func(cc *Ctx) {
+							starts[i] = seq.Add(1)
+							switch {
+							case i != 3:
+							case tc.workers == 1:
+								spawnElevated(cc)
+							default:
+								midBuffer.Store(true)
+								for !release.Load() {
+									runtime.Gosched()
+								}
+							}
+						})
+					}
+					queued.Store(true)
+					if tc.workers > 1 {
+						for !midBuffer.Load() {
+							runtime.Gosched()
+						}
+						spawnElevated(c)
+						release.Store(true)
+						for elevatedAt.Load() == 0 {
+							runtime.Gosched()
+						}
+					}
+					c.Taskwait()
+				})
+				rt.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				between := 0
+				for _, at := range starts {
+					if at > spawnedAt.Load() && at < elevatedAt.Load() {
+						between++
+					}
+				}
+				if between != 0 {
+					t.Fatalf("round %d: %d level-0 tasks started between the elevated task's spawn and its start",
+						round, between)
+				}
+			}
+		})
+	}
+}
+
+// TestRunBufferPromotedDuplicate: a task that sits in a worker's run
+// buffer when priority inheritance promotes it runs from the promoted
+// duplicate — on another worker, while the buffer's owner is blocked —
+// and the buffered copy dissolves in schedTook when its owner gets to
+// it: one execution, counts exact. Worker B is held in a gate task until
+// the backlog stands, then pops task 0 (which blocks until the promoted
+// task has run) with tasks 1..16 in its buffer, P among them.
+func TestRunBufferPromotedDuplicate(t *testing.T) {
+	const n, pIndex = 6 * runBatchForTests, 5
+	rt := New(Config{Workers: 2})
+	defer func() {
+		if !t.Failed() {
+			rt.Close()
+		}
+	}()
+	var x float64
+	var held, queued, blocked, successorSawP atomic.Bool
+	var pRuns, others, pWorker, blockedWorker atomic.Int64
+	pRan := make(chan struct{})
+	watchdog(t, 10*time.Second, others.Load, func() {
+		err := rt.Run(func(c *Ctx) {
+			c.Spawn(func(*Ctx) {
+				held.Store(true)
+				for !queued.Load() {
+					runtime.Gosched()
+				}
+			})
+			for !held.Load() {
+				runtime.Gosched()
+			}
+			c.Spawn(func(cc *Ctx) {
+				blockedWorker.Store(int64(cc.Worker()))
+				blocked.Store(true)
+				<-pRan
+			})
+			for i := 1; i < n; i++ {
+				if i == pIndex {
+					c.Spawn(func(cc *Ctx) {
+						pWorker.Store(int64(cc.Worker()))
+						pRuns.Add(1)
+						close(pRan)
+					}, Out(&x))
+				} else {
+					c.Spawn(func(*Ctx) { others.Add(1) })
+				}
+			}
+			queued.Store(true)
+			for !blocked.Load() {
+				runtime.Gosched()
+			}
+			// P is queued (qstate set), buffered by the blocked worker, and
+			// this successor's registration promotes it.
+			c.Spawn(func(*Ctx) { successorSawP.Store(pRuns.Load() == 1) },
+				In(&x), Priority(MaxPriority), Inherit())
+			c.Taskwait()
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if pRuns.Load() != 1 || others.Load() != n-2 {
+		t.Fatalf("promoted task ran %d times, %d of %d others ran", pRuns.Load(), others.Load(), n-2)
+	}
+	if pWorker.Load() == blockedWorker.Load() {
+		t.Fatalf("promoted task ran on worker %d, which was blocked holding its buffered copy", pWorker.Load())
+	}
+	if !successorSawP.Load() {
+		t.Fatal("the inheriting successor ran before its promoted predecessor")
+	}
+	if s := rt.Stats(); s.Pending != 0 || rt.LiveTasks() != 0 {
+		t.Fatalf("pending %d, live %d at quiescence: the dissolved copy was miscounted", s.Pending, rt.LiveTasks())
+	}
+}
+
 // --- Differential stress: priorities must not change what runs ---
 
 // priSpec is one randomized graph: tasks register in order, each with
@@ -553,6 +737,64 @@ func TestPriorityDifferentialStress(t *testing.T) {
 					if nd > 1 && sk == SchedBlocking {
 						continue // blocking forces Domains=1; skip the duplicate
 					}
+					tagged := runPriSpec(t, sk, spec, true, false, false, nd)
+					for a := range tagged {
+						if tagged[a] != plain[a] {
+							t.Fatalf("seed %d domains %d: final version of cell %d differs: tagged %d vs stripped %d",
+								seed, nd, a, tagged[a], plain[a])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// genWideSpec is a spec shaped to keep a level-0 backlog of several run
+// buffers standing: hundreds of tasks, mostly readers of a few dozen
+// cells (so most are ready at once), one in eight elevated — half of
+// those inheriting, so promotions hit predecessors that sit in a
+// worker's run buffer.
+func genWideSpec(r *rand.Rand) priSpec {
+	spec := priSpec{cells: 48}
+	for t := 0; t < 400; t++ {
+		task := priTask{}
+		if r.Intn(8) == 0 {
+			task.pri = 1 + r.Intn(3)
+			task.inherit = r.Intn(2) == 0
+		}
+		typ := priIn
+		if r.Intn(4) == 0 {
+			typ = depsAccessType(r.Intn(4))
+		}
+		task.accs = []priAccess{{addr: r.Intn(spec.cells), typ: typ}}
+		spec.tasks = append(spec.tasks, task)
+	}
+	return spec
+}
+
+// TestRunBufferDifferentialStress puts batched service under the same
+// oracle: wide graphs (genWideSpec) run tagged — priorities and
+// inheritance, at one and two domains — against the stripped reference.
+// Buffering and reclaiming may only reorder ready tasks: every task runs
+// exactly once (a promoted task's buffered copy must dissolve, not run),
+// the oracle stays clean and the final versions agree. No EDF here: the
+// heap's read of a stale duplicate's deadline is ROADMAP's open race
+// item, TestDeadlineDifferentialStress's to reproduce, and this suite
+// has to stay clean under -race -count=10.
+func TestRunBufferDifferentialStress(t *testing.T) {
+	rounds := 12
+	if testing.Short() {
+		rounds = 4
+	}
+	baseSeed := int64(0x5b18) // bump to re-roll the whole suite
+	for _, sk := range schedKindsUnderStress() {
+		t.Run(sk.testName(), func(t *testing.T) {
+			for round := 0; round < rounds; round++ {
+				seed := baseSeed + int64(round)
+				spec := genWideSpec(rand.New(rand.NewSource(seed)))
+				plain := runPriSpec(t, sk, spec, false, false, false, 1)
+				for _, nd := range domainsUnderStress() {
 					tagged := runPriSpec(t, sk, spec, true, false, false, nd)
 					for a := range tagged {
 						if tagged[a] != plain[a] {

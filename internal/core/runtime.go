@@ -624,6 +624,10 @@ func build(cfg Config) *Runtime {
 			// just as vulnerable to an interrupt while draining.
 			rt.maybeInjectNoise(owner)
 		},
+		// Batched service must not let a buffered level-0 task overtake
+		// elevated work that arrived after the buffer was filled, in any
+		// domain: the runtime-wide count closes every run buffer.
+		Elevated: func() bool { return rt.elevated.v.Load() > 0 },
 	}
 	// One full scheduler stack and allocator per domain, each sized for
 	// the complete slot space: any thread index may Add to (or TryGet
@@ -638,6 +642,11 @@ func build(cfg Config) *Runtime {
 		d.taken = counter.NewSharded(slots)
 		switch cfg.Scheduler {
 		case SchedSyncDTLock:
+			// Only the domain's own workers are served in batches: a
+			// remote thief's TryGet moves exactly one task (ShedBatch).
+			if cfg.Domains > 1 {
+				hooks.Home = func(w int) bool { return int(rt.slotDom[w]) == i }
+			}
 			d.sched = sched.NewSync(mkPolicy(), cfg.Workers, slots-cfg.Workers, cfg.NUMANodes, cfg.SPSCCap, hooks)
 		case SchedCentralPTLock:
 			d.sched = sched.NewCentral(mkPolicy(), slots-1)

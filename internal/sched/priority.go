@@ -182,6 +182,10 @@ func (p *Priority[T]) lowerWaiting(l int) bool {
 	return false
 }
 
+// Elevated returns the number of queued tasks above level 0; the
+// synchronized scheduler batches service only while it is zero.
+func (p *Priority[T]) Elevated() int { return p.elevated }
+
 // Len implements Policy.
 func (p *Priority[T]) Len() int {
 	n := 0

@@ -102,22 +102,37 @@ func TestFIFOLayout(t *testing.T) {
 }
 
 // TestSyncLayout pins the synchronized scheduler to whole cache lines:
-// the published backlog word, which every poller reads, has line 0 to
-// itself, everything after it is written only by NewSync, and the
-// struct's size is a line-aligned allocator class — so neither part
-// shares a line with a heap neighbour.
+// the two published words every poller reads (backlog, buffered) have
+// line 0 to themselves, everything after them is written only by
+// NewSync, and the struct's size is a line-aligned allocator class — so
+// neither part shares a line with a heap neighbour. The run buffers are
+// whole lines too, one line-aligned heap object per worker.
 func TestSyncLayout(t *testing.T) {
 	var s Sync[*int]
+	if off := unsafe.Offsetof(s.buffered); off >= 64 {
+		t.Errorf("buffered at offset %d, want it on backlog's line: an empty poll reads one line", off)
+	}
 	if off := unsafe.Offsetof(s.lock); off != 64 {
-		t.Errorf("first field after backlog at offset %d, want 64: backlog must own its line", off)
+		t.Errorf("first field after the published words at offset %d, want 64: they must own their line", off)
 	}
-	if sz := unsafe.Sizeof(s); sz != 192 {
-		t.Errorf("Sync is %d bytes, want 192 (three lines, a line-aligned size class)", sz)
+	if sz := unsafe.Sizeof(s); sz != 256 {
+		t.Errorf("Sync is %d bytes, want 256 (four lines, a line-aligned size class)", sz)
 	}
-	for i := 0; i < 8; i++ {
-		p := NewSync[*int](NewFIFO[*int](), 1, 1, 1, 2, Hooks{})
+	if sz := unsafe.Sizeof(runBuf[*int]{}); sz != 192 {
+		t.Errorf("runBuf is %d bytes, want 192 (three lines, a line-aligned size class)", sz)
+	}
+	for workers := 1; workers <= 8; workers++ {
+		p := NewSync[*int](NewFIFO[*int](), workers, 1, 1, 2, Hooks{})
 		if a := uintptr(unsafe.Pointer(p)) % 64; a != 0 {
 			t.Fatalf("NewSync returned a scheduler %d bytes into a cache line", a)
+		}
+		if len(p.bufs) != workers {
+			t.Fatalf("%d run buffers for %d workers", len(p.bufs), workers)
+		}
+		for w, b := range p.bufs {
+			if a := uintptr(unsafe.Pointer(b)) % 64; a != 0 {
+				t.Fatalf("run buffer %d of %d starts %d bytes into a cache line", w, workers, a)
+			}
 		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 	"repro/internal/spsc"
 )
 
-// Hooks lets the runtime observe scheduler-internal events for the
-// instrumentation backend (Figures 10-11: serve arrows, drain phases).
+// Hooks couples a scheduler to the runtime around it: two callbacks for
+// the instrumentation backend (Figures 10-11: serve arrows, drain
+// phases) and two questions batched service asks. Every field may be nil.
 type Hooks struct {
 	// OnServe fires when the lock owner hands a task to a waiting worker
 	// through the delegation path.
@@ -16,6 +17,15 @@ type Hooks struct {
 	// OnDrain fires after the owner moves n tasks from the SPSC buffer
 	// queues into the unsynchronized scheduler.
 	OnDrain func(owner, n int)
+	// Elevated reports whether a task above priority level 0 is queued
+	// anywhere the runtime's ordering promise reaches (any domain, or
+	// still on its way into an insertion queue). While it does, no run
+	// buffer is consumed on the lock-free path: see Sync.Get.
+	Elevated func() bool
+	// Home reports whether a worker index belongs to this scheduler's
+	// own domain; only those get their run buffers filled. Asked once per
+	// worker, by NewSync. Nil means every worker.
+	Home func(worker int) bool
 }
 
 // addQueue is one producer-side buffer: a bounded wait-free SPSC queue
@@ -27,14 +37,72 @@ type addQueue[T comparable] struct {
 	_  [48]byte
 }
 
+// runBatch is the size of a worker's run buffer: how many executions one
+// scheduler-lock cycle pays for while a backlog stands. Sized on
+// spawn_flat (CHANGES.md, PR 18); a constant, not a knob.
+const runBatch = 16
+
+// runBuf is one worker's run buffer: up to runBatch tasks the worker
+// popped from the policy in one lock tenure and hands itself, oldest
+// first, on its next Gets. It is reclaimable — a worker stuck in a long
+// body must not strand what it buffered — so every take, the owner's
+// included, is a CAS on state. The protocol that keeps the CAS free of
+// ABA: only the owning worker refills, only when the buffer is empty
+// and only under the scheduler lock; anyone else takes only under the
+// scheduler lock. A take therefore never spans a refill (a thief's
+// cannot because it holds the lock the refill needs, the owner's cannot
+// because the owner is the refiller), and slots[head] read before a
+// successful CAS is the task that CAS removed. Slots are not cleared on
+// a take (a thief may be reading them); a stale pointer lives until the
+// next refill overwrites it.
+//
+// One buffer is three cache lines and a heap object of its own (a
+// 192-byte object is line-aligned; TestSyncLayout), so a worker consuming
+// its buffer touches no line another worker writes.
+type runBuf[T comparable] struct {
+	state atomic.Uint32 // head<<16 | n: slots[head:head+n] are buffered
+	home  bool          // this scheduler fills the buffer; NewSync only
+	// passed counts policy pops the owner made over its own non-empty
+	// buffer (elevated work was queued); at courtesyInterval the buffer
+	// gets the next turn, as a waiting lower level does in Priority.Pop.
+	// Owner only, under the lock.
+	passed int32
+	_      [4]byte
+	slots  [runBatch]T
+	_      [48]byte
+}
+
+// take removes the oldest buffered task, lowering count when it was the
+// last. Callers other than the buffer's worker must own the scheduler
+// lock.
+func (b *runBuf[T]) take(count *atomic.Int32) (T, bool) {
+	for {
+		st := b.state.Load()
+		n := st & 0xffff
+		if n == 0 {
+			var zero T
+			return zero, false
+		}
+		head := st >> 16
+		t := b.slots[head]
+		if b.state.CompareAndSwap(st, (head+1)<<16|(n-1)) {
+			if n == 1 {
+				count.Add(-1)
+			}
+			return t, true
+		}
+	}
+}
+
 // Sync is the paper's synchronized scheduler (Listing 5). Ready tasks are
 // buffered into SPSC queues so insertion never contends with the workers
 // asking for tasks; whichever worker owns the Delegation Ticket Lock
 // drains the buffers into the actual scheduling policy and serves tasks
-// directly to the workers waiting on the lock.
+// directly to the workers waiting on the lock — and, while a backlog
+// stands, itself a batch: see Get.
 //
-// The struct is a whole number of cache lines (a 192-byte heap object is
-// line-aligned; TestSyncLayout): line 0 is the one word every poller
+// The struct is a whole number of cache lines (a 256-byte heap object is
+// line-aligned; TestSyncLayout): line 0 holds the two words every poller
 // reads, the rest is written only by NewSync, so neither shares a line
 // with a heap neighbour's writes.
 type Sync[T comparable] struct {
@@ -44,16 +112,28 @@ type Sync[T comparable] struct {
 	// stored only when it flips, so a standing backlog — or a policy
 	// that is drained as fast as it fills — writes nothing.
 	backlog atomic.Bool
-	_       [60]byte
+	// buffered counts the non-empty run buffers: raised by a fill, lowered
+	// by whichever take empties a buffer. It shares backlog's line so that
+	// a poll of an empty scheduler still reads one line that nobody
+	// writes, and it gates every look at a buffer: a workload that never
+	// builds a backlog of 2*runBatch never touches one.
+	buffered atomic.Int32
+	_        [56]byte
 
-	lock   *locks.DTLock[T]
-	inner  Policy[T]
-	local  LocalityAware[T] // inner, if it understands locality
-	queues []addQueue[T]
-	qOf    []int // worker -> add-queue index
-	hooks  Hooks
-	_      [24]byte
+	lock     *locks.DTLock[T]
+	inner    Policy[T]
+	local    LocalityAware[T] // inner, if it understands locality
+	elevated elevatedCounter  // inner, if it has priority levels
+	queues   []addQueue[T]
+	qOf      []int        // worker -> add-queue index
+	bufs     []*runBuf[T] // one per worker, each a heap object of its own
+	hooks    Hooks
+	_        [32]byte
 }
+
+// elevatedCounter is implemented by policies with priority levels
+// (Priority): the number of queued tasks above level 0.
+type elevatedCounter interface{ Elevated() int }
 
 // NewSync builds a synchronized scheduler for `workers` worker threads
 // plus `submitters` external submitter slots (indices workers..
@@ -80,7 +160,11 @@ func NewSync[T comparable](inner Policy[T], workers, submitters, numaNodes, spsc
 		inner:  inner,
 		queues: make([]addQueue[T], numaNodes),
 		qOf:    make([]int, total),
+		bufs:   make([]*runBuf[T], workers),
 		hooks:  hooks,
+	}
+	for w := range s.bufs {
+		s.bufs[w] = &runBuf[T]{home: hooks.Home == nil || hooks.Home(w)}
 	}
 	for i := range s.queues {
 		s.queues[i] = addQueue[T]{mu: locks.NewPTLock(total), q: spsc.New[T](spscCap)}
@@ -94,6 +178,7 @@ func NewSync[T comparable](inner Policy[T], workers, submitters, numaNodes, spsc
 		s.qOf[w] = (w - workers - 1) % numaNodes
 	}
 	s.local, _ = inner.(LocalityAware[T])
+	s.elevated, _ = inner.(elevatedCounter)
 	return s
 }
 
@@ -114,7 +199,7 @@ func (s *Sync[T]) Add(t T, worker int) {
 		}
 		if s.lock.TryLock() {
 			s.processReadyTasks(worker)
-			s.unlock()
+			s.unlock(s.inner.Len())
 		}
 		locks.Spin(i)
 	}
@@ -138,10 +223,10 @@ func (s *Sync[T]) processReadyTasks(owner int) {
 }
 
 // unlock releases the scheduler lock after publishing whether the policy
-// still holds a task. Every tenure that may have changed the policy ends
-// here, which is what lets idle trust backlog.
-func (s *Sync[T]) unlock() {
-	if b := s.inner.Len() > 0; b != s.backlog.Load() {
+// still holds a task (left is its length). Every tenure that may have
+// changed the policy ends here, which is what lets idle trust backlog.
+func (s *Sync[T]) unlock(left int) {
+	if b := left > 0; b != s.backlog.Load() {
 		s.backlog.Store(b)
 	}
 	s.lock.Unlock()
@@ -172,9 +257,27 @@ func (s *Sync[T]) idle() bool {
 // another worker owns the DTLock the call delegates: the owner either
 // serves this worker a task directly or releases the lock, in which case
 // the worker acquires it and serves itself (and the others).
+//
+// Batched service: a home worker that ends up owning the lock over a
+// backlog of 2*runBatch or more pops runBatch further tasks into its run
+// buffer, and its next runBatch calls return from there — no idle check,
+// ticket, drain or backlog publication. Order is per worker, not global:
+// a worker starts its level-0 tasks in policy order, two workers'
+// batches interleave. Elevated work is never overtaken: nothing is
+// buffered while the policy holds an elevated task, and the lock-free
+// path is closed while the runtime reports one anywhere (hooks.Elevated),
+// which sends the caller through the policy.
 func (s *Sync[T]) Get(worker int) T {
 	var task T
-	if s.idle() {
+	if s.buffered.Load() != 0 {
+		if worker < len(s.bufs) && (s.hooks.Elevated == nil || !s.hooks.Elevated()) {
+			if t, ok := s.bufs[worker].take(&s.buffered); ok {
+				return t
+			}
+		}
+		// Somebody's buffer holds a task: not idle, whatever the policy
+		// says. The tenure below reclaims it if nothing else is left.
+	} else if s.idle() {
 		return task
 	}
 	if !s.lock.LockOrDelegate(uint64(worker), &task) {
@@ -193,9 +296,66 @@ func (s *Sync[T]) Get(worker int) T {
 			s.hooks.OnServe(worker, int(waiting))
 		}
 	}
-	task, _ = s.inner.Pop(worker)
-	s.unlock()
+	task, left := s.next(worker)
+	s.unlock(left)
 	return task
+}
+
+// next picks the lock owner's own task: what the caller's buffer still
+// holds (the lock-free path was closed, so it is older than anything in
+// the policy), then the policy — refilling the buffer when the backlog
+// allows — then, with the policy empty, a peer's buffer, so a task
+// buffered by a worker that is stuck in a body is reclaimed by whoever
+// runs out of work. While the policy itself holds elevated work that
+// goes first, except that every courtesyInterval-th pop over a non-empty
+// buffer yields to the buffer, which bounds a buffered task's wait the
+// way Priority's courtesy slot bounds a queued one's. It also returns
+// the policy's length as it leaves it, for unlock to publish.
+func (s *Sync[T]) next(worker int) (task T, left int) {
+	var own *runBuf[T]
+	if worker < len(s.bufs) {
+		own = s.bufs[worker]
+	}
+	queued := s.elevated != nil && s.elevated.Elevated() > 0
+	if own != nil && s.buffered.Load() != 0 && (!queued || own.passed >= courtesyInterval) {
+		if t, ok := own.take(&s.buffered); ok {
+			own.passed = 0
+			return t, s.inner.Len()
+		}
+	}
+	task, ok := s.inner.Pop(worker)
+	left = s.inner.Len()
+	switch {
+	case !ok:
+		if s.buffered.Load() != 0 {
+			for _, b := range s.bufs {
+				if t, ok := b.take(&s.buffered); ok {
+					return t, left
+				}
+			}
+		}
+	case queued:
+		if own != nil && own.state.Load()&0xffff != 0 {
+			own.passed++
+		}
+	case own != nil && own.home && left >= 2*runBatch:
+		// own is empty here: with nothing elevated queued it was tried
+		// first. Publish the count before the tasks so that it never reads
+		// zero over a non-empty buffer.
+		n := 0
+		for ; n < runBatch; n++ {
+			if own.slots[n], ok = s.inner.Pop(worker); !ok {
+				break
+			}
+		}
+		if n > 0 {
+			own.passed = 0
+			s.buffered.Add(1)
+			own.state.Store(uint32(n))
+			left -= n
+		}
+	}
+	return task, left
 }
 
 // TryGet implements Scheduler; Get already returns without waiting for

@@ -19,6 +19,10 @@ import (
 // queues when a run's live population peaks higher than the warm-up's
 // (a few hundred allocations at most, timing-dependent), and is far
 // below the 1/op any per-task allocation would show.
+//
+// The taskloop row is the exception: a Run of one work-sharing loop with
+// a reduction has a per-Run constant, and the row pins it (see
+// taskloopRun) instead of demanding zero.
 func TestHotPathsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -73,20 +77,25 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	render, _ := cg.NodeIndex("render")
 	ctx := context.Background()
 
+	loopRT := repro.New(repro.WithWorkers(2))
+	defer loopRT.Close()
+
 	for _, tc := range []struct {
 		name string
 		run  func() error
+		ops  int
+		max  int // allocations allowed over ops operations
 	}{
-		{"spawn", spawnLoop(func(c *repro.Ctx, _ int) { c.Spawn(nop) })},
+		{"spawn", spawnLoop(func(c *repro.Ctx, _ int) { c.Spawn(nop) }), ops, ops / 10},
 		{"chain", spawnLoop(func(c *repro.Ctx, i int) {
 			// Two accesses, ping-ponged: each release readies exactly
 			// the next task.
 			c.Spawn(nop, repro.In(&cells[i%2]), repro.Out(&cells[1-i%2]))
-		})},
+		}), ops, ops / 10},
 		{"inline-access-cap", spawnLoop(func(c *repro.Ctx, _ int) {
 			c.Spawn(nop, repro.InOut(&cells[0]), repro.InOut(&cells[1]),
 				repro.InOut(&cells[2]), repro.InOut(&cells[3]))
-		})},
+		}), ops, ops / 10},
 		{"fanout", spawnLoop(func(c *repro.Ctx, i int) {
 			// One writer, then 64 readers that become ready together.
 			if i%65 == 0 {
@@ -94,7 +103,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 			} else {
 				c.Spawn(nop, repro.In(&cells[0]))
 			}
-		})},
+		}), ops, ops / 10},
 		{"compiled-do", func() error {
 			for i := 0; i < ops; i++ {
 				e, err := cg.Do(ctx)
@@ -107,7 +116,8 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 				e.Release()
 			}
 			return nil
-		}},
+		}, ops, ops / 10},
+		{"taskloop", taskloopRun(loopRT, loopOps), loopOps, 7 * loopOps},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err != nil {
@@ -120,9 +130,76 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := after.Mallocs - before.Mallocs; n*10 > ops {
-				t.Fatalf("%d allocations over %d operations, want none per operation", n, ops)
+			n := after.Mallocs - before.Mallocs
+			t.Logf("%d allocations over %d operations (%.2f per operation)", n, tc.ops, float64(n)/float64(tc.ops))
+			if n > uint64(tc.max) {
+				t.Fatalf("%d allocations over %d operations, want at most %d", n, tc.ops, tc.max)
 			}
 		})
+	}
+}
+
+// loopOps is the number of Runs the taskloop row measures (and warms up
+// with: the first few hundred Runs of a fresh runtime cost up to one
+// allocation more each while the shell free lists settle).
+const loopOps = 2048
+
+// taskloopRun is the taskloop row's shape: n times rt.Run of one
+// work-sharing Loop with a sum reduction over a 1e5-element dot product
+// (BenchmarkAblationTaskloopGrain's, adaptive grain). It costs 6.0
+// allocations per Run on two workers and the row fails above seven — the
+// constant was five once, and ROADMAP lists the regression as open. No
+// single pair of allocations accounts for it; a profile
+// (-memprofilerate 1, three thousand Runs from cold) finds, per Run:
+//
+//   - 2: the Run's handle and its done channel (core.newHandle);
+//   - 2: the reduction group and its per-worker slot table
+//     (deps.newGroup), built for every registration of a reduction
+//     access and not pooled;
+//   - 1 per worker that claims a chunk, ~0.7 measured: its private
+//     reduction slot (deps.(*group).slot) — the term that grows with the
+//     pool, which is why this row runs on two workers (2+2+2 leaves one
+//     for what follows on any host) and why the eight-worker ablation
+//     benchmark reports 8–9;
+//   - ~0.3 each, together, averaged from cold and rarer once warm: a
+//     fresh root shell (alloc.Pooled.Get falling through to new), the
+//     map of its child dependency domain and that map's first bucket
+//     (deps.(*WaitFree).linkInto). A root shell is taken on a submitter
+//     slot and recycled on the worker slot that completed it, so the
+//     submitter's free list misses until the global list hands a batch
+//     back. The unpooled group pair is the likeliest "two extra";
+//     pooling groups or homing root shells is not a one-line change, so
+//     the row pins the constant and leaves it.
+func taskloopRun(rt *repro.Runtime, n int) func() error {
+	const iters = 100_000
+	x, y := make([]float64, iters), make([]float64, iters)
+	want := 0.0
+	for i := range x {
+		x[i], y[i] = float64(1+i%7), float64(1+i%5)
+		want += x[i] * y[i]
+	}
+	var result float64
+	chunk := func(c *repro.Ctx, lo, hi int) {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += x[i] * y[i]
+		}
+		c.ReductionBuffer(&result)[0] += s
+	}
+	body := func(c *repro.Ctx) {
+		c.Loop(0, iters, 0, chunk, repro.RedSum(&result, 1))
+		c.Taskwait()
+	}
+	return func() error {
+		for i := 0; i < n; i++ {
+			result = 0
+			if err := rt.Run(body); err != nil {
+				return err
+			}
+			if result != want {
+				return fmt.Errorf("dot product = %v, want %v", result, want)
+			}
+		}
+		return nil
 	}
 }

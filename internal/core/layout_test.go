@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"repro/internal/deps"
 )
 
 // TestTaskLayout pins the hot/cold layout of the task shell (see the
@@ -55,8 +57,16 @@ func TestTaskLayout(t *testing.T) {
 	}
 	// Pointerful objects past 512 bytes carry an 8-byte allocator
 	// header, so 696 is the largest shell the 704-byte class holds; one
-	// byte more costs every pooled shell another 64.
-	if s := unsafe.Sizeof(x); s > 704-8 {
-		t.Errorf("Task is %d bytes; with the allocator's 8-byte header it leaves the 704-byte size class", s)
+	// byte more costs every pooled shell another 64. The shell fills the
+	// class exactly: 144 bytes of task header and the node's 72, both
+	// pinned above, leave 480 for deps.InlineAccessCap inline accesses
+	// and predecessor slots (deps.TestNodeLayout, deps.TestAccessLayout
+	// name the field when that part moves).
+	if s := unsafe.Sizeof(x); s != 704-8 {
+		t.Errorf("Task is %d bytes, want 696 (node at %d, %d bytes): larger leaves the 704-byte size class, smaller gives away inline access storage",
+			s, unsafe.Offsetof(x.node), unsafe.Sizeof(x.node))
+	}
+	if deps.InlineAccessCap != 5 {
+		t.Errorf("deps.InlineAccessCap = %d, want 5 (the five-point stencil's access list)", deps.InlineAccessCap)
 	}
 }

@@ -564,14 +564,7 @@ func build(cfg Config) *Runtime {
 	switch cfg.Deps {
 	case DepsWaitFree:
 		wf := deps.NewWaitFree(ready, slots-1)
-		// Recycle task shells whose access storage quiesced only after
-		// the task had fully completed (e.g. early-forwarded readers
-		// that finish before their predecessor releases to them).
-		wf.OnQuiescent(func(n *deps.Node, worker int) {
-			t := n.Payload.(*Task)
-			t.reset()
-			rt.allocPut(worker, t)
-		})
+		wf.OnQuiescent(rt.recycleQuiescent)
 		rt.deps = wf
 	case DepsLocked:
 		rt.deps = deps.NewLocked(ready, slots-1)
@@ -690,6 +683,17 @@ func (rt *Runtime) allocPut(worker int, t *Task) {
 	rt.domains[rt.slotDom[worker]].alloc.Put(worker, t)
 }
 
+// recycleQuiescent is the wait-free system's quiescence callback: it
+// recycles a task shell whose access storage quiesced only after the
+// task had fully completed (e.g. early-forwarded readers that finish
+// before their predecessor releases to them, or chain tails replaced
+// later).
+func (rt *Runtime) recycleQuiescent(n *deps.Node, worker int) {
+	t := n.Payload.(*Task)
+	t.reset()
+	rt.allocPut(worker, t)
+}
+
 // Config returns the runtime's effective configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
@@ -794,12 +798,13 @@ func (rt *Runtime) submitRoot(ctx context.Context, body func(*Ctx), fn func(*Ctx
 
 // newTask allocates and initializes a task without registering it. The
 // task inherits the parent's scope; root submitters override it.
-// Access sets up to deps.InlineAccessCap live in the shell's inline
-// array — no allocation on the spawn path; larger sets overflow to a
-// heap slice exactly as before. The shell pin taken here is the
-// completion guard of the storage-quiescence protocol: it is dropped in
-// completeOne, and the shell is recycled by whoever drops the node's
-// last pin (usually completeOne itself, on the fast path).
+// Access sets up to deps.InlineAccessCap (five) live in the shell's
+// inline array — no allocation on the spawn path; larger sets overflow
+// to a heap slice. The shell pin taken here is the completion guard of
+// the storage-quiescence protocol: it is dropped in completeOne — never
+// earlier, deps.Unregister relies on it to cover the unpinned messages
+// it sends the task's own accesses — and the shell is recycled by
+// whoever drops the node's last pin (usually completeOne itself).
 func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec, worker int) *Task {
 	t := rt.allocGet(worker)
 	t.body = body

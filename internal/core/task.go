@@ -141,7 +141,8 @@ type Task struct {
 	// Line 3 starts 48 bytes into the node: its generation, domain
 	// maps and predecessor cursor, touched only by the core that
 	// unregisters and recycles the task. The cold access storage
-	// (node.inline, node.preds) follows.
+	// follows: node.inline, five 80-byte accesses, and node.preds, five
+	// 16-byte slots — the 480 bytes that fill the shell's size class.
 	node deps.Node
 }
 
@@ -169,10 +170,11 @@ func (t *Task) resetBody() {
 
 // reset fully prepares a recycled Task shell for reuse. It must only
 // run once the node's access storage is quiescent (pin count zero):
-// small access sets live inline in the shell and are reused with it,
-// while an overflow slice (more than deps.InlineAccessCap accesses) is
-// abandoned to the garbage collector, since dependency-chain pointers
-// into it are not tracked beyond the pin protocol (see DESIGN.md).
+// access sets of up to deps.InlineAccessCap (five) live inline in the
+// shell and are reused with it, while an overflow slice (any larger
+// set) is abandoned to the garbage collector, since dependency-chain
+// pointers into it are not tracked beyond the pin protocol (see
+// DESIGN.md).
 func (t *Task) reset() {
 	t.node.Reset()
 	t.resetBody()

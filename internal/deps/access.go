@@ -38,13 +38,17 @@ const flagsReleased = flagReadSat | flagWriteSat | flagFinished | flagChildrenDo
 // Access is one data access of a task (paper Listing 1): the address,
 // the access type, the ASM flag word, and the successor/child links that
 // form the binary trees of Figure 1.
+//
+// The struct is 80 bytes — ten words, pinned by TestAccessLayout — so that
+// InlineAccessCap of them and as many predecessor slots fit the task
+// shell's allocator size class (core.TestTaskLayout). The narrow fields
+// share the child guard's word: an access gains a field only by giving
+// up an inline slot.
 type Access struct {
 	state asm.State
 
 	addr   unsafe.Pointer
 	length int
-	typ    AccessType
-	op     ReductionOp
 
 	node *Node
 
@@ -60,73 +64,83 @@ type Access struct {
 	// childGuard.
 	parentAccess *Access
 
-	// childGuard counts live child accesses plus one guard held by the
-	// owning task until it finishes; the decrement to zero delivers
-	// flagChildrenDone exactly once.
-	childGuard atomic.Int64
-
 	// group is the reduction or commutative run this access belongs to,
-	// nil for ordinary accesses. groupHead marks the first member, which
-	// receives satisfiability from the chain predecessor.
-	group     *group
-	groupHead bool
-
-	// succReadCompat records, at link time, that this access and its
-	// successor are both reads, so read satisfiability can be forwarded
-	// early (before this access finishes).
-	succReadCompat bool
-
-	// alias marks a duplicate access (same task, same address); aliases
-	// do not participate in the chain.
-	alias bool
-
-	// weak marks an access that anchors child chains without gating the
-	// task's own execution (OmpSs-2 weak in/out/inout).
-	weak bool
-
-	// token, when non-nil, is the commutative execution token shared by
-	// the access's group (also used by the locking baseline).
-	token *atomic.Int32
+	// nil for ordinary accesses; a commutative member's execution token
+	// lives in it (see token).
+	group *group
 
 	// lentry is the locking baseline's chain entry for this access.
 	lentry *lentry
+
+	// childGuard counts live child accesses, minus one once the owning
+	// task has finished: each child's release and the task's finish
+	// decrement it, and the decrement that takes it below zero — the
+	// last of them, whichever it is — delivers flagChildrenDone exactly
+	// once. Counting the owner's guard as the step below zero rather
+	// than as an initial one lets the zero value be the initial state.
+	childGuard atomic.Int32
+
+	typ AccessType
+	op  ReductionOp
+
+	// marks holds the mark* bits below. They are written by the owning
+	// task's registering thread before the access is published to any
+	// other thread, and only read afterwards — which is what lets three
+	// booleans share one byte without atomics.
+	marks uint8
+
+	// succReadCompat records, at link time, that this access and its
+	// successor are both reads, so read satisfiability can be forwarded
+	// early (before this access finishes). Unlike the marks it is
+	// written by the *successor's* registrar while other threads read
+	// this access's other fields, so it keeps a byte of its own.
+	succReadCompat bool
 }
 
-// Init fills the immutable part of the access from its spec.
+const (
+	// markWeak: the access anchors child chains without gating the
+	// task's own execution (OmpSs-2 weak in/out/inout).
+	markWeak uint8 = 1 << iota
+	// markAlias: a duplicate access (same task, same address); aliases
+	// do not participate in the chain.
+	markAlias
+	// markGroupHead: the first member of its group, which receives
+	// satisfiability from the chain predecessor.
+	markGroupHead
+)
+
+func (a *Access) weak() bool      { return a.marks&markWeak != 0 }
+func (a *Access) alias() bool     { return a.marks&markAlias != 0 }
+func (a *Access) groupHead() bool { return a.marks&markGroupHead != 0 }
+
+// token returns the commutative execution token shared by the access's
+// run, nil for every other access (aliases included: they join no run).
+func (a *Access) token() *atomic.Int32 {
+	switch {
+	case a.typ != Commutative:
+		return nil
+	case a.group != nil:
+		return &a.group.token
+	case a.lentry != nil:
+		return &a.lentry.run.token
+	}
+	return nil
+}
+
+// Init fills the access from its spec, overwriting whatever a previous
+// incarnation of the storage left. A plain struct assignment and plain
+// stores: the storage is fresh or quiescent (pin count zero, see
+// Node.Reset), so no other thread can be reading it, and the access is
+// published only by what registration does afterwards — the
+// predecessor's succ.Store and the flag delivery that follows it, or
+// the single-writer domain map.
 func (a *Access) Init(n *Node, s AccessSpec) {
-	a.state = asm.State{}
-	a.addr = s.Addr
-	a.length = s.Len
-	a.typ = s.Type
-	a.op = s.Op
-	a.node = n
-	a.succ.Store(nil)
-	a.child.Store(nil)
-	a.parentAccess = nil
-	a.childGuard.Store(1)
-	a.group = nil
-	a.groupHead = false
-	a.succReadCompat = false
-	a.alias = false
-	a.weak = s.Weak
-	a.token = nil
-	a.lentry = nil
-}
-
-// clearRefs drops the pointer-bearing fields of a quiesced access so a
-// pooled task shell does not retain dead dependency-graph structures
-// (reduction groups and their privatized buffers, chain links, locking
-// chains) while it sits in the allocator's free list. Only called from
-// Node.Reset, after the pin count guarantees no concurrent reader.
-func (a *Access) clearRefs() {
-	a.addr = nil
-	a.node = nil
-	a.succ.Store(nil)
-	a.child.Store(nil)
-	a.parentAccess = nil
-	a.group = nil
-	a.token = nil
-	a.lentry = nil
+	*a = Access{} // zeroed in place; a literal with fields is built on the stack and copied
+	a.addr, a.length, a.node = s.Addr, s.Len, n
+	a.typ, a.op = s.Type, s.Op
+	if s.Weak {
+		a.marks = markWeak
+	}
 }
 
 // Addr returns the dependency address of the access.

@@ -66,3 +66,49 @@ func benchReduction(b *testing.B, kind string) {
 
 func BenchmarkWaitFreeReductionMember(b *testing.B) { benchReduction(b, "waitfree") }
 func BenchmarkLockedReductionMember(b *testing.B)   { benchReduction(b, "locked") }
+
+// BenchmarkStencil5 measures the dependency layer's whole cost of one
+// heat_fine task: registration and unregistration of the five-point
+// Gauss-Seidel wavefront on a 32 x 32 tiling, four sweeps per
+// repetition, five accesses per interior task — all inline, so the
+// steady state allocates nothing (one domain map per repetition of
+// 4096 tasks is the remainder). One op is one task.
+func BenchmarkStencil5(b *testing.B) {
+	const nb, sweeps = 32, 4
+	cells := make([]float64, nb*nb)
+	addr := func(bi, bj int) unsafe.Pointer { return unsafe.Pointer(&cells[bi*nb+bj]) }
+	nodes := make([]Node, sweeps*nb*nb)
+	var ready []*Node
+	sys := NewWaitFree(func(n *Node, _ int) { ready = append(ready, n) }, 1)
+	specs := make([]AccessSpec, 0, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += len(nodes) {
+		var parent Node
+		ready = ready[:0]
+		k := 0
+		for s := 0; s < sweeps; s++ {
+			for bi := 0; bi < nb; bi++ {
+				for bj := 0; bj < nb; bj++ {
+					specs = stencil5Specs(specs, addr, nb, bi, bj)
+					n := &nodes[k]
+					k++
+					n.Reset()
+					n.Pin() // the shell guard
+					acc := n.InitAccesses(len(specs))
+					for i := range specs {
+						acc[i].Init(n, specs[i])
+					}
+					sys.Register(&parent, n, 0)
+				}
+			}
+		}
+		for i := 0; i < len(ready); i++ {
+			sys.Unregister(ready[i], 0)
+			ready[i].Unpin()
+		}
+		if len(ready) != len(nodes) {
+			b.Fatalf("%d of %d tasks became ready", len(ready), len(nodes))
+		}
+	}
+}

@@ -68,12 +68,15 @@ func (s stressSpec) String() string {
 
 // genStressSpec draws a random graph: few addresses (so chains are long
 // and contended), mixed access types including weak anchors and
-// duplicate declarations (alias path).
+// duplicate declarations (alias path). Tasks declare one to seven
+// accesses over up to ten addresses, so access sets on both sides of
+// InlineAccessCap — the inline array full, and the overflow slice one
+// and two past it — run under the oracle.
 func genStressSpec(r *rand.Rand) stressSpec {
-	spec := stressSpec{cells: 2 + r.Intn(6)}
+	spec := stressSpec{cells: 2 + r.Intn(9)}
 	n := 1 + r.Intn(40)
 	for t := 0; t < n; t++ {
-		na := 1 + r.Intn(3)
+		na := 1 + r.Intn(InlineAccessCap+2)
 		accs := make([]stressAccess, 0, na)
 		for a := 0; a < na; a++ {
 			acc := stressAccess{addr: r.Intn(spec.cells)}

@@ -47,7 +47,8 @@ type group struct {
 	// broadcast when the predecessor releases.
 	members []*Access
 
-	// token serializes commutative execution.
+	// token serializes commutative execution (Access.token reaches it
+	// through the member's group pointer).
 	token atomic.Int32
 }
 
@@ -60,11 +61,10 @@ func newGroup(kind AccessType, a *Access, workers int) *group {
 		slots:  make([][]float64, workers+1),
 	}
 	a.group = g
-	a.groupHead = true
+	a.marks |= markGroupHead
 	g.pending = 1
 	if kind == Commutative {
 		g.members = append(g.members, a)
-		a.token = &g.token
 	}
 	return g
 }
@@ -82,7 +82,6 @@ func (g *group) join(a *Access, mb *mailbox) bool {
 	a.group = g
 	if g.kind == Commutative {
 		g.members = append(g.members, a)
-		a.token = &g.token
 		if g.satisfied {
 			mb.push(a, flagReadSat|flagWriteSat)
 		}
@@ -107,7 +106,7 @@ func (g *group) satArrived(mb *mailbox) {
 	g.satisfied = true
 	if g.kind == Commutative {
 		for _, m := range g.members {
-			if !m.groupHead {
+			if !m.groupHead() {
 				mb.push(m, flagReadSat|flagWriteSat)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // contract (core.TestTaskLayout pins where the node sits in the
 // shell): the four fields an access-free registration touches fill the
 // first 48 bytes, the rest of the header ends at 72, and the access
-// storage and predecessor slots come last.
+// storage and predecessor slots come last, in a fixed 480 bytes.
 func TestNodeLayout(t *testing.T) {
 	var n Node
 	const hot, header = 48, 72
@@ -38,6 +38,64 @@ func TestNodeLayout(t *testing.T) {
 	}
 	if unsafe.Offsetof(n.preds) < unsafe.Offsetof(n.inline) {
 		t.Errorf("Node.preds at %d precedes inline at %d", unsafe.Offsetof(n.preds), unsafe.Offsetof(n.inline))
+	}
+	// The cold part is a budget: InlineAccessCap accesses and as many
+	// predecessor slots are exactly the 480 bytes that keep core.Task in
+	// its allocator size class (core.TestTaskLayout), and five is the
+	// five-point stencil's access list, the widest a kernel here
+	// declares. A wider Access or predSlot costs an inline slot.
+	if InlineAccessCap != 5 {
+		t.Errorf("InlineAccessCap = %d, want 5: the stencil's five accesses must stay inline", InlineAccessCap)
+	}
+	if len(n.preds) != len(n.inline) {
+		t.Errorf("Node.preds has %d slots, inline %d: one predecessor slot per inline access", len(n.preds), len(n.inline))
+	}
+	if sz := unsafe.Sizeof(n.inline) + unsafe.Sizeof(n.preds); sz != 480 {
+		t.Errorf("Node.inline + Node.preds = %d bytes, want 480: blame Access (%d bytes, want 80) or predSlot (%d, want 16)",
+			sz, unsafe.Sizeof(Access{}), unsafe.Sizeof(predSlot{}))
+	}
+}
+
+// TestAccessLayout pins the 80-byte access, field by field, so that a
+// failure names the field that grew: eight pointer-sized words, then
+// the 32-bit child guard sharing the last word with the four
+// byte-sized fields.
+func TestAccessLayout(t *testing.T) {
+	var a Access
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"state", unsafe.Offsetof(a.state), unsafe.Sizeof(a.state)},
+		{"addr", unsafe.Offsetof(a.addr), unsafe.Sizeof(a.addr)},
+		{"length", unsafe.Offsetof(a.length), unsafe.Sizeof(a.length)},
+		{"node", unsafe.Offsetof(a.node), unsafe.Sizeof(a.node)},
+		{"succ", unsafe.Offsetof(a.succ), unsafe.Sizeof(a.succ)},
+		{"child", unsafe.Offsetof(a.child), unsafe.Sizeof(a.child)},
+		{"parentAccess", unsafe.Offsetof(a.parentAccess), unsafe.Sizeof(a.parentAccess)},
+		{"group", unsafe.Offsetof(a.group), unsafe.Sizeof(a.group)},
+		{"lentry", unsafe.Offsetof(a.lentry), unsafe.Sizeof(a.lentry)},
+	} {
+		if f.size != 8 || f.off >= 72 {
+			t.Errorf("Access.%s is %d bytes at offset %d; the nine leading fields are one word each", f.name, f.size, f.off)
+		}
+	}
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"childGuard", unsafe.Offsetof(a.childGuard), unsafe.Sizeof(a.childGuard)},
+		{"typ", unsafe.Offsetof(a.typ), unsafe.Sizeof(a.typ)},
+		{"op", unsafe.Offsetof(a.op), unsafe.Sizeof(a.op)},
+		{"marks", unsafe.Offsetof(a.marks), unsafe.Sizeof(a.marks)},
+		{"succReadCompat", unsafe.Offsetof(a.succReadCompat), unsafe.Sizeof(a.succReadCompat)},
+	} {
+		if f.off < 72 || f.off+f.size > 80 {
+			t.Errorf("Access.%s spans bytes [%d,%d); the narrow fields share the last word, [72,80)", f.name, f.off, f.off+f.size)
+		}
+	}
+	if sz := unsafe.Sizeof(a); sz != 80 {
+		t.Errorf("Access is %d bytes, want 80", sz)
 	}
 }
 

@@ -153,7 +153,7 @@ func (s *Locked) register(parent *Node, d *RootDomain, n *Node, worker int) {
 	for i := range n.Accesses {
 		a := &n.Accesses[i]
 		if hasEarlierAccess(n, i) {
-			a.alias = true
+			a.marks |= markAlias
 			continue
 		}
 		owner := parent
@@ -197,11 +197,10 @@ func (s *Locked) linkInto(owner *Node, a *Access, post *ldefer, worker int) {
 		e.run = s.runFor(ch, a)
 		e.satisfied = true // eager, privatized
 	case Commutative:
-		e.run = s.runFor(ch, a)
-		a.token = &e.run.token
+		e.run = s.runFor(ch, a) // Access.token finds the run's token here
 		n.pending.Add(1)
 	default:
-		if a.weak {
+		if a.weak() {
 			e.satisfied = true // weak: never gates execution
 		} else {
 			n.pending.Add(1)
@@ -241,7 +240,7 @@ func (s *Locked) Unregister(n *Node, worker int) {
 	for i := range n.Accesses {
 		a := &n.Accesses[i]
 		e := a.lentry
-		if e == nil || a.alias {
+		if e == nil || a.alias() {
 			continue
 		}
 		ch := e.chain

@@ -152,12 +152,14 @@ type System interface {
 }
 
 // InlineAccessCap is the number of accesses a Node stores inline,
-// inside the task shell, without a heap allocation. Every workload
-// kernel shipped in internal/workloads declares at most this many
-// accesses per task; larger access sets overflow to a heap slice whose
-// lifetime is left to the garbage collector (see DESIGN.md, "Task
-// lifetime and memory").
-const InlineAccessCap = 4
+// inside the task shell, without a heap allocation: five, the
+// five-point stencil's access list (own tile inout, four neighbours
+// in), which is the widest any workload kernel here declares. Larger
+// access sets overflow to a heap slice whose lifetime is left to the
+// garbage collector (see DESIGN.md, "Task lifetime and memory"). The
+// value is what fits: InlineAccessCap accesses and predecessor slots
+// fill the shell's allocator size class exactly (core.TestTaskLayout).
+const InlineAccessCap = 5
 
 // Node is the per-task dependency record, embedded in the runtime's Task
 // structure. Payload carries the owning task for the ready callback.
@@ -302,18 +304,17 @@ const domainRetainCap = 64
 
 // Reset prepares a recycled Node for reuse by a new task. It must only
 // be called once the node is quiescent (pin count zero): that is what
-// makes clearing the inline accesses safe. Clearing drops their
-// pointer-bearing fields so a pooled shell does not keep dead
-// dependency structures reachable (groups with per-worker slot
-// buffers, locking-baseline chains); the next task's Init rewrites
-// every field anyway. An overflow slice (when Accesses pointed to heap
-// storage) is dropped to the garbage collector wholesale, and domain
-// maps are retained empty up to domainRetainCap.
+// makes clearing the inline accesses safe, and with plain stores — no
+// thread can be reading them. Clearing drops their pointers so a
+// pooled shell does not keep dead dependency structures reachable
+// (groups with per-worker slot buffers, chain links, locking-baseline
+// chains); the next task's Init rewrites every field anyway. An
+// overflow slice (when Accesses pointed to heap storage) is dropped to
+// the garbage collector wholesale, and domain maps are retained empty
+// up to domainRetainCap.
 func (n *Node) Reset() {
 	if len(n.Accesses) > 0 && &n.Accesses[0] == &n.inline[0] {
-		for i := range n.Accesses {
-			n.Accesses[i].clearRefs()
-		}
+		clear(n.Accesses)
 	}
 	// Payload stays: it names the shell the node is embedded in and
 	// recycled with, and the priority-inheritance walk may read it from
@@ -352,13 +353,13 @@ func (n *Node) satisfied(ready ReadyFn, worker int) {
 // dependency system during Register.
 func (n *Node) TryAcquireCommutative() bool {
 	for i := range n.Accesses {
-		a := &n.Accesses[i]
-		if a.token == nil {
+		tok := n.Accesses[i].token()
+		if tok == nil {
 			continue
 		}
-		if !a.token.CompareAndSwap(0, 1) {
+		if !tok.CompareAndSwap(0, 1) {
 			for j := 0; j < i; j++ {
-				if t := n.Accesses[j].token; t != nil {
+				if t := n.Accesses[j].token(); t != nil {
 					t.Store(0)
 				}
 			}
@@ -371,7 +372,7 @@ func (n *Node) TryAcquireCommutative() bool {
 // ReleaseCommutative returns every commutative token held by n.
 func (n *Node) ReleaseCommutative() {
 	for i := range n.Accesses {
-		if t := n.Accesses[i].token; t != nil {
+		if t := n.Accesses[i].token(); t != nil {
 			t.Store(0)
 		}
 	}
@@ -380,7 +381,7 @@ func (n *Node) ReleaseCommutative() {
 // HasCommutative reports whether any access of n needs an execution token.
 func (n *Node) HasCommutative() bool {
 	for i := range n.Accesses {
-		if n.Accesses[i].token != nil {
+		if n.Accesses[i].token() != nil {
 			return true
 		}
 	}

@@ -21,9 +21,30 @@ type mailbox struct {
 // a position where the target is provably alive: they are mid-
 // evaluation of a pinned access, registering under a pinned chain
 // tail, or operating on their own still-guarded task.
+//
+// Every message to a successor, child, parent or fellow group member
+// goes through push. Two kinds of message need no pin of their own and
+// bypass it: one whose target the pusher keeps pinned until its own
+// drain has returned (pushHeld), and the flagHasSuccessor message to a
+// replaced chain tail, which inherits the tail pin (linkAfterAccess).
 func (mb *mailbox) push(a *Access, f asm.Flags) {
 	a.node.Pin()
 	mb.Push(a, f)
+}
+
+// msgHeld marks a message pushed by pushHeld; it rides in the flag word
+// above the ASM's flags and is masked off before delivery.
+const msgHeld asm.Flags = 1 << 63
+
+// pushHeld enqueues a message to an access of the task the caller is
+// registering or unregistering. That task cannot complete before the
+// call returns — registration precedes its execution, and the shell
+// guard outlives Unregister (the runtime drops it in completeOne) — so
+// a pin held by the caller already covers the message through its
+// delivery, which the caller's own drain performs before returning:
+// no pin is taken and drain drops none.
+func (mb *mailbox) pushHeld(a *Access, f asm.Flags) {
+	mb.Push(a, f|msgHeld)
 }
 
 // mbSlot pads each worker's mailbox onto its own cache line.
@@ -89,11 +110,10 @@ func (s *WaitFree) Name() string { return "wait-free" }
 //
 // Pin accounting: every non-alias access pins its node once until it
 // releases (dropped in evaluate at the release transition), and once
-// more while it is the domain-map tail of its chain (dropped below when
-// a later sibling replaces it, or in Unregister when the parent's
-// domain closes for good). Replaced tails are unpinned only after the
-// drain: the linking pushed a flagHasSuccessor message at the old tail,
-// and the tail pin is what keeps it dereferenceable until delivery.
+// more while it is the domain-map tail of its chain — until a later
+// sibling replaces it and has delivered flagHasSuccessor to it (the
+// tail pin passes to that message, see linkAfterAccess), or until
+// Unregister closes the parent's domain for good.
 func (s *WaitFree) Register(parent, n *Node, worker int) {
 	s.register(parent, nil, n, worker)
 }
@@ -114,39 +134,28 @@ func (s *WaitFree) RegisterRoot(d *RootDomain, n *Node, worker int) {
 func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
 	mb := &s.mbs[worker].mb
 	n.pending.Store(1) // registration guard
-	var replacedArr [InlineAccessCap]*Node
-	replaced := replacedArr[:0]
 	for i := range n.Accesses {
 		a := &n.Accesses[i]
 		if hasEarlierAccess(n, i) {
 			// Duplicate declaration within one task: linking it into the
 			// chain would deadlock the task on itself, so alias it.
-			a.alias = true
+			a.marks |= markAlias
 			continue
 		}
 		owner := parent
 		if d != nil {
 			owner = d.shardNode(a.addr)
 		}
-		if rn := s.linkInto(owner, a, mb); rn != nil {
-			replaced = append(replaced, rn)
-		}
+		s.linkInto(owner, a, mb)
 	}
 	s.drain(mb, worker)
-	for _, rn := range replaced {
-		s.unpin(rn, worker)
-	}
 	n.satisfied(s.ready, worker) // release the registration guard
 }
 
-// linkInto links one non-alias access into owner's domain map and
-// returns the node of the plain-access tail it replaced, if any (the
-// caller unpins replaced tails after the drain — the pushed
-// flagHasSuccessor message is what keeps them dereferenceable until
-// delivery). The caller must be the single writer of owner's domain.
-func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) (replaced *Node) {
+// linkInto links one non-alias access into owner's domain map. The
+// caller must be the single writer of owner's domain.
+func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) {
 	n := a.node
-	n.Pin() // released-access pin, dropped at a's release transition
 	if owner.domain == nil {
 		owner.domain = make(map[unsafe.Pointer]tailEntry, InlineAccessCap)
 	}
@@ -156,21 +165,25 @@ func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) (replaced *Node
 		s.linkAfterGroup(tail, a, mb)
 	case ok:
 		s.linkAfterAccess(tail, a, mb)
-		replaced = tail.access.node
 		// Record the chain predecessor for the core's priority-
-		// inheritance walk; the tail pin makes the dereference safe.
-		n.recordPred(replaced)
+		// inheritance walk; the tail pin, now riding on the undelivered
+		// flagHasSuccessor message, makes the dereference safe.
+		n.recordPred(tail.access.node)
 	default:
 		tail.parent = findOwnAccess(owner, a.addr)
 		s.linkFresh(tail.parent, a, mb)
 	}
+	// The pins are taken after the linking, in one step: nothing can
+	// drop them before the caller's drain (a's release needs the task
+	// to have finished, which needs the registration guard), and until
+	// then the task's own shell guard keeps the count above zero.
 	if a.group != nil {
 		owner.domain[a.addr] = tailEntry{group: a.group, parent: tail.parent}
+		n.Pin() // release pin, dropped at a's release transition
 	} else {
 		owner.domain[a.addr] = tailEntry{access: a, parent: tail.parent}
-		n.Pin() // tail pin, dropped when a stops being the chain tail
+		n.pins.Add(2) // release pin, and tail pin while a is the chain tail
 	}
-	return replaced
 }
 
 // Unregister implements System: the task finished, so deliver the
@@ -183,18 +196,25 @@ func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) (replaced *Node
 // domain map can never be consulted again: the chain-tail pins still
 // held by the current tails (accesses of n's children) are dropped
 // here, after the drain.
+//
+// An access with no live children — every access of a leaf task — gets
+// finished and children-done as one delivery: this thread has just
+// taken its child guard below zero, so both flags are this thread's to
+// set. With children still live, the last of them to release delivers
+// children-done later, from its own thread.
 func (s *WaitFree) Unregister(n *Node, worker int) {
 	mb := &s.mbs[worker].mb
 	closeOpenGroups(n, mb)
 	for i := range n.Accesses {
 		a := &n.Accesses[i]
-		if a.alias {
+		if a.alias() {
 			continue
 		}
-		mb.push(a, flagFinished)
-		if a.childGuard.Add(-1) == 0 {
-			mb.push(a, flagChildrenDone)
+		f := flagFinished
+		if a.childGuard.Add(-1) < 0 {
+			f |= flagChildrenDone
 		}
+		mb.pushHeld(a, f)
 	}
 	s.drain(mb, worker)
 	for _, t := range n.domain {
@@ -238,7 +258,7 @@ func closeOpenGroups(n *Node, mb *mailbox) {
 func hasEarlierAccess(n *Node, i int) bool {
 	addr := n.Accesses[i].addr
 	for j := 0; j < i; j++ {
-		if n.Accesses[j].addr == addr && !n.Accesses[j].alias {
+		if n.Accesses[j].addr == addr && !n.Accesses[j].alias() {
 			return true
 		}
 	}
@@ -248,7 +268,7 @@ func hasEarlierAccess(n *Node, i int) bool {
 func findOwnAccess(parent *Node, addr unsafe.Pointer) *Access {
 	for i := range parent.Accesses {
 		a := &parent.Accesses[i]
-		if a.addr == addr && !a.alias {
+		if a.addr == addr && !a.alias() {
 			return a
 		}
 	}
@@ -264,17 +284,21 @@ func (s *WaitFree) linkFresh(pa *Access, a *Access, mb *mailbox) {
 		pa.child.Store(a)
 		mb.push(pa, flagHasChild)
 	} else {
-		mb.push(a, flagReadSat|flagWriteSat)
+		mb.pushHeld(a, flagReadSat|flagWriteSat)
 	}
 }
 
-// linkAfterAccess appends a after the current chain tail.
+// linkAfterAccess appends a after the current chain tail. The replaced
+// tail's pin is not dropped here but handed to the flagHasSuccessor
+// message (a bare Push: no pin taken, and drain's unpin after the
+// delivery is the tail pin's drop), so the old tail stays
+// dereferenceable exactly until the message has been evaluated.
 func (s *WaitFree) linkAfterAccess(tail tailEntry, a *Access, mb *mailbox) {
 	prev := tail.access
 	s.armAccess(a, tail.parent, mb)
 	prev.succReadCompat = prev.typ == Read && a.typ == Read
 	prev.succ.Store(a)
-	mb.push(prev, flagHasSuccessor)
+	mb.Push(prev, flagHasSuccessor)
 }
 
 // linkAfterGroup either joins a compatible open run or closes the run and
@@ -311,7 +335,7 @@ func (s *WaitFree) armAccess(a *Access, chainParent *Access, mb *mailbox) {
 		newGroup(Commutative, a, s.workers)
 		a.node.pending.Add(1)
 	default:
-		if !a.weak {
+		if !a.weak() {
 			a.node.pending.Add(1)
 		}
 	}
@@ -319,7 +343,8 @@ func (s *WaitFree) armAccess(a *Access, chainParent *Access, mb *mailbox) {
 
 // drain delivers queued messages until the mailbox is empty, evaluating
 // each resulting transition (the while loop of paper Fig. 2). Each
-// delivery drops the pin its push took — after the evaluation, so the
+// delivery drops the pin its message carries (none for a held message,
+// whose pusher is this very caller) — after the evaluation, so the
 // access stays dereferenceable throughout, even when another worker
 // concurrently completes the access's release transition.
 func (s *WaitFree) drain(mb *mailbox, worker int) {
@@ -328,9 +353,11 @@ func (s *WaitFree) drain(mb *mailbox, worker int) {
 		if !ok {
 			return
 		}
-		before, after := m.To.state.Deliver(m.Bits)
+		before, after := m.To.state.Deliver(m.Bits &^ msgHeld)
 		s.evaluate(m.To, before, after, mb, worker)
-		s.unpin(m.To.node, worker)
+		if m.Bits&msgHeld == 0 {
+			s.unpin(m.To.node, worker)
+		}
 	}
 }
 
@@ -346,7 +373,7 @@ func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, wor
 
 	if a.group != nil {
 		// Run member: satisfiability is managed by the group.
-		if a.groupHead && asm.Transitioned(before, after, flagReadSat|flagWriteSat) {
+		if a.groupHead() && asm.Transitioned(before, after, flagReadSat|flagWriteSat) {
 			a.group.satArrived(mb)
 		}
 		if a.typ == Commutative && asm.Transitioned(before, after, flagReadSat|flagWriteSat) {
@@ -366,7 +393,7 @@ func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, wor
 		// pin until the full release conjunction (run members release
 		// eagerly, so finished can long precede the sat flags).
 		memberDone := flagFinished | flagChildrenDone
-		if a.groupHead || a.typ == Commutative {
+		if a.groupHead() || a.typ == Commutative {
 			memberDone = flagsReleased
 		}
 		if asm.Transitioned(before, after, memberDone) {
@@ -377,7 +404,7 @@ func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, wor
 
 	// Execution satisfaction: reads need read satisfiability, exclusive
 	// accesses need both. Weak accesses never gate execution.
-	if !a.weak {
+	if !a.weak() {
 		if a.typ == Read {
 			if asm.Transitioned(before, after, flagReadSat) {
 				a.node.satisfied(s.ready, worker)
@@ -414,20 +441,32 @@ func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, wor
 		}
 	}
 	if asm.Transitioned(before, after, flagsReleased|flagHasSuccessor) {
-		mb.push(a.succ.Load(), flagReadSat|flagWriteSat)
+		// A read-compatible successor is sent only what the early
+		// forward above did not carry. Needing both messages, it cannot
+		// release — and its storage cannot be recycled — before that
+		// forward has reached it, which may still be in flight: the
+		// thread that observed the forwarding transition can be
+		// preempted between its delivery to a and its push, while other
+		// threads run a's task to completion and release a.
+		f := flagReadSat | flagWriteSat
+		if a.succReadCompat {
+			f = flagWriteSat
+		}
+		mb.push(a.succ.Load(), f)
 	}
 	if asm.Transitioned(before, after, flagsReleased) {
 		// The access released: drop its storage pin, after every use of
 		// a above. A later flagHasSuccessor delivery may still read
-		// a.succ, but only from a registrar that holds the tail pin.
+		// a.succ, but that message carries the tail pin.
 		s.unpin(a.node, worker)
 	}
 }
 
-// childReleased drops one reference from pa's child guard; the final drop
-// delivers children-done, enabling pa's own release.
+// childReleased drops one child from pa's child guard; if pa's task has
+// finished and this was its last child, that delivers children-done,
+// enabling pa's own release.
 func (s *WaitFree) childReleased(pa *Access, mb *mailbox) {
-	if pa.childGuard.Add(-1) == 0 {
+	if pa.childGuard.Add(-1) < 0 {
 		mb.push(pa, flagChildrenDone)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // TestHotPathsAllocateNothing pins the runtime's zero-allocation
 // property at steady state: spawning, registering, scheduling,
-// releasing and completing a task — and serving a request from a
-// compiled template — allocate nothing once pools, queues and free
-// lists are warm. Each shape runs once to warm up and once measured;
+// releasing and completing a task of up to deps.InlineAccessCap
+// accesses — and serving a request from a compiled template — allocate
+// nothing once pools, queues and free lists are warm. Each shape runs once to warm up and once measured;
 // the tolerance (one allocation per ten operations) absorbs the per-Run
 // constants (handle, scope) and the amortized growth of pools and
 // queues when a run's live population peaks higher than the warm-up's
@@ -32,6 +32,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	defer rt.Close()
 	nop := func(*repro.Ctx) {}
 	var cells [4]float64
+	var grid [8][8]float64
 
 	// spawnLoop runs ops spawns inside one root, with a taskwait every
 	// stride so the live-task population stays at steady state.
@@ -92,9 +93,19 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 			// the next task.
 			c.Spawn(nop, repro.In(&cells[i%2]), repro.Out(&cells[1-i%2]))
 		}), ops, ops / 10},
-		{"inline-access-cap", spawnLoop(func(c *repro.Ctx, _ int) {
+		{"inout4", spawnLoop(func(c *repro.Ctx, _ int) {
 			c.Spawn(nop, repro.InOut(&cells[0]), repro.InOut(&cells[1]),
 				repro.InOut(&cells[2]), repro.InOut(&cells[3]))
+		}), ops, ops / 10},
+		{"stencil5", spawnLoop(func(c *repro.Ctx, i int) {
+			// The five-point stencil on a torus, swept row by row: five
+			// distinct accesses per task (deps.InlineAccessCap), each
+			// task a successor of its wavefront neighbours.
+			const n = len(grid)
+			bi, bj := i/n%n, i%n
+			c.Spawn(nop, repro.InOut(&grid[bi][bj]),
+				repro.In(&grid[(bi+n-1)%n][bj]), repro.In(&grid[bi][(bj+n-1)%n]),
+				repro.In(&grid[(bi+1)%n][bj]), repro.In(&grid[bi][(bj+1)%n]))
 		}), ops, ops / 10},
 		{"fanout", spawnLoop(func(c *repro.Ctx, i int) {
 			// One writer, then 64 readers that become ready together.

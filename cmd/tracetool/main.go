@@ -7,7 +7,9 @@
 //	tracetool -noise     Figure 11: an injected kernel interrupt stalls
 //	                     the DTLock owner mid-service; the serve-gap
 //	                     pattern changes around it.
-//	tracetool -dump f    Decode and summarize a binary trace file.
+//	tracetool -dump f    Decode and summarize a binary trace file;
+//	                     node-continue events (compiled-graph nodes run
+//	                     as calls, not tasks) are counted beside tasks.
 //
 // Traces can be saved with -save for later inspection.
 package main
@@ -48,7 +50,11 @@ func main() {
 		tr, err := trace.Read(f)
 		fatal(err)
 		fatal(f.Close())
-		fmt.Print(trace.Analyze(tr).String())
+		sum := trace.Analyze(tr)
+		tot := sum.Totals()
+		fmt.Print(sum.String())
+		fmt.Printf("%s: %d graph nodes ran as calls inside %d tasks\n",
+			trace.KNodeContinue, tot.Continues, tot.TaskCount)
 		fmt.Print(trace.Timeline(tr, 100))
 
 	case *compare:

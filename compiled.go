@@ -31,19 +31,23 @@ type Histogram = counter.Histogram
 // request through the address-matched dependency system (one sentinel
 // byte per node, In/Out access chains), Compile resolves those edges
 // once: each node carries its successor indices, and a frame holds one
-// join counter per node, reset per request. A node's task spawns with
-// no accesses at all — the cheapest path through the runtime — and its
-// completion decrements each successor's counter, spawning the ones
-// that reach zero. The differential test against the interpreted path
-// pins the equivalence. Fan-in/fan-out width does not affect the
-// zero-allocation property.
+// join counter per node, reset per request. A finished node decrements
+// each successor's counter, and the thread that readies a node goes on
+// with it as a plain call inside the task it is already running — one
+// readied successor per node, when it has the level and deadline of the
+// node before it; the others are spawned, access-free, for the workers.
+// A linear stretch of a template is therefore one task, however long,
+// and only a fan-out's siblings and changes of level or deadline cost a
+// task each (DESIGN.md, "Compiled hand-off"). The differential test
+// against the interpreted path pins the equivalence. Fan-in/fan-out
+// width does not affect the zero-allocation property.
 type CompiledGraph struct {
 	rt    *Runtime
 	nodes []cnode
 	index map[string]int // name → topological index; off the hot path
 
 	// roots are the in-degree-zero node indices the request's root task
-	// spawns; everything else is spawned by its last-completing
+	// readies; everything else is readied by its last-completing
 	// dependency. spec, when non-nil, carries one explicit priority
 	// clause per node: spawns inherit the spawning task's priority, so
 	// a template with any elevated node pins every node's level
@@ -254,11 +258,12 @@ type GraphExec struct {
 	req *core.Req
 
 	// pending is the per-request join counter of each node, initialized
-	// to the dependency count and decremented once per completed
-	// dependency; the decrement to zero spawns the node. The atomic
-	// read-modify-write chain on a counter is also the happens-before
-	// edge that publishes every dependency's result slot to the node's
-	// body.
+	// to the dependency count — one for a root node, whose one
+	// dependency is the request's root task — and decremented once per
+	// completed dependency; the decrement to zero readies the node
+	// (advance). The atomic read-modify-write chain on a counter is also
+	// the happens-before edge that publishes every dependency's result
+	// slot to the node's body.
 	pending []atomic.Int32
 	bodies  []func(*Ctx)
 	root    func(*Ctx)
@@ -308,44 +313,76 @@ func (cg *CompiledGraph) newFrame() *GraphExec {
 	for i := range cg.nodes {
 		cn := &cg.nodes[i]
 		e.depm[i] = make(map[string]any, len(cn.deps))
-		// The body wrapper decrements each successor's join counter
-		// after runNode — whatever the node's outcome — and spawns the
-		// successors it completes. A drained task never runs its body,
-		// so its successors stay unspawned and report the skip.
+		// The body of a spawned node: the node, then whatever it readies.
+		// A drained task never runs its body, so its successors' counters
+		// stay untouched and the nodes report the skip.
 		e.bodies[i] = func(c *Ctx) {
 			e.runNode(c, i)
-			for _, s := range cn.succs {
-				if e.pending[s].Add(-1) == 0 {
-					e.spawnNode(c, int(s))
-				}
-			}
+			e.advance(c, cn.succs, cn.pri, cn.dl)
 		}
 	}
+	// The root task is level 0 and carries no deadline.
 	e.root = func(c *Ctx) {
-		for _, i := range cg.roots {
-			e.spawnNode(c, int(i))
-		}
+		e.advance(c, cg.roots, 0, 0)
 		c.Taskwait()
 	}
 	return e
 }
 
-// spawnNode spawns node i's task: access-free, with explicit priority
-// (and, on deadline templates, deadline) clauses when the template has
-// any elevated or deadlined node (spawns inherit the spawning task's
-// level otherwise). The frame's restamped spec wins over the template's.
-// Both callers spawn as their last act before returning or helping (a
-// node body's wrapper, the request root before its Taskwait), which is
-// SpawnNext's contract: the first node a caller readies runs next on
-// the same thread, its siblings are offered to the workers.
-func (e *GraphExec) spawnNode(c *Ctx, i int) {
-	var spec []AccessSpec
-	if e.spec != nil {
-		spec = e.spec[i]
-	} else if e.cg.spec != nil {
-		spec = e.cg.spec[i]
+// advance is what follows a finished node of level pri and deadline
+// offset dl (or the start of the request's root task): it lowers the
+// join counter of each of succs, keeps the first node this readies and
+// spawns every further one plainly, at once — the kept node may be the
+// head of a long stretch, and a sibling parked in this thread's bypass
+// slot (SpawnNext) would wait that stretch out unseen by any worker.
+// The kept node then runs right here, as a call inside the running task
+// and in a loop (a chain does not grow the stack), when it needs no
+// scheduling decision: its level and deadline offset, fixed at Compile,
+// are the finished node's — so Ctx.Priority and Ctx.Deadline read in
+// its body what they would in a task of its own — and core.ContinueNode
+// finds the scope healthy and nothing of a higher level queued.
+// Otherwise it is spawned with SpawnNext as this body's last act, the
+// hand-off's contract: the ready callback applies the same two gates
+// and the scheduler orders, or drains, what they turn away.
+func (e *GraphExec) advance(c *Ctx, succs []int32, pri int, dl time.Duration) {
+	for {
+		next := -1
+		for _, s := range succs {
+			if e.pending[s].Add(-1) != 0 {
+				continue
+			}
+			if next < 0 {
+				next = int(s)
+			} else {
+				c.Spawn(e.bodies[s], e.specOf(int(s))...)
+			}
+		}
+		if next < 0 {
+			return
+		}
+		cn := &e.cg.nodes[next]
+		if cn.pri != pri || cn.dl != dl || !core.ContinueNode(c, next) {
+			core.SpawnNext(c, e.bodies[next], e.specOf(next)...)
+			return
+		}
+		e.runNode(c, next)
+		succs = cn.succs
 	}
-	core.SpawnNext(c, e.bodies[i], spec...)
+}
+
+// specOf returns the clauses node i's task spawns with: none (spawns
+// inherit the spawning task's level) unless the template has an
+// elevated or deadlined node, then an explicit priority and, on
+// deadline templates, deadline clause; the frame's restamped copy wins
+// over the template's.
+func (e *GraphExec) specOf(i int) []AccessSpec {
+	if e.spec != nil {
+		return e.spec[i]
+	}
+	if e.cg.spec != nil {
+		return e.cg.spec[i]
+	}
+	return nil
 }
 
 // begin readies a pooled frame for the next request. On deadline
@@ -354,12 +391,11 @@ func (e *GraphExec) spawnNode(c *Ctx, i int) {
 // nodes keep Len 0 — no deadline — which also clears any deadline the
 // spawning task would otherwise pass down).
 func (e *GraphExec) begin() {
-	clear(e.vals)
-	clear(e.errs)
+	// vals, errs and err are clear already: by newFrame, or by the
+	// Release every pooled frame came back through.
 	clear(e.state)
-	e.err = nil
 	for i := range e.pending {
-		e.pending[i].Store(int32(len(e.cg.nodes[i].deps)))
+		e.pending[i].Store(int32(max(1, len(e.cg.nodes[i].deps))))
 	}
 	if e.spec != nil {
 		base := core.NowNS()
@@ -491,10 +527,13 @@ func (e *GraphExec) valueAt(i int) (any, error) {
 	return nil, fmt.Errorf("%w: %w", core.ErrTaskSkipped, e.err)
 }
 
-// Release returns the frame to the template's pool, dropping its
-// result references. The execution's values and errors are invalid
-// after Release; no method of e may be called again until a future Do
-// hands the frame out.
+// Release returns the frame to the template's pool, dropping the
+// result and error slots' references. The maps handed to node bodies
+// are not cleared — that would be a map write per edge per request — so
+// a pooled frame keeps each dependency value alive until the next Do on
+// it overwrites the entry. The execution's values and errors are
+// invalid after Release; no method of e may be called again until a
+// future Do hands the frame out.
 func (e *GraphExec) Release() {
 	clear(e.vals)
 	clear(e.errs)

@@ -1,0 +1,532 @@
+package repro_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/trace"
+)
+
+// The continuation tests read the runtime's own trace: a spawned node
+// leaves a task-create event, a continued one a node-continue event
+// carrying its index, and nothing else tells the two apart from outside.
+
+// tracedRuntime is a runtime with tracing on and room for the events of
+// a few thousand requests per thread. traceCounts closes it.
+func tracedRuntime(opts ...repro.Option) *repro.Runtime {
+	return repro.New(append([]repro.Option{repro.WithWorkers(2), repro.WithTracing(1 << 16)}, opts...)...)
+}
+
+// traceCounts closes rt — the trace may only be read once every thread
+// that writes it has stopped — and returns the number of tasks it ever
+// created and how often each node index was continued.
+func traceCounts(t *testing.T, rt *repro.Runtime) (tasks int, continued map[int]int) {
+	t.Helper()
+	if lv := rt.LiveTasks(); lv != 0 {
+		t.Fatalf("LiveTasks = %d at quiescence", lv)
+	}
+	rt.Close()
+	tr := rt.Tracer()
+	if d := tr.Drops(); d != 0 {
+		t.Fatalf("trace dropped %d events: raise the capacity", d)
+	}
+	continued = map[int]int{}
+	for _, evs := range tr.Snapshot().PerCore {
+		for _, e := range evs {
+			switch e.Kind {
+			case trace.KTaskCreate:
+				tasks++
+			case trace.KNodeContinue:
+				continued[int(e.Arg)]++
+			}
+		}
+	}
+	return tasks, continued
+}
+
+// chainGraph is n nodes in a line, node i computing i from node i-1;
+// body(c, i) runs first in node i and may fail it.
+func chainGraph(n int, body func(c *repro.Ctx, i int) error) *repro.Graph {
+	g := repro.NewGraph()
+	for i := 0; i < n; i++ {
+		var deps []string
+		if i > 0 {
+			deps = []string{chainName(i - 1)}
+		}
+		g.Add(chainName(i), deps, func(c *repro.Ctx, d map[string]any) (any, error) {
+			if err := body(c, i); err != nil {
+				return nil, err
+			}
+			if i > 0 && d[deps[0]].(int) != i-1 {
+				return nil, fmt.Errorf("node %d read %v from its dependency", i, d[deps[0]])
+			}
+			return i, nil
+		})
+	}
+	return g
+}
+
+func chainName(i int) string { return fmt.Sprintf("c%05d", i) }
+
+// stackDepth is the number of frames on the calling goroutine's stack.
+func stackDepth() int {
+	pcs := make([]uintptr, 256)
+	return runtime.Callers(0, pcs)
+}
+
+// TestCompiledChainIsOneTask: a 10 000-node chain is served by the
+// request's root task alone — every node is continued, once, and none is
+// spawned — and the last body runs at the stack depth of the first: the
+// continuation is a loop, not a recursion.
+func TestCompiledChainIsOneTask(t *testing.T) {
+	const n, reqs = 10_000, 3
+	rt := tracedRuntime()
+	var depth [n]int
+	cg, err := chainGraph(n, func(_ *repro.Ctx, i int) error {
+		depth[i] = stackDepth()
+		return nil
+	}).Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for req := 0; req < reqs; req++ {
+		e, err := cg.Do(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := e.ValueAt(n - 1); err != nil || v.(int) != n-1 {
+			t.Fatalf("tail = %v, %v", v, err)
+		}
+		e.Release()
+		if depth[n-1] != depth[0] || depth[0] >= 256 {
+			t.Fatalf("stack depth %d in the first body, %d in the last", depth[0], depth[n-1])
+		}
+	}
+	tasks, cont := traceCounts(t, rt)
+	if tasks != reqs {
+		t.Fatalf("%d requests created %d tasks, want the root of each alone", reqs, tasks)
+	}
+	if len(cont) != n {
+		t.Fatalf("%d distinct nodes continued, want all %d", len(cont), n)
+	}
+	for i, k := range cont {
+		if k != reqs {
+			t.Fatalf("node %d continued %d times over %d requests", i, k, reqs)
+		}
+	}
+}
+
+// benchShape is the benchmark's seven-node template (graph_closed): one
+// source fanning out to three, joined pairwise down to one sink.
+func benchShape() *repro.Graph {
+	g := repro.NewGraph()
+	for _, n := range []struct {
+		name string
+		deps []string
+	}{
+		{"ticket", nil},
+		{"auth", []string{"ticket"}},
+		{"inventory", []string{"ticket"}},
+		{"promo", []string{"ticket"}},
+		{"price", []string{"auth", "inventory"}},
+		{"quote", []string{"price", "promo"}},
+		{"render", []string{"quote", "ticket"}},
+	} {
+		g.Add(n.name, n.deps, func(_ *repro.Ctx, d map[string]any) (any, error) {
+			v := 1
+			for _, dep := range n.deps {
+				v += d[dep].(int)
+			}
+			return v, nil
+		})
+	}
+	return g
+}
+
+// TestCompiledBenchmarkShapeIsThreeTasks: of the seven nodes only the
+// two siblings the source's fan-out offers to the workers are tasks; the
+// root task continues the source, and every join is continued by
+// whichever thread completes it.
+func TestCompiledBenchmarkShapeIsThreeTasks(t *testing.T) {
+	rt := tracedRuntime()
+	cg, err := benchShape().Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reqs = 200
+	for i := 0; i < reqs; i++ {
+		e, err := cg.Do(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ticket 1; auth, inventory, promo 2; price 5; quote 8; render 10.
+		if v, err := e.Value("render"); err != nil || v.(int) != 10 {
+			t.Fatalf("render = %v, %v", v, err)
+		}
+		e.Release()
+	}
+	tasks, cont := traceCounts(t, rt)
+	if tasks != 3*reqs {
+		t.Fatalf("%d requests created %d tasks, want three each", reqs, tasks)
+	}
+	total := 0
+	for _, k := range cont {
+		total += k
+	}
+	if total != 5*reqs {
+		t.Fatalf("%d requests continued %d nodes, want five each", reqs, total)
+	}
+}
+
+// TestCompiledChainStopsMidway: a FailFast failure, a context cancel
+// and a DoTimeout expiry landing in the body of node `at` of a chain
+// each leave every later node unrun, reporting the skip with the right
+// cause, create no task for them beyond the one the closed gate sends
+// through the scheduler to be drained, and leave the frame reusable.
+func TestCompiledChainStopsMidway(t *testing.T) {
+	const n, at, rounds = 12, 5, 3
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name  string
+		stop  func(c *repro.Ctx, cancel context.CancelFunc) error
+		d     time.Duration
+		cause error
+	}{
+		{"failfast", func(*repro.Ctx, context.CancelFunc) error { return boom }, 0, boom},
+		{"cancel", func(c *repro.Ctx, cancel context.CancelFunc) error {
+			cancel()
+			return waitAborted(c)
+		}, 0, context.Canceled},
+		{"timeout", func(c *repro.Ctx, _ context.CancelFunc) error { return waitAborted(c) },
+			5 * time.Millisecond, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := tracedRuntime()
+			var armed atomic.Bool
+			var cancel context.CancelFunc
+			var ran [n]atomic.Int32
+			cg, err := chainGraph(n, func(c *repro.Ctx, i int) error {
+				ran[i].Add(1)
+				if i == at && armed.Load() {
+					return tc.stop(c, cancel)
+				}
+				return nil
+			}).Compile(rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < rounds; round++ {
+				var ctx context.Context
+				ctx, cancel = context.WithCancel(context.Background())
+				armed.Store(true)
+				e, err := cg.DoTimeout(ctx, tc.d)
+				if !errors.Is(err, tc.cause) {
+					t.Fatalf("aggregate = %v, want %v", err, tc.cause)
+				}
+				for i := 0; i < n; i++ {
+					v, err := e.ValueAt(i)
+					switch {
+					case i < at, i == at && tc.cause != boom:
+						if err != nil || v.(int) != i {
+							t.Fatalf("node %d = %v, %v, want it to have run", i, v, err)
+						}
+					case i == at:
+						if !errors.Is(err, boom) || errors.Is(err, repro.ErrTaskSkipped) {
+							t.Fatalf("failing node: %v", err)
+						}
+					default:
+						if !errors.Is(err, repro.ErrTaskSkipped) || !errors.Is(err, tc.cause) {
+							t.Fatalf("node %d: %v, want a skip caused by %v", i, err, tc.cause)
+						}
+						if ran[i].Load() != int32(round) {
+							t.Fatalf("node %d ran in a stopped request", i)
+						}
+					}
+				}
+				e.Release()
+				cancel()
+
+				// The same frame serves a clean request next.
+				armed.Store(false)
+				e, err = cg.Do(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, err := e.ValueAt(n - 1); err != nil || v.(int) != n-1 {
+					t.Fatalf("clean request after a stopped one: tail = %v, %v", v, err)
+				}
+				e.Release()
+			}
+			// A stopped request is its root and the one node the closed
+			// gate sent through the scheduler to be drained; a clean one
+			// is its root.
+			tasks, cont := traceCounts(t, rt)
+			if tasks != 3*rounds {
+				t.Fatalf("%d tasks over %d stopped and %d clean requests, want %d", tasks, rounds, rounds, 3*rounds)
+			}
+			for i := 0; i < n; i++ {
+				want := rounds
+				if i <= at {
+					want = 2 * rounds
+				}
+				if cont[i] != want {
+					t.Fatalf("node %d continued %d times, want %d", i, cont[i], want)
+				}
+			}
+		})
+	}
+}
+
+// waitAborted holds a node body until its request's scope is cancelled.
+func waitAborted(c *repro.Ctx) error {
+	for t0 := time.Now(); c.Err() == nil; {
+		if time.Since(t0) > 10*time.Second {
+			return errors.New("the scope was never cancelled")
+		}
+		runtime.Gosched()
+	}
+	return nil
+}
+
+// TestCompiledChainYieldsToElevated mirrors core's TestSpawnNextDeclines
+// for the continuation: while an elevated task is queued in the serving
+// thread's domain, a level-0 chain does not go on as a call — the next
+// node is spawned, the policy orders the two, and the elevated task
+// starts before the chain's tail. The one worker is held busy so the
+// elevated task stays queued until the serving thread itself polls.
+func TestCompiledChainYieldsToElevated(t *testing.T) {
+	const n, at = 8, 2
+	rt := tracedRuntime(repro.WithWorkers(1))
+
+	started, release := make(chan struct{}), make(chan struct{})
+	busy := repro.Submit(rt, func(*repro.Ctx) (int, error) {
+		close(started)
+		<-release
+		return 0, nil
+	})
+	<-started
+
+	var mu sync.Mutex
+	var order []string
+	record := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+	reached, queued := make(chan struct{}), make(chan struct{})
+	var elevated *repro.Future[int]
+	go func() {
+		<-reached
+		elevated = repro.Submit(rt, func(*repro.Ctx) (int, error) {
+			record("elevated")
+			return 0, nil
+		}, repro.WithPriority(repro.MaxPriority))
+		close(queued)
+	}()
+	cg, err := chainGraph(n, func(_ *repro.Ctx, i int) error {
+		record(chainName(i))
+		if i == at {
+			close(reached)
+			<-queued
+		}
+		return nil
+	}).Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := cg.Do(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Release()
+	close(release)
+	for _, f := range []*repro.Future[int]{busy, elevated} {
+		if _, err := f.Wait(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, chainName(i))
+		if i == at {
+			want = append(want, "elevated")
+		}
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("start order %v, want %v", order, want)
+	}
+	// The busy root, the request's root, the node spawned at the closed
+	// gate and the elevated root; the chain's tail went on inside the
+	// spawned node.
+	tasks, cont := traceCounts(t, rt)
+	if tasks != 4 || cont[at+1] != 0 || len(cont) != n-1 {
+		t.Fatalf("%d tasks, continued nodes %v: want node %d spawned and every other continued", tasks, cont, at+1)
+	}
+}
+
+// TestCompiledMixedLevelsNeverContinueAcross: a chain whose nodes
+// change priority level and deadline offset along the way continues
+// only where both stay the same, and every body reads its declared
+// level and its own deadline — request start plus offset, 0 without one
+// — as it would in a task of its own.
+func TestCompiledMixedLevelsNeverContinueAcross(t *testing.T) {
+	type attr struct {
+		pri int
+		dl  time.Duration
+	}
+	attrs := []attr{
+		{0, 0}, {0, 0}, // continued from the root, then from each other
+		{2, 0}, {2, 0}, // level change: spawned, then continued
+		{0, 0},                         // back down: spawned
+		{2, time.Hour}, {2, time.Hour}, // level and deadline change: spawned, then continued
+		{2, 2 * time.Hour}, // deadline change alone: spawned
+		{2, 0},             // deadline dropped: spawned
+	}
+	wantCont := []int{0, 1, 3, 6}
+	n := len(attrs)
+	const reqs = 20
+	rt := tracedRuntime()
+	pri, dl := make([]int, n), make([]int64, n)
+	g := chainGraph(n, func(c *repro.Ctx, i int) error {
+		pri[i], dl[i] = c.Priority(), c.Deadline()
+		return nil
+	})
+	for i, a := range attrs {
+		if a.pri != 0 {
+			g.SetPriority(chainName(i), a.pri)
+		}
+		if a.dl != 0 {
+			g.SetDeadline(chainName(i), a.dl)
+		}
+	}
+	cg, err := g.Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for req := 0; req < reqs; req++ {
+		lo := repro.NowNS()
+		e, err := cg.Do(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+		hi := repro.NowNS()
+		var base int64
+		for i, a := range attrs {
+			if pri[i] != a.pri {
+				t.Fatalf("node %d read priority %d, want %d", i, pri[i], a.pri)
+			}
+			if a.dl == 0 {
+				if dl[i] != 0 {
+					t.Fatalf("deadline-less node %d read deadline %d", i, dl[i])
+				}
+				continue
+			}
+			b := dl[i] - a.dl.Nanoseconds()
+			if base == 0 {
+				base = b
+			}
+			if b != base || b < lo || b > hi {
+				t.Fatalf("node %d read deadline %d: request start %d, want %d in [%d, %d]", i, dl[i], b, base, lo, hi)
+			}
+		}
+	}
+	tasks, cont := traceCounts(t, rt)
+	if want := reqs * (1 + n - len(wantCont)); tasks != want {
+		t.Fatalf("%d tasks over %d requests, want %d", tasks, reqs, want)
+	}
+	for i := 0; i < n; i++ {
+		want := 0
+		if slices.Contains(wantCont, i) {
+			want = reqs
+		}
+		if cont[i] != want {
+			t.Fatalf("node %d continued %d times over %d requests, want %d", i, cont[i], reqs, want)
+		}
+	}
+}
+
+// TestCompiledContinuedNodeTaskwait: a continued node is a call inside
+// another node's task, and may still spawn children and wait for them —
+// with a sibling of the chain outstanding in the same task, which the
+// Taskwait then also waits for (or runs).
+func TestCompiledContinuedNodeTaskwait(t *testing.T) {
+	rt := tracedRuntime()
+	var children atomic.Int32
+	g := repro.NewGraph().
+		Add("src", nil, func(*repro.Ctx, map[string]any) (any, error) { return 1, nil }).
+		Add("waiter", []string{"src"}, func(c *repro.Ctx, _ map[string]any) (any, error) {
+			before := children.Load()
+			for i := 0; i < 8; i++ {
+				c.Spawn(func(*repro.Ctx) { children.Add(1) })
+			}
+			c.Taskwait()
+			return int(children.Load() - before), nil
+		}).
+		Add("sibling", []string{"src"}, func(*repro.Ctx, map[string]any) (any, error) { return 5, nil }).
+		Add("sink", []string{"waiter", "sibling"}, func(_ *repro.Ctx, d map[string]any) (any, error) {
+			return d["waiter"].(int) + d["sibling"].(int), nil
+		})
+	cg, err := g.Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiter, _ := cg.NodeIndex("waiter")
+	for i := 0; i < 200; i++ {
+		e, err := cg.Do(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := e.Value("sink"); err != nil || v.(int) != 13 {
+			t.Fatalf("sink = %v, %v", v, err)
+		}
+		e.Release()
+	}
+	if _, cont := traceCounts(t, rt); cont[waiter] != 200 {
+		t.Fatalf("the waiting node was continued %d times of 200: the test no longer covers a continued node", cont[waiter])
+	}
+}
+
+// TestCompiledNodeStatsOncePerNode: WithNodeStats sees every node of a
+// request exactly once, continued or spawned.
+func TestCompiledNodeStatsOncePerNode(t *testing.T) {
+	rt := repro.New(repro.WithWorkers(2))
+	defer rt.Close()
+	var mu sync.Mutex
+	seen := map[string]int{}
+	cg, err := benchShape().Compile(rt, repro.WithNodeStats(func(s repro.NodeStat) {
+		mu.Lock()
+		seen[s.Name]++
+		mu.Unlock()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reqs = 300
+	for i := 0; i < reqs; i++ {
+		e, err := cg.Do(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+	}
+	if len(seen) != cg.Len() {
+		t.Fatalf("stats for %d nodes, want %d", len(seen), cg.Len())
+	}
+	for name, k := range seen {
+		if k != reqs {
+			t.Fatalf("node %s reported %d times over %d requests", name, k, reqs)
+		}
+		if c := cg.NodeLatency(name).Count(); c != reqs {
+			t.Fatalf("node %s histogram holds %d samples, want %d", name, c, reqs)
+		}
+	}
+}

@@ -443,6 +443,17 @@ func (rt *Runtime) higherPriPending(pri int8, dom int) bool {
 	return false
 }
 
+// mayHandOff holds the two gates every immediate-successor hand-off
+// passes before work of t's scope and effective level runs next on a
+// thread of domain dom without a scheduling decision: the scope is
+// healthy (a cancelled scope's tasks drain through the scheduler) and
+// nothing of a higher level is queued in dom (the priority policy must
+// order the two). The ready callback asks it about the task it would
+// park in the bypass slot, ContinueNode about the running task itself.
+func (rt *Runtime) mayHandOff(t *Task, dom int) bool {
+	return t.sc.abortCause() == nil && !rt.higherPriPending(int8(t.epri.Load()), dom)
+}
+
 // New builds and starts a runtime. The caller must Close it.
 func New(cfg Config) *Runtime {
 	rt := build(cfg)
@@ -543,8 +554,7 @@ func build(cfg Config) *Runtime {
 		// construction).
 		t.home = int8(dom)
 		if bs := &rt.bypass[worker]; bs.armed && bs.next == nil &&
-			!n.HasCommutative() && t.sc.abortCause() == nil &&
-			!rt.higherPriPending(int8(t.epri.Load()), dom) {
+			!n.HasCommutative() && rt.mayHandOff(t, dom) {
 			bs.next = t
 			return
 		}
@@ -938,6 +948,25 @@ func SpawnNext(c *Ctx, body func(*Ctx), accs ...deps.AccessSpec) {
 	bs.armed = true
 	rt.register(c.task, t, c.worker)
 	bs.armed = false
+}
+
+// ContinueNode reports whether the body running on c may go on with
+// graph node `node` as a plain call inside its own task instead of
+// spawning it — the hand-off taken to its end: no shell, registration or
+// completion at all. The caller vouches for what is fixed per graph
+// (the node is ready, access-free, and of the running task's level and
+// deadline, so it needs no scheduling decision); ContinueNode checks
+// what is not, mayHandOff's gates against the running task, and records
+// a pass as one KNodeContinue event, the only trace a continued node
+// leaves. On false the caller spawns the node (SpawnNext): the policy
+// orders it, or the scheduler drains it.
+func ContinueNode(c *Ctx, node int) bool {
+	rt := c.rt
+	if !rt.mayHandOff(c.task, int(rt.slotDom[c.worker])) {
+		return false
+	}
+	rt.tracer.Emit(c.worker, trace.KNodeContinue, uint64(node))
+	return true
 }
 
 // workerLoop is the per-core scheduling loop: ask the home domain's

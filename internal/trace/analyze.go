@@ -12,6 +12,7 @@ type WorkerStats struct {
 	RuntimeTime  int64 // ns spent inside the scheduler and dep system
 	IdleTime     int64 // ns spent idle (no interval open)
 	TaskCount    int
+	Continues    int // compiled-graph nodes run as calls inside those tasks
 	Serves       int // tasks this worker served to others as DTLock owner
 	ServedTo     int // (aggregated) times this worker received a served task
 	Drains       int // SPSC drain operations
@@ -64,6 +65,8 @@ func Analyze(tr *Trace) *Summary {
 				ws.TaskCount++
 			case KTaskEnd:
 				closeInterval(e.TS, &ws.TaskTime)
+			case KNodeContinue:
+				ws.Continues++
 			case KSchedEnter, KTaskwaitStart:
 				openInterval(e.Kind, e.TS)
 			case KSchedLeave, KTaskwaitEnd:
@@ -100,6 +103,7 @@ func (s *Summary) Totals() WorkerStats {
 		t.RuntimeTime += w.RuntimeTime
 		t.IdleTime += w.IdleTime
 		t.TaskCount += w.TaskCount
+		t.Continues += w.Continues
 		t.Serves += w.Serves
 		t.ServedTo += w.ServedTo
 		t.Drains += w.Drains

@@ -39,6 +39,9 @@ const (
 	KTaskCancel // task drained without executing (scope cancelled)
 	KEventHold  // body returned with external events pending; release deferred
 	KEventFire  // final event decrement ran the deferred release
+	// KNodeContinue: the running task went on with compiled-graph node
+	// Arg as a call instead of spawning it (no create/start/end follow).
+	KNodeContinue
 	kindMax
 )
 
@@ -50,6 +53,7 @@ var kindNames = [...]string{
 	KTaskwaitStart: "taskwait-start", KTaskwaitEnd: "taskwait-end",
 	KInterrupt: "interrupt", KTaskCancel: "task-cancel",
 	KEventHold: "event-hold", KEventFire: "event-fire",
+	KNodeContinue: "node-continue",
 }
 
 // String returns the event kind's name.

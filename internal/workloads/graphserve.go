@@ -47,15 +47,8 @@ type GraphServe struct {
 	// at delivery, not folded away.
 	rec []int64
 
-	// arrivals, when set, paces each client's issue loop on the shared
-	// open-loop schedule (indexed by global request number); latency is
-	// then measured from the scheduled instant. Nil is closed-loop
-	// issue, latency from issue time.
-	arrivals Arrivals
-
-	// Latency records per-request client-side latency (issue or
-	// scheduled instant to Do return) in nanoseconds, one shard per
-	// client.
+	// Latency records per-request client-side latency (issue to Do
+	// return) in nanoseconds, one shard per client.
 	Latency *counter.Histogram
 	// Elapsed is the wall time of the last Run.
 	Elapsed time.Duration
@@ -113,10 +106,6 @@ func NewGraphServe(clients, requests int) *GraphServe {
 	return gs
 }
 
-// SetArrivals switches the clients to the given open-loop schedule,
-// indexed by global request number (nil restores closed-loop issue).
-func (gs *GraphServe) SetArrivals(a Arrivals) { gs.arrivals = a }
-
 // Name implements Workload.
 func (gs *GraphServe) Name() string { return "graphserve" }
 
@@ -171,8 +160,7 @@ func (gs *GraphServe) serveOne(ctx context.Context, cg *repro.CompiledGraph) err
 }
 
 // Run implements Workload: clients serve their request shares
-// concurrently through the shared compiled template, closed-loop or on
-// the open-loop arrival schedule.
+// concurrently through the shared compiled template, closed-loop.
 func (gs *GraphServe) Run(rt *core.Runtime) error {
 	cg, err := gs.template(rt)
 	if err != nil {
@@ -191,13 +179,6 @@ func (gs *GraphServe) Run(rt *core.Runtime) error {
 			defer wg.Done()
 			for r := g; r < gs.requests; r += gs.clients {
 				t0 := time.Now()
-				if gs.arrivals != nil {
-					i := r
-					if i >= len(gs.arrivals) {
-						i = len(gs.arrivals) - 1
-					}
-					t0 = gs.arrivals.Pace(start, i)
-				}
 				if err := gs.serveOne(ctx, cg); err != nil {
 					if errs[g] == nil {
 						errs[g] = err

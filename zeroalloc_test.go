@@ -12,8 +12,9 @@ import (
 // TestHotPathsAllocateNothing pins the runtime's zero-allocation
 // property at steady state: spawning, registering, scheduling,
 // releasing and completing a task of up to deps.InlineAccessCap
-// accesses — and serving a request from a compiled template — allocate
-// nothing once pools, queues and free lists are warm. Each shape runs once to warm up and once measured;
+// accesses — and serving a request from a compiled template, fan-out
+// siblings included — allocate nothing once pools, queues and free
+// lists are warm. Each shape runs once to warm up and once measured;
 // the tolerance (one allocation per ten operations) absorbs the per-Run
 // constants (handle, scope) and the amortized growth of pools and
 // queues when a run's live population peaks higher than the warm-up's
@@ -76,7 +77,41 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	render, _ := cg.NodeIndex("render")
+
+	// One source, four successors, one sink: the thread that finishes
+	// the source keeps one successor and spawns the other three plainly,
+	// the sibling path of a compiled fan-out.
+	fan := repro.NewGraph().Add("src", nil, small(3))
+	for _, name := range []string{"a", "b", "c", "d"} {
+		fan.Add(name, []string{"src"}, func(_ *repro.Ctx, d map[string]any) (any, error) {
+			return d["src"].(int) + 1, nil
+		})
+	}
+	fcg, err := fan.Add("sink", []string{"a", "b", "c", "d"}, func(_ *repro.Ctx, d map[string]any) (any, error) {
+		return d["a"].(int) + d["b"].(int) + d["c"].(int) + d["d"].(int), nil
+	}).Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, _ := fcg.NodeIndex("sink")
+
+	// doLoop serves ops requests from cg and checks node out of each.
 	ctx := context.Background()
+	doLoop := func(cg *repro.CompiledGraph, out, want int) func() error {
+		return func() error {
+			for i := 0; i < ops; i++ {
+				e, err := cg.Do(ctx)
+				if err != nil {
+					return err
+				}
+				if v, err := e.ValueAt(out); err != nil || v.(int) != want {
+					return fmt.Errorf("node %d = %v, %v, want %d", out, v, err, want)
+				}
+				e.Release()
+			}
+			return nil
+		}
+	}
 
 	loopRT := repro.New(repro.WithWorkers(2))
 	defer loopRT.Close()
@@ -115,19 +150,8 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 				c.Spawn(nop, repro.In(&cells[0]))
 			}
 		}), ops, ops / 10},
-		{"compiled-do", func() error {
-			for i := 0; i < ops; i++ {
-				e, err := cg.Do(ctx)
-				if err != nil {
-					return err
-				}
-				if v, err := e.ValueAt(render); err != nil || v.(int) != (21+13+7+21)^1 {
-					return fmt.Errorf("render = %v, %v", v, err)
-				}
-				e.Release()
-			}
-			return nil
-		}, ops, ops / 10},
+		{"compiled-do", doLoop(cg, render, (21+13+7+21)^1), ops, ops / 10},
+		{"compiled-fanout", doLoop(fcg, sink, 16), ops, ops / 10},
 		{"taskloop", taskloopRun(loopRT, loopOps), loopOps, 7 * loopOps},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

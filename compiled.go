@@ -48,16 +48,10 @@ type CompiledGraph struct {
 
 	// roots are the in-degree-zero node indices the request's root task
 	// readies; everything else is readied by its last-completing
-	// dependency. spec, when non-nil, carries one explicit priority
-	// clause per node: spawns inherit the spawning task's priority, so
-	// a template with any elevated node pins every node's level
-	// explicitly (shared read-only slices, passed to Spawn verbatim).
-	// When any node has a deadline (hasDL), each spec additionally
-	// carries a deadline clause at index 1 — but deadlines are absolute
-	// per request, so frames then use a private mutable copy of spec,
-	// restamped in begin (the template's slices stay read-only).
+	// dependency. attrs marks a template with an elevated or deadlined
+	// node, hasDL one with a deadlined node (see GraphExec.spawn).
 	roots []int32
-	spec  [][]AccessSpec
+	attrs bool
 	hasDL bool
 
 	// frames pools per-request execution state; see GraphExec.
@@ -115,15 +109,16 @@ func (g *Graph) Compile(rt *Runtime, opts ...CompileOption) (*CompiledGraph, err
 		cg.index[n.name] = i
 	}
 	cg.nodes = make([]cnode, len(order))
-	elevated := false
 	for i, n := range order {
 		cn := &cg.nodes[i]
 		cn.name = n.name
 		cn.fn = n.fn
-		cn.pri = n.pri
+		// Clamped here, as a task's level is, so two nodes compare
+		// equal exactly when their tasks would run at one level.
+		cn.pri = min(max(n.pri, 0), MaxPriority)
 		cn.dl = n.dl
-		elevated = elevated || n.pri != 0
 		cg.hasDL = cg.hasDL || n.dl != 0
+		cg.attrs = cg.attrs || cn.pri != 0 || n.dl != 0
 		cn.deps = make([]int32, len(n.deps))
 		// Dependencies precede dependents in topological order, so
 		// their effective purity (and this node's successor edges)
@@ -138,19 +133,6 @@ func (g *Graph) Compile(rt *Runtime, opts ...CompileOption) (*CompiledGraph, err
 		cn.pure = pure
 		if len(n.deps) == 0 {
 			cg.roots = append(cg.roots, int32(i))
-		}
-	}
-	if elevated || cg.hasDL {
-		cg.spec = make([][]AccessSpec, len(order))
-		for i := range cg.nodes {
-			cg.spec[i] = []AccessSpec{WithPriority(cg.nodes[i].pri)}
-			if cg.hasDL {
-				// Index 1 is the deadline clause by convention; Len 0
-				// means "no deadline" and is only overwritten — per
-				// request, on the frame's private copy — for nodes with
-				// a relative deadline (begin).
-				cg.spec[i] = append(cg.spec[i], WithDeadlineAt(0))
-			}
 		}
 	}
 	cg.memo = make([]atomic.Pointer[memoEntry], len(order))
@@ -269,11 +251,10 @@ type GraphExec struct {
 	root    func(*Ctx)
 	depm    []map[string]any
 
-	// spec is the frame's private copy of the template's access specs,
-	// present only when the template has deadline nodes: deadlines are
-	// absolute, so begin restamps each deadline clause to "request start
-	// + node offset" here, never on the shared template slices.
-	spec [][]AccessSpec
+	// start is the request's start on the runtime's deadline clock
+	// (NowNS), stamped by begin on templates with a deadlined node: a
+	// node's absolute deadline is start plus its offset.
+	start int64
 
 	vals  []any
 	errs  []error
@@ -304,12 +285,6 @@ func (cg *CompiledGraph) newFrame() *GraphExec {
 		errs:    make([]error, n),
 		state:   make([]uint8, n),
 	}
-	if cg.hasDL {
-		e.spec = make([][]AccessSpec, n)
-		for i := range cg.spec {
-			e.spec[i] = append([]AccessSpec(nil), cg.spec[i]...)
-		}
-	}
 	for i := range cg.nodes {
 		cn := &cg.nodes[i]
 		e.depm[i] = make(map[string]any, len(cn.deps))
@@ -332,18 +307,16 @@ func (cg *CompiledGraph) newFrame() *GraphExec {
 // advance is what follows a finished node of level pri and deadline
 // offset dl (or the start of the request's root task): it lowers the
 // join counter of each of succs, keeps the first node this readies and
-// spawns every further one plainly, at once — the kept node may be the
-// head of a long stretch, and a sibling parked in this thread's bypass
-// slot (SpawnNext) would wait that stretch out unseen by any worker.
-// The kept node then runs right here, as a call inside the running task
-// and in a loop (a chain does not grow the stack), when it needs no
-// scheduling decision: its level and deadline offset, fixed at Compile,
-// are the finished node's — so Ctx.Priority and Ctx.Deadline read in
-// its body what they would in a task of its own — and core.ContinueNode
-// finds the scope healthy and nothing of a higher level queued.
-// Otherwise it is spawned with SpawnNext as this body's last act, the
-// hand-off's contract: the ready callback applies the same two gates
-// and the scheduler orders, or drains, what they turn away.
+// spawns every further one at once — the kept node may be the head of a
+// long stretch, and a sibling held back for it would wait that stretch
+// out unseen by any worker. The kept node then runs right here, as a
+// call inside the running task and in a loop (a chain does not grow the
+// stack), when it needs no scheduling decision: its level and deadline
+// offset, fixed at Compile, are the finished node's — so Ctx.Priority
+// and Ctx.Deadline read in its body what they would in a task of its
+// own — and core.ContinueNode finds the scope healthy and nothing of a
+// higher level queued. Otherwise it is spawned too, and the scheduler
+// orders it, or drains it.
 func (e *GraphExec) advance(c *Ctx, succs []int32, pri int, dl time.Duration) {
 	for {
 		next := -1
@@ -354,7 +327,7 @@ func (e *GraphExec) advance(c *Ctx, succs []int32, pri int, dl time.Duration) {
 			if next < 0 {
 				next = int(s)
 			} else {
-				c.Spawn(e.bodies[s], e.specOf(int(s))...)
+				e.spawn(c, int(s))
 			}
 		}
 		if next < 0 {
@@ -362,7 +335,7 @@ func (e *GraphExec) advance(c *Ctx, succs []int32, pri int, dl time.Duration) {
 		}
 		cn := &e.cg.nodes[next]
 		if cn.pri != pri || cn.dl != dl || !core.ContinueNode(c, next) {
-			core.SpawnNext(c, e.bodies[next], e.specOf(next)...)
+			e.spawn(c, next)
 			return
 		}
 		e.runNode(c, next)
@@ -370,26 +343,26 @@ func (e *GraphExec) advance(c *Ctx, succs []int32, pri int, dl time.Duration) {
 	}
 }
 
-// specOf returns the clauses node i's task spawns with: none (spawns
-// inherit the spawning task's level) unless the template has an
-// elevated or deadlined node, then an explicit priority and, on
-// deadline templates, deadline clause; the frame's restamped copy wins
-// over the template's.
-func (e *GraphExec) specOf(i int) []AccessSpec {
-	if e.spec != nil {
-		return e.spec[i]
+// spawn offers node i to the workers as a task of its own. A spawned
+// task inherits the spawning task's level and deadline, so on a
+// template with any elevated or deadlined node every node's task states
+// both: its level, and its deadline — request start plus offset — or 0,
+// which clears an inherited one.
+func (e *GraphExec) spawn(c *Ctx, i int) {
+	if !e.cg.attrs {
+		c.Spawn(e.bodies[i])
+		return
 	}
-	if e.cg.spec != nil {
-		return e.cg.spec[i]
+	cn := &e.cg.nodes[i]
+	var dl int64
+	if cn.dl != 0 {
+		dl = e.start + cn.dl.Nanoseconds()
 	}
-	return nil
+	c.Spawn(e.bodies[i], WithPriority(cn.pri), WithDeadlineAt(dl))
 }
 
-// begin readies a pooled frame for the next request. On deadline
-// templates it also stamps each deadlined node's absolute deadline as
-// "now + offset" into the frame's private spec copy (deadline-less
-// nodes keep Len 0 — no deadline — which also clears any deadline the
-// spawning task would otherwise pass down).
+// begin readies a pooled frame for the next request, stamping its start
+// on templates with a deadlined node.
 func (e *GraphExec) begin() {
 	// vals, errs and err are clear already: by newFrame, or by the
 	// Release every pooled frame came back through.
@@ -397,13 +370,8 @@ func (e *GraphExec) begin() {
 	for i := range e.pending {
 		e.pending[i].Store(int32(max(1, len(e.cg.nodes[i].deps))))
 	}
-	if e.spec != nil {
-		base := core.NowNS()
-		for i := range e.cg.nodes {
-			if dl := e.cg.nodes[i].dl; dl != 0 {
-				e.spec[i][1].Len = int(base + dl.Nanoseconds())
-			}
-		}
+	if e.cg.hasDL {
+		e.start = core.NowNS()
 	}
 }
 

@@ -296,8 +296,8 @@ func waitAborted(c *repro.Ctx) error {
 	return nil
 }
 
-// TestCompiledChainYieldsToElevated mirrors core's TestSpawnNextDeclines
-// for the continuation: while an elevated task is queued in the serving
+// TestCompiledChainYieldsToElevated mirrors core's TestBypassGates for
+// the continuation: while an elevated task is queued in the serving
 // thread's domain, a level-0 chain does not go on as a call — the next
 // node is spawned, the policy orders the two, and the elevated task
 // starts before the chain's tail. The one worker is held busy so the
@@ -375,22 +375,24 @@ func TestCompiledChainYieldsToElevated(t *testing.T) {
 // TestCompiledMixedLevelsNeverContinueAcross: a chain whose nodes
 // change priority level and deadline offset along the way continues
 // only where both stay the same, and every body reads its declared
-// level and its own deadline — request start plus offset, 0 without one
-// — as it would in a task of its own.
+// level — clamped to [0, MaxPriority], so out-of-range declarations of
+// one level continue into each other — and its own deadline — request
+// start plus offset, 0 without one — as it would in a task of its own.
 func TestCompiledMixedLevelsNeverContinueAcross(t *testing.T) {
 	type attr struct {
 		pri int
 		dl  time.Duration
 	}
 	attrs := []attr{
-		{0, 0}, {0, 0}, // continued from the root, then from each other
+		{-1, 0}, {0, 0}, // level 0 below the range: continued from the root, then from each other
 		{2, 0}, {2, 0}, // level change: spawned, then continued
 		{0, 0},                         // back down: spawned
 		{2, time.Hour}, {2, time.Hour}, // level and deadline change: spawned, then continued
-		{2, 2 * time.Hour}, // deadline change alone: spawned
-		{2, 0},             // deadline dropped: spawned
+		{2, 2 * time.Hour},                                 // deadline change alone: spawned
+		{2, 0},                                             // deadline dropped: spawned
+		{repro.MaxPriority + 6, 0}, {repro.MaxPriority, 0}, // the top level above the range: spawned, then continued
 	}
-	wantCont := []int{0, 1, 3, 6}
+	wantCont := []int{0, 1, 3, 6, 10}
 	n := len(attrs)
 	const reqs = 20
 	rt := tracedRuntime()
@@ -421,8 +423,8 @@ func TestCompiledMixedLevelsNeverContinueAcross(t *testing.T) {
 		hi := repro.NowNS()
 		var base int64
 		for i, a := range attrs {
-			if pri[i] != a.pri {
-				t.Fatalf("node %d read priority %d, want %d", i, pri[i], a.pri)
+			if want := min(max(a.pri, 0), repro.MaxPriority); pri[i] != want {
+				t.Fatalf("node %d read priority %d, want %d", i, pri[i], want)
 			}
 			if a.dl == 0 {
 				if dl[i] != 0 {

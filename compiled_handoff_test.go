@@ -66,11 +66,12 @@ func TestCompiledFanOutSiblingsOffered(t *testing.T) {
 }
 
 // TestCompiledEventNodeSuccessor: a node body that parks on an external
-// event has already handed its successor to the executing thread's slot
-// when it returns. "held" reaches a worker through the scheduler (its
-// sibling keeps the serving thread busy until it has started), so the
-// thread that parks it is a worker between two scheduler polls, with
-// nothing but execute's return value to carry the successor. Both
+// event has already released its successor when it returns — continued
+// it, or spawned it — since successors are readied from inside the
+// body, not by the task's completion. "held" reaches a worker through
+// the scheduler (its sibling keeps the serving thread busy until it has
+// started), so the thread that parks it is a worker between two
+// scheduler polls, which returns to polling with nothing in hand. Both
 // submission paths: inline serving and dispatch.
 func TestCompiledEventNodeSuccessor(t *testing.T) {
 	for name, cfg := range map[string]repro.Config{

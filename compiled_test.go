@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/workloads"
 )
 
 func TestCompiledBasic(t *testing.T) {
@@ -197,26 +196,78 @@ func TestCompiledDifferentialFailFast(t *testing.T) {
 
 // TestCompiledServeStorm drives one shared template from many
 // concurrent clients with exact per-request verification: every
-// request's unique ticket must flow through the whole fan-in DAG to the
-// sink unmixed with any other in-flight frame's.
+// request draws a unique ticket in its source node, and the fan-in
+// below it must deliver that ticket's exact value to the sink, unmixed
+// with any other in-flight frame's — a result slot leaking between
+// pooled frames, or an edge firing early, shows as a wrong sink or a
+// ticket seen twice. The sink is elevated, so its task is spawned with
+// explicit attributes.
 func TestCompiledServeStorm(t *testing.T) {
 	rt := repro.New(repro.WithWorkers(4))
 	defer rt.Close()
+	const clients = 12
 	requests := 4000
 	if testing.Short() {
 		requests = 800
 	}
-	gs := workloads.NewGraphServe(12, requests)
+	var seq atomic.Int64
+	lin := func(dep string, k, c int64) repro.GraphFunc {
+		return func(_ *repro.Ctx, d map[string]any) (any, error) { return d[dep].(int64)*k + c, nil }
+	}
+	cg, err := repro.NewGraph().
+		Add("ticket", nil, func(*repro.Ctx, map[string]any) (any, error) { return seq.Add(1), nil }).
+		Add("a", []string{"ticket"}, lin("ticket", 3, 1)).
+		Add("b", []string{"ticket"}, lin("ticket", 5, 2)).
+		Add("sink", []string{"a", "b", "ticket"}, func(_ *repro.Ctx, d map[string]any) (any, error) {
+			return d["a"].(int64) + d["b"].(int64)*2 + d["ticket"].(int64)*7, nil
+		}).
+		SetPriority("sink", 1).
+		Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick, _ := cg.NodeIndex("ticket")
+	sink, _ := cg.NodeIndex("sink")
 	for round := 0; round < 2; round++ {
-		gs.Reset()
-		if err := gs.Run(rt); err != nil {
-			t.Fatalf("round %d: Run: %v", round, err)
+		seq.Store(0)
+		seen := make([]atomic.Bool, requests)
+		serve := func() error {
+			e, err := cg.Do(context.Background())
+			if err != nil {
+				return err
+			}
+			defer e.Release()
+			tv, _ := e.ValueAt(tick)
+			sv, err := e.ValueAt(sink)
+			if err != nil {
+				return err
+			}
+			tk := tv.(int64)
+			if tk < 1 || tk > int64(requests) || seen[tk-1].Swap(true) {
+				return fmt.Errorf("ticket %d out of range or delivered twice", tk)
+			}
+			if want := 20*tk + 5; sv.(int64) != want {
+				return fmt.Errorf("ticket %d: sink = %v, want %d", tk, sv, want)
+			}
+			return nil
 		}
-		if err := gs.Verify(); err != nil {
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := g; r < requests && errs[g] == nil; r += clients {
+					errs[g] = serve()
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if n := gs.Latency.Count(); n != int64(requests) {
-			t.Fatalf("round %d: latency samples = %d, want %d", round, n, requests)
+		if n := seq.Load(); n != int64(requests) {
+			t.Fatalf("round %d: %d tickets drawn for %d requests", round, n, requests)
 		}
 	}
 }

@@ -135,10 +135,9 @@ func (rt *Runtime) releaseExternal(t *Task) {
 // dependency unregister, completion cascade — so successors, handle
 // and scope observe exactly what an inline completion would have
 // produced. When the final decrementer is itself a worker (isWorker),
-// the bypass slot is armed around the unregister and whatever it then
-// holds — the first successor this release readied, or a SpawnNext
-// child the calling body had already left there — is executed inline
-// with its chain, matching the worker release path; decrements from
+// the bypass slot is armed around the unregister and the first
+// successor this release readied is executed inline with its chain,
+// matching the worker release path; decrements from
 // completer slots route every readied successor
 // through the scheduler (whose Add maintains the priority pending
 // counts — a deferred release never lets a successor jump a queued
@@ -151,8 +150,7 @@ func (rt *Runtime) releaseDeferred(t *Task, id int, isWorker bool) {
 		bs := &rt.bypass[id]
 		bs.armed = true
 		rt.deps.Unregister(&t.node, id)
-		bs.armed = false
-		next = bs.take()
+		next = bs.disarm()
 	} else {
 		rt.deps.Unregister(&t.node, id)
 	}

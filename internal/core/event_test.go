@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -487,5 +488,98 @@ func TestDrainContextCancel(t *testing.T) {
 	}
 	if err := rt.Drain(context.Background()); err != nil {
 		t.Fatalf("follow-up Drain = %v", err)
+	}
+}
+
+// TestTenThousandInflightGraphsOnEightWorkers: 10,000 echo-style request
+// graphs are driven to the parked state *simultaneously* on an 8-worker
+// runtime — every backend body has returned with its event pending, so
+// PendingEvents reports all 10,000 — before a handful of completer
+// goroutines fire the "responses". The run must then drain completely
+// and verify bit-exact: in-flight capacity is bounded by memory, not by
+// workers (a body that blocked instead would cap it at 8).
+func TestTenThousandInflightGraphsOnEightWorkers(t *testing.T) {
+	const (
+		requests = 10_000
+		nkeys    = 64
+	)
+	rt := New(Config{Workers: 8})
+	defer rt.Close()
+
+	keys := make([]float64, nkeys)
+	for i := range keys {
+		keys[i] = float64(1 + i%9)
+	}
+	stage := make([]float64, requests)
+	resp := make([]float64, requests)
+	evs := make([]*EventCounter, requests)
+	reqKey := func(r int) int { return int(uint64(r) * 2654435761 % uint64(nkeys)) }
+	reqDelta := func(r int) float64 { return float64(1 + (r*7+3)%11) }
+
+	replies := make([]*Handle, requests)
+	for r := 0; r < requests; r++ {
+		st, rp := &stage[r], &resp[r]
+		key := &keys[reqKey(r)]
+		rt.Submit(func(*Ctx) (any, error) {
+			*st = reqDelta(r)
+			return nil, nil
+		}, Out(st))
+		rt.Submit(func(c *Ctx) (any, error) {
+			ec := c.Events()
+			ec.Add(1)
+			evs[r] = ec // published to the firing goroutines via PendingEvents below
+			return nil, nil
+		}, In(st), Out(rp))
+		replies[r] = rt.Submit(func(*Ctx) (any, error) {
+			*key += *rp
+			return nil, nil
+		}, In(rp), InOut(key))
+	}
+
+	// Every backend body must return with its event pending: all 10k
+	// graphs parked at once, no worker held.
+	deadline := time.Now().Add(30 * time.Second)
+	for rt.PendingEvents() != requests {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d graphs parked on events", rt.PendingEvents(), requests)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Fire the 10k responses from 8 external goroutines.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := g; r < requests; r += 8 {
+				resp[r] = stage[r] * 2
+				evs[r].Done()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for r, h := range replies {
+		if _, err := h.Wait(nil); err != nil {
+			t.Fatalf("reply %d: %v", r, err)
+		}
+	}
+
+	for k := 0; k < nkeys; k++ {
+		want := float64(1 + k%9)
+		for r := 0; r < requests; r++ {
+			if reqKey(r) == k {
+				want += reqDelta(r) * 2
+			}
+		}
+		if keys[k] != want {
+			t.Fatalf("key %d = %v, want %v", k, keys[k], want)
+		}
+	}
+	if live := rt.LiveTasks(); live != 0 {
+		t.Fatalf("LiveTasks = %d after drain, want 0", live)
+	}
+	if pend := rt.PendingEvents(); pend != 0 {
+		t.Fatalf("PendingEvents = %d after drain, want 0", pend)
 	}
 }

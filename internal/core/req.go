@@ -69,13 +69,12 @@ func NewReq() *Req {
 // index, and SubmitReq returns only once the request fully completed —
 // skipping both cross-goroutine hand-offs (submit wake-up, completion
 // wake-up) of the dispatch path. A body that readies several tasks at
-// once keeps only the first for this goroutine (SpawnNext, or the
-// dependency release's successor bypass); the others go through the
-// scheduler and run on the workers concurrently, so inline serving
-// never reduces parallelism. When every slot is busy (or ServeSlots is
-// negative),
-// the root dispatches through the scheduler as before and Wait blocks
-// on the latch.
+// once keeps only the first for this goroutine (a compiled graph's
+// continuation, or the dependency release's successor bypass); the
+// others go through the scheduler and run on the workers concurrently,
+// so inline serving never reduces parallelism. When every slot is busy
+// (or ServeSlots is negative), the root dispatches through the
+// scheduler as before and Wait blocks on the latch.
 //
 // A deadline costs one timer registration (a captured-generation
 // closure on the wheel); the d == 0 path allocates nothing.
@@ -137,8 +136,7 @@ func (rt *Runtime) submitReqInline(r *Req, sc *scope, body func(*Ctx), slot int)
 	bs := &rt.bypass[slot]
 	bs.armed = true
 	rt.registerWith(&rt.global, rt.rootDom, t, slot)
-	bs.armed = false
-	next := bs.take()
+	next := bs.disarm()
 	rt.gate.Leave(shard)
 	// The bypass declines a root whose scope is already aborted (or
 	// when higher-priority work is queued); the root then went through

@@ -37,26 +37,25 @@ var epoch = time.Now()
 func NowNS() int64 { return int64(time.Since(epoch)) }
 
 // bypassSlot is one thread index's immediate-successor hand-off: while
-// the slot is armed — inside deps.Unregister, and around a SpawnNext or
-// inline-serving registration — the first eligible task the ready
-// callback sees is parked here instead of round-tripping through the
-// scheduler, and the owning thread runs it next. Nothing else can reach
-// a parked task, so the owner must empty the slot (take) wherever it
-// stops running the current body: both returns of execute, takeWork
-// and releaseDeferred, i.e. before it can park, leave helpUntil or
-// give a borrowed index back. The slot is strictly thread-local — armed
-// and next are only ever touched by the goroutine that owns the index —
-// and padded so neighbouring slots never false-share.
+// the slot is armed — around a deps.Unregister, or the registration of
+// an inline-served root — the first eligible task the ready callback
+// sees is parked here instead of round-tripping through the scheduler,
+// and disarm hands it to the owning thread, which runs it next. No body
+// runs inside an armed region, so the slot is empty whenever a body
+// starts or returns. The slot is strictly thread-local — armed and next
+// are only ever touched by the goroutine that owns the index — and
+// padded so neighbouring slots never false-share.
 type bypassSlot struct {
 	armed bool
 	next  *Task
 	_     [48]byte
 }
 
-// take empties the slot and returns what it held.
-func (bs *bypassSlot) take() *Task {
+// disarm closes the armed region and returns the task the ready
+// callback parked in it, if any, leaving the slot empty.
+func (bs *bypassSlot) disarm() *Task {
 	t := bs.next
-	bs.next = nil
+	bs.armed, bs.next = false, nil
 	return t
 }
 
@@ -146,8 +145,8 @@ type Runtime struct {
 	// bypass and wctx are per-worker hot-path state (successor bypass
 	// slots and reusable execution contexts), indexed by worker; bypass
 	// has extra slots for the submitter and event-completer indices so
-	// the ready callback can index it unconditionally (the extra slots
-	// are never armed).
+	// the ready callback can index it unconditionally (those are never
+	// armed; inline-serving slots are).
 	bypass []bypassSlot
 	wctx   []ctxSlot
 
@@ -532,11 +531,10 @@ func build(cfg Config) *Runtime {
 
 	// ready routes a now-runnable task to the scheduler — unless the
 	// calling thread has armed its bypass slot (it is releasing
-	// dependencies, or registering a SpawnNext child or an inline-served
-	// root) and the slot is free, in which case the first eligible task
-	// is handed straight back to that thread (Nanos6's
-	// immediate-successor optimization). ReadyFn fires exactly once per
-	// task, so parking
+	// dependencies, or registering an inline-served root) and the slot
+	// is free, in which case the first eligible task is handed straight
+	// back to that thread (Nanos6's immediate-successor optimization).
+	// ReadyFn fires exactly once per task, so parking
 	// the task in the slot instead of the scheduler preserves
 	// exactly-once scheduling; commutative tasks (which may have to be
 	// re-enqueued after losing the token race) and tasks of cancelled
@@ -922,44 +920,16 @@ func (rt *Runtime) spawn(parent *Task, body func(*Ctx), accs []deps.AccessSpec, 
 	rt.register(parent, t, worker)
 }
 
-// SpawnNext is Ctx.Spawn for a body that is about to return or to enter
-// a helping wait (Taskwait, Await): the child registers with the
-// caller's bypass slot armed, so if it is ready at once and the ready
-// callback's gates pass (not commutative, scope healthy, nothing of a
-// higher level queued) it runs next on this thread without touching the
-// scheduler — the hand-off deps.Unregister gives a released successor,
-// for graphs that release successors by spawning them (compiled
-// templates' join counters). Only the first such child of a body fits
-// the slot; further ones go through the scheduler, so a fan-out keeps
-// its critical path local and still offers the siblings to every
-// worker.
-//
-// It is a package function, not a Ctx method, and Spawn does not do
-// this, because of the contract: until the caller returns or helps, the
-// parked child is invisible to every other thread — a body that spawned
-// and then blocked without helping would strand it (a centralized
-// scheduler has no stealing to recover it with).
-func SpawnNext(c *Ctx, body func(*Ctx), accs ...deps.AccessSpec) {
-	rt := c.rt
-	t := rt.newTask(c.task, body, accs, c.worker)
-	// A body never runs inside an armed region, and an occupied slot
-	// makes the ready callback decline, so arming is unconditional.
-	bs := &rt.bypass[c.worker]
-	bs.armed = true
-	rt.register(c.task, t, c.worker)
-	bs.armed = false
-}
-
 // ContinueNode reports whether the body running on c may go on with
 // graph node `node` as a plain call inside its own task instead of
-// spawning it — the hand-off taken to its end: no shell, registration or
-// completion at all. The caller vouches for what is fixed per graph
-// (the node is ready, access-free, and of the running task's level and
-// deadline, so it needs no scheduling decision); ContinueNode checks
-// what is not, mayHandOff's gates against the running task, and records
-// a pass as one KNodeContinue event, the only trace a continued node
-// leaves. On false the caller spawns the node (SpawnNext): the policy
-// orders it, or the scheduler drains it.
+// spawning it — the immediate-successor hand-off taken to its end: no
+// shell, registration or completion at all. The caller vouches for what
+// is fixed per graph (the node is ready, access-free, and of the running
+// task's level and deadline, so it needs no scheduling decision);
+// ContinueNode checks what is not, mayHandOff's gates against the
+// running task, and records a pass as one KNodeContinue event, the only
+// trace a continued node leaves. On false the caller spawns the node:
+// the policy orders it, or the scheduler drains it.
 func ContinueNode(c *Ctx, node int) bool {
 	rt := c.rt
 	if !rt.mayHandOff(c.task, int(rt.slotDom[c.worker])) {
@@ -1164,10 +1134,8 @@ func (rt *Runtime) takeElevated(id, home int) *Task {
 }
 
 // takeWork is the non-blocking work source of the helping loops
-// (Taskwait, loop-owner completion wait): the caller's own bypass slot
-// first (a SpawnNext child of the body that is now waiting — nobody
-// else can run it), then the work-share lane (when any loop is live),
-// then the caller's home domain, then — on
+// (Taskwait, loop-owner completion wait): the work-share lane (when any
+// loop is live), then the caller's home domain, then — on
 // multi-domain runtimes — every remote domain in turn. A helper is
 // already blocked on a condition only other tasks can satisfy, so
 // unlike workerLoop it scans remotes unboundedly: a waited-on subgraph
@@ -1176,9 +1144,6 @@ func (rt *Runtime) takeElevated(id, home int) *Task {
 // yields to a queued higher-priority task (of the helper's domain) by
 // re-routing through the scheduler.
 func (rt *Runtime) takeWork(id int) *Task {
-	if t := rt.bypass[id].take(); t != nil {
-		return t
-	}
 	home := int(rt.slotDom[id])
 	if rt.loopsActive.Load() > 0 {
 		if t := rt.share.Take(id); t != nil {
@@ -1238,17 +1203,15 @@ func (rt *Runtime) helpWhileChildren(t *Task, id int) {
 
 // execute runs one ready task to completion on worker id: commutative
 // token acquisition, body, dependency release, completion cascade. It
-// returns the content of the worker's bypass slot — the first eligible
-// task the body handed over with SpawnNext or the dependency release
-// readied: the caller's loop executes it next without a scheduler
-// round-trip.
+// returns the first eligible successor the dependency release readied
+// (the bypass slot's hand-off): the caller's loop executes it next
+// without a scheduler round-trip.
 //
 // A body that registered external events (Ctx.Events) may return with
 // completions still pending; the task then *parks* — everything after
 // the body (commutative release, unregister, completeOne) is deferred
 // to the final event decrement (releaseDeferred) — and execute returns
-// at once (with a SpawnNext child, if the body left one) so the worker
-// is immediately available for other work.
+// nil at once so the worker is immediately available for other work.
 //
 // If the task's scope has been cancelled (caller context done, or an
 // earlier error under FailFast), the body is skipped entirely — but the
@@ -1305,12 +1268,11 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 			// live == 0 && eventsHeld == 0 can never hold with a
 			// release in flight, and PendingEvents never lags a
 			// resolved handle. After a losing guard drop, t belongs to
-			// the final decrementer and must not be touched here; the
-			// bypass slot is this thread's own.
+			// the final decrementer and must not be touched here.
 			rt.eventsHeld.v.Add(1)
 			if ec.n.Add(-1) > 0 {
 				rt.tracer.Emit(id, trace.KEventHold, 0)
-				return rt.bypass[id].take()
+				return nil
 			}
 			ec.n.Store(eventsDrained) // spent: late Add/Done must panic
 			rt.eventsHeld.v.Add(-1)
@@ -1319,17 +1281,15 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 	}
 
 	// Arm the bypass slot for the duration of the dependency release:
-	// the ready callback parks the first eligible successor here, unless
-	// the body already left a SpawnNext child in it. The slot is consumed
-	// before completeOne so a recycled shell can never alias the parked
-	// task.
+	// the ready callback parks the first eligible successor here. The
+	// slot is disarmed before completeOne so a recycled shell can never
+	// alias the parked task.
 	bs := &rt.bypass[id]
 	bs.armed = true
 	t0 := rt.tracer.Now()
 	rt.deps.Unregister(&t.node, id)
 	rt.tracer.EmitTS(id, trace.KDepUnregister, uint64(rt.tracer.Now()-t0), t0)
-	bs.armed = false
-	next := bs.take()
+	next := bs.disarm()
 	rt.completeOne(t, id)
 	return next
 }

@@ -1,9 +1,10 @@
 // Package workloads implements the eight benchmarks of the paper's
 // evaluation (§6.1) as task graphs over the runtime's public API —
 // DotProduct, Heat (Gauss-Seidel), HPCCG, a LULESH proxy, a miniAMR
-// proxy, Matmul, NBody, and Cholesky — plus Server, a sustained-traffic
-// scenario beyond the paper: many goroutines concurrently submitting
-// small dependent request graphs through the sharded root domain.
+// proxy, Matmul, NBody, and Cholesky. The serving scenarios beyond the
+// paper (closed-loop compiled graphs, the two-class QoS mix, the
+// timer-parked echo proxy) are workloads of the benchmark of record
+// (go run ./benchmark), which drives them through the public API.
 //
 // Every workload runs a constant problem size while the task granularity
 // (work units per task) varies — the paper's experimental axis. Each
@@ -15,7 +16,6 @@ package workloads
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/deps"
@@ -75,18 +75,6 @@ var Registry = map[string]Builder{
 	"nbody":      func(s Size, b int) Workload { return NewNBody(s.N, b, s.Steps) },
 	"lulesh":     func(s Size, b int) Workload { return NewLulesh(s.N, b, s.Steps) },
 	"miniamr":    func(s Size, b int) Workload { return NewMiniAMR(s.N, b, s.Steps) },
-	// server interprets N as the key count, Steps as the total request
-	// count and block as the number of concurrent submitter goroutines.
-	"server": func(s Size, b int) Workload { return NewServer(s.N, b, s.Steps) },
-	// qos is the two-class latency-SLO scenario: N keys, Steps
-	// interactive requests, block batch clients, priorities enabled.
-	"qos": func(s Size, b int) Workload { return NewQoSServer(s.N, s.Steps, b, true) },
-	// echo is the external-events RPC-proxy scenario: N keys, Steps
-	// requests, block client goroutines, a 1ms simulated backend in
-	// events (non-blocking) mode with a 64-deep window per client.
-	"echo": func(s Size, b int) Workload {
-		return NewEcho(s.N, b, s.Steps, 64, time.Millisecond, false)
-	},
 }
 
 // Build constructs a named workload or returns an error listing the
@@ -130,8 +118,5 @@ func almostEqual(a, b, relTol float64) bool {
 	return d <= relTol*m
 }
 
-// Reduction op aliases for brevity inside the workload files.
-const (
-	redSum = deps.OpSum
-	redMax = deps.OpMax
-)
+// redSum aliases the sum reduction for brevity inside the workload files.
+const redSum = deps.OpSum

@@ -23,9 +23,6 @@ func smallSizes() map[string]struct {
 		"nbody":      {Size{N: 128, Steps: 3}, 32},
 		"lulesh":     {Size{N: 512, Steps: 5}, 64},
 		"miniamr":    {Size{N: 512, Steps: 6}, 64},
-		"server":     {Size{N: 32, Steps: 600}, 8},
-		"qos":        {Size{N: 64, Steps: 10}, 3},
-		"echo":       {Size{N: 32, Steps: 300}, 4},
 	}
 }
 
@@ -104,39 +101,6 @@ func TestWorkloadsOnComparisonRuntimes(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestQoSServerBothModes runs the two-class scenario with priorities
-// on and off: the final key table must be exact either way (priorities
-// reorder ready tasks, never results), and both class histograms must
-// have recorded every request.
-func TestQoSServerBothModes(t *testing.T) {
-	for _, pri := range []bool{true, false} {
-		rt := newTestRuntime(core.VariantOptimized)
-		q := NewQoSServer(256, 12, 3, pri)
-		if err := q.Run(rt); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Verify(); err != nil {
-			t.Fatalf("usePriority=%v: %v", pri, err)
-		}
-		if got := q.Interactive.Count(); got != 12 {
-			t.Fatalf("usePriority=%v: %d interactive samples, want 12", pri, got)
-		}
-		if got, want := q.Batch.Count(), int64(q.BatchRequests()); got != want {
-			t.Fatalf("usePriority=%v: %d batch samples, want %d", pri, got, want)
-		}
-		if q.BatchRequests() < q.batchClients*qosBatchWindow {
-			t.Fatalf("usePriority=%v: only %d batch requests issued", pri, q.BatchRequests())
-		}
-		if q.Elapsed <= 0 || q.BatchNsPerRequest() <= 0 {
-			t.Fatalf("usePriority=%v: elapsed/throughput not recorded", pri)
-		}
-		if n := rt.LiveTasks(); n != 0 {
-			t.Fatalf("usePriority=%v: LiveTasks = %d", pri, n)
-		}
-		rt.Close()
 	}
 }
 

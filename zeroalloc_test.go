@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -13,7 +14,8 @@ import (
 // property at steady state: spawning, registering, scheduling,
 // releasing and completing a task of up to deps.InlineAccessCap
 // accesses — and serving a request from a compiled template, fan-out
-// siblings included — allocate nothing once pools, queues and free
+// siblings and elevated or deadlined nodes included — allocate nothing
+// once pools, queues and free
 // lists are warm. Each shape runs once to warm up and once measured;
 // the tolerance (one allocation per ten operations) absorbs the per-Run
 // constants (handle, scope) and the amortized growth of pools and
@@ -94,6 +96,13 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink, _ := fcg.NodeIndex("sink")
+	// The same fan-out with one node at level 2 and two with deadlines:
+	// every node's task is spawned with its level and deadline stated.
+	acg, err := fan.SetPriority("a", 2).SetDeadline("b", time.Second).
+		SetDeadline("sink", 2*time.Second).Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// doLoop serves ops requests from cg and checks node out of each.
 	ctx := context.Background()
@@ -152,6 +161,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		}), ops, ops / 10},
 		{"compiled-do", doLoop(cg, render, (21+13+7+21)^1), ops, ops / 10},
 		{"compiled-fanout", doLoop(fcg, sink, 16), ops, ops / 10},
+		{"compiled-fanout-attrs", doLoop(acg, sink, 16), ops, ops / 10},
 		{"taskloop", taskloopRun(loopRT, loopOps), loopOps, 7 * loopOps},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

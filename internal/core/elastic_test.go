@@ -148,6 +148,39 @@ func TestElasticDrainWhileParked(t *testing.T) {
 	}
 }
 
+// TestLoopRecruitsFromParkedPool: a taskloop submitted into a fully
+// parked pool is shared. Its steal descriptors are ordinary tasks, so
+// schedAdd's wake is the only thing that can recruit a second worker;
+// if it did not, one worker would run every chunk.
+func TestLoopRecruitsFromParkedPool(t *testing.T) {
+	rt := New(Config{Workers: 4, IdleSpin: 1})
+	defer rt.Close()
+	waitStats(t, rt, "idle pool never fully parked", func(s Stats) bool {
+		return s.Parked == 4
+	})
+	ranOn := make([]atomic.Bool, rt.Slots())
+	err := rt.RunLoop(0, 64, 1, func(c *Ctx, _, _ int) {
+		ranOn[c.Worker()].Store(true)
+		for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := 0
+	for i := range ranOn {
+		if ranOn[i].Load() {
+			workers++
+		}
+	}
+	if workers < 2 {
+		t.Fatalf("a 64-chunk loop ran on %d worker(s), want more than one", workers)
+	}
+	waitStats(t, rt, "loop left queued work behind", func(s Stats) bool {
+		return s.Pending == 0
+	})
+}
+
 // TestElasticLostWakeupStorm hammers the park/wake edge across the
 // scheduler designs: tiny spin budgets force workers to park between
 // the bursts, so every submission round races the pre-sleep recheck

@@ -22,14 +22,17 @@ import (
 // publishes a *steal descriptor* — a pooled, access-free child task
 // whose body is an entry point into the same claim loop — and begins
 // claiming chunks. A worker that picks the descriptor up publishes the
-// next descriptor and joins the claiming. Descriptors ride the
-// scheduler's WorkShare hand-off lane (falling back to the ordinary
-// scheduler when the lane is full), so recruitment is one CAS, not a
-// queue round-trip. The owner's body returns only after the span is
-// drained AND every descriptor has completed (it helps execute ready
-// tasks while waiting, like Taskwait), so the loop's dependency release
-// — and therefore the immediate-successor bypass to whatever the final
-// chunk unblocks — happens exactly once, after the last chunk.
+// next descriptor and joins the claiming. A descriptor is an ordinary
+// task: its ready callback sends it through the scheduler like any
+// other, so the priority policy orders it, the pending count counts it
+// and the enqueue wakes a parked worker for it. A stealer that sees a
+// higher-level task queued stops claiming (loopClaim), which bounds how
+// long a running descriptor holds its worker. The owner's body returns
+// only after the span is drained AND every descriptor has completed (it
+// helps execute ready tasks while waiting, like Taskwait), so the loop's
+// dependency release — and therefore the immediate-successor bypass to
+// whatever the final chunk unblocks — happens exactly once, after the
+// last chunk.
 //
 // Claiming. The remaining span is a single atomic cursor. A claim takes
 // half of what remains, capped at a per-claim maximum of
@@ -110,7 +113,6 @@ func (rt *Runtime) newLoopTask(parent *Task, lo, hi, grain int, body func(*Ctx, 
 	ls.skipped.Store(false)
 	ls.fail.Store(nil)
 	t.loop = ls
-	rt.loopsActive.Add(1)
 	return t
 }
 

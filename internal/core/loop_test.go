@@ -317,10 +317,9 @@ func TestLoopReductionMatchesSerial(t *testing.T) {
 }
 
 // TestLoopOnEverySchedulerKind runs a loop+reduction on each scheduler
-// design. The blocking scheduler is the interesting one: its idle
-// workers park in a condvar inside Get and can never poll the
-// work-share lane, so steal descriptors must route through the
-// scheduler's own Add/Signal path there.
+// design. Steal descriptors are ordinary tasks, so each design's own
+// Add path (and, for the blocking scheduler, its Signal) must deliver
+// them to idle workers.
 func TestLoopOnEverySchedulerKind(t *testing.T) {
 	for _, kind := range []SchedulerKind{
 		SchedSyncDTLock, SchedCentralPTLock, SchedBlocking, SchedWorkStealing,
@@ -342,7 +341,7 @@ func TestLoopOnEverySchedulerKind(t *testing.T) {
 }
 
 // TestLoopManyConcurrentLoops submits loops from several goroutines at
-// once, exercising concurrent recruitment through the shared lane.
+// once, exercising concurrent recruitment through the scheduler.
 func TestLoopManyConcurrentLoops(t *testing.T) {
 	rt := loopTestRT(t, 4)
 	const loops, n = 8, 4000

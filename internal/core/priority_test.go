@@ -207,11 +207,10 @@ func TestPriorityStarvationBounded(t *testing.T) {
 }
 
 // TestPriorityWithTaskloopsStress runs level-0 work-sharing loops
-// concurrently with a MaxPriority submission stream: the lane
-// re-route (a descriptor taken while a higher level is queued goes
-// back through the scheduler) and the stealer claim-yield must not
-// lose descriptors, skip iterations, or strand handles, on any
-// scheduler design.
+// concurrently with a MaxPriority submission stream: the priority
+// policy ordering level-0 steal descriptors behind elevated tasks, and
+// the stealer claim-yield, must not lose descriptors, skip iterations,
+// or strand handles, on any scheduler design.
 func TestPriorityWithTaskloopsStress(t *testing.T) {
 	for _, sk := range schedKindsUnderStress() {
 		t.Run(sk.testName(), func(t *testing.T) {

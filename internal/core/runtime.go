@@ -150,18 +150,6 @@ type Runtime struct {
 	bypass []bypassSlot
 	wctx   []ctxSlot
 
-	// share is the chunk-aware hand-off lane for taskloop steal
-	// descriptors (see loop.go): loop recruitment bypasses the policy
-	// queues. loopsActive counts loop tasks created but not fully
-	// completed and gates the lane polls, so runs without loops never
-	// touch it. shareEnabled is false for the blocking scheduler, whose
-	// workers park in a condvar inside Get and would never observe the
-	// lane — descriptors then route through the scheduler (whose Add
-	// wakes a sleeper) like any other task.
-	share        *sched.WorkShare[Task]
-	shareEnabled bool
-	loopsActive  atomic.Int64
-
 	// External-event machinery (see event.go): evSlots pools the
 	// exclusive thread indices non-worker goroutines borrow to run the
 	// deferred release path, wheel is the shared timer backing
@@ -225,11 +213,10 @@ type domain struct {
 	// the levels above a candidate's own before parking it, so a
 	// low-priority immediate successor cannot jump a queued
 	// high-priority task of its own domain. Counting covers exactly the
-	// tasks routed through sched.Add/Get — the work-share lane's steal
-	// descriptors are a bounded-size fast path outside it (see
-	// DESIGN.md). Each level sits on its own cache line; runs that
-	// never set a priority only ever *read* these (always-zero) lines
-	// on the bypass path, which stays cached and contention-free.
+	// tasks routed through sched.Add/Get. Each level sits on its own
+	// cache line; runs that never set a priority only ever *read* these
+	// (always-zero) lines on the bypass path, which stays cached and
+	// contention-free.
 	priPending [sched.PriorityLevels]paddedCount
 
 	// shedIn/shedOut count tasks this domain stole from others /
@@ -416,16 +403,6 @@ func (rt *Runtime) wakeWorker(dom int) {
 	}
 }
 
-// wakeWorkerLane is wakeWorker for producers whose work sits outside
-// the domain pending counts (the taskloop work-share lane): the
-// throttle is disabled, so a parked worker is always claimed if one
-// exists.
-func (rt *Runtime) wakeWorkerLane(dom int) {
-	if rt.elastic {
-		rt.parker.WakeOne(dom, -1)
-	}
-}
-
 // higherPriPending reports whether any task with a priority level above
 // pri is currently queued in domain dom's scheduler. It is a
 // conservative best-effort read (concurrent Adds and Gets move the
@@ -491,19 +468,13 @@ func build(cfg Config) *Runtime {
 	// workers: inline-serving submitters execute task bodies on their
 	// own index.
 	rt.wctx = make([]ctxSlot, slots)
-	shareSlots := cfg.Workers
-	if shareSlots > 16 {
-		shareSlots = 16
-	}
-	rt.share = sched.NewWorkShare[Task](shareSlots)
-	rt.shareEnabled = cfg.Scheduler != SchedBlocking
 	// Elastic parking is off for the blocking scheduler (its workers
 	// already sleep inside Get) and for the pure-spin baseline. The
 	// recheck closure is built once here: Park calls it after the worker
 	// is visible as parked, and it must observe every signal a producer
-	// publishes before waking — the scheduler pending count, the
-	// work-share lane, and the stop flag (Close never strands a worker
-	// that parked between the flag store and WakeAll).
+	// publishes before waking — the scheduler pending count and the stop
+	// flag (Close never strands a worker that parked between the flag
+	// store and WakeAll).
 	rt.elastic = cfg.Scheduler != SchedBlocking && cfg.IdleSpin >= 0
 	rt.parker = sched.NewParker(cfg.Workers, cfg.Domains,
 		func(id int) int { return int(rt.slotDom[id]) })
@@ -520,7 +491,7 @@ func build(cfg Config) *Runtime {
 				return true
 			}
 		}
-		return rt.loopsActive.Load() > 0 && rt.share.Any()
+		return false
 	}
 	for i := range rt.wctx {
 		rt.wctx[i].ctx = Ctx{rt: rt, worker: i}
@@ -548,23 +519,11 @@ func build(cfg Config) *Runtime {
 		dom := int(rt.slotDom[worker])
 		// The readying slot's domain is the task's home for the
 		// affinity-retention accounting, whichever routing wins below
-		// (a bypassed or lane-claimed task executes on this domain by
-		// construction).
+		// (a bypassed task executes on this domain by construction).
 		t.home = int8(dom)
 		if bs := &rt.bypass[worker]; bs.armed && bs.next == nil &&
 			!n.HasCommutative() && rt.mayHandOff(t, dom) {
 			bs.next = t
-			return
-		}
-		// Taskloop steal descriptors prefer the work-share hand-off lane
-		// over the policy queues; a full (or disabled) lane falls
-		// through to the ordinary scheduler (the lane is a fast path,
-		// never required).
-		if l := t.loop; l != nil && l.owner != t && rt.shareEnabled && rt.share.Offer(t) {
-			// The Offer's CAS made the descriptor visible; wake a parked
-			// worker to claim it (the lane sits outside the scheduler's
-			// pending count, but Park's recheck sweeps it via share.Any).
-			rt.wakeWorkerLane(dom)
 			return
 		}
 		rt.schedAdd(t, worker)
@@ -969,30 +928,6 @@ func (rt *Runtime) workerLoop(id int) {
 	empties := 0   // consecutive empty home polls (shed-cycle trigger)
 	victim := home // round-robin shed victim cursor
 	for i := 0; ; i++ {
-		// Taskloop steal descriptors come first, so a loop recruits this
-		// worker before it commits to single-task work; the loopsActive
-		// gate keeps loop-free runs off the lane entirely. The lane
-		// yields to the priority dimension like the bypass slot does: a
-		// descriptor taken while a higher-level task is queued re-routes
-		// through the scheduler at its own level instead of capturing
-		// this worker for the loop's remaining span.
-		if rt.loopsActive.Load() > 0 {
-			if t := rt.share.Take(id); t != nil {
-				if rt.higherPriPending(int8(t.epri.Load()), home) {
-					rt.schedAdd(t, id)
-				} else {
-					if spinning {
-						rt.parker.MarkRunning(id)
-						spinning = false
-					}
-					for t != nil {
-						t = rt.execute(t, id)
-					}
-					i = 0
-					continue
-				}
-			}
-		}
 		t0 := rt.tracer.Now()
 		var t *Task
 		if rt.ndomains > 1 && rt.elevated.v.Load() > 0 && !rt.higherPriPending(0, home) {
@@ -1134,25 +1069,14 @@ func (rt *Runtime) takeElevated(id, home int) *Task {
 }
 
 // takeWork is the non-blocking work source of the helping loops
-// (Taskwait, loop-owner completion wait): the work-share lane (when any
-// loop is live), then the caller's home domain, then — on
-// multi-domain runtimes — every remote domain in turn. A helper is
-// already blocked on a condition only other tasks can satisfy, so
-// unlike workerLoop it scans remotes unboundedly: a waited-on subgraph
-// whose tasks were shed to another domain must stay reachable or the
-// help loop could spin forever. Like workerLoop, a lane descriptor
-// yields to a queued higher-priority task (of the helper's domain) by
-// re-routing through the scheduler.
+// (Taskwait, loop-owner completion wait): the caller's home domain,
+// then — on multi-domain runtimes — every remote domain in turn. A
+// helper is already blocked on a condition only other tasks can
+// satisfy, so unlike workerLoop it scans remotes unboundedly: a
+// waited-on subgraph whose tasks were shed to another domain must stay
+// reachable or the help loop could spin forever.
 func (rt *Runtime) takeWork(id int) *Task {
 	home := int(rt.slotDom[id])
-	if rt.loopsActive.Load() > 0 {
-		if t := rt.share.Take(id); t != nil {
-			if !rt.higherPriPending(int8(t.epri.Load()), home) {
-				return t
-			}
-			rt.schedAdd(t, id)
-		}
-	}
 	if t := rt.schedTook(rt.domains[home].sched.TryGet(id), home, id); t != nil {
 		return t
 	}
@@ -1397,7 +1321,6 @@ func (rt *Runtime) completeOne(t *Task, id int) {
 				// The owner completes strictly after every steal
 				// descriptor (they are its children), so nothing can
 				// reference the loop state anymore.
-				rt.loopsActive.Add(-1)
 				putLoopState(l)
 			}
 		}

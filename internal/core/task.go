@@ -86,8 +86,8 @@ type Task struct {
 	// raised by priority inheritance after a high-priority successor
 	// registered behind this task. It is monotone per incarnation
 	// (CAS-max raises only) and is what every scheduling decision reads
-	// — queue lane selection, the successor-bypass gate, the work-share
-	// yield checks.
+	// — queue lane selection, the successor-bypass gate, the taskloop
+	// stealer yield.
 	epri atomic.Int32
 
 	// qstate encodes the task's scheduler-queue state: 0 when not

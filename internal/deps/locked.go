@@ -54,6 +54,14 @@ type lentry struct {
 	typ       AccessType
 	finished  bool
 	satisfied bool
+	// reached is set, once, when the chain's order would satisfy the
+	// entry. It differs from satisfied only for weak entries, which are
+	// satisfied at registration: the chain nested under the entry
+	// (nested, set when the owner's first child on the address registers)
+	// satisfies its own front only once the entry is reached, so a weak
+	// parent's children still wait for the parent's predecessors.
+	reached atomic.Bool
+	nested  atomic.Pointer[lchain]
 	// pendingChildren counts live child accesses plus one guard held
 	// until the owning task finishes. Zero means fully released.
 	pendingChildren atomic.Int64
@@ -180,6 +188,10 @@ func (s *Locked) linkInto(owner *Node, a *Access, post *ldefer, worker int) {
 		if pa := findOwnAccess(owner, a.addr); pa != nil && pa.lentry != nil {
 			ch.parentEntry = pa.lentry
 			ch.parentChain = pa.lentry.chain
+			// Published before this chain's first rescan reads reached:
+			// either that read sees the entry reached, or the parent
+			// chain's satisfy sees this chain and rescans it.
+			pa.lentry.nested.Store(ch)
 		}
 	}
 	parentEntry, parentChain := ch.parentEntry, ch.parentChain
@@ -196,6 +208,7 @@ func (s *Locked) linkInto(owner *Node, a *Access, post *ldefer, worker int) {
 	case Reduction:
 		e.run = s.runFor(ch, a)
 		e.satisfied = true // eager, privatized
+		e.reached.Store(true)
 	case Commutative:
 		e.run = s.runFor(ch, a) // Access.token finds the run's token here
 		n.pending.Add(1)
@@ -342,29 +355,41 @@ func (s *Locked) rescan(ch *lchain, post *ldefer, worker int) {
 	if ch.head >= len(ch.entries) {
 		return
 	}
+	if pe := ch.parentEntry; pe != nil && !pe.reached.Load() {
+		return // the parent's own predecessors still hold the address
+	}
 	front := ch.entries[ch.head]
 	switch front.typ {
 	case Read:
 		for i := ch.head; i < len(ch.entries) && ch.entries[i].typ == Read; i++ {
-			s.satisfy(ch.entries[i], worker)
+			s.satisfy(ch.entries[i], post, worker)
 		}
 	case Write, ReadWrite:
-		s.satisfy(front, worker)
+		s.satisfy(front, post, worker)
 	case Reduction:
 		// Members were satisfied eagerly at registration.
 	case Commutative:
 		for i := ch.head; i < len(ch.entries) && ch.entries[i].run == front.run; i++ {
-			s.satisfy(ch.entries[i], worker)
+			s.satisfy(ch.entries[i], post, worker)
 		}
 	}
 }
 
-func (s *Locked) satisfy(e *lentry, worker int) {
-	if e.satisfied {
+// satisfy marks e reached, posts a rescan of the chain nested under it
+// and, unless it was satisfied at registration, satisfies it. Caller
+// holds e's chain lock.
+func (s *Locked) satisfy(e *lentry, post *ldefer, worker int) {
+	if e.reached.Load() {
 		return
 	}
-	e.satisfied = true
-	e.node.satisfied(s.ready, worker)
+	e.reached.Store(true)
+	if nc := e.nested.Load(); nc != nil {
+		post.chains = append(post.chains, nc)
+	}
+	if !e.satisfied {
+		e.satisfied = true
+		e.node.satisfied(s.ready, worker)
+	}
 }
 
 // release notifies the nesting level above that one child access is gone.

@@ -63,6 +63,44 @@ func TestWeakAccessAnchorsChildren(t *testing.T) {
 	}
 }
 
+func TestWeakAccessChildWaitsForPredecessor(t *testing.T) {
+	// A weak parent runs at once, but the strong child it spawns on the
+	// same address must still wait for the parent's strong predecessor.
+	var x float64
+	for _, kind := range systems() {
+		te := newExec(kind, 2)
+		root := mkTask("root", nil, nil)
+		strong := []AccessSpec{{Addr: addrOf(&x), Type: ReadWrite}}
+		weak := []AccessSpec{{Addr: addrOf(&x), Type: ReadWrite, Weak: true}}
+		w := mkTask("w", strong, nil)
+		child := mkTask("child", strong, nil)
+		parent := mkTask("parent", weak, func(self *ttask) { te.spawn(self, child, 0) })
+		te.spawn(root, w, 0)
+		te.spawn(root, parent, 0)
+		isReady := func(want *ttask) bool {
+			te.mu.Lock()
+			defer te.mu.Unlock()
+			for _, r := range te.ready {
+				if r == want {
+					return true
+				}
+			}
+			return false
+		}
+		if !isReady(w) || !isReady(parent) {
+			t.Fatalf("%s: writer and weak parent must both be ready", kind)
+		}
+		parent.body(parent)
+		if isReady(child) {
+			t.Fatalf("%s: child ready while the parent's predecessor holds x", kind)
+		}
+		te.sys.Unregister(&w.node, 0)
+		if !isReady(child) {
+			t.Fatalf("%s: child not ready after the predecessor released x", kind)
+		}
+	}
+}
+
 func TestWeakChainOfParents(t *testing.T) {
 	// Two weak levels deep: weak grandparent -> weak parent -> strong
 	// leaf; a successor after the grandparent waits for the leaf.

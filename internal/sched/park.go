@@ -192,9 +192,9 @@ func (p *Parker) Park(id int, recheck func() bool) {
 // worker lowers the hint only on its way back to polling, so at the
 // moment the producer observes woken >= pending every counted worker
 // still has a full poll (and, failing that, a pre-park recheck of the
-// pending count) ahead of it. pending < 0 disables the throttle — used
-// by producers whose work lives outside the pending count (the
-// taskloop work-share lane).
+// pending count) ahead of it. pending < 0 disables the throttle, for a
+// caller with no count to offer; the runtime always passes its count
+// (the benchmark's park/wake driver is the one caller that does not).
 //
 // Domain d's own parked workers are claimed first; when d has none,
 // any other domain's parked worker is claimed instead (it will find

@@ -132,7 +132,7 @@ func TestParkerDomainWake(t *testing.T) {
 // slots parked directly (white-box) so no goroutine consumes tokens
 // between assertions — every step is deterministic.
 func TestParkerWakeThrottle(t *testing.T) {
-	p := NewParker(3, 1, nil)
+	p := NewParker(4, 1, nil)
 	for i := range p.slots {
 		p.slots[i].state.Store(WorkerParked)
 		p.nparked.Add(1)
@@ -143,16 +143,20 @@ func TestParkerWakeThrottle(t *testing.T) {
 		t.Fatalf("after first wake: woken=%d wakes=%d, want 1/1", p.Woken(0), p.Wakes())
 	}
 	p.WakeOne(0, 1) // woken(1) covers pending(1): throttled no-op
-	if p.Woken(0) != 1 || p.Wakes() != 1 || p.Parked() != 2 {
+	if p.Woken(0) != 1 || p.Wakes() != 1 || p.Parked() != 3 {
 		t.Fatalf("throttled wake acted: woken=%d wakes=%d parked=%d",
 			p.Woken(0), p.Wakes(), p.Parked())
 	}
-	p.WakeOne(0, -1) // throttle disabled: must claim another
+	p.WakeOne(0, 2) // pending(2) > woken(1): claims another
 	if p.Wakes() != 2 {
-		t.Fatalf("pending<0 wake throttled: wakes=%d, want 2", p.Wakes())
+		t.Fatalf("uncovered wake throttled: wakes=%d, want 2", p.Wakes())
 	}
-	p.WakeOne(0, 3) // pending(3) > woken(2): claims the last worker
-	if p.Wakes() != 3 || p.Parked() != 0 {
+	p.WakeOne(0, -1) // throttle disabled: must claim another
+	if p.Wakes() != 3 {
+		t.Fatalf("pending<0 wake throttled: wakes=%d, want 3", p.Wakes())
+	}
+	p.WakeOne(0, 4) // pending(4) > woken(3): claims the last worker
+	if p.Wakes() != 4 || p.Parked() != 0 {
 		t.Fatalf("uncovered wake throttled: wakes=%d parked=%d", p.Wakes(), p.Parked())
 	}
 	p.WakeOne(0, 100) // nobody parked: fast-path no-op, must not panic

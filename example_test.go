@@ -125,15 +125,14 @@ func ExampleWithDeadline() {
 	// relaxed
 }
 
-// ExampleWithTopology shapes the worker pool topology-first: two
-// runtime domains of two workers each, each domain with its own
-// scheduler and allocator free lists, exchanging work only through
-// the bounded shedding protocol. Stats reports the per-domain
-// breakdown alongside the pool-wide totals.
+// ExampleWithTopology shapes the worker pool topology-first: four
+// workers whose sync scheduler buffers insertions in one SPSC queue per
+// NUMA node, two nodes here (paper §3.1). Stats reports the pool the
+// topology built.
 func ExampleWithTopology() {
 	rt := repro.New(repro.WithTopology(repro.Topology{
-		Domains:          2,
-		WorkersPerDomain: 2,
+		Workers:   4,
+		NUMANodes: 2,
 	}))
 	defer rt.Close()
 
@@ -146,13 +145,7 @@ func ExampleWithTopology() {
 		panic(err)
 	}
 
-	s := rt.Stats()
-	fmt.Println("workers:", s.Workers)
-	for d, ds := range s.Domains {
-		fmt.Printf("domain %d: %d workers\n", d, ds.Workers)
-	}
+	fmt.Println("workers:", rt.Stats().Workers)
 	// Output:
 	// workers: 4
-	// domain 0: 2 workers
-	// domain 1: 2 workers
 }

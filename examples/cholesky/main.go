@@ -24,7 +24,7 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads")
 	flag.Parse()
 
-	rt := repro.New(repro.WithWorkers(*workers), repro.WithTopology(repro.Topology{NUMANodes: 2}))
+	rt := repro.New(repro.WithTopology(repro.Topology{Workers: *workers, NUMANodes: 2}))
 	defer rt.Close()
 
 	w := workloads.NewCholesky(*n, *block)

@@ -21,8 +21,7 @@ func main() {
 	flag.Parse()
 
 	rt := repro.New(
-		repro.WithWorkers(*workers),
-		repro.WithTopology(repro.Topology{NUMANodes: 2}),
+		repro.WithTopology(repro.Topology{Workers: *workers, NUMANodes: 2}),
 		repro.WithTracing(1<<16),
 	)
 	defer rt.Close()

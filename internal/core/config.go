@@ -84,23 +84,6 @@ type Config struct {
 	// SPSCCap is the capacity of each insertion queue (0: 256).
 	SPSCCap int
 
-	// Domains is the number of NUMA runtime domains the runtime is
-	// sharded into: each domain owns its own scheduler stack, allocator
-	// free lists, pending counters and park/wake state, with producers
-	// enqueueing into their home domain and work crossing domains only
-	// through the bounded shedding protocol (see topology.go for the
-	// slot→domain partition and DESIGN.md for the protocol). 0 selects
-	// 1 (the unsharded runtime — no behavior change). Clamped to
-	// Workers; the blocking scheduler forces 1 (its workers sleep
-	// inside a single condvar-guarded queue).
-	Domains int
-
-	// ShedBatch bounds the work-shedding protocol: after a worker's
-	// home domain comes up empty on two consecutive polls, it may steal
-	// at most ShedBatch tasks from one remote domain before it must
-	// re-earn the right with another empty-recheck cycle. 0 selects 4.
-	ShedBatch int
-
 	// RootShards is the number of shards of the root dependency domain:
 	// concurrent Submit/Run callers whose accesses hash to different
 	// shards register in parallel, each shard's registration staying
@@ -191,25 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SPSCCap <= 0 {
 		c.SPSCCap = 256
-	}
-	if c.Domains <= 0 {
-		c.Domains = 1
-	}
-	if c.Domains > c.Workers {
-		c.Domains = c.Workers
-	}
-	if c.Domains > 64 {
-		// The queue-state word encodes the entry's domain in 8 bits and
-		// real hosts top out far below this; 64 matches MaxRootShards.
-		c.Domains = 64
-	}
-	if c.Scheduler == SchedBlocking {
-		// Blocking workers sleep inside Get on one shared condvar; they
-		// can neither poll a home domain nor run the shed protocol.
-		c.Domains = 1
-	}
-	if c.ShedBatch <= 0 {
-		c.ShedBatch = 4
 	}
 	if c.RootShards <= 0 {
 		// Enough shards that submitter counts well above the worker

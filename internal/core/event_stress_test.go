@@ -36,17 +36,12 @@ func TestEventDifferentialStress(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				seed := baseSeed + int64(round)
 				spec := genPriSpec(rand.New(rand.NewSource(seed)))
-				plain := runPriSpec(t, sk, spec, false, false, false, 1)
-				for _, nd := range domainsUnderStress() {
-					if nd > 1 && sk == SchedBlocking {
-						continue // blocking forces Domains=1; skip the duplicate
-					}
-					evented := runPriSpec(t, sk, spec, true, true, false, nd)
-					for a := range evented {
-						if evented[a] != plain[a] {
-							t.Fatalf("seed %d domains %d: final version of cell %d differs: evented %d vs plain %d",
-								seed, nd, a, evented[a], plain[a])
-						}
+				plain := runPriSpec(t, sk, spec, false, false, false)
+				evented := runPriSpec(t, sk, spec, true, true, false)
+				for a := range evented {
+					if evented[a] != plain[a] {
+						t.Fatalf("seed %d: final version of cell %d differs: evented %d vs plain %d",
+							seed, a, evented[a], plain[a])
 					}
 				}
 			}

@@ -9,7 +9,7 @@ import (
 )
 
 // The hand-off tests run on a built-but-not-started runtime: no worker
-// exists, the test goroutine plays worker 0 by calling takeWork and
+// exists, the test goroutine plays worker 0 by calling take and
 // execute itself, so which task the bypass slot handed back and which
 // went through the scheduler is observable after every step. They run
 // on both lock-based schedulers: the hand-off happens in front of the
@@ -25,6 +25,9 @@ func handoffRuntimes(t *testing.T, f func(t *testing.T, rt *Runtime)) {
 	}
 }
 
+// take is worker 0's poll, the one helpUntil makes.
+func take(rt *Runtime) *Task { return rt.schedTook(rt.sched.TryGet(0), 0) }
+
 // chain executes t on worker 0 and then whatever each execute hands
 // back, the way workerLoop and helpUntil do.
 func chain(rt *Runtime, t *Task) {
@@ -35,7 +38,7 @@ func chain(rt *Runtime, t *Task) {
 
 // drive plays worker 0 until the scheduler is empty.
 func drive(rt *Runtime) {
-	for t := rt.takeWork(0); t != nil; t = rt.takeWork(0) {
+	for t := take(rt); t != nil; t = take(rt) {
 		chain(rt, t)
 	}
 }
@@ -121,8 +124,8 @@ func TestBypassGates(t *testing.T) {
 					}, Out(&v))
 					c.Spawn(func(*Ctx) { ran = true }, succ...)
 				})
-				chain(rt, rt.takeWork(0)) // the root: queues the producer
-				producer := rt.takeWork(0)
+				chain(rt, take(rt)) // the root: queues the producer
+				producer := take(rt)
 				if producer == nil {
 					t.Fatal("the producer is not queued")
 				}
@@ -130,8 +133,7 @@ func TestBypassGates(t *testing.T) {
 				if tc.queueHigher {
 					hi = rt.Submit(func(*Ctx) (any, error) { return nil, nil }, Priority(MaxPriority))
 				}
-				d := &rt.domains[0]
-				added := d.added.Sum()
+				added := rt.added.Sum()
 				next := rt.execute(producer, 0)
 				if (next != nil) != tc.handOff {
 					t.Fatalf("execute handed back %p, want a hand-off = %v", next, tc.handOff)
@@ -140,7 +142,7 @@ func TestBypassGates(t *testing.T) {
 				if tc.handOff {
 					want = 0
 				}
-				if got := d.added.Sum() - added; got != want {
+				if got := rt.added.Sum() - added; got != want {
 					t.Fatalf("scheduler insertions during the release = %d, want %d", got, want)
 				}
 				chain(rt, next)

@@ -283,7 +283,7 @@ func (rt *Runtime) loopClaim(c *Ctx, t *Task, ls *loopState) {
 		// bounding the loop-side priority inversion to one claim. The
 		// owner never yields — it must drain the span, and the queued
 		// task is picked up by the workers the yield frees.
-		if t != ls.owner && rt.higherPriPending(int8(t.epri.Load()), int(rt.slotDom[c.worker])) {
+		if t != ls.owner && rt.higherPriPending(int8(t.epri.Load())) {
 			return
 		}
 		cur := ls.next.Load()

@@ -34,63 +34,55 @@ func watchdog(t *testing.T, stall time.Duration, progress func() int64, f func()
 	}
 }
 
-// TestShardedPendingExact: enqueue from one slot, take from another —
-// the two halves of the count live on different slots' lines — and the
-// per-domain and flat Pending stay exact at quiescence and never go
-// negative, on a built-but-not-started runtime like the shed units.
+// TestShardedPendingExact: enqueue from two slots, take from a third —
+// the two halves of the count live on different slots' lines — and
+// Stats().Pending stays exact at quiescence and never goes negative, on
+// a built-but-not-started runtime (no workers racing the test). A stale
+// promotion duplicate is booked as taken like any entry and dissolves.
 func TestShardedPendingExact(t *testing.T) {
-	rt := build(Config{
-		Workers: 4, Domains: 2, ShedBatch: 2,
-		Scheduler: SchedCentralPTLock, IdleSpin: -1,
-	})
+	rt := build(Config{Workers: 4, Scheduler: SchedCentralPTLock, IdleSpin: -1})
 	defer rt.Close()
-	check := func(when string, want0, want1 int64) {
+	check := func(when string, want int64) {
 		t.Helper()
-		s := rt.Stats()
-		if s.Domains[0].Pending != want0 || s.Domains[1].Pending != want1 || s.Pending != want0+want1 {
-			t.Fatalf("%s: pending = %d (domains %d, %d), want %d (%d, %d)", when,
-				s.Pending, s.Domains[0].Pending, s.Domains[1].Pending, want0+want1, want0, want1)
+		if got := rt.Stats().Pending; got != want {
+			t.Fatalf("%s: pending = %d, want %d", when, got, want)
 		}
 	}
 	const n = 6
 	tasks := make([]Task, n)
 	for i := range tasks {
 		tasks[i].alive.Store(1)
-		rt.schedAdd(&tasks[i], 2+i%2) // slots 2 and 3 → domain 1
+		rt.schedAdd(&tasks[i], 2+i%2) // booked on slots 2 and 3
 	}
-	check("after enqueue", 0, n)
+	check("after enqueue", n)
 
-	// Slot 1 (domain 0) takes straight from domain 1's scheduler: the
-	// add was booked on slots 2/3, the take on slot 1.
-	d1 := &rt.domains[1]
+	// Slot 1 takes: the add was booked on slots 2/3, the take on slot 1.
 	for i := 0; i < 2; i++ {
-		if rt.schedTook(d1.sched.TryGet(1), 1, 1) == nil {
-			t.Fatal("remote take came back empty")
+		if rt.schedTook(rt.sched.TryGet(1), 1) == nil {
+			t.Fatal("take came back empty")
 		}
 	}
-	check("after remote takes", 0, n-2)
+	check("after takes", n-2)
 
-	// shedTake still sees the remote backlog through the summed count,
-	// steals its batch and re-homes all but the first.
-	victim := 0
-	if rt.shedTake(0, 0, &victim) == nil {
-		t.Fatal("shedTake saw no backlog in a domain holding 4 tasks")
-	}
-	check("after shed cycle", 1, n-4)
-
-	// A stale promotion duplicate is booked as taken like any entry.
+	// The last task was already claimed through another entry (qstate 0):
+	// its queue entry is a stale promotion duplicate.
 	tasks[n-1].qstate.Store(0)
+	claimed := 0
 	for slot := 0; ; slot = (slot + 1) % 4 {
-		raw := d1.sched.TryGet(slot)
+		raw := rt.sched.TryGet(slot)
 		if raw == nil {
 			break
 		}
-		rt.schedTook(raw, 1, slot)
+		if rt.schedTook(raw, slot) != nil {
+			claimed++
+		} else if raw != &tasks[n-1] {
+			t.Fatalf("live task %p dissolved as a stale duplicate", raw)
+		}
 	}
-	if rt.schedTook(rt.domains[0].sched.TryGet(0), 0, 0) == nil {
-		t.Fatal("re-homed task missing from the thief's domain")
+	if claimed != n-3 {
+		t.Fatalf("claimed %d of the remaining tasks, want %d (the stale entry must dissolve)", claimed, n-3)
 	}
-	check("drained", 0, 0)
+	check("drained", 0)
 }
 
 // TestParkWakePingPong: one producer hands single tasks to a pool that

@@ -33,21 +33,6 @@ func schedKindsUnderStress() []SchedulerKind {
 	return []SchedulerKind{SchedSyncDTLock, SchedCentralPTLock, SchedWorkStealing}
 }
 
-// domainsUnderStress returns the NUMA-domain counts the differential
-// stress suites run the tagged (priority/EDF/evented) side at. Locally
-// 1 and 2 domains run, so every test run covers the sharded enqueue,
-// shed and cross-domain wake paths; the CI stress matrix widens to 4
-// domains through REPRO_STRESS_DOMAINS=on. The plain (stripped)
-// reference side always runs at 1 domain — domain sharding, like
-// priority, may only reorder ready tasks, so the final per-address
-// versions must agree across domain counts.
-func domainsUnderStress() []int {
-	if os.Getenv("REPRO_STRESS_DOMAINS") == "on" {
-		return []int{1, 2, 4}
-	}
-	return []int{1, 2}
-}
-
 func (k SchedulerKind) testName() string {
 	switch k {
 	case SchedCentralPTLock:
@@ -587,9 +572,9 @@ type priCell struct {
 // the task's dependencies at body return instead of at the final
 // decrement, a successor would observe an in-flight exclusive or a
 // stale version and report a violation.
-func runPriSpec(t *testing.T, sk SchedulerKind, spec priSpec, tagged, evented, edf bool, domains int) []int64 {
+func runPriSpec(t *testing.T, sk SchedulerKind, spec priSpec, tagged, evented, edf bool) []int64 {
 	t.Helper()
-	rt := New(Config{Workers: 4, Scheduler: sk, EDF: edf, Domains: domains})
+	rt := New(Config{Workers: 4, Scheduler: sk, EDF: edf})
 	defer rt.Close()
 	cells := make([]priCell, spec.cells)
 	exps := computePriExpectations(spec)
@@ -731,17 +716,12 @@ func TestPriorityDifferentialStress(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				seed := baseSeed + int64(round)
 				spec := genPriSpec(rand.New(rand.NewSource(seed)))
-				plain := runPriSpec(t, sk, spec, false, false, false, 1)
-				for _, nd := range domainsUnderStress() {
-					if nd > 1 && sk == SchedBlocking {
-						continue // blocking forces Domains=1; skip the duplicate
-					}
-					tagged := runPriSpec(t, sk, spec, true, false, false, nd)
-					for a := range tagged {
-						if tagged[a] != plain[a] {
-							t.Fatalf("seed %d domains %d: final version of cell %d differs: tagged %d vs stripped %d",
-								seed, nd, a, tagged[a], plain[a])
-						}
+				plain := runPriSpec(t, sk, spec, false, false, false)
+				tagged := runPriSpec(t, sk, spec, true, false, false)
+				for a := range tagged {
+					if tagged[a] != plain[a] {
+						t.Fatalf("seed %d: final version of cell %d differs: tagged %d vs stripped %d",
+							seed, a, tagged[a], plain[a])
 					}
 				}
 			}
@@ -774,7 +754,7 @@ func genWideSpec(r *rand.Rand) priSpec {
 
 // TestRunBufferDifferentialStress puts batched service under the same
 // oracle: wide graphs (genWideSpec) run tagged — priorities and
-// inheritance, at one and two domains — against the stripped reference.
+// inheritance — against the stripped reference.
 // Buffering and reclaiming may only reorder ready tasks: every task runs
 // exactly once (a promoted task's buffered copy must dissolve, not run),
 // the oracle stays clean and the final versions agree. No EDF here: the
@@ -792,14 +772,12 @@ func TestRunBufferDifferentialStress(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				seed := baseSeed + int64(round)
 				spec := genWideSpec(rand.New(rand.NewSource(seed)))
-				plain := runPriSpec(t, sk, spec, false, false, false, 1)
-				for _, nd := range domainsUnderStress() {
-					tagged := runPriSpec(t, sk, spec, true, false, false, nd)
-					for a := range tagged {
-						if tagged[a] != plain[a] {
-							t.Fatalf("seed %d domains %d: final version of cell %d differs: tagged %d vs stripped %d",
-								seed, nd, a, tagged[a], plain[a])
-						}
+				plain := runPriSpec(t, sk, spec, false, false, false)
+				tagged := runPriSpec(t, sk, spec, true, false, false)
+				for a := range tagged {
+					if tagged[a] != plain[a] {
+						t.Fatalf("seed %d: final version of cell %d differs: tagged %d vs stripped %d",
+							seed, a, tagged[a], plain[a])
 					}
 				}
 			}
@@ -826,17 +804,12 @@ func TestDeadlineDifferentialStress(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				seed := baseSeed + int64(round)
 				spec := genDeadlineSpec(rand.New(rand.NewSource(seed)))
-				plain := runPriSpec(t, sk, spec, false, false, false, 1)
-				for _, nd := range domainsUnderStress() {
-					if nd > 1 && sk == SchedBlocking {
-						continue // blocking forces Domains=1; skip the duplicate
-					}
-					tagged := runPriSpec(t, sk, spec, true, false, true, nd)
-					for a := range tagged {
-						if tagged[a] != plain[a] {
-							t.Fatalf("seed %d domains %d: final version of cell %d differs: deadline-tagged %d vs stripped %d",
-								seed, nd, a, tagged[a], plain[a])
-						}
+				plain := runPriSpec(t, sk, spec, false, false, false)
+				tagged := runPriSpec(t, sk, spec, true, false, true)
+				for a := range tagged {
+					if tagged[a] != plain[a] {
+						t.Fatalf("seed %d: final version of cell %d differs: deadline-tagged %d vs stripped %d",
+							seed, a, tagged[a], plain[a])
 					}
 				}
 			}

@@ -79,26 +79,37 @@ type Runtime struct {
 	deps   deps.System
 	tracer *trace.Tracer
 
-	// domains are the per-NUMA-domain runtime shards: each owns its own
-	// scheduler policy stack, allocator free lists, pending counters and
-	// shed/retention accounting. ndomains == len(domains) (cached for
-	// the hot paths); slotDom materializes the slot→domain partition of
-	// topology.go for every thread index. With Domains = 1 there is
-	// exactly one shard and every formula collapses to the pre-sharding
-	// behaviour.
-	domains  []domain
-	ndomains int
-	slotDom  []int32
+	// sched is the scheduler (the full per-level policy stack, EDF
+	// included) and alloc the task-shell allocator, both sized for the
+	// full slot space of topology.go.
+	sched sched.Scheduler[*Task]
+	alloc alloc.Allocator[Task]
+
+	// added and taken are the two halves of the pending count
+	// (scheduler-queued tasks), sharded per slot like live and both
+	// monotone: a producer bumps added on its own slot's line
+	// (schedAdd/promote), a taker bumps taken on its own (schedTook), so
+	// the per-task hot path writes no line another core writes. Their
+	// difference (pending) is the scheduler's half of the Dekker
+	// no-lost-wakeup argument, and is only summed on slow paths.
+	added *counter.Sharded
+	taken *counter.Sharded
+
+	// priPending counts scheduler-queued tasks per elevated priority
+	// level (level 0 is never counted — there is no lower class to
+	// protect from it). The successor-bypass gate reads the levels above
+	// a candidate's own before parking it, so a low-priority immediate
+	// successor cannot jump a queued high-priority task. Counting covers
+	// exactly the tasks routed through sched.Add/Get. Each level sits on
+	// its own cache line; runs that never set a priority only ever
+	// *read* these (always-zero) lines on the bypass path, which stays
+	// cached and contention-free.
+	priPending [sched.PriorityLevels]paddedCount
 
 	// elevated counts queued-but-unclaimed tasks above priority level 0
-	// across ALL domains. Priority, deadline and inheritance ordering
-	// are runtime-wide promises, not per-domain ones: a worker whose
-	// home domain holds no elevated work grabs a remote domain's
-	// elevated task *eagerly* (takeElevated), outside the bounded
-	// batch-shedding protocol, so QoS work is never stranded behind a
-	// domain boundary while only batch work pays the locality
-	// discipline. One shared counter keeps the common case (no elevated
-	// work anywhere) a single read of a read-mostly line per poll.
+	// — the sum of priPending — so the run buffers' question (is any
+	// elevated work queued?) is one read of a read-mostly line per poll
+	// rather than one per level.
 	elevated paddedCount
 
 	// global is the completion parent of every root task submitted
@@ -129,15 +140,12 @@ type Runtime struct {
 	wg       sync.WaitGroup
 
 	// Elastic worker pool state. parker holds the per-worker parking
-	// channels and per-domain state words; each domain's pending count
-	// (slot-sharded: added in schedAdd, taken in schedTook, summed by
-	// domain.pending) is the pre-park recheck's primary signal;
-	// parkRecheck is the recheck closure, built once at New so the park
-	// path never allocates — it sweeps every domain's pending count so
-	// a worker never parks while any domain holds shed-reachable work;
-	// elastic gates the whole mechanism — false for the blocking
-	// scheduler (its workers sleep in the scheduler's own condvar) and
-	// for IdleSpin<0 (the pure-spin baseline).
+	// channels and state words; the pending count is the pre-park
+	// recheck's primary signal; parkRecheck is the recheck closure,
+	// built once at New so the park path never allocates; elastic gates
+	// the whole mechanism — false for the blocking scheduler (its
+	// workers sleep in the scheduler's own condvar) and for IdleSpin<0
+	// (the pure-spin baseline).
 	parker      *sched.Parker
 	parkRecheck func() bool
 	elastic     bool
@@ -179,60 +187,14 @@ type Runtime struct {
 }
 
 // paddedCount is one cache-line-isolated atomic counter (the per-level
-// pending counts below; too few and too structured for counter.Sharded).
+// pending counts above; too few and too structured for counter.Sharded).
 type paddedCount struct {
 	v atomic.Int64
 	_ [56]byte
 }
 
-// domain is one NUMA-domain shard of the runtime: its own scheduler
-// instance (the full per-level policy stack, EDF included), its own
-// allocator free lists, its own pending counters, and the shed- and
-// affinity-accounting the multi-domain stats report. Every per-domain
-// scheduler and allocator is sized for the FULL slot space
-// (topology.go), so any thread index is valid against any domain —
-// cross-domain stealing needs no index translation.
-type domain struct {
-	sched sched.Scheduler[*Task]
-	alloc alloc.Allocator[Task]
-
-	// added and taken are the two halves of this domain's pending count
-	// (scheduler-queued tasks), sharded per slot like Runtime.live and
-	// both monotone: a producer bumps added on its own slot's line
-	// (schedAdd/promote), a taker bumps taken on its own (schedTook), so
-	// the per-task hot path writes no line another core writes. Their
-	// difference (pending) is the domain's half of the Dekker
-	// no-lost-wakeup argument and the shed protocol's victim signal, and
-	// is only summed on slow paths.
-	added *counter.Sharded
-	taken *counter.Sharded
-
-	// priPending counts this domain's scheduler-queued tasks per
-	// elevated priority level (level 0 is never counted — there is no
-	// lower class to protect from it). The successor-bypass gate reads
-	// the levels above a candidate's own before parking it, so a
-	// low-priority immediate successor cannot jump a queued
-	// high-priority task of its own domain. Counting covers exactly the
-	// tasks routed through sched.Add/Get. Each level sits on its own
-	// cache line; runs that never set a priority only ever *read* these
-	// (always-zero) lines on the bypass path, which stays cached and
-	// contention-free.
-	priPending [sched.PriorityLevels]paddedCount
-
-	// shedIn/shedOut count tasks this domain stole from others /
-	// surrendered to thieves; executed/executedHome count tasks
-	// executed by this domain's slots and the subset whose home domain
-	// this is (the affinity-retention numerator). All four are only
-	// touched on multi-domain runtimes.
-	shedIn       atomic.Uint64
-	shedOut      atomic.Uint64
-	executed     atomic.Uint64
-	executedHome atomic.Uint64
-	_            [48]byte // a whole number of lines per domain
-}
-
-// pending returns the number of tasks queued in the domain's scheduler
-// (added and not yet taken). The read order is load-bearing: taken is
+// pending returns the number of tasks queued in the scheduler (added
+// and not yet taken). The read order is load-bearing: taken is
 // summed FIRST, then added. Both are monotone and every take follows
 // its add, so the result over-approximates the true count at the
 // instant between the two sums — never negative, and never zero while
@@ -241,70 +203,59 @@ type domain struct {
 // can keep a worker awake one poll too long; it cannot strand work.
 // Summing added first could net a later take against a count that
 // lacks its add and hide a queued task.
-func (d *domain) pending() int64 {
-	taken := d.taken.Sum()
-	return d.added.Sum() - taken
+func (rt *Runtime) pending() int64 {
+	taken := rt.taken.Sum()
+	return rt.added.Sum() - taken
 }
 
-// qstate encoding: a queued task's qstate word is dom<<8 | (level+1) —
-// the domain whose scheduler holds the entry (all live entries of one
-// task stay in one domain; promote re-ranks in place) and the priority
-// level the pending counts were charged to. 0 means not queued.
-const qstateDomShift = 8
-
-// schedAdd routes a task to the producing slot's home domain,
-// maintaining the domain's per-level pending counts for elevated tasks
-// and its elastic pending count. Every scheduler insertion must go
-// through it (ready callback, commutative re-enqueue, shed re-homing)
-// so the counts match what Get can return. The queue level is the
-// task's *effective* priority, and level and domain are recorded in
-// qstate before the insertion so a concurrent promotion (promote) can
-// re-rank the entry and move the right domain's pending counts with
-// it. The order against wakeWorker is the lost-wakeup argument's
-// producer half: the slot's added count is raised (sequentially
-// consistent) before the parked count is read, so a worker concurrently
-// publishing itself as parked either sees pending > 0 in its recheck or
-// is seen here.
+// schedAdd hands a task to the scheduler, maintaining the per-level
+// pending counts for elevated tasks and the elastic pending count.
+// Every scheduler insertion must go through it (ready callback,
+// commutative re-enqueue) so the counts match what Get can return. The
+// queue level is the task's *effective* priority, and it is recorded in
+// qstate (as level+1; 0 means not queued) before the insertion so a
+// concurrent promotion (promote) can re-rank the entry and move the
+// pending counts with it. The order against wakeWorker is the
+// lost-wakeup argument's producer half: the slot's added count is
+// raised (sequentially consistent) before the parked count is read, so
+// a worker concurrently publishing itself as parked either sees
+// pending > 0 in its recheck or is seen here.
 func (rt *Runtime) schedAdd(t *Task, worker int) {
-	dom := int(rt.slotDom[worker])
-	d := &rt.domains[dom]
 	lvl := sched.ClampPriority(int(t.epri.Load()))
-	t.qstate.Store(int32(dom<<qstateDomShift | (lvl + 1)))
+	t.qstate.Store(int32(lvl + 1))
 	if lvl > 0 {
-		d.priPending[lvl].v.Add(1)
+		rt.priPending[lvl].v.Add(1)
 		rt.elevated.v.Add(1)
 	}
-	d.added.Add(worker, 1)
-	d.sched.Add(t, worker)
-	rt.wakeWorker(dom)
+	rt.added.Add(worker, 1)
+	rt.sched.Add(t, worker)
+	rt.wakeWorker()
 }
 
-// schedTook books a task that slot id obtained from domain from's
-// sched.Get/TryGet out of the pending counts — on id's own taken line;
-// a stale promotion duplicate counts as taken like any other entry,
-// which is what keeps added - taken exact — and claims it for
-// execution: the Swap on qstate is what makes a promotion's duplicate
-// queue entry exactly-once — the first entry to pop wins the task,
-// later (stale) entries observe qstate 0 and dissolve into a nil
-// return. The per-level pending decrement uses the queue level and
-// domain the winning Swap observed, which is where the increments were moved to,
-// so the counts stay exact under concurrent promotion (a task's live
-// entries all sit in one domain, so for a genuine claim the encoded
-// domain and from agree). A recycled-shell entry (the task completed
-// and the shell was re-queued for a new incarnation) is
-// indistinguishable from a genuine one and harmlessly claims the new
-// incarnation — it is ready and queued either way.
-func (rt *Runtime) schedTook(t *Task, from, id int) *Task {
+// schedTook books a task that slot id obtained from sched.Get/TryGet
+// out of the pending counts — on id's own taken line; a stale promotion
+// duplicate counts as taken like any other entry, which is what keeps
+// added - taken exact — and claims it for execution: the Swap on qstate
+// is what makes a promotion's duplicate queue entry exactly-once — the
+// first entry to pop wins the task, later (stale) entries observe
+// qstate 0 and dissolve into a nil return. The per-level pending
+// decrement uses the queue level the winning Swap observed, which is
+// where the increments were moved to, so the counts stay exact under
+// concurrent promotion. A recycled-shell entry (the task completed and
+// the shell was re-queued for a new incarnation) is indistinguishable
+// from a genuine one and harmlessly claims the new incarnation — it is
+// ready and queued either way.
+func (rt *Runtime) schedTook(t *Task, id int) *Task {
 	if t == nil {
 		return nil
 	}
-	rt.domains[from].taken.Add(id, 1)
+	rt.taken.Add(id, 1)
 	s := t.qstate.Swap(0)
 	if s == 0 {
 		return nil // stale duplicate left behind by a promotion re-push
 	}
-	if lvl := int(s) & (1<<qstateDomShift - 1); lvl > 1 {
-		rt.domains[s>>qstateDomShift].priPending[lvl-1].v.Add(-1)
+	if s > 1 {
+		rt.priPending[s-1].v.Add(-1)
 		rt.elevated.v.Add(-1)
 	}
 	return t
@@ -336,31 +287,26 @@ func (rt *Runtime) promote(t *Task, lvl, worker int) bool {
 	}
 	for {
 		s := t.qstate.Load()
-		cur := int(s) & (1<<qstateDomShift - 1)
-		if s == 0 || cur >= lvl+1 {
+		if s == 0 || int(s) >= lvl+1 {
 			// Not queued (the raise alone suffices: a later schedAdd
 			// reads epri) or already ranked at/above the target.
 			return true
 		}
-		dom := int(s) >> qstateDomShift
-		if t.qstate.CompareAndSwap(s, int32(dom<<qstateDomShift|(lvl+1))) {
-			// Move the owning domain's pending counts to the new level
-			// and push the duplicate into that same domain (all live
-			// entries of a task stay in one domain, which is what lets
-			// schedTook charge the encoded domain); counts before Add,
-			// Add before wake, as in schedAdd.
-			d := &rt.domains[dom]
-			if cur > 1 {
-				d.priPending[cur-1].v.Add(-1)
+		if t.qstate.CompareAndSwap(s, int32(lvl+1)) {
+			// Move the pending counts to the new level and push the
+			// duplicate; counts before Add, Add before wake, as in
+			// schedAdd.
+			if s > 1 {
+				rt.priPending[s-1].v.Add(-1)
 			} else {
 				// Promoted out of level 0: newly elevated (a move between
-				// elevated levels leaves the global count unchanged).
+				// elevated levels leaves the total unchanged).
 				rt.elevated.v.Add(1)
 			}
-			d.priPending[lvl].v.Add(1)
-			d.added.Add(worker, 1)
-			d.sched.Add(t, worker)
-			rt.wakeWorker(dom)
+			rt.priPending[lvl].v.Add(1)
+			rt.added.Add(worker, 1)
+			rt.sched.Add(t, worker)
+			rt.wakeWorker()
 			return true
 		}
 	}
@@ -386,33 +332,29 @@ func (rt *Runtime) promotePreds(n *deps.Node, lvl, worker int) {
 	})
 }
 
-// wakeWorker wakes at most one parked worker on behalf of domain dom's
-// queue; producers call it after making work visible (scheduler
-// insertion). With no worker parked — or elastic parking disabled — it
-// is a single atomic load: the parked count is tested BEFORE the
-// domain's pending count is summed, so a busy pool never pays the sum.
-// With someone parked, pending is computed here, after the insertion,
-// and handed to the parker's wake-throttle: when enough
-// woken-but-not-yet-polling workers already cover the backlog, the
-// redundant claim scan is skipped (burst producers would otherwise pay
-// one scan per enqueue). pending's over-approximation only makes the
-// throttle fire less often.
-func (rt *Runtime) wakeWorker(dom int) {
+// wakeWorker wakes at most one parked worker; producers call it after
+// making work visible (scheduler insertion). With no worker parked — or
+// elastic parking disabled — it is a single atomic load: the parked
+// count is tested BEFORE the pending count is summed, so a busy pool
+// never pays the sum. With someone parked, pending is computed here,
+// after the insertion, and handed to the parker's wake-throttle: when
+// enough woken-but-not-yet-polling workers already cover the backlog,
+// the redundant claim scan is skipped (burst producers would otherwise
+// pay one scan per enqueue). pending's over-approximation only makes
+// the throttle fire less often.
+func (rt *Runtime) wakeWorker() {
 	if rt.elastic && rt.parker.Parked() > 0 {
-		rt.parker.WakeOne(dom, rt.domains[dom].pending())
+		rt.parker.WakeOne(0, rt.pending())
 	}
 }
 
 // higherPriPending reports whether any task with a priority level above
-// pri is currently queued in domain dom's scheduler. It is a
-// conservative best-effort read (concurrent Adds and Gets move the
-// counts), used to keep the successor bypass from starving queued
-// higher-priority work of its own domain — remote domains' backlogs
-// are their own workers' (and the shed protocol's) business.
-func (rt *Runtime) higherPriPending(pri int8, dom int) bool {
-	d := &rt.domains[dom]
+// pri is currently queued. It is a conservative best-effort read
+// (concurrent Adds and Gets move the counts), used to keep the
+// successor bypass from starving queued higher-priority work.
+func (rt *Runtime) higherPriPending(pri int8) bool {
 	for l := int(pri) + 1; l < sched.PriorityLevels; l++ {
-		if d.priPending[l].v.Load() > 0 {
+		if rt.priPending[l].v.Load() > 0 {
 			return true
 		}
 	}
@@ -421,13 +363,13 @@ func (rt *Runtime) higherPriPending(pri int8, dom int) bool {
 
 // mayHandOff holds the two gates every immediate-successor hand-off
 // passes before work of t's scope and effective level runs next on a
-// thread of domain dom without a scheduling decision: the scope is
-// healthy (a cancelled scope's tasks drain through the scheduler) and
-// nothing of a higher level is queued in dom (the priority policy must
-// order the two). The ready callback asks it about the task it would
-// park in the bypass slot, ContinueNode about the running task itself.
-func (rt *Runtime) mayHandOff(t *Task, dom int) bool {
-	return t.sc.abortCause() == nil && !rt.higherPriPending(int8(t.epri.Load()), dom)
+// thread without a scheduling decision: the scope is healthy (a
+// cancelled scope's tasks drain through the scheduler) and nothing of a
+// higher level is queued (the priority policy must order the two). The
+// ready callback asks it about the task it would park in the bypass
+// slot, ContinueNode about the running task itself.
+func (rt *Runtime) mayHandOff(t *Task) bool {
+	return t.sc.abortCause() == nil && !rt.higherPriPending(int8(t.epri.Load()))
 }
 
 // New builds and starts a runtime. The caller must Close it.
@@ -439,26 +381,22 @@ func New(cfg Config) *Runtime {
 
 // build constructs a fully wired runtime without starting its worker
 // pool; start launches it. The split exists for the deterministic
-// shed-protocol tests, which enqueue into a quiescent runtime and
-// drive shedTake by hand.
+// tests, which enqueue into a quiescent runtime and play a worker by
+// hand.
 func build(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
-	rt := &Runtime{cfg: cfg, ndomains: cfg.Domains}
+	rt := &Runtime{cfg: cfg}
 	rt.rootDom = deps.NewRootDomain(cfg.RootShards)
 	// The thread-index space every per-"worker" structure is sized for
-	// and its partition into NUMA domains are defined ONCE, in
-	// topology.go; slotDom materializes the slot→domain formula.
-	// Constructors below that take a worker count and add one slot
-	// themselves receive slots-1.
+	// is defined ONCE, in topology.go. Constructors below that take a
+	// worker count and add one slot themselves receive slots-1.
 	slots := cfg.Workers + cfg.RootShards + cfg.EventSlots + cfg.ServeSlots
-	rt.slotDom = make([]int32, slots)
-	for s := range rt.slotDom {
-		rt.slotDom[s] = int32(slotDomain(s, cfg.Workers, cfg.Domains))
-	}
 	rt.evSlots = event.NewSlots(cfg.Workers+cfg.RootShards, cfg.EventSlots)
 	rt.wheel = event.NewWheel(cfg.EventTick, 0)
 	rt.gate = event.NewGate(cfg.RootShards)
 	rt.live = counter.NewSharded(slots)
+	rt.added = counter.NewSharded(slots)
+	rt.taken = counter.NewSharded(slots)
 	rt.serves = counter.NewSharded(slots)
 	rt.bypass = make([]bypassSlot, slots)
 	if cfg.ServeSlots > 0 {
@@ -476,23 +414,8 @@ func build(cfg Config) *Runtime {
 	// flag (Close never strands a worker that parked between the flag
 	// store and WakeAll).
 	rt.elastic = cfg.Scheduler != SchedBlocking && cfg.IdleSpin >= 0
-	rt.parker = sched.NewParker(cfg.Workers, cfg.Domains,
-		func(id int) int { return int(rt.slotDom[id]) })
-	rt.parkRecheck = func() bool {
-		if rt.stopping.Load() {
-			return true
-		}
-		// Every domain's pending count, not just the parker's own: a
-		// worker whose home is idle must stay awake while any domain
-		// holds work it could reach through the shed protocol (the
-		// cross-domain half of the no-lost-wakeup argument).
-		for d := range rt.domains {
-			if rt.domains[d].pending() > 0 {
-				return true
-			}
-		}
-		return false
-	}
+	rt.parker = sched.NewParker(cfg.Workers, 1, nil)
+	rt.parkRecheck = func() bool { return rt.stopping.Load() || rt.pending() > 0 }
 	for i := range rt.wctx {
 		rt.wctx[i].ctx = Ctx{rt: rt, worker: i}
 	}
@@ -516,13 +439,8 @@ func build(cfg Config) *Runtime {
 	// jumping the queue on this worker.
 	ready := func(n *deps.Node, worker int) {
 		t := n.Payload.(*Task)
-		dom := int(rt.slotDom[worker])
-		// The readying slot's domain is the task's home for the
-		// affinity-retention accounting, whichever routing wins below
-		// (a bypassed task executes on this domain by construction).
-		t.home = int8(dom)
 		if bs := &rt.bypass[worker]; bs.armed && bs.next == nil &&
-			!n.HasCommutative() && rt.mayHandOff(t, dom) {
+			!n.HasCommutative() && rt.mayHandOff(t) {
 			bs.next = t
 			return
 		}
@@ -585,46 +503,32 @@ func build(cfg Config) *Runtime {
 			rt.maybeInjectNoise(owner)
 		},
 		// Batched service must not let a buffered level-0 task overtake
-		// elevated work that arrived after the buffer was filled, in any
-		// domain: the runtime-wide count closes every run buffer.
+		// elevated work that arrived after the buffer was filled: the
+		// elevated count closes every run buffer.
 		Elevated: func() bool { return rt.elevated.v.Load() > 0 },
 	}
-	// One full scheduler stack and allocator per domain, each sized for
-	// the complete slot space: any thread index may Add to (or TryGet
-	// from) any domain, which is what makes cross-domain stealing and
-	// promotion re-pushes index-translation-free. Workers only Get from
-	// their home domain; remote domains are reached through shedTake's
-	// bounded TryGet.
-	rt.domains = make([]domain, cfg.Domains)
-	for i := range rt.domains {
-		d := &rt.domains[i]
-		d.added = counter.NewSharded(slots)
-		d.taken = counter.NewSharded(slots)
-		switch cfg.Scheduler {
-		case SchedSyncDTLock:
-			// Only the domain's own workers are served in batches: a
-			// remote thief's TryGet moves exactly one task (ShedBatch).
-			if cfg.Domains > 1 {
-				hooks.Home = func(w int) bool { return int(rt.slotDom[w]) == i }
-			}
-			d.sched = sched.NewSync(mkPolicy(), cfg.Workers, slots-cfg.Workers, cfg.NUMANodes, cfg.SPSCCap, hooks)
-		case SchedCentralPTLock:
-			d.sched = sched.NewCentral(mkPolicy(), slots-1)
-		case SchedBlocking:
-			d.sched = sched.NewBlocking(mkPolicy())
-		case SchedWorkStealing:
-			d.sched = sched.NewWorkStealing[*Task](slots - 1)
-		default:
-			panic(fmt.Sprintf("core: unknown scheduler kind %d", cfg.Scheduler))
-		}
-		switch cfg.Alloc {
-		case AllocPooled:
-			d.alloc = alloc.NewPooled[Task](slots-1, 64)
-		case AllocSerial:
-			d.alloc = alloc.NewSerial[Task]()
-		default:
-			panic(fmt.Sprintf("core: unknown alloc kind %d", cfg.Alloc))
-		}
+	// The scheduler and allocator are sized for the complete slot space:
+	// any thread index may Add, and the helping loops TryGet from
+	// non-worker indices.
+	switch cfg.Scheduler {
+	case SchedSyncDTLock:
+		rt.sched = sched.NewSync(mkPolicy(), cfg.Workers, slots-cfg.Workers, cfg.NUMANodes, cfg.SPSCCap, hooks)
+	case SchedCentralPTLock:
+		rt.sched = sched.NewCentral(mkPolicy(), slots-1)
+	case SchedBlocking:
+		rt.sched = sched.NewBlocking(mkPolicy())
+	case SchedWorkStealing:
+		rt.sched = sched.NewWorkStealing[*Task](slots - 1)
+	default:
+		panic(fmt.Sprintf("core: unknown scheduler kind %d", cfg.Scheduler))
+	}
+	switch cfg.Alloc {
+	case AllocPooled:
+		rt.alloc = alloc.NewPooled[Task](slots-1, 64)
+	case AllocSerial:
+		rt.alloc = alloc.NewSerial[Task]()
+	default:
+		panic(fmt.Sprintf("core: unknown alloc kind %d", cfg.Alloc))
 	}
 
 	rt.global.alive.Store(1) // never completes
@@ -639,17 +543,6 @@ func (rt *Runtime) start() {
 	}
 }
 
-// allocGet and allocPut route task-shell allocation through the
-// slot's home domain's allocator (per-domain free lists and fallback
-// arenas; see topology.go for the partition).
-func (rt *Runtime) allocGet(worker int) *Task {
-	return rt.domains[rt.slotDom[worker]].alloc.Get(worker)
-}
-
-func (rt *Runtime) allocPut(worker int, t *Task) {
-	rt.domains[rt.slotDom[worker]].alloc.Put(worker, t)
-}
-
 // recycleQuiescent is the wait-free system's quiescence callback: it
 // recycles a task shell whose access storage quiesced only after the
 // task had fully completed (e.g. early-forwarded readers that finish
@@ -658,7 +551,7 @@ func (rt *Runtime) allocPut(worker int, t *Task) {
 func (rt *Runtime) recycleQuiescent(n *deps.Node, worker int) {
 	t := n.Payload.(*Task)
 	t.reset()
-	rt.allocPut(worker, t)
+	rt.alloc.Put(worker, t)
 }
 
 // Config returns the runtime's effective configuration.
@@ -680,7 +573,7 @@ func (rt *Runtime) Slots() int {
 func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 
 // SchedulerName and DepsName identify the wired implementations.
-func (rt *Runtime) SchedulerName() string { return rt.domains[0].sched.Name() }
+func (rt *Runtime) SchedulerName() string { return rt.sched.Name() }
 
 // DepsName returns the dependency system's name.
 func (rt *Runtime) DepsName() string { return rt.deps.Name() }
@@ -773,7 +666,7 @@ func (rt *Runtime) submitRoot(ctx context.Context, body func(*Ctx), fn func(*Ctx
 // it sends the task's own accesses — and the shell is recycled by
 // whoever drops the node's last pin (usually completeOne itself).
 func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec, worker int) *Task {
-	t := rt.allocGet(worker)
+	t := rt.alloc.Get(worker)
 	t.body = body
 	t.parent = parent
 	t.sc = parent.sc
@@ -891,65 +784,32 @@ func (rt *Runtime) spawn(parent *Task, body func(*Ctx), accs []deps.AccessSpec, 
 // the policy orders it, or the scheduler drains it.
 func ContinueNode(c *Ctx, node int) bool {
 	rt := c.rt
-	if !rt.mayHandOff(c.task, int(rt.slotDom[c.worker])) {
+	if !rt.mayHandOff(c.task) {
 		return false
 	}
 	rt.tracer.Emit(c.worker, trace.KNodeContinue, uint64(node))
 	return true
 }
 
-// workerLoop is the per-core scheduling loop: ask the home domain's
-// scheduler for work, run it, and while idle climb the spin→park
-// ladder — a bounded spin-yield phase (Config.IdleSpin empty polls)
-// followed by parking on the worker's wake channel until a producer's
-// enqueue claims it. The first Config.MinWorkers workers never park;
-// neither does anyone once the runtime is stopping (the stop condition
-// below must stay polled). The loop exits once the runtime is stopping
-// and no live tasks remain; each exiting worker wakes all parked peers
-// so the exit cascades.
-//
-// On multi-domain runtimes the loop additionally runs the bounded
-// work-shedding protocol: only after the home domain's poll comes up
-// empty twice in a row may the worker steal — at most Config.ShedBatch
-// tasks from one remote domain (shedTake) — before the cycle resets
-// and the right must be re-earned. Stealing is the ONLY path a queued
-// task crosses domains on, which is what keeps the per-domain Dekker
-// argument intact: every producer still wakes against the domain it
-// enqueued into.
+// workerLoop is the per-core scheduling loop: ask the scheduler for
+// work, run it, and while idle climb the spin→park ladder — a bounded
+// spin-yield phase (Config.IdleSpin empty polls) followed by parking on
+// the worker's wake channel until a producer's enqueue claims it. The
+// first Config.MinWorkers workers never park; neither does anyone once
+// the runtime is stopping (the stop condition below must stay polled).
+// The loop exits once the runtime is stopping and no live tasks remain;
+// each exiting worker wakes all parked peers so the exit cascades.
 func (rt *Runtime) workerLoop(id int) {
 	defer rt.wg.Done()
 	if rt.cfg.PinWorkers {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	home := int(rt.slotDom[id])
 	canPark := rt.elastic && id >= rt.cfg.MinWorkers
 	spinning := false
-	empties := 0   // consecutive empty home polls (shed-cycle trigger)
-	victim := home // round-robin shed victim cursor
 	for i := 0; ; i++ {
 		t0 := rt.tracer.Now()
-		var t *Task
-		if rt.ndomains > 1 && rt.elevated.v.Load() > 0 && !rt.higherPriPending(0, home) {
-			// Elevated work exists somewhere and none of it is home:
-			// grab it eagerly across the domain boundary — priority and
-			// deadline ordering are runtime-wide promises, and only
-			// batch work pays the bounded-shedding locality discipline.
-			t = rt.takeElevated(id, home)
-		}
-		if t == nil {
-			t = rt.schedTook(rt.domains[home].sched.Get(id), home, id)
-		}
-		if t == nil && rt.ndomains > 1 {
-			empties++
-			if empties >= 2 {
-				empties = 0
-				t = rt.shedTake(id, home, &victim)
-			}
-		} else {
-			empties = 0
-		}
-		if t != nil {
+		if t := rt.schedTook(rt.sched.Get(id), id); t != nil {
 			if spinning {
 				rt.parker.MarkRunning(id)
 				spinning = false
@@ -990,111 +850,6 @@ func (rt *Runtime) workerLoop(id int) {
 	}
 }
 
-// shedTake is one work-shedding cycle for worker id of domain home: it
-// scans the remote domains round-robin from *victim and takes at most
-// Config.ShedBatch tasks from the first one that yields any. The first
-// stolen task is returned for immediate execution; the rest are
-// re-homed into the thief's own domain (schedAdd with the thief's
-// index), so a batch migrates as a unit and the thief's domain-mates
-// help drain it. Callers gate the cycle on two consecutive empty home
-// polls; within a cycle no second victim is opened once one has paid
-// out, so a cycle moves tasks from exactly one remote domain and never
-// more than ShedBatch of them — the bound the deterministic shed unit
-// pins.
-func (rt *Runtime) shedTake(id, home int, victim *int) *Task {
-	// Offsets 1..ndomains relative to the cursor cover every domain:
-	// the previous victim sorts last (freshly milked), but stays
-	// reachable — with two domains it is the only candidate.
-	for off := 1; off <= rt.ndomains; off++ {
-		v := (*victim + off) % rt.ndomains
-		if v == home {
-			continue
-		}
-		d := &rt.domains[v]
-		if d.pending() <= 0 {
-			continue
-		}
-		var first *Task
-		taken := 0
-		for taken < rt.cfg.ShedBatch {
-			raw := d.sched.TryGet(id)
-			if raw == nil {
-				break
-			}
-			t := rt.schedTook(raw, v, id)
-			if t == nil {
-				continue // stale promotion duplicate: consumed, not stolen
-			}
-			taken++
-			if first == nil {
-				first = t
-			} else {
-				rt.schedAdd(t, id)
-			}
-		}
-		if first != nil {
-			d.shedOut.Add(uint64(taken))
-			rt.domains[home].shedIn.Add(uint64(taken))
-			*victim = v
-			return first
-		}
-	}
-	return nil
-}
-
-// takeElevated claims one elevated (priority level > 0) task from a
-// remote domain. Unlike shedTake it needs no empty-recheck earnings —
-// callers gate it on the global elevated count and on their home
-// domain holding no elevated work of its own, so it fires only when
-// QoS work would otherwise wait for a remote domain's workers. The
-// claim is one TryGet of the first remote domain whose per-level
-// pending counts show elevated work; the priority policy orders that
-// domain's queue, so the popped task is its best elevated candidate (a
-// losing race may hand back a batch task instead — a bounded,
-// one-task migration, charged to the shed counters like any other
-// cross-domain move).
-func (rt *Runtime) takeElevated(id, home int) *Task {
-	for off := 1; off <= rt.ndomains; off++ {
-		v := (home + off) % rt.ndomains
-		if v == home || !rt.higherPriPending(0, v) {
-			continue
-		}
-		if t := rt.schedTook(rt.domains[v].sched.TryGet(id), v, id); t != nil {
-			rt.domains[v].shedOut.Add(1)
-			rt.domains[home].shedIn.Add(1)
-			return t
-		}
-	}
-	return nil
-}
-
-// takeWork is the non-blocking work source of the helping loops
-// (Taskwait, loop-owner completion wait): the caller's home domain,
-// then — on multi-domain runtimes — every remote domain in turn. A
-// helper is already blocked on a condition only other tasks can
-// satisfy, so unlike workerLoop it scans remotes unboundedly: a
-// waited-on subgraph whose tasks were shed to another domain must stay
-// reachable or the help loop could spin forever.
-func (rt *Runtime) takeWork(id int) *Task {
-	home := int(rt.slotDom[id])
-	if t := rt.schedTook(rt.domains[home].sched.TryGet(id), home, id); t != nil {
-		return t
-	}
-	for off := 1; off < rt.ndomains; off++ {
-		v := (home + off) % rt.ndomains
-		d := &rt.domains[v]
-		if d.pending() <= 0 {
-			continue
-		}
-		if t := rt.schedTook(d.sched.TryGet(id), v, id); t != nil {
-			d.shedOut.Add(1)
-			rt.domains[home].shedIn.Add(1)
-			return t
-		}
-	}
-	return nil
-}
-
 // helpUntil is the runtime's one blocking-help loop: execute ready
 // tasks on worker id until done() reports true, spin-yielding only
 // when no work is available. Every in-task wait routes through it —
@@ -1105,7 +860,7 @@ func (rt *Runtime) takeWork(id int) *Task {
 // stored, so closure arguments stay on the caller's stack.
 func (rt *Runtime) helpUntil(id int, done func() bool) {
 	for i := 0; !done(); i++ {
-		if other := rt.takeWork(id); other != nil {
+		if other := rt.schedTook(rt.sched.TryGet(id), id); other != nil {
 			// Execute the task and any bypassed successor chain it
 			// releases; helping with ready work is the point of the loop.
 			for other != nil {
@@ -1145,17 +900,6 @@ func (rt *Runtime) helpWhileChildren(t *Task, id int) {
 // cancelled submission unwind an arbitrarily deep ready graph without
 // executing it.
 func (rt *Runtime) execute(t *Task, id int) *Task {
-	if rt.ndomains > 1 {
-		// Affinity-retention accounting (multi-domain only, so the
-		// single-domain hot path pays one predictable branch): charge
-		// the executing slot's domain, and the home-hit counter when
-		// the task runs where its ready callback homed it.
-		d := &rt.domains[rt.slotDom[id]]
-		d.executed.Add(1)
-		if int(t.home) == int(rt.slotDom[id]) {
-			d.executedHome.Add(1)
-		}
-	}
 	cause := t.sc.abortCause()
 	if cause == nil && t.node.HasCommutative() && !t.node.TryAcquireCommutative() {
 		// Lost the token race: re-enqueue and let the worker move on.
@@ -1327,7 +1071,7 @@ func (rt *Runtime) completeOne(t *Task, id int) {
 		t.resetBody()
 		if t.node.Unpin() == 0 {
 			t.node.Reset()
-			rt.allocPut(id, t)
+			rt.alloc.Put(id, t)
 		}
 		if req != nil {
 			// Signal last, strictly after the scope release and shell
@@ -1378,9 +1122,7 @@ func (rt *Runtime) maybeInjectNoise(owner int) {
 // the wheel earlier could strand the pool.
 func (rt *Runtime) Close() {
 	rt.stopping.Store(true)
-	for d := range rt.domains {
-		rt.domains[d].sched.Stop()
-	}
+	rt.sched.Stop()
 	// Release parked workers after the stop flag is visible: a worker
 	// that parked concurrently either saw the flag in its pre-sleep
 	// recheck (it never parks while stopping) or is seen parked here.
@@ -1395,42 +1137,10 @@ func (rt *Runtime) Close() {
 // is when the tests that assert on it read it.
 func (rt *Runtime) LiveTasks() int64 { return rt.live.Sum() }
 
-// DomainStats is one NUMA domain's slice of a Stats snapshot: its
-// share of the worker pool and park/wake activity, its scheduler
-// backlog, the work-shedding flow through it, and the affinity
-// accounting behind the locality benchmarks. Instantaneous fields
-// (Workers aside) are racy snapshots like the flat ones.
-type DomainStats struct {
-	// Workers is the number of worker goroutines homed in this domain.
-	Workers int
-	// Parked is the number of this domain's workers currently asleep.
-	Parked int
-	// Parks and Wakes are the domain's cumulative blocking parks and
-	// delivered wake tokens.
-	Parks uint64
-	Wakes uint64
-	// Pending is the number of tasks currently queued in this domain's
-	// scheduler (added and not yet taken).
-	Pending int64
-	// ShedIn and ShedOut count tasks this domain's workers stole from
-	// remote domains, and tasks remote thieves took from this one.
-	ShedIn  uint64
-	ShedOut uint64
-	// Executed counts tasks executed by this domain's slots, and
-	// ExecutedHome the subset whose home domain this was — their ratio
-	// is the domain's affinity retention. Only maintained on
-	// multi-domain runtimes (zero otherwise).
-	Executed     uint64
-	ExecutedHome uint64
-}
-
 // Stats is a snapshot of the worker pool (Runtime.Stats): the current
-// worker states, the cumulative park/wake counters, and one
-// DomainStats per NUMA domain. The flat fields are computed totals
-// across the domains, so single-domain callers (and the pre-domain
-// gates) read them unchanged. Instantaneous fields (Parked, Spinning,
-// Pending) are racy snapshots, exact only at quiescence; the
-// cumulative counters are monotone.
+// worker states and the cumulative park/wake counters. Instantaneous
+// fields (Parked, Spinning, Pending) are racy snapshots, exact only at
+// quiescence; the cumulative counters are monotone.
 type Stats struct {
 	// Workers is the pool size (Config.Workers).
 	Workers int
@@ -1445,43 +1155,23 @@ type Stats struct {
 	Parks uint64
 	// Wakes counts wake tokens delivered to parked workers.
 	Wakes uint64
-	// Pending is the number of tasks currently queued across every
-	// domain's scheduler (added and not yet taken).
+	// Pending is the number of tasks currently queued in the scheduler
+	// (added and not yet taken).
 	Pending int64
-	// Domains holds the per-domain breakdown (always at least one
-	// entry; exactly one on an unsharded runtime).
-	Domains []DomainStats
 }
 
 // Stats returns a pool snapshot. With parking disabled (blocking
 // scheduler, or IdleSpin < 0) the park/wake fields stay zero and
 // Pending still tracks the scheduler queues.
 func (rt *Runtime) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Workers:  rt.cfg.Workers,
 		Parked:   rt.parker.Parked(),
 		Spinning: rt.parker.Spinning(),
-		Domains:  make([]DomainStats, rt.ndomains),
+		Parks:    rt.parker.Parks(),
+		Wakes:    rt.parker.Wakes(),
+		Pending:  rt.pending(),
 	}
-	for i := range s.Domains {
-		d := &rt.domains[i]
-		ds := &s.Domains[i]
-		ds.Parked = rt.parker.ParkedIn(i)
-		ds.Parks = rt.parker.ParksIn(i)
-		ds.Wakes = rt.parker.WakesIn(i)
-		ds.Pending = d.pending()
-		ds.ShedIn = d.shedIn.Load()
-		ds.ShedOut = d.shedOut.Load()
-		ds.Executed = d.executed.Load()
-		ds.ExecutedHome = d.executedHome.Load()
-		s.Parks += ds.Parks
-		s.Wakes += ds.Wakes
-		s.Pending += ds.Pending
-	}
-	for id := 0; id < rt.cfg.Workers; id++ {
-		s.Domains[rt.slotDom[id]].Workers++
-	}
-	return s
 }
 
 // spinOrYield performs bounded busy-waiting before yielding to the Go

@@ -91,12 +91,11 @@ type Task struct {
 	epri atomic.Int32
 
 	// qstate encodes the task's scheduler-queue state: 0 when not
-	// queued, dom<<8|(level+1) when an entry for it sits in lane
-	// `level` of domain dom's scheduler. A promotion re-push CASes it
-	// to the new level (same domain) and inserts a duplicate entry;
-	// schedTook claims execution by Swap(0), so the losing (stale)
-	// entry pops as a no-op. See schedAdd/schedTook and promote in
-	// runtime.go.
+	// queued, level+1 when an entry for it sits in lane `level` of the
+	// scheduler. A promotion re-push CASes it to the new level and
+	// inserts a duplicate entry; schedTook claims execution by Swap(0),
+	// so the losing (stale) entry pops as a no-op. See
+	// schedAdd/schedTook and promote in runtime.go.
 	qstate atomic.Int32
 
 	// pri is the task's scheduling priority level, in
@@ -115,15 +114,7 @@ type Task struct {
 	// inherited from the parent like pri.
 	inherit bool
 
-	// home is the NUMA domain the task's ready callback homed it to
-	// (the readying slot's domain; see topology.go for the partition).
-	// Written by the ready callback before any routing, read by the
-	// executing worker for the affinity-retention accounting — both
-	// single-writer-then-single-reader within the task's scheduled
-	// window, so no atomics. Only meaningful on multi-domain runtimes.
-	home int8
-
-	_ [21]byte
+	_ [22]byte
 
 	// Line 2 — the completion line: alive is the one word of a
 	// *running* task that other cores write (every child completion

@@ -80,21 +80,6 @@ func NormalizeShards(n int) int {
 	return sz
 }
 
-// ShardDomain maps root shard i onto its home runtime domain under a
-// d-domain runtime: shards round-robin across domains, so concurrent
-// submitters spread their production evenly and every domain owns its
-// own slice of the root shards (shard i belongs to domain i%d, i.e.
-// domain k's slice is {k, k+d, k+2d, ...}). The runtime's slot→domain
-// partition (core/topology.go) applies this to the submitter-slot
-// range; keeping the formula here too lets deps-level tooling reason
-// about shard placement without importing core.
-func ShardDomain(shard, domains int) int {
-	if domains <= 1 {
-		return 0
-	}
-	return shard % domains
-}
-
 // NewRootDomain returns a root domain with NormalizeShards(n) shards.
 func NewRootDomain(n int) *RootDomain {
 	sz := NormalizeShards(n)

@@ -77,9 +77,7 @@ type domainPark struct {
 // The domain dimension shards this protocol: each domain's producers
 // wake that domain's parked workers first (its own nparked fast path),
 // falling back to any other domain's parked worker only when the home
-// domain has none awake to offer — the cross-domain wake that lets the
-// work-shedding protocol drain an overloaded domain with another
-// domain's idle workers.
+// domain has none awake to offer. The runtime builds one domain.
 type Parker struct {
 	// nparked is the global producer fast path: wakers (and WakeAll)
 	// bail on a single load when no worker is parked anywhere. Padded
@@ -96,8 +94,7 @@ type Parker struct {
 
 // NewParker returns a parker for n workers partitioned into domains by
 // domOf (nil, or domains <= 1, collapses to a single domain). Workers
-// of one domain must occupy a contiguous index range — the runtime's
-// slot→domain formula (core/topology.go) guarantees it — so a domain's
+// of one domain must occupy a contiguous index range, so a domain's
 // wake scan touches only its own slots.
 func NewParker(n, domains int, domOf func(id int) int) *Parker {
 	if n < 1 {
@@ -197,9 +194,7 @@ func (p *Parker) Park(id int, recheck func() bool) {
 // (the benchmark's park/wake driver is the one caller that does not).
 //
 // Domain d's own parked workers are claimed first; when d has none,
-// any other domain's parked worker is claimed instead (it will find
-// its home queue empty and reach d's backlog through the bounded
-// work-shedding protocol).
+// any other domain's parked worker is claimed instead.
 func (p *Parker) WakeOne(d int, pending int64) {
 	if p.nparked.Load() == 0 {
 		return
@@ -297,11 +292,5 @@ func (p *Parker) Wakes() uint64 {
 	return n
 }
 
-// ParksIn and WakesIn are the per-domain cumulative diagnostics.
-func (p *Parker) ParksIn(d int) uint64 { return p.doms[d].parks.Load() }
-
 // WakesIn returns domain d's cumulative delivered wake tokens.
 func (p *Parker) WakesIn(d int) uint64 { return p.doms[d].wakes.Load() }
-
-// Domains returns the domain count the parker was built with.
-func (p *Parker) Domains() int { return len(p.doms) }

@@ -91,7 +91,7 @@ func TestParkerWakeAll(t *testing.T) {
 // remote domain's parked worker.
 func TestParkerDomainWake(t *testing.T) {
 	// Workers 0,1 -> domain 0; workers 2,3 -> domain 1 (contiguous, as
-	// the runtime's slot→domain formula produces).
+	// NewParker requires).
 	domOf := func(id int) int { return id / 2 }
 	p := NewParker(4, 2, domOf)
 	woke := make(chan int, 4)

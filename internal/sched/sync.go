@@ -9,7 +9,7 @@ import (
 
 // Hooks couples a scheduler to the runtime around it: two callbacks for
 // the instrumentation backend (Figures 10-11: serve arrows, drain
-// phases) and two questions batched service asks. Every field may be nil.
+// phases) and the question batched service asks. Every field may be nil.
 type Hooks struct {
 	// OnServe fires when the lock owner hands a task to a waiting worker
 	// through the delegation path.
@@ -18,14 +18,10 @@ type Hooks struct {
 	// queues into the unsynchronized scheduler.
 	OnDrain func(owner, n int)
 	// Elevated reports whether a task above priority level 0 is queued
-	// anywhere the runtime's ordering promise reaches (any domain, or
+	// anywhere the runtime's ordering promise reaches (the policy, or
 	// still on its way into an insertion queue). While it does, no run
 	// buffer is consumed on the lock-free path: see Sync.Get.
 	Elevated func() bool
-	// Home reports whether a worker index belongs to this scheduler's
-	// own domain; only those get their run buffers filled. Asked once per
-	// worker, by NewSync. Nil means every worker.
-	Home func(worker int) bool
 }
 
 // addQueue is one producer-side buffer: a bounded wait-free SPSC queue
@@ -61,13 +57,12 @@ const runBatch = 16
 // its buffer touches no line another worker writes.
 type runBuf[T comparable] struct {
 	state atomic.Uint32 // head<<16 | n: slots[head:head+n] are buffered
-	home  bool          // this scheduler fills the buffer; NewSync only
 	// passed counts policy pops the owner made over its own non-empty
 	// buffer (elevated work was queued); at courtesyInterval the buffer
 	// gets the next turn, as a waiting lower level does in Priority.Pop.
 	// Owner only, under the lock.
 	passed int32
-	_      [4]byte
+	_      [8]byte
 	slots  [runBatch]T
 	_      [48]byte
 }
@@ -128,7 +123,7 @@ type Sync[T comparable] struct {
 	qOf      []int        // worker -> add-queue index
 	bufs     []*runBuf[T] // one per worker, each a heap object of its own
 	hooks    Hooks
-	_        [32]byte
+	_        [40]byte
 }
 
 // elevatedCounter is implemented by policies with priority levels
@@ -164,7 +159,7 @@ func NewSync[T comparable](inner Policy[T], workers, submitters, numaNodes, spsc
 		hooks:  hooks,
 	}
 	for w := range s.bufs {
-		s.bufs[w] = &runBuf[T]{home: hooks.Home == nil || hooks.Home(w)}
+		s.bufs[w] = &runBuf[T]{}
 	}
 	for i := range s.queues {
 		s.queues[i] = addQueue[T]{mu: locks.NewPTLock(total), q: spsc.New[T](spscCap)}
@@ -258,7 +253,7 @@ func (s *Sync[T]) idle() bool {
 // serves this worker a task directly or releases the lock, in which case
 // the worker acquires it and serves itself (and the others).
 //
-// Batched service: a home worker that ends up owning the lock over a
+// Batched service: a worker that ends up owning the lock over a
 // backlog of 2*runBatch or more pops runBatch further tasks into its run
 // buffer, and its next runBatch calls return from there — no idle check,
 // ticket, drain or backlog publication. Order is per worker, not global:
@@ -338,7 +333,7 @@ func (s *Sync[T]) next(worker int) (task T, left int) {
 		if own != nil && own.state.Load()&0xffff != 0 {
 			own.passed++
 		}
-	case own != nil && own.home && left >= 2*runBatch:
+	case own != nil && left >= 2*runBatch:
 		// own is empty here: with nothing elevated queued it was tried
 		// first. Publish the count before the tasks so that it never reads
 		// zero over a non-empty buffer.

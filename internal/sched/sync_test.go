@@ -141,7 +141,7 @@ func fill(s *Sync[*int], submitter, n int) []int {
 }
 
 // TestSyncFillThreshold: the lock owner batches only over a backlog of
-// 2*runBatch beyond its own task and only for a home worker. Elevated
+// 2*runBatch beyond its own task and only for a worker. Elevated
 // work elsewhere (the runtime's hook) does not stop a fill — this policy
 // holds none — it only sends every later Get through the lock, where the
 // buffer is consumed in the same order.
@@ -157,8 +157,6 @@ func TestSyncFillThreshold(t *testing.T) {
 		{"at the threshold", big, Hooks{}, 0, 1},
 		{"one short", big - 1, Hooks{}, 0, 0},
 		{"elevated elsewhere", 4 * runBatch, Hooks{Elevated: func() bool { return true }}, 0, 1},
-		{"remote worker", 4 * runBatch, Hooks{Home: func(w int) bool { return w == 0 }}, 1, 0},
-		{"home worker", 4 * runBatch, Hooks{Home: func(w int) bool { return w == 0 }}, 0, 1},
 		{"not a worker", 4 * runBatch, Hooks{}, 3, 0},
 	}
 	for _, tc := range cases {

@@ -22,70 +22,43 @@ func New(opts ...Option) *Runtime {
 }
 
 // Topology is the one description of the worker pool's shape: how many
-// NUMA runtime domains the runtime is sharded into, how many workers
-// each domain owns, whether workers are pinned to OS threads, and how
-// aggressively an idle domain may shed work from a loaded one. It is
-// applied with WithTopology; WithWorkers is shorthand for its
-// WorkersPerDomain field.
+// workers it has, how many NUMA nodes the sync scheduler's insertion
+// queues model, and whether workers are pinned to OS threads. It is
+// applied with WithTopology; WithWorkers is shorthand for its Workers
+// field.
 //
 // Zero fields leave the corresponding configuration untouched, so a
 // Topology composes with other options regardless of order.
 type Topology struct {
-	// Domains is the number of NUMA runtime domains. Each domain owns
-	// its own scheduler stack, allocator free lists, pending counters
-	// and park/wake state; producers enqueue into their slot's home
-	// domain and work crosses domains only through the bounded shedding
-	// protocol. 0 selects 1 — the unsharded runtime, with no behavior
-	// change against earlier releases. Clamped to the worker count and
-	// to 64; the blocking scheduler forces 1.
-	Domains int
+	// Workers is the number of worker threads (simulated cores). 0
+	// leaves the worker count unset (NumCPU).
+	Workers int
 
-	// WorkersPerDomain is the number of worker threads per domain: the
-	// total pool is max(Domains, 1) * WorkersPerDomain workers, split
-	// into contiguous per-domain blocks (see core/topology.go for the
-	// partition). 0 leaves the worker count unset (NumCPU total).
-	WorkersPerDomain int
-
-	// NUMANodes is the number of SPSC insertion queues of each domain's
-	// sync scheduler (§3.1: one queue and lock per NUMA node). It
-	// shapes the scheduler *within* a domain — unrelated to Domains,
-	// which shards the runtime itself. 0 leaves the default (1).
+	// NUMANodes is the number of SPSC insertion queues of the sync
+	// scheduler (§3.1: one queue and lock per NUMA node), and the node
+	// count the Locality policy keeps tasks on. 0 leaves the default (1).
 	NUMANodes int
 
 	// PinWorkers locks each worker goroutine to an OS thread, the
 	// closest Go equivalent of the paper's one-thread-per-core binding.
 	// false leaves the configuration untouched (it never unpins).
 	PinWorkers bool
-
-	// ShedBatch bounds cross-domain work shedding: after two
-	// consecutive empty polls of its home domain, a worker may steal at
-	// most ShedBatch tasks from one remote domain before it must
-	// re-earn the right with another empty-recheck cycle. 0 selects the
-	// default (4).
-	ShedBatch int
 }
 
 // WithTopology shapes the worker pool from a Topology. It is the
-// documented way to size and shard the pool; see Topology for the field
+// documented way to size the pool; see Topology for the field
 // semantics. Only non-zero fields are applied:
 //
-//	// 2 domains × 4 workers, pinned, default shedding:
+//	// 8 workers over two NUMA nodes, pinned:
 //	rt := repro.New(repro.WithTopology(repro.Topology{
-//		Domains:          2,
-//		WorkersPerDomain: 4,
-//		PinWorkers:       true,
+//		Workers:    8,
+//		NUMANodes:  2,
+//		PinWorkers: true,
 //	}))
 func WithTopology(t Topology) Option {
 	return func(c *core.Config) {
-		if t.Domains > 0 {
-			c.Domains = t.Domains
-		}
-		if t.WorkersPerDomain > 0 {
-			d := t.Domains
-			if d < 1 {
-				d = 1
-			}
-			c.Workers = d * t.WorkersPerDomain
+		if t.Workers > 0 {
+			c.Workers = t.Workers
 		}
 		if t.NUMANodes > 0 {
 			c.NUMANodes = t.NUMANodes
@@ -93,17 +66,13 @@ func WithTopology(t Topology) Option {
 		if t.PinWorkers {
 			c.PinWorkers = true
 		}
-		if t.ShedBatch > 0 {
-			c.ShedBatch = t.ShedBatch
-		}
 	}
 }
 
 // WithWorkers sets the number of worker threads (simulated cores).
-// Equivalent to WithTopology(Topology{WorkersPerDomain: n}) — on a
-// single-domain runtime that is the total pool size.
+// Equivalent to WithTopology(Topology{Workers: n}).
 func WithWorkers(n int) Option {
-	return WithTopology(Topology{WorkersPerDomain: n})
+	return WithTopology(Topology{Workers: n})
 }
 
 // WithSPSCCap sets the capacity of each insertion queue.

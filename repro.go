@@ -203,13 +203,9 @@ type (
 	// PolicyKind selects the unsynchronized scheduling policy.
 	PolicyKind = core.PolicyKind
 	// Stats is a runtime snapshot (Runtime.Stats): pool-wide parked and
-	// spinning worker counts plus cumulative park/wake counters, with a
-	// per-NUMA-domain breakdown in Domains.
+	// spinning worker counts, cumulative park/wake counters and the
+	// scheduler backlog.
 	Stats = core.Stats
-	// DomainStats is one NUMA domain's slice of a Stats snapshot:
-	// workers, park/wake counters, pending work and the work-shedding
-	// and affinity-retention counters.
-	DomainStats = core.DomainStats
 )
 
 // ErrTaskSkipped marks tasks drained without executing because their
@@ -245,13 +241,12 @@ func VariantOptions(v Variant) []Option {
 
 // NewVariant builds a runtime from one of the paper's preset variants:
 // VariantOptions for the design axes, WithTopology for the pool shape
-// (workers total, numaNodes SPSC insertion queues, pinned workers —
-// one domain, as in the paper's evaluation).
+// (workers, numaNodes SPSC insertion queues, pinned workers).
 func NewVariant(v Variant, workers, numaNodes int) *Runtime {
 	opts := append(VariantOptions(v), WithTopology(Topology{
-		WorkersPerDomain: workers,
-		NUMANodes:        numaNodes,
-		PinWorkers:       true,
+		Workers:    workers,
+		NUMANodes:  numaNodes,
+		PinWorkers: true,
 	}))
 	return New(opts...)
 }

@@ -116,14 +116,6 @@ type Config struct {
 	// disables inline serving entirely.
 	ServeSlots int
 
-	// MinWorkers is the number of workers the elastic pool keeps out of
-	// the parking ladder: workers with index below it idle by
-	// spin-yielding forever (the pre-elastic behaviour), trading idle CPU
-	// for immunity to wake-up latency. The remaining workers park after
-	// their idle spin budget runs out and are woken on demand. 0 (the
-	// default) lets every worker park; values above Workers clamp.
-	MinWorkers int
-
 	// IdleSpin is the per-worker idle spin budget: how many consecutive
 	// empty scheduler polls a worker tolerates before parking on its
 	// wake channel. 0 selects the default (1024); negative disables
@@ -197,12 +189,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleSpin == 0 {
 		c.IdleSpin = 1024
-	}
-	if c.MinWorkers < 0 {
-		c.MinWorkers = 0
-	}
-	if c.MinWorkers > c.Workers {
-		c.MinWorkers = c.Workers
 	}
 	return c
 }

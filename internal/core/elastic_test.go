@@ -63,24 +63,6 @@ func TestElasticParkIdle(t *testing.T) {
 	}
 }
 
-// TestElasticMinWorkers: workers below MinWorkers never park — they
-// stay in the spin phase while the rest of the pool sleeps.
-func TestElasticMinWorkers(t *testing.T) {
-	rt := New(Config{Workers: 4, MinWorkers: 2, IdleSpin: 64})
-	defer rt.Close()
-	if err := rt.Run(func(*Ctx) {}); err != nil {
-		t.Fatal(err)
-	}
-	waitStats(t, rt, "parkable workers never parked", func(s Stats) bool {
-		return s.Parked == 2
-	})
-	// Give the pinned spinners time to (incorrectly) park, then check.
-	time.Sleep(20 * time.Millisecond)
-	if s := rt.Stats(); s.Parked != 2 || s.Spinning != 2 {
-		t.Fatalf("MinWorkers=2 of 4: parked=%d spinning=%d, want 2/2", s.Parked, s.Spinning)
-	}
-}
-
 // TestElasticSpinDisabled: IdleSpin < 0 reproduces the pure-spin
 // baseline — no worker ever parks.
 func TestElasticSpinDisabled(t *testing.T) {

@@ -131,38 +131,25 @@ func (rt *Runtime) releaseExternal(t *Task) {
 
 // releaseDeferred finishes the lifecycle of a task whose body returned
 // with events pending: the tail of execute that was skipped when the
-// task parked. The order is identical — commutative token release,
-// dependency unregister, completion cascade — so successors, handle
-// and scope observe exactly what an inline completion would have
-// produced. When the final decrementer is itself a worker (isWorker),
-// the bypass slot is armed around the unregister and the first
-// successor this release readied is executed inline with its chain,
-// matching the worker release path; decrements from
-// completer slots route every readied successor
-// through the scheduler (whose Add maintains the priority pending
-// counts — a deferred release never lets a successor jump a queued
-// higher-priority task).
+// task parked, through the same release. The order is identical —
+// commutative token release, dependency unregister, completion cascade
+// — so successors, handle and scope observe exactly what an inline
+// completion would have produced. When the final decrementer is itself
+// a worker (isWorker), the release arms the bypass slot and the first
+// successor it readied runs here with its chain, matching the worker
+// release path; decrements from completer slots route every readied
+// successor through the scheduler (whose Add maintains the priority
+// pending counts — a deferred release never lets a successor jump a
+// queued higher-priority task).
 func (rt *Runtime) releaseDeferred(t *Task, id int, isWorker bool) {
 	rt.tracer.Emit(id, trace.KEventFire, 0)
 	t.node.ReleaseCommutative()
-	var next *Task
-	if isWorker {
-		bs := &rt.bypass[id]
-		bs.armed = true
-		rt.deps.Unregister(&t.node, id)
-		next = bs.disarm()
-	} else {
-		rt.deps.Unregister(&t.node, id)
-	}
 	// Lowered before completeOne, which resolves the handle: a waiter
 	// that reads PendingEvents right after Wait returns must not see
 	// this task. Drain cannot pass early — the task stays in live until
 	// completeOne lowers that.
 	rt.eventsHeld.v.Add(-1)
-	rt.completeOne(t, id)
-	for next != nil {
-		next = rt.execute(next, id)
-	}
+	rt.runChain(rt.release(t, id, isWorker), id)
 }
 
 // After defers this task's completion by at least d without holding a

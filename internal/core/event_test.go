@@ -424,8 +424,8 @@ func TestEventWithCommutativeAccess(t *testing.T) {
 	}
 }
 
-// TestDrainGraceful: Drain waits for live tasks and pending events,
-// then rejects every submission flavor with ErrRuntimeDraining.
+// TestDrainGraceful: Drain waits for live tasks and pending events.
+// (What a sealed runtime does with each root kind is TestRootAdmission.)
 func TestDrainGraceful(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
@@ -445,15 +445,6 @@ func TestDrainGraceful(t *testing.T) {
 	}
 	if l, p := rt.LiveTasks(), rt.PendingEvents(); l != 0 || p != 0 {
 		t.Fatalf("LiveTasks = %d, PendingEvents = %d after Drain", l, p)
-	}
-	if _, err := rt.Submit(func(*Ctx) (any, error) { return nil, nil }).Wait(nil); !errors.Is(err, ErrRuntimeDraining) {
-		t.Fatalf("post-drain Submit error = %v, want ErrRuntimeDraining", err)
-	}
-	if err := rt.Run(func(*Ctx) {}); !errors.Is(err, ErrRuntimeDraining) {
-		t.Fatalf("post-drain Run error = %v, want ErrRuntimeDraining", err)
-	}
-	if err := rt.RunLoop(0, 4, 1, func(*Ctx, int, int) {}); !errors.Is(err, ErrRuntimeDraining) {
-		t.Fatalf("post-drain RunLoop error = %v, want ErrRuntimeDraining", err)
 	}
 	// Drain again: already quiescent, still nil.
 	if err := rt.Drain(context.Background()); err != nil {

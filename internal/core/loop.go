@@ -141,27 +141,9 @@ func (rt *Runtime) RunLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ..
 // ctx cancellation skips unexecuted chunks; the Handle then reports an
 // error matching ErrTaskSkipped wrapping the cause.
 func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) *Handle {
-	sc := newScope(ctx, rt.cfg.OnError)
-	h := newHandle()
-	lease := rt.rootDom.Acquire(accs)
-	// Same drain-gate protocol as submitRoot: enter under the shard
-	// lock, reject with ErrRuntimeDraining once Drain has sealed intake.
-	if !rt.gate.Enter(lease.Slot()) {
-		lease.Release()
-		sc.release()
-		h.err = ErrRuntimeDraining
-		close(h.done)
-		return h
-	}
-	slot := rt.cfg.Workers + lease.Slot()
-	t := rt.newLoopTask(&rt.global, lo, hi, grain, body, accs, slot)
-	t.sc = sc
-	t.handle = h
-	t.ownsScope = true
-	rt.registerWith(&rt.global, rt.rootDom, t, slot)
-	rt.gate.Leave(lease.Slot())
-	lease.Release()
-	return h
+	return rt.submitRoot(ctx, accs, func(slot int) *Task {
+		return rt.newLoopTask(&rt.global, lo, hi, grain, body, accs, slot)
+	})
 }
 
 // Loop spawns a work-sharing loop task as a child of the running task:

@@ -101,69 +101,42 @@ func (rt *Runtime) SubmitReq(ctx context.Context, r *Req, d time.Duration, body 
 			r.mu.Unlock()
 		})
 	}
+	build := func(slot int) *Task { return rt.newTask(&rt.global, body, nil, slot) }
 	if slot := rt.serveSlots.TryAcquire(); slot >= 0 {
-		rt.submitReqInline(r, sc, body, slot)
+		rt.submitReqInline(r, sc, build, slot)
 		rt.serveSlots.Release(slot)
 		return
 	}
 	lease := rt.rootDom.AcquireFor(uintptr(unsafe.Pointer(r)))
-	if !rt.gate.Enter(lease.Slot()) {
-		lease.Release()
-		rt.failDraining(r, sc)
-		return
-	}
-	slot := rt.cfg.Workers + lease.Slot()
-	t := rt.newReqTask(r, sc, body, slot)
-	rt.registerWith(&rt.global, rt.rootDom, t, slot)
-	rt.gate.Leave(lease.Slot())
+	rt.admit(lease.Slot(), rt.cfg.Workers+lease.Slot(), sc, nil, r, build)
 	lease.Release()
 }
 
-// submitReqInline registers the request's root on the caller's
-// exclusive serving slot and executes it in place: the registration
-// arms the slot's bypass so the access-free root comes straight back
-// to this goroutine instead of the scheduler, and the goroutine then
-// helps execute ready tasks until the request's completion fold
-// claimed the Req. The drain gate is entered around registration only,
-// exactly like the dispatch path.
-func (rt *Runtime) submitReqInline(r *Req, sc *scope, body func(*Ctx), slot int) {
-	shard := (slot - rt.serveSlots.Base()) % rt.cfg.RootShards
-	if !rt.gate.Enter(shard) {
-		rt.failDraining(r, sc)
-		return
-	}
-	t := rt.newReqTask(r, sc, body, slot)
+// submitReqInline admits the request's root on the caller's exclusive
+// serving slot and executes it in place: the admission arms the slot's
+// bypass so the access-free root comes straight back to this goroutine
+// instead of the scheduler, and the goroutine then helps execute ready
+// tasks until the request's completion fold claimed the Req (a sealed
+// gate claims it at once). The bypass declines a root whose scope is
+// already aborted (or when higher-priority work is queued); the root
+// then went through the scheduler and the helping loop drains it like
+// any other task.
+func (rt *Runtime) submitReqInline(r *Req, sc *scope, build func(slot int) *Task, slot int) {
 	bs := &rt.bypass[slot]
 	bs.armed = true
-	rt.registerWith(&rt.global, rt.rootDom, t, slot)
-	next := bs.disarm()
-	rt.gate.Leave(shard)
-	// The bypass declines a root whose scope is already aborted (or
-	// when higher-priority work is queued); the root then went through
-	// the scheduler and the helping loop below drains it like any
-	// other task.
-	for next != nil {
-		next = rt.execute(next, slot)
-	}
+	rt.admit((slot-rt.serveSlots.Base())%rt.cfg.RootShards, slot, sc, nil, r, build)
+	rt.runChain(bs.disarm(), slot)
 	rt.helpUntil(slot, func() bool { return r.state.Load() == reqDone })
 }
 
-// newReqTask builds the access-free root task of one Req cycle.
-func (rt *Runtime) newReqTask(r *Req, sc *scope, body func(*Ctx), slot int) *Task {
-	t := rt.newTask(&rt.global, body, nil, slot)
-	t.sc = sc
-	t.req = r
-	t.ownsScope = true
-	return t
-}
-
-// failDraining resolves a cycle rejected by the sealed drain gate.
-func (rt *Runtime) failDraining(r *Req, sc *scope) {
-	sc.release()
+// claim takes the completion fold from any in-flight deadline cancel:
+// it waits out a cancel (tryCancel holds reqCancelling only around the
+// scope cancel), after which the timer can no longer reach the scope.
+func (r *Req) claim() {
+	for i := 0; !r.state.CompareAndSwap(reqIdle, reqDone); i++ {
+		spinOrYield(i)
+	}
 	r.sc = nil
-	r.state.Store(reqDone) // a racing deadline must not cancel anything
-	r.err = ErrRuntimeDraining
-	r.done <- struct{}{}
 }
 
 // Wait blocks until the submission fully completes and returns its

@@ -113,25 +113,6 @@ func TestSubmitReqDeadline(t *testing.T) {
 	}
 }
 
-func TestSubmitReqDraining(t *testing.T) {
-	for _, tc := range reqConfigs() {
-		t.Run(tc.name, func(t *testing.T) {
-			rt := New(tc.cfg)
-			defer rt.Close()
-			if err := rt.Drain(context.Background()); err != nil {
-				t.Fatalf("Drain: %v", err)
-			}
-			r := NewReq()
-			rt.SubmitReq(context.Background(), r, 0, func(c *Ctx) {
-				t.Error("body ran on a drained runtime")
-			})
-			if err := r.Wait(); !errors.Is(err, ErrRuntimeDraining) {
-				t.Fatalf("Wait = %v, want ErrRuntimeDraining", err)
-			}
-		})
-	}
-}
-
 // TestSubmitReqStorm hammers SubmitReq from more goroutines than there
 // are inline-serving slots, so submissions race over slot acquisition
 // and fall back to the dispatch path under contention, with stale

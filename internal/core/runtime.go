@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -193,185 +192,6 @@ type paddedCount struct {
 	_ [56]byte
 }
 
-// pending returns the number of tasks queued in the scheduler (added
-// and not yet taken). The read order is load-bearing: taken is
-// summed FIRST, then added. Both are monotone and every take follows
-// its add, so the result over-approximates the true count at the
-// instant between the two sums — never negative, and never zero while
-// an add the caller must observe (one sequenced before its read, the
-// producer half of the Dekker argument) is still untaken. The error
-// can keep a worker awake one poll too long; it cannot strand work.
-// Summing added first could net a later take against a count that
-// lacks its add and hide a queued task.
-func (rt *Runtime) pending() int64 {
-	taken := rt.taken.Sum()
-	return rt.added.Sum() - taken
-}
-
-// schedAdd hands a task to the scheduler, maintaining the per-level
-// pending counts for elevated tasks and the elastic pending count.
-// Every scheduler insertion must go through it (ready callback,
-// commutative re-enqueue) so the counts match what Get can return. The
-// queue level is the task's *effective* priority, and it is recorded in
-// qstate (as level+1; 0 means not queued) before the insertion so a
-// concurrent promotion (promote) can re-rank the entry and move the
-// pending counts with it. The order against wakeWorker is the
-// lost-wakeup argument's producer half: the slot's added count is
-// raised (sequentially consistent) before the parked count is read, so
-// a worker concurrently publishing itself as parked either sees
-// pending > 0 in its recheck or is seen here.
-func (rt *Runtime) schedAdd(t *Task, worker int) {
-	lvl := sched.ClampPriority(int(t.epri.Load()))
-	t.qstate.Store(int32(lvl + 1))
-	if lvl > 0 {
-		rt.priPending[lvl].v.Add(1)
-		rt.elevated.v.Add(1)
-	}
-	rt.added.Add(worker, 1)
-	rt.sched.Add(t, worker)
-	rt.wakeWorker()
-}
-
-// schedTook books a task that slot id obtained from sched.Get/TryGet
-// out of the pending counts — on id's own taken line; a stale promotion
-// duplicate counts as taken like any other entry, which is what keeps
-// added - taken exact — and claims it for execution: the Swap on qstate
-// is what makes a promotion's duplicate queue entry exactly-once — the
-// first entry to pop wins the task, later (stale) entries observe
-// qstate 0 and dissolve into a nil return. The per-level pending
-// decrement uses the queue level the winning Swap observed, which is
-// where the increments were moved to, so the counts stay exact under
-// concurrent promotion. A recycled-shell entry (the task completed and
-// the shell was re-queued for a new incarnation) is indistinguishable
-// from a genuine one and harmlessly claims the new incarnation — it is
-// ready and queued either way.
-func (rt *Runtime) schedTook(t *Task, id int) *Task {
-	if t == nil {
-		return nil
-	}
-	rt.taken.Add(id, 1)
-	s := t.qstate.Swap(0)
-	if s == 0 {
-		return nil // stale duplicate left behind by a promotion re-push
-	}
-	if s > 1 {
-		rt.priPending[s-1].v.Add(-1)
-		rt.elevated.v.Add(-1)
-	}
-	return t
-}
-
-// promote raises t's effective priority to at least lvl and, when t is
-// currently queued below lvl, re-ranks it: the queue entry cannot be
-// removed from the policy lanes, so a *duplicate* entry is pushed at
-// the new level and qstate's Swap-claim in schedTook makes whichever
-// entry pops first the unique executor. Returns whether the effective
-// priority was actually raised — the transitive inheritance walk stops
-// at tasks already at or above the target level (which also bounds the
-// walk: epri is monotone per incarnation, so any task is raised to a
-// given level at most once).
-//
-// One narrow window is accepted as best-effort: a task between its
-// ready callback and schedAdd's qstate store observes the epri raise
-// (schedAdd reads epri after) but a task *executing* or already claimed
-// keeps running at its old level — promotion cannot preempt.
-func (rt *Runtime) promote(t *Task, lvl, worker int) bool {
-	for {
-		cur := t.epri.Load()
-		if int(cur) >= lvl {
-			return false
-		}
-		if t.epri.CompareAndSwap(cur, int32(lvl)) {
-			break
-		}
-	}
-	for {
-		s := t.qstate.Load()
-		if s == 0 || int(s) >= lvl+1 {
-			// Not queued (the raise alone suffices: a later schedAdd
-			// reads epri) or already ranked at/above the target.
-			return true
-		}
-		if t.qstate.CompareAndSwap(s, int32(lvl+1)) {
-			// Move the pending counts to the new level and push the
-			// duplicate; counts before Add, Add before wake, as in
-			// schedAdd.
-			if s > 1 {
-				rt.priPending[s-1].v.Add(-1)
-			} else {
-				// Promoted out of level 0: newly elevated (a move between
-				// elevated levels leaves the total unchanged).
-				rt.elevated.v.Add(1)
-			}
-			rt.priPending[lvl].v.Add(1)
-			rt.added.Add(worker, 1)
-			rt.sched.Add(t, worker)
-			rt.wakeWorker()
-			return true
-		}
-	}
-}
-
-// promotePreds is the priority-inheritance walk: promote every
-// recorded immediate predecessor of n to at least lvl, recursing into
-// the predecessors of any task the promotion actually raised. The
-// recorded slots are revalidated by generation (deps.VisitPreds), and
-// a predecessor that already completed — or whose shell was recycled
-// mid-walk — is skipped; every mutation on a stale shell is a CAS on
-// monotone state, so the worst case is a bounded scheduling anomaly
-// (an unrelated task rides one level high), never double execution.
-func (rt *Runtime) promotePreds(n *deps.Node, lvl, worker int) {
-	n.VisitPreds(func(p *deps.Node) {
-		pt, ok := p.Payload.(*Task)
-		if !ok || pt == nil || pt.alive.Load() <= 0 {
-			return
-		}
-		if rt.promote(pt, lvl, worker) {
-			rt.promotePreds(p, lvl, worker)
-		}
-	})
-}
-
-// wakeWorker wakes at most one parked worker; producers call it after
-// making work visible (scheduler insertion). With no worker parked — or
-// elastic parking disabled — it is a single atomic load: the parked
-// count is tested BEFORE the pending count is summed, so a busy pool
-// never pays the sum. With someone parked, pending is computed here,
-// after the insertion, and handed to the parker's wake-throttle: when
-// enough woken-but-not-yet-polling workers already cover the backlog,
-// the redundant claim scan is skipped (burst producers would otherwise
-// pay one scan per enqueue). pending's over-approximation only makes
-// the throttle fire less often.
-func (rt *Runtime) wakeWorker() {
-	if rt.elastic && rt.parker.Parked() > 0 {
-		rt.parker.WakeOne(0, rt.pending())
-	}
-}
-
-// higherPriPending reports whether any task with a priority level above
-// pri is currently queued. It is a conservative best-effort read
-// (concurrent Adds and Gets move the counts), used to keep the
-// successor bypass from starving queued higher-priority work.
-func (rt *Runtime) higherPriPending(pri int8) bool {
-	for l := int(pri) + 1; l < sched.PriorityLevels; l++ {
-		if rt.priPending[l].v.Load() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// mayHandOff holds the two gates every immediate-successor hand-off
-// passes before work of t's scope and effective level runs next on a
-// thread without a scheduling decision: the scope is healthy (a
-// cancelled scope's tasks drain through the scheduler) and nothing of a
-// higher level is queued (the priority policy must order the two). The
-// ready callback asks it about the task it would park in the bypass
-// slot, ContinueNode about the running task itself.
-func (rt *Runtime) mayHandOff(t *Task) bool {
-	return t.sc.abortCause() == nil && !rt.higherPriPending(int8(t.epri.Load()))
-}
-
 // New builds and starts a runtime. The caller must Close it.
 func New(cfg Config) *Runtime {
 	rt := build(cfg)
@@ -468,7 +288,7 @@ func build(cfg Config) *Runtime {
 	// absolute deadline instead of the configured policy.
 	var dlOf func(t *Task) int64
 	if cfg.EDF {
-		dlOf = func(t *Task) int64 { return t.deadline }
+		dlOf = func(t *Task) int64 { return t.deadline.Load() }
 	}
 	mkInner := func() sched.Policy[*Task] {
 		switch cfg.Policy {
@@ -578,84 +398,6 @@ func (rt *Runtime) SchedulerName() string { return rt.sched.Name() }
 // DepsName returns the dependency system's name.
 func (rt *Runtime) DepsName() string { return rt.deps.Name() }
 
-// Run submits a root task and blocks until it and all its descendants
-// have fully completed. It returns the scope's aggregate error: task
-// errors (from GoFn bodies or recovered panics) joined per the
-// configured ErrorPolicy, or nil when every task succeeded. Run may be
-// called repeatedly, from multiple goroutines; submissions whose
-// accesses hash to different root-domain shards register in parallel,
-// and same-shard registrations serialize only on that shard's lock.
-func (rt *Runtime) Run(body func(*Ctx), accs ...deps.AccessSpec) error {
-	return rt.RunCtx(context.Background(), body, accs...)
-}
-
-// RunCtx is Run honoring a caller context: when ctx is cancelled (or
-// its deadline passes), tasks of this submission that have not started
-// are drained without executing — the dependency graph and live-task
-// accounting still unwind normally, so RunCtx returns only after the
-// scope has fully drained, with the cancellation cause. Tasks whose
-// bodies already started run to completion; they can poll Ctx.Err to
-// stop early.
-func (rt *Runtime) RunCtx(ctx context.Context, body func(*Ctx), accs ...deps.AccessSpec) error {
-	h := rt.submitRoot(ctx, body, nil, accs)
-	// The root's completion folded the scope's aggregate error into the
-	// handle (completeOne); read that snapshot rather than recomputing,
-	// so Run's return and the Handle always agree.
-	<-h.done
-	return h.err
-}
-
-// Submit submits a root task whose body returns a result and an error,
-// without waiting: the returned Handle delivers them at the task's full
-// completion. Submissions participate in root-level dependency chains
-// exactly like Run roots (matching accesses order them). The typed
-// façade wrapper is repro.Submit.
-func (rt *Runtime) Submit(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *Handle {
-	return rt.SubmitCtx(context.Background(), fn, accs...)
-}
-
-// SubmitCtx is Submit with a caller context; cancellation drains the
-// task (and any descendants) as in RunCtx, and the Handle reports the
-// cause.
-func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *Handle {
-	return rt.submitRoot(ctx, nil, fn, accs)
-}
-
-// submitRoot creates one root task with a fresh (pooled)
-// error/cancellation scope and registers it into the sharded root
-// domain. The lease taken here locks every shard the access addresses
-// hash to, in ascending order; its lowest shard selects the submitter
-// slot whose thread-local structures (allocator free list, dependency
-// mailbox, scheduler insertion index, trace buffer) this registration
-// uses exclusively. Submissions on disjoint shard sets run this whole
-// path in parallel.
-func (rt *Runtime) submitRoot(ctx context.Context, body func(*Ctx), fn func(*Ctx) (any, error), accs []deps.AccessSpec) *Handle {
-	sc := newScope(ctx, rt.cfg.OnError)
-	h := newHandle()
-	lease := rt.rootDom.Acquire(accs)
-	// The drain gate is entered under the lease (the shard lock makes
-	// the per-shard count uncontended) and left once registration has
-	// raised the live count, which hands Drain's quiescence wait the
-	// task. A sealed runtime resolves the handle immediately.
-	if !rt.gate.Enter(lease.Slot()) {
-		lease.Release()
-		sc.release()
-		h.err = ErrRuntimeDraining
-		close(h.done)
-		return h
-	}
-	slot := rt.cfg.Workers + lease.Slot()
-	t := rt.newTask(&rt.global, body, accs, slot)
-	t.fn = fn
-	t.sc = sc
-	t.handle = h
-	t.ownsScope = true
-	rt.registerWith(&rt.global, rt.rootDom, t, slot)
-	rt.gate.Leave(lease.Slot())
-	lease.Release()
-	return h
-}
-
 // newTask allocates and initializes a task without registering it. The
 // task inherits the parent's scope; root submitters override it.
 // Access sets up to deps.InlineAccessCap (five) live in the shell's
@@ -672,7 +414,7 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec
 	t.sc = parent.sc
 	t.pri = parent.pri
 	t.inherit = parent.inherit
-	t.deadline = parent.deadline
+	dl := parent.deadline.Load()
 	t.alive.Store(1)
 	if t.node.Payload == nil {
 		// First use of a fresh shell; Node.Reset keeps the payload, so
@@ -691,13 +433,14 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec
 			t.pri = int8(sched.ClampPriority(accs[i].Len))
 			nacc--
 		case deps.DeadlineClause:
-			t.deadline = int64(accs[i].Len)
+			dl = int64(accs[i].Len)
 			nacc--
 		case deps.InheritClause:
 			t.inherit = true
 			nacc--
 		}
 	}
+	t.deadline.Store(dl)
 	t.epri.Store(int32(t.pri))
 	if nacc > 0 {
 		dst := t.node.InitAccesses(nacc)
@@ -794,9 +537,9 @@ func ContinueNode(c *Ctx, node int) bool {
 // workerLoop is the per-core scheduling loop: ask the scheduler for
 // work, run it, and while idle climb the spin→park ladder — a bounded
 // spin-yield phase (Config.IdleSpin empty polls) followed by parking on
-// the worker's wake channel until a producer's enqueue claims it. The
-// first Config.MinWorkers workers never park; neither does anyone once
-// the runtime is stopping (the stop condition below must stay polled).
+// the worker's wake channel until a producer's enqueue claims it. No
+// worker parks once the runtime is stopping (the stop condition below
+// must stay polled).
 // The loop exits once the runtime is stopping and no live tasks remain;
 // each exiting worker wakes all parked peers so the exit cascades.
 func (rt *Runtime) workerLoop(id int) {
@@ -805,7 +548,6 @@ func (rt *Runtime) workerLoop(id int) {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	canPark := rt.elastic && id >= rt.cfg.MinWorkers
 	spinning := false
 	for i := 0; ; i++ {
 		t0 := rt.tracer.Now()
@@ -816,11 +558,7 @@ func (rt *Runtime) workerLoop(id int) {
 			}
 			rt.tracer.EmitTS(id, trace.KSchedEnter, 0, t0)
 			rt.tracer.Emit(id, trace.KSchedLeave, 0)
-			// Run the task and then any chain of bypassed successors it
-			// releases, without returning to the scheduler in between.
-			for t != nil {
-				t = rt.execute(t, id)
-			}
+			rt.runChain(t, id)
 			i = 0
 			continue
 		}
@@ -834,7 +572,7 @@ func (rt *Runtime) workerLoop(id int) {
 			rt.parker.MarkSpinning(id)
 			spinning = true
 		}
-		if canPark && i >= rt.cfg.IdleSpin && !rt.stopping.Load() {
+		if rt.elastic && i >= rt.cfg.IdleSpin && !rt.stopping.Load() {
 			// Spin budget exhausted: park until a producer's enqueue
 			// claims this worker. Park publishes the parked state before
 			// running the recheck, so an enqueue that lands between the
@@ -860,12 +598,8 @@ func (rt *Runtime) workerLoop(id int) {
 // stored, so closure arguments stay on the caller's stack.
 func (rt *Runtime) helpUntil(id int, done func() bool) {
 	for i := 0; !done(); i++ {
-		if other := rt.schedTook(rt.sched.TryGet(id), id); other != nil {
-			// Execute the task and any bypassed successor chain it
-			// releases; helping with ready work is the point of the loop.
-			for other != nil {
-				other = rt.execute(other, id)
-			}
+		if t := rt.schedTook(rt.sched.TryGet(id), id); t != nil {
+			rt.runChain(t, id)
 			i = 0
 			continue
 		}
@@ -878,6 +612,17 @@ func (rt *Runtime) helpUntil(id int, done func() bool) {
 // half of Taskwait and of a loop owner's final-chunk barrier.
 func (rt *Runtime) helpWhileChildren(t *Task, id int) {
 	rt.helpUntil(id, func() bool { return t.alive.Load() <= 1 })
+}
+
+// runChain executes t on thread id and then every successor its
+// release hands back through the bypass slot, without returning to the
+// scheduler in between. Every loop that runs tasks — the worker loop,
+// the helping loop, inline serving, a worker-side deferred release —
+// runs them through it.
+func (rt *Runtime) runChain(t *Task, id int) {
+	for t != nil {
+		t = rt.execute(t, id)
+	}
 }
 
 // execute runs one ready task to completion on worker id: commutative
@@ -908,14 +653,11 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 		return nil
 	}
 	if cause != nil {
-		// Drained: record the skip on the task's handle, if it has one.
-		// Skips are not scope errors — only their cause is.
+		// Drained: record the skip in the task's result slot, if it has
+		// one. Skips are not scope errors — only their cause is.
 		rt.tracer.Emit(id, trace.KTaskCancel, 0)
-		if t.handle != nil && t.handle.err == nil {
-			t.handle.err = &skipError{cause: cause}
-		}
-		if t.req != nil && t.req.err == nil {
-			t.req.err = &skipError{cause: cause}
+		if p := t.result(); p != nil && *p == nil {
+			*p = &skipError{cause: cause}
 		}
 	} else {
 		rt.tracer.Emit(id, trace.KTaskStart, 0)
@@ -947,13 +689,20 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 		}
 		t.node.ReleaseCommutative()
 	}
+	return rt.release(t, id, true)
+}
 
-	// Arm the bypass slot for the duration of the dependency release:
-	// the ready callback parks the first eligible successor here. The
-	// slot is disarmed before completeOne so a recycled shell can never
-	// alias the parked task.
+// release is the one dependency release, shared by execute's tail and
+// releaseDeferred: unregister t's accesses — with id's bypass slot armed
+// when arm is set, so the ready callback parks the first eligible
+// successor there — then run the completion cascade, and return the
+// parked successor for the caller's runChain. The slot is disarmed
+// before completeOne so a recycled shell can never alias the parked
+// task. Drained tasks pass through here too: a path that skips a body
+// still releases.
+func (rt *Runtime) release(t *Task, id int, arm bool) *Task {
 	bs := &rt.bypass[id]
-	bs.armed = true
+	bs.armed = arm
 	t0 := rt.tracer.Now()
 	rt.deps.Unregister(&t.node, id)
 	rt.tracer.EmitTS(id, trace.KDepUnregister, uint64(rt.tracer.Now()-t0), t0)
@@ -1001,8 +750,8 @@ func (rt *Runtime) runBody(t *Task, id int) {
 // completeOne releases the body guard of t and cascades full completions
 // up the ancestor chain. Handles are closed here — full completion is
 // when a Future's result becomes observable — and scope-owning roots
-// fold their scope's aggregate error into the handle and release the
-// scope's context registration.
+// fold their scope's aggregate error into their one result slot (a
+// Handle's or a Req's) and release the scope.
 //
 // Shell recycling is gated by the node's pin count: dropping the
 // completion guard recycles immediately when the dependency system
@@ -1017,47 +766,28 @@ func (rt *Runtime) completeOne(t *Task, id int) {
 		parent := t.parent
 		rt.live.Add(id, -1)
 		req := t.req
-		if r := req; r != nil {
-			// Claim the fold: wait out a waiter-side deadline cancel
-			// (tryCancel holds reqCancelling only around the scope
-			// cancel), after which the waiter can no longer touch the
-			// scope and the aggregate is final.
-			for i := 0; !r.state.CompareAndSwap(reqIdle, reqDone); i++ {
-				spinOrYield(i)
+		if t.ownsScope {
+			if req != nil {
+				req.claim() // the aggregate is final once a deadline cancel is out
 			}
 			if agg := t.sc.err(); agg != nil {
-				if sk, ok := r.err.(*skipError); ok {
-					// The root itself was drained: keep the
-					// ErrTaskSkipped marker, carry the aggregate (which
-					// wraps the cancellation cause) as its cause.
+				p := t.result()
+				if sk, ok := (*p).(*skipError); ok {
+					// The root itself was drained: keep the ErrTaskSkipped
+					// marker and carry the aggregate (which wraps the
+					// cancellation cause) as its cause.
 					sk.cause = agg
 				} else {
-					r.err = agg
+					*p = agg
 				}
 			}
-			r.sc = nil
-		}
-		if t.handle != nil {
-			if t.ownsScope {
-				if agg := t.sc.err(); agg != nil {
-					if sk, ok := t.handle.err.(*skipError); ok {
-						// The root itself was drained: keep the
-						// ErrTaskSkipped marker and carry the scope's
-						// aggregate (which wraps the cancellation
-						// cause) as its cause.
-						sk.cause = agg
-					} else {
-						t.handle.err = agg
-					}
-				}
-			}
-			close(t.handle.done)
-		}
-		if t.ownsScope {
 			// The root completes last in its scope: every descendant
 			// already dropped its scope reference on completion, so the
 			// scope can be recycled for a future submission.
 			t.sc.release()
+		}
+		if t.handle != nil {
+			close(t.handle.done)
 		}
 		if l := t.loop; l != nil {
 			t.loop = nil

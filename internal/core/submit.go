@@ -1,0 +1,106 @@
+package core
+
+import (
+	"context"
+
+	"repro/internal/deps"
+)
+
+// Run submits a root task and blocks until it and all its descendants
+// have fully completed. It returns the scope's aggregate error: task
+// errors (from GoFn bodies or recovered panics) joined per the
+// configured ErrorPolicy, or nil when every task succeeded. Run may be
+// called repeatedly, from multiple goroutines; submissions whose
+// accesses hash to different root-domain shards register in parallel,
+// and same-shard registrations serialize only on that shard's lock.
+func (rt *Runtime) Run(body func(*Ctx), accs ...deps.AccessSpec) error {
+	return rt.RunCtx(context.Background(), body, accs...)
+}
+
+// RunCtx is Run honoring a caller context: when ctx is cancelled (or
+// its deadline passes), tasks of this submission that have not started
+// are drained without executing — the dependency graph and live-task
+// accounting still unwind normally, so RunCtx returns only after the
+// scope has fully drained, with the cancellation cause. Tasks whose
+// bodies already started run to completion; they can poll Ctx.Err to
+// stop early.
+func (rt *Runtime) RunCtx(ctx context.Context, body func(*Ctx), accs ...deps.AccessSpec) error {
+	h := rt.submitRoot(ctx, accs, func(slot int) *Task {
+		return rt.newTask(&rt.global, body, accs, slot)
+	})
+	// The root's completion folded the scope's aggregate error into the
+	// handle (completeOne); read that snapshot rather than recomputing,
+	// so Run's return and the Handle always agree.
+	<-h.done
+	return h.err
+}
+
+// Submit submits a root task whose body returns a result and an error,
+// without waiting: the returned Handle delivers them at the task's full
+// completion. Submissions participate in root-level dependency chains
+// exactly like Run roots (matching accesses order them). The typed
+// façade wrapper is repro.Submit.
+func (rt *Runtime) Submit(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *Handle {
+	return rt.SubmitCtx(context.Background(), fn, accs...)
+}
+
+// SubmitCtx is Submit with a caller context; cancellation drains the
+// task (and any descendants) as in RunCtx, and the Handle reports the
+// cause.
+func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *Handle {
+	return rt.submitRoot(ctx, accs, func(slot int) *Task {
+		t := rt.newTask(&rt.global, nil, accs, slot)
+		t.fn = fn
+		return t
+	})
+}
+
+// submitRoot is the lease path of every Handle root (Run, Submit,
+// SubmitLoop): it leases the root-domain shards the access addresses
+// hash to, in ascending order, and admits the root that build makes
+// under a fresh (pooled) error/cancellation scope. The lease's lowest
+// shard selects the submitter slot whose thread-local structures
+// (allocator free list, dependency mailbox, scheduler insertion index,
+// trace buffer) the registration uses exclusively, so submissions on
+// disjoint shard sets run this whole path in parallel.
+func (rt *Runtime) submitRoot(ctx context.Context, accs []deps.AccessSpec, build func(slot int) *Task) *Handle {
+	h := newHandle()
+	lease := rt.rootDom.Acquire(accs)
+	rt.admit(lease.Slot(), rt.cfg.Workers+lease.Slot(), newScope(ctx, rt.cfg.OnError), h, nil, build)
+	lease.Release()
+	return h
+}
+
+// admit is root admission, the one way a root task enters the runtime:
+// enter the drain gate on shard, build the root on slot, make it the
+// owner of scope sc and of its latch (a Handle h or a Req r, exactly
+// one non-nil), register it into the root domain and leave the gate.
+// The caller owns slot for the call — through a root-domain lease,
+// whose shard lock also keeps the gate's per-shard count uncontended,
+// or an inline-serving slot. Leaving only after registration raised the
+// live count hands Drain's quiescence wait the task. A sealed gate
+// builds nothing: the scope is released and the latch resolves with
+// ErrRuntimeDraining at once. build is only called, never stored, so a
+// caller's closure stays on its stack.
+func (rt *Runtime) admit(shard, slot int, sc *scope, h *Handle, r *Req, build func(slot int) *Task) {
+	if !rt.gate.Enter(shard) {
+		if h != nil {
+			sc.release()
+			h.err = ErrRuntimeDraining
+			close(h.done)
+			return
+		}
+		r.claim() // a racing deadline must not cancel a released scope
+		sc.release()
+		r.err = ErrRuntimeDraining
+		r.done <- struct{}{}
+		return
+	}
+	t := build(slot)
+	t.sc = sc
+	t.handle = h
+	t.req = r
+	t.ownsScope = true
+	rt.registerWith(&rt.global, rt.rootDom, t, slot)
+	rt.gate.Leave(shard)
+}

@@ -78,9 +78,11 @@ type Task struct {
 	// nanoseconds on the runtime's monotonic clock (NowNS); 0 means no
 	// deadline. Inherited from the parent like pri and overridden by a
 	// DeadlineClause pseudo access; read by the EDF policy, which sorts
-	// deadline-less tasks last. Written only before registration, so
-	// scheduler-side reads need no atomics.
-	deadline int64
+	// deadline-less tasks last. newTask stores it once per incarnation,
+	// but the EDF heap may still read it through a stale promotion
+	// duplicate — a queue entry that outlived its task and points at a
+	// recycled shell — so it is atomic like epri.
+	deadline atomic.Int64
 
 	// epri is the task's *effective* priority level: pri, possibly
 	// raised by priority inheritance after a high-priority successor
@@ -95,7 +97,7 @@ type Task struct {
 	// scheduler. A promotion re-push CASes it to the new level and
 	// inserts a duplicate entry; schedTook claims execution by Swap(0),
 	// so the losing (stale) entry pops as a no-op. See
-	// schedAdd/schedTook and promote in runtime.go.
+	// schedAdd/schedTook and promote in queue.go.
 	qstate atomic.Int32
 
 	// pri is the task's scheduling priority level, in
@@ -153,10 +155,10 @@ func (t *Task) resetBody() {
 	t.ownsScope = false
 	t.events = nil
 	t.inherit = false
-	t.deadline = 0
-	// The three atomics need no reset: alive reached zero to get here,
+	// The four atomics need no reset: alive reached zero to get here,
 	// qstate was zeroed by the Swap that claimed the task (and is only
-	// set again by schedAdd), and newTask stores epri unconditionally.
+	// set again by schedAdd), and newTask stores deadline and epri
+	// unconditionally.
 }
 
 // reset fully prepares a recycled Task shell for reuse. It must only
@@ -169,6 +171,19 @@ func (t *Task) resetBody() {
 func (t *Task) reset() {
 	t.node.Reset()
 	t.resetBody()
+}
+
+// result returns the task's one result slot — its Handle's error or
+// its Req's — or nil when it has neither (a plain spawn). Every root
+// has one.
+func (t *Task) result() *error {
+	switch {
+	case t.handle != nil:
+		return &t.handle.err
+	case t.req != nil:
+		return &t.req.err
+	}
+	return nil
 }
 
 // fail records err as the task's outcome: on the task's handle (first
@@ -207,7 +222,7 @@ func (c *Ctx) Priority() int { return int(c.task.pri) }
 // nanoseconds on the runtime's monotonic clock (NowNS), or 0 when the
 // task carries none. Bodies can compare it against NowNS() to detect
 // that they are already late and shed work.
-func (c *Ctx) Deadline() int64 { return c.task.deadline }
+func (c *Ctx) Deadline() int64 { return c.task.deadline.Load() }
 
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.rt }

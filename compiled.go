@@ -201,7 +201,7 @@ func (cg *CompiledGraph) Do(ctx context.Context) (*GraphExec, error) {
 }
 
 // DoTimeout is Do with a per-request deadline on the runtime's timer
-// wheel: if the request has not completed after d, its scope is
+// queue: if the request has not completed after d, its scope is
 // cancelled — not-yet-started nodes drain with ErrTaskSkipped wrapping
 // context.DeadlineExceeded — and DoTimeout still waits for the full
 // drain before returning, so the frame is quiescent and reusable.

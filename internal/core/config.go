@@ -95,15 +95,11 @@ type Config struct {
 
 	// EventSlots is the number of exclusive completer slots that
 	// external event decrements (EventCounter.Done from non-worker
-	// goroutines, timer-wheel firings) borrow to run the deferred
-	// release path. It bounds how many external completions can release
-	// concurrently — never correctness; excess completers wait for a
-	// slot. 0 selects 4.
+	// goroutines, timers fired by the timer queue's fallback goroutine)
+	// borrow to run the deferred release path. It bounds how many
+	// external completions can release concurrently — never correctness;
+	// excess completers wait for a slot. 0 selects 4.
 	EventSlots int
-	// EventTick is the granularity of the shared timer wheel behind
-	// Ctx.After/AfterFunc (0: 100µs). Timers never fire early; they
-	// round up to the next tick.
-	EventTick time.Duration
 
 	// ServeSlots is the number of exclusive inline-serving slots for
 	// SubmitReq: when one is free, the submitting goroutine executes

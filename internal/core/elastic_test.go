@@ -101,7 +101,7 @@ func TestElasticCloseWhileParked(t *testing.T) {
 // worker is asleep: the deferred release path's enqueue must wake the
 // pool, and Drain must observe full quiescence.
 func TestElasticDrainWhileParked(t *testing.T) {
-	rt := New(Config{Workers: 4, IdleSpin: 64, EventTick: time.Millisecond})
+	rt := New(Config{Workers: 4, IdleSpin: 64})
 	defer rt.Close()
 	var x int
 	var order atomic.Int32

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/trace"
 )
 
@@ -88,16 +89,7 @@ func (ec *EventCounter) Add(n int) {
 // dependency release and completion cascade — successors become ready,
 // the handle resolves, the scope unwinds — on an exclusive borrowed
 // completer slot.
-func (ec *EventCounter) Done() {
-	switch v := ec.n.Add(-1); {
-	case v > 0:
-	case v < 0:
-		panic("repro: EventCounter.Done without a matching Add")
-	default:
-		ec.n.Store(eventsDrained)
-		ec.rt.releaseExternal(ec.t)
-	}
-}
+func (ec *EventCounter) Done() { ec.done(event.NoThread) }
 
 // DoneFrom is Done called from inside another task's body: the final
 // decrement then reuses the calling worker's thread index instead of
@@ -106,16 +98,34 @@ func (ec *EventCounter) Done() {
 // successor readied by this decrement can run on the calling worker
 // right after the current body. c must be the Ctx of the task whose
 // body is executing the call.
-func (ec *EventCounter) DoneFrom(c *Ctx) {
+func (ec *EventCounter) DoneFrom(c *Ctx) { ec.done(c.worker) }
+
+// done is the one decrement. The call that drains the counter runs the
+// release on thread id, or on a borrowed completer slot when id is
+// event.NoThread.
+func (ec *EventCounter) done(id int) {
 	switch v := ec.n.Add(-1); {
 	case v > 0:
 	case v < 0:
 		panic("repro: EventCounter.Done without a matching Add")
 	default:
 		ec.n.Store(eventsDrained)
-		ec.rt.releaseDeferred(ec.t, c.worker, true)
+		if id == event.NoThread {
+			ec.rt.releaseExternal(ec.t)
+		} else {
+			ec.rt.releaseDeferred(ec.t, id, true)
+		}
 	}
 }
+
+// timerDone is an EventCounter in the role of the timer queue's
+// completer: a timer polled by a runtime thread completes on that
+// thread's index, one fired by the fallback goroutine on a completer
+// slot. A distinct type keeps Complete off EventCounter's public method
+// set; the conversion allocates nothing.
+type timerDone EventCounter
+
+func (d *timerDone) Complete(id int) { (*EventCounter)(d).done(id) }
 
 // releaseExternal runs the deferred release from a non-worker
 // goroutine. The release path touches thread-indexed structures
@@ -154,26 +164,23 @@ func (rt *Runtime) releaseDeferred(t *Task, id int, isWorker bool) {
 
 // After defers this task's completion by at least d without holding a
 // worker: it registers one event and schedules its completion on the
-// runtime's shared timer wheel. Successors (and Taskwait/Future
-// waiters) observe the task as complete only once the timer fires —
-// the task-shaped replacement for time.Sleep in a body, at the cost of
-// no worker and no goroutine. Multiple After calls (and explicit
-// Add/Done pairs) compose: the task completes when all have fired.
-func (c *Ctx) After(d time.Duration) {
-	ec := c.Events()
-	ec.Add(1)
-	c.rt.wheel.After(d, ec.Done)
-}
+// runtime's timer queue. Successors (and Taskwait/Future waiters)
+// observe the task as complete only once the timer fires — the
+// task-shaped replacement for time.Sleep in a body, at the cost of no
+// worker and no goroutine. Multiple After calls (and explicit Add/Done
+// pairs) compose: the task completes when all have fired.
+func (c *Ctx) After(d time.Duration) { c.AfterFunc(d, nil) }
 
-// AfterFunc runs fn on the shared timer goroutine after at least d,
-// then completes one event — the simulated-I/O shape: write the
-// arrived response where successors will read it, in fn, and the
-// dependency order makes it visible to them. fn must be brief (it
-// shares the single wheel goroutine) and must not block.
+// AfterFunc runs fn after at least d, then completes one event — the
+// simulated-I/O shape: write the arrived response where successors will
+// read it, in fn, and the dependency order makes it visible to them. fn
+// runs on whichever runtime thread fires the timer — an idle worker, or
+// the timer queue's fallback goroutine — so it must be brief and must
+// never block. A nil fn only completes the event.
 func (c *Ctx) AfterFunc(d time.Duration, fn func()) {
 	ec := c.Events()
 	ec.Add(1)
-	c.rt.wheel.After(d, func() { fn(); ec.Done() })
+	c.rt.wheel.Arm(d, fn, (*timerDone)(ec))
 }
 
 // Await blocks the running task until h resolves and returns its

@@ -10,8 +10,8 @@ import (
 // differential suite: the same randomized dependency graphs as
 // TestPriorityDifferentialStress, but with every second task deferring
 // its oracle unwind — the version bump and exclusivity exit — into an
-// event completion (a raw goroutine for half of those, the shared
-// timer wheel for the rest). If the runtime released a parked task's
+// event completion (a raw goroutine for half of those, the timer
+// queue for the rest). If the runtime released a parked task's
 // dependencies at body return instead of at the final decrement, a
 // successor would run while the predecessor's writer count is still
 // raised or its version not yet bumped, and the oracle reports it.

@@ -292,7 +292,7 @@ func TestAfterDefersCompletion(t *testing.T) {
 }
 
 // TestAfterFuncDeliversResponse: the simulated-I/O shape — AfterFunc
-// writes the response on the wheel goroutine, the dependency order
+// writes the response on the firing thread, the dependency order
 // makes it visible to the successor (validated under -race).
 func TestAfterFuncDeliversResponse(t *testing.T) {
 	rt := New(Config{Workers: 2})

@@ -567,7 +567,7 @@ type priCell struct {
 // With evented set, every second task defers its release through the
 // external-event subsystem: the body registers an event and the oracle
 // *unwind* (version bump, exclusivity exit) runs in the completion —
-// from a plain goroutine or from the shared timer wheel, alternating.
+// from a plain goroutine or from the timer queue, alternating.
 // The oracle then checks deferral for real: if the runtime released
 // the task's dependencies at body return instead of at the final
 // decrement, a successor would observe an in-flight exclusive or a

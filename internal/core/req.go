@@ -27,7 +27,7 @@ type Req struct {
 
 	// gen invalidates deadline timers of earlier cycles: every
 	// SubmitReq bumps it under mu before any other cycle state is
-	// touched, and a wheel callback re-checks the generation it
+	// touched, and a timer callback re-checks the generation it
 	// captured at arm time under the same mu, so a stale timer firing
 	// into a later cycle is a no-op.
 	mu  sync.Mutex
@@ -59,7 +59,7 @@ func NewReq() *Req {
 // fresh (pooled) scope with ctx and the configured ErrorPolicy; if
 // d > 0 the submission is additionally cancelled — not-yet-started
 // tasks drain, exactly like a context deadline — when the runtime's
-// timer wheel fires after d, with context.DeadlineExceeded as the
+// timer queue fires after d, with context.DeadlineExceeded as the
 // cause. The submission carries no root dependency accesses (serving
 // requests are self-contained graphs ordered internally).
 //
@@ -77,7 +77,7 @@ func NewReq() *Req {
 // scheduler as before and Wait blocks on the latch.
 //
 // A deadline costs one timer registration (a captured-generation
-// closure on the wheel); the d == 0 path allocates nothing.
+// closure on the timer queue); the d == 0 path allocates nothing.
 func (rt *Runtime) SubmitReq(ctx context.Context, r *Req, d time.Duration, body func(*Ctx)) {
 	// Bump the generation first, under mu: a stale timer of the
 	// previous cycle that already passed its generation check must
@@ -142,7 +142,7 @@ func (r *Req) claim() {
 // Wait blocks until the submission fully completes and returns its
 // aggregate error (the same folding as RunCtx: task errors per the
 // ErrorPolicy, a skip marker when the root itself was drained). A
-// deadline armed at SubmitReq cancels the scope from the timer wheel —
+// deadline armed at SubmitReq cancels the scope from the timer queue —
 // not-yet-started tasks drain with ErrTaskSkipped wrapping
 // context.DeadlineExceeded — and completion still waits for the full
 // drain: when Wait returns, no task of the submission can touch the

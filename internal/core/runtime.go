@@ -159,12 +159,12 @@ type Runtime struct {
 
 	// External-event machinery (see event.go): evSlots pools the
 	// exclusive thread indices non-worker goroutines borrow to run the
-	// deferred release path, wheel is the shared timer backing
-	// Ctx.After/AfterFunc, and gate seals root submission for Drain
-	// (entered under the registration lease's shard lock, so it adds no
-	// cross-submitter cache traffic). eventsHeld counts tasks parked
-	// between body return and final event decrement; together with the
-	// live counter it defines Drain's quiescence.
+	// deferred release path, wheel is the timer queue behind
+	// Ctx.After/AfterFunc that idle threads poll, and gate seals root
+	// submission for Drain (entered under the registration lease's shard
+	// lock, so it adds no cross-submitter cache traffic). eventsHeld
+	// counts tasks parked between body return and final event decrement;
+	// together with the live counter it defines Drain's quiescence.
 	evSlots    *event.Slots
 	wheel      *event.Wheel
 	gate       *event.Gate
@@ -212,7 +212,7 @@ func build(cfg Config) *Runtime {
 	// worker count and add one slot themselves receive slots-1.
 	slots := cfg.Workers + cfg.RootShards + cfg.EventSlots + cfg.ServeSlots
 	rt.evSlots = event.NewSlots(cfg.Workers+cfg.RootShards, cfg.EventSlots)
-	rt.wheel = event.NewWheel(cfg.EventTick, 0)
+	rt.wheel = event.NewWheel(0, 0)
 	rt.gate = event.NewGate(cfg.RootShards)
 	rt.live = counter.NewSharded(slots)
 	rt.added = counter.NewSharded(slots)
@@ -535,11 +535,13 @@ func ContinueNode(c *Ctx, node int) bool {
 }
 
 // workerLoop is the per-core scheduling loop: ask the scheduler for
-// work, run it, and while idle climb the spin→park ladder — a bounded
-// spin-yield phase (Config.IdleSpin empty polls) followed by parking on
-// the worker's wake channel until a producer's enqueue claims it. No
-// worker parks once the runtime is stopping (the stop condition below
-// must stay polled).
+// work, run it, and while idle fire due timers and climb the spin→park
+// ladder — a bounded spin-yield phase (Config.IdleSpin empty polls)
+// followed by parking on the worker's wake channel until a producer's
+// enqueue claims it. A worker whose timer queue has a deadline within
+// event.Horizon stays up instead, as the one timer owner. No worker
+// parks once the runtime is stopping (the stop condition below must
+// stay polled).
 // The loop exits once the runtime is stopping and no live tasks remain;
 // each exiting worker wakes all parked peers so the exit cascades.
 func (rt *Runtime) workerLoop(id int) {
@@ -562,6 +564,12 @@ func (rt *Runtime) workerLoop(id int) {
 			i = 0
 			continue
 		}
+		if rt.wheel.Poll(id) {
+			// A due timer fired on this worker's index: its event's
+			// release ran here, and the successors it readied with it.
+			i = 0
+			continue
+		}
 		if rt.stopping.Load() && rt.live.Sum() == 0 {
 			// Parked peers cannot poll this condition; each exiting
 			// worker releases them all so the shutdown cascades.
@@ -572,8 +580,9 @@ func (rt *Runtime) workerLoop(id int) {
 			rt.parker.MarkSpinning(id)
 			spinning = true
 		}
-		if rt.elastic && i >= rt.cfg.IdleSpin && !rt.stopping.Load() {
-			// Spin budget exhausted: park until a producer's enqueue
+		if rt.elastic && i >= rt.cfg.IdleSpin && !rt.stopping.Load() && !rt.wheel.Hold(id) {
+			// Spin budget exhausted and no timer near enough to keep this
+			// worker up as the owner: park until a producer's enqueue
 			// claims this worker. Park publishes the parked state before
 			// running the recheck, so an enqueue that lands between the
 			// last empty poll above and the sleep is never lost — either
@@ -589,17 +598,21 @@ func (rt *Runtime) workerLoop(id int) {
 }
 
 // helpUntil is the runtime's one blocking-help loop: execute ready
-// tasks on worker id until done() reports true, spin-yielding only
-// when no work is available. Every in-task wait routes through it —
-// Taskwait and the loop owner's final-chunk barrier (helpWhileChildren)
-// and the handle wait of Ctx.Await — so "waiting means helping" is
-// implemented (and tuned) in exactly one place. done must be cheap; it
-// is polled between tasks. The func value is only called, never
-// stored, so closure arguments stay on the caller's stack.
+// tasks on worker id until done() reports true, firing due timers and
+// spin-yielding only when no work is available. Every in-task wait
+// routes through it — Taskwait and the loop owner's final-chunk barrier
+// (helpWhileChildren) and the handle wait of Ctx.Await — so "waiting
+// means helping" is implemented (and tuned) in exactly one place. done
+// must be cheap; it is polled between tasks. The func value is only
+// called, never stored, so closure arguments stay on the caller's stack.
 func (rt *Runtime) helpUntil(id int, done func() bool) {
 	for i := 0; !done(); i++ {
 		if t := rt.schedTook(rt.sched.TryGet(id), id); t != nil {
 			rt.runChain(t, id)
+			i = 0
+			continue
+		}
+		if rt.wheel.Poll(id) {
 			i = 0
 			continue
 		}
@@ -847,9 +860,9 @@ func (rt *Runtime) maybeInjectNoise(owner int) {
 // Close shuts the runtime down after all submitted work has finished.
 // It must not be called concurrently with Run. (Use Drain first to
 // quiesce a runtime that still has submissions or pending events in
-// flight.) The timer wheel stops after the workers: a worker exits
+// flight.) The timer queue stops after the workers: a worker exits
 // only at live==0, which a pending timer's task prevents, so stopping
-// the wheel earlier could strand the pool.
+// the queue earlier could strand the pool.
 func (rt *Runtime) Close() {
 	rt.stopping.Store(true)
 	rt.sched.Stop()

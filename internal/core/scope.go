@@ -84,7 +84,7 @@ type scope struct {
 	// caller's context (observed during execution), as opposed to a
 	// FailFast task error already recorded in errs. extAborted marks an
 	// out-of-band cancellation (cancelExternal — a Req deadline from the
-	// timer wheel): like a context cancellation, its cause joins the
+	// timer queue): like a context cancellation, its cause joins the
 	// aggregate error only once a task actually observes the abort.
 	aborted    atomic.Bool
 	ctxAborted atomic.Bool
@@ -160,7 +160,7 @@ func (sc *scope) cancel(cause error) {
 }
 
 // cancelExternal aborts the scope like a caller-context cancellation
-// that arrives out of band — a Req deadline fired by the timer wheel
+// that arrives out of band — a Req deadline fired by the timer queue
 // rather than a context. The cause joins the aggregate error only if a
 // task observes the abort while the scope is still executing (the
 // extAborted check in abortCause), exactly as with context

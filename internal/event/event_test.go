@@ -25,9 +25,9 @@ func TestWheelFiresNoEarlierThanDelay(t *testing.T) {
 }
 
 func TestWheelManyTimersAcrossRounds(t *testing.T) {
-	// A tiny wheel forces multi-round timers (rounds > 0) and bucket
-	// sharing; every callback must still fire exactly once.
-	w := NewWheel(200*time.Microsecond, 4)
+	// Many timers sharing thirteen deadlines, fired by the fallback
+	// goroutine alone (nobody polls): every callback fires exactly once.
+	w := NewWheel(0, 0)
 	defer w.Stop()
 	const n = 500
 	var fired atomic.Int64

@@ -8,9 +8,13 @@
 // The package is deliberately core-agnostic (it knows nothing about
 // tasks); it contributes three primitives the core wires together:
 //
-//   - Wheel: a hashed timing wheel with one shared, lazily started
-//     goroutine, so timer-deferred completions (Ctx.After) cost no
-//     worker and no per-timer goroutine.
+//   - Wheel: a deadline-ordered timer queue. Idle runtime threads poll
+//     it (Poll), so a due timer fires on a thread that is already awake
+//     and its completion runs on that thread's index; one idle worker,
+//     the timer owner, stays up while a deadline is near (Hold); and one
+//     lazily started goroutine sleeping until the earliest deadline
+//     fires what no thread polls. Timer-deferred completions
+//     (Ctx.After) cost no worker and no per-timer goroutine.
 //   - Slots: a small pool of exclusive thread indices that non-worker
 //     goroutines borrow to run the release path, which requires a
 //     thread index that is unique among concurrent callers (dependency
@@ -20,82 +24,127 @@
 package event
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// defaultTick is the wheel granularity when the caller passes none:
-// fine enough that millisecond-scale simulated I/O keeps sub-10%
-// quantization, coarse enough that the ticker goroutine stays cold.
-const defaultTick = 100 * time.Microsecond
+// Horizon is how near the earliest deadline must be for an idle worker
+// to stay up as the timer owner instead of parking (Hold). A thread that
+// sleeps wakes late next to a busy-yielding goroutine — a 1 ms
+// time.Timer fired at p90 4.8 ms on a two-core host — so a
+// timer is only on time if somebody awake polls for it; the horizon
+// bounds what that costs: one core, for at most this long before each
+// deadline.
+const Horizon = time.Millisecond
 
-// defaultBuckets is the wheel size (a power of two); timers beyond one
-// revolution carry a remaining-rounds count, so the size only affects
-// how many are rescanned per tick, not how far ahead After can look.
-const defaultBuckets = 256
+// NoThread is the thread index a Completer receives when the fallback
+// goroutine, which owns no runtime index, fires its timer.
+const NoThread = -1
 
-// timer is one scheduled callback: fn fires when its bucket comes up
-// with rounds at zero.
+// never is the published minimum of an empty queue.
+const never = math.MaxInt64
+
+// Completer is what a timer completes after its callback — the runtime's
+// event counter — told which thread index the timer fired on: the
+// polling thread's, or NoThread.
+type Completer interface{ Complete(id int) }
+
+// timer is one queue entry: at its absolute deadline fn runs (if set),
+// then c completes (if set). Keeping the counter beside the callback,
+// rather than in a closure around it, is what lets the runtime arm a
+// timer without allocating.
 type timer struct {
-	rounds int32
-	fn     func()
+	at int64
+	fn func()
+	c  Completer
 }
 
-// Wheel is a hashed timing wheel: After hashes each callback into the
-// bucket tick-count slots ahead of the cursor, and a single goroutine
-// — started lazily on the first timer, stopped by Stop — advances the
-// cursor once per tick and fires the due bucket entries. Callbacks run
-// on that goroutine, so they must be brief or hand off; firing is
-// never early (a partial current tick rounds up) but can be late under
-// scheduling pressure, which is the usual timer contract.
+// fire runs the entry on thread id.
+func (t *timer) fire(id int) {
+	if t.fn != nil {
+		t.fn()
+	}
+	if t.c != nil {
+		t.c.Complete(id)
+	}
+}
+
+// epoch anchors the queue's monotonic clock.
+var epoch = time.Now()
+
+// monotonic is the queue's clock: nanoseconds since epoch.
+func monotonic() int64 { return int64(time.Since(epoch)) }
+
+// Wheel is a min-heap of absolute monotonic deadlines (the name is kept
+// from the hashed timing wheel it replaced). A timer fires exactly when
+// now ≥ its deadline: never early, never rounded to a tick, and late
+// only by how long it takes somebody to look. Three parties look:
+//
+//   - Poll, from an idle runtime thread: one atomic load of the
+//     earliest deadline when nothing is armed, and otherwise fires every
+//     due entry on the caller's index.
+//   - The timer owner: at most one idle worker, claimed with one CAS in
+//     Hold, stays up polling while the earliest deadline is within
+//     Horizon instead of parking.
+//   - The fallback goroutine: one time.Timer reset to the earliest
+//     deadline, idle while nothing is armed. It fires what no thread
+//     polled — a fully parked pool, or a pool busy with long bodies.
+//     While an owner exists it waits Horizon past each deadline first,
+//     so it does not wake for every timer the owner fires on time.
+//
+// Callbacks run outside the queue lock (they may arm further timers)
+// and on whichever thread fires them, so they must be brief and never
+// block.
 type Wheel struct {
-	tick time.Duration
+	// next is the earliest armed deadline (never when empty), published
+	// under mu after every push and pop; owner is the timer owner's
+	// thread index + 1 (0: none). Both are read by every idle poll, so
+	// they are padded away from the lock every arm and pop writes.
+	next  atomic.Int64
+	owner atomic.Int32
+	_     [52]byte
+
+	now func() int64 // the clock; tests inject one
 
 	mu      sync.Mutex
-	buckets [][]timer
-	cur     int
+	h       []timer // binary min-heap on at
+	fbAt    int64   // when the fallback goroutine wakes next; never while idle
 	started bool
 	stopped bool
+	kick    chan struct{}
 	stop    chan struct{}
 	wg      sync.WaitGroup
 }
 
-// NewWheel returns a wheel with the given tick granularity and bucket
-// count (0 selects the defaults; buckets are rounded up to a power of
-// two). The ticker goroutine starts on the first After call.
-func NewWheel(tick time.Duration, buckets int) *Wheel {
-	if tick <= 0 {
-		tick = defaultTick
-	}
-	if buckets <= 0 {
-		buckets = defaultBuckets
-	}
-	n := 1
-	for n < buckets {
-		n <<= 1
-	}
-	return &Wheel{tick: tick, buckets: make([][]timer, n)}
+// NewWheel returns an empty timer queue. Both arguments are ignored —
+// they sized the hashed wheel this queue replaced, and the signature is
+// kept for existing callers. The fallback goroutine starts on the first
+// timer.
+func NewWheel(time.Duration, int) *Wheel {
+	w := &Wheel{now: monotonic, fbAt: never, kick: make(chan struct{}, 1)}
+	w.next.Store(never)
+	return w
 }
 
-// Tick returns the wheel's granularity.
-func (w *Wheel) Tick() time.Duration { return w.tick }
+// After schedules fn to run no earlier than d from now.
+func (w *Wheel) After(d time.Duration, fn func()) { w.Arm(d, fn, nil) }
 
-// After schedules fn to run on the wheel goroutine no earlier than d
-// from now (rounded up to the next tick boundary). If the wheel has
-// already been stopped, fn runs on a fresh goroutine instead — the
-// runtime only stops the wheel after quiescence, so this path exists
-// for shutdown races, not for steady state.
-func (w *Wheel) After(d time.Duration, fn func()) {
-	ticks := 1
-	if d > 0 {
-		// +1 covers the partially elapsed current tick: a timer must
-		// never fire early, even when scheduled just before a tick edge.
-		ticks = int(d/w.tick) + 1
-	}
+// Arm schedules fn (if non-nil) and then c.Complete (if c is non-nil) to
+// run no earlier than d from now, on whichever thread fires the timer.
+// If the queue has already been stopped, both run on a fresh goroutine
+// instead — the runtime only stops the queue after quiescence, so this
+// path exists for shutdown races, not for steady state.
+func (w *Wheel) Arm(d time.Duration, fn func(), c Completer) {
+	now := w.now()
+	// Clamped so that at + Horizon cannot overflow.
+	at := now + min(max(int64(d), 0), never-int64(Horizon)-now)
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
-		go fn()
+		t := timer{fn: fn, c: c}
+		go t.fire(NoThread)
 		return
 	}
 	if !w.started {
@@ -104,74 +153,165 @@ func (w *Wheel) After(d time.Duration, fn func()) {
 		w.wg.Add(1)
 		go w.run()
 	}
-	w.schedule(ticks, fn)
+	w.push(timer{at: at, fn: fn, c: c})
+	kick := at+w.slack() < w.fbAt
 	w.mu.Unlock()
-}
-
-// schedule places fn ticks cursor-advances from now (ticks >= 1). The
-// caller holds w.mu.
-func (w *Wheel) schedule(ticks int, fn func()) {
-	slot := (w.cur + ticks) & (len(w.buckets) - 1)
-	// rounds counts how many times the cursor must *pass over* the slot
-	// before the entry is due, i.e. completed extra revolutions beyond
-	// the first arrival. A delay that is an exact revolution multiple
-	// (ticks == k·buckets) wraps to the cursor's own slot, which the
-	// cursor reaches after exactly `buckets` advances — so the boundary
-	// belongs to the lower revolution: (ticks-1)/buckets, not
-	// ticks/buckets, which fired those timers one full revolution late.
-	w.buckets[slot] = append(w.buckets[slot], timer{
-		rounds: int32((ticks - 1) / len(w.buckets)),
-		fn:     fn,
-	})
-}
-
-// advance moves the cursor one tick and appends the now-due timers of
-// the new current bucket to due, decrementing the round counts of the
-// entries that stay. The caller holds w.mu.
-func (w *Wheel) advance(due []timer) []timer {
-	w.cur = (w.cur + 1) & (len(w.buckets) - 1)
-	b := w.buckets[w.cur]
-	keep := b[:0]
-	for _, t := range b {
-		if t.rounds > 0 {
-			t.rounds--
-			keep = append(keep, t)
-		} else {
-			due = append(due, t)
-		}
+	if kick {
+		w.nudge()
 	}
-	w.buckets[w.cur] = keep
-	return due
 }
 
-// run is the wheel goroutine: advance the cursor each tick, collect the
-// due entries of the new current bucket under the lock, fire them
-// outside it (a callback may call After and re-enter the lock).
+// Poll fires, on thread index id, every timer whose deadline has passed,
+// and reports whether it fired any. When nothing is armed it costs one
+// atomic load.
+func (w *Wheel) Poll(id int) bool {
+	if w.next.Load() == never {
+		return false
+	}
+	return w.fireDue(id, 0)
+}
+
+// Hold reports whether idle worker id should stay up as the timer owner
+// instead of parking: the earliest deadline is within Horizon and id
+// already owns the queue or claims it with one CAS. When nothing is that
+// near, an owner steps down, and the fallback goroutine is nudged to
+// re-arm at the earliest deadline itself rather than Horizon after it,
+// before the worker parks.
+func (w *Wheel) Hold(id int) bool {
+	me := int32(id) + 1
+	if at := w.next.Load(); at != never && at-w.now() < int64(Horizon) {
+		o := w.owner.Load()
+		return o == me || o == 0 && w.owner.CompareAndSwap(0, me)
+	}
+	if w.owner.Load() == me && w.owner.CompareAndSwap(me, 0) {
+		w.nudge()
+	}
+	return false
+}
+
+// slack is how long past a deadline the fallback goroutine leaves a
+// timer to the owner.
+func (w *Wheel) slack() int64 {
+	if w.owner.Load() != 0 {
+		return int64(Horizon)
+	}
+	return 0
+}
+
+// nudge wakes the fallback goroutine to recompute its deadline.
+func (w *Wheel) nudge() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
+	}
+}
+
+// fireDue pops and fires, one at a time and outside the lock, every
+// entry due at least slack ago, on thread id.
+func (w *Wheel) fireDue(id int, slack int64) bool {
+	fired := false
+	for {
+		due := w.now() - slack
+		if w.next.Load() > due {
+			return fired
+		}
+		w.mu.Lock()
+		if len(w.h) == 0 || w.h[0].at > due {
+			w.mu.Unlock()
+			return fired
+		}
+		t := w.pop()
+		w.mu.Unlock()
+		t.fire(id)
+		fired = true
+	}
+}
+
+// run is the fallback goroutine: fire what is overdue, then sleep until
+// the earliest deadline (plus the owner's slack) or a nudge.
 func (w *Wheel) run() {
 	defer w.wg.Done()
-	tk := time.NewTicker(w.tick)
-	defer tk.Stop()
-	var due []timer
+	tm := time.NewTimer(time.Duration(never))
+	defer tm.Stop()
 	for {
 		select {
 		case <-w.stop:
 			return
-		case <-tk.C:
-			w.mu.Lock()
-			due = w.advance(due)
-			w.mu.Unlock()
-			for i := range due {
-				due[i].fn()
-				due[i].fn = nil
-			}
-			due = due[:0]
+		case <-w.kick:
+		case <-tm.C:
+		}
+		slack := w.slack()
+		w.fireDue(NoThread, slack)
+		w.mu.Lock()
+		w.fbAt = never
+		if len(w.h) > 0 {
+			w.fbAt = w.h[0].at + slack
+		}
+		at := w.fbAt
+		w.mu.Unlock()
+		if at == never {
+			tm.Stop()
+		} else {
+			tm.Reset(time.Duration(at - w.now()))
 		}
 	}
 }
 
-// Stop terminates the wheel goroutine and waits for it to exit. Timers
-// still scheduled are dropped — the runtime calls Stop only after every
-// task (and therefore every pending event) has drained. Stop is
+// push inserts t and republishes the minimum. The caller holds w.mu.
+// The sift is written out because container/heap boxes every entry.
+func (w *Wheel) push(t timer) {
+	w.h = append(w.h, t)
+	h := w.h
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].at <= t.at {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = t
+	w.next.Store(h[0].at)
+}
+
+// pop removes and returns the earliest entry and republishes the
+// minimum. The caller holds w.mu and has checked the heap is non-empty.
+func (w *Wheel) pop() timer {
+	h := w.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = timer{} // drop the references for the collector
+	h = h[:n]
+	w.h = h
+	if n == 0 {
+		w.next.Store(never)
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].at < h[c].at {
+			c++
+		}
+		if last.at <= h[c].at {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	w.next.Store(h[0].at)
+	return top
+}
+
+// Stop terminates the fallback goroutine and waits for it to exit.
+// Timers still queued are dropped — the runtime calls Stop only after
+// every task (and therefore every pending event) has drained. Stop is
 // idempotent.
 func (w *Wheel) Stop() {
 	w.mu.Lock()

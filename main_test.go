@@ -11,7 +11,7 @@ import (
 
 // TestMain fails a passing run that leaves goroutines behind: a runtime
 // a test forgot to Close keeps its workers (and, once armed, its timer
-// wheel) alive for the rest of the binary. After the tests, the
+// queue's goroutine) alive for the rest of the binary. After the tests, the
 // goroutine count must fall back to its value before them within a few
 // seconds; if it does not, every goroutine's stack is printed so the
 // leak can be placed.

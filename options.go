@@ -125,13 +125,6 @@ func WithEventSlots(n int) Option {
 	return func(c *core.Config) { c.EventSlots = n }
 }
 
-// WithEventTick sets the resolution of the shared timer wheel behind
-// Ctx.After and Ctx.AfterFunc; 0 selects the default of 100µs. Timers
-// round up — a completion never fires earlier than its delay.
-func WithEventTick(d time.Duration) Option {
-	return func(c *core.Config) { c.EventTick = d }
-}
-
 // WithTracing enables the instrumentation backend with the given
 // per-core event capacity (<= 0 selects the default capacity).
 func WithTracing(capacity int) Option {

@@ -84,10 +84,15 @@
 //		return 0, nil // worker freed here; f resolves at Done
 //	}), repro.Out(&resp))
 //
-// Ctx.After / Ctx.AfterFunc schedule completions on a shared timer
-// wheel (a worker-free sleep), Ctx.Await and the typed Await join on a
-// future while helping with other ready tasks, and Runtime.Drain
-// seals new submissions and waits for all in-flight work — including
+// Ctx.After / Ctx.AfterFunc schedule completions on the runtime's
+// timer queue (a worker-free sleep). A due timer fires on a runtime
+// thread that is already awake: an idle worker polls the queue, one of
+// them stays up while a deadline is less than a millisecond away, and a
+// background goroutine fires what no thread polls. So AfterFunc's fn
+// runs on whichever runtime thread fires it, and must be brief and
+// never block. Ctx.Await and the typed Await join on a future while
+// helping with other ready tasks, and Runtime.Drain seals new
+// submissions and waits for all in-flight work — including
 // event-parked tasks — before Close.
 //
 // # Priorities
@@ -153,7 +158,7 @@
 //		e.Release()                  // frame back to the pool
 //	}
 //
-// DoTimeout cancels the request on the runtime's timer wheel —
+// DoTimeout cancels the request on the runtime's timer queue —
 // not-yet-started nodes drain with ErrTaskSkipped wrapping
 // context.DeadlineExceeded — and still waits for the full drain, so
 // the frame is always quiescent when it returns. MarkPure memoizes a

@@ -125,6 +125,69 @@ func TestWheelPollInjectedClock(t *testing.T) {
 	checkMin(t, w)
 }
 
+// TestWheelRoundsBoundary pins the revolution-boundary regression of the
+// hashed wheel this queue replaced, where a delay that was an exact
+// multiple of tick·buckets fired a full revolution late. The queue has
+// no revolutions, so the delays that used to sit on either side of a
+// boundary must each fire on exactly their deadline: not a nanosecond
+// early, and not one former revolution late.
+func TestWheelRoundsBoundary(t *testing.T) {
+	const (
+		tick    = time.Millisecond
+		buckets = 8
+	)
+	w, clk := newClocked(t)
+	for _, ticks := range []int{1, 2, buckets - 1, buckets, buckets + 1, 2 * buckets, 2*buckets + 1, 3 * buckets} {
+		d := time.Duration(ticks) * tick
+		start := clk.ns
+		fired := false
+		w.After(d, func() { fired = true })
+		clk.ns = start + int64(d) - 1
+		if w.Poll(0) || fired {
+			t.Fatalf("timer %d ticks ahead fired 1 ns before its deadline", ticks)
+		}
+		clk.advance(1)
+		if !w.Poll(0) || !fired {
+			t.Fatalf("timer %d ticks ahead did not fire at its deadline", ticks)
+		}
+		checkMin(t, w)
+	}
+}
+
+// TestWheelAfterExactRevolution is the wall-clock face of the same
+// regression: an After whose delay was one exact revolution of the old
+// wheel must fire after that delay, not a revolution later. Nothing
+// polls here, so the fallback goroutine fires it. Margins are generous —
+// late firing under scheduler pressure is allowed by the timer contract,
+// but a full extra revolution is the bug.
+func TestWheelAfterExactRevolution(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock timer test; covered deterministically by TestWheelRoundsBoundary")
+	}
+	const (
+		tick    = 20 * time.Millisecond
+		buckets = 4
+	)
+	// d/tick + 1 == buckets, the old exact-revolution placement.
+	d := (buckets - 1) * tick
+	w := NewWheel(tick, buckets)
+	defer w.Stop()
+	start := time.Now()
+	done := make(chan time.Duration, 1)
+	w.After(d, func() { done <- time.Since(start) })
+	select {
+	case got := <-done:
+		if got < d {
+			t.Fatalf("timer fired after %v, before the requested %v", got, d)
+		}
+		if limit := tick*buckets + tick*buckets/2; got > limit {
+			t.Fatalf("timer fired after %v, a revolution late (want ~%v, limit %v)", got, d, limit)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+}
+
 // TestWheelHoldSingleOwner: Hold keeps one idle worker up — the first
 // to claim — while the earliest deadline is within Horizon, turns every
 // other worker away, and steps the owner down once nothing is near.

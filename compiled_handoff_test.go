@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,12 +75,17 @@ func TestCompiledFanOutSiblingsOffered(t *testing.T) {
 // scheduler polls, which returns to polling with nothing in hand. Both
 // submission paths: inline serving and dispatch.
 func TestCompiledEventNodeSuccessor(t *testing.T) {
-	for name, cfg := range map[string]repro.Config{
-		"inline":   {Workers: 1},
-		"dispatch": {Workers: 2, ServeSlots: -1},
-	} {
-		t.Run(name, func(t *testing.T) {
-			rt := repro.New(repro.WithConfig(cfg))
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		dispatch bool // both serve slots held: every request dispatches
+	}{{"inline", 1, false}, {"dispatch", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := repro.New(repro.WithWorkers(tc.workers))
+			release := func() {}
+			if tc.dispatch {
+				release = holdServeSlots(t, rt)
+			}
 			var m *meet
 			g := repro.NewGraph().
 				Add("src", nil, func(*repro.Ctx, map[string]any) (any, error) { return 1, nil }).
@@ -120,7 +126,50 @@ func TestCompiledEventNodeSuccessor(t *testing.T) {
 				}
 				e.Release()
 			}
+			release()
 			rt.Close()
 		})
 	}
+}
+
+// holdServeSlots occupies both inline-serving slots of rt with requests
+// whose one node blocks until the returned release runs, so every other
+// request meanwhile takes the dispatch path. Each blocker is served
+// inline, so its node runs on the blocker's serve slot — an index past
+// the workers — which the helper checks before returning.
+func holdServeSlots(t *testing.T, rt *repro.Runtime) (release func()) {
+	t.Helper()
+	unblock := make(chan struct{})
+	ranOn := make(chan int, 2)
+	cg, err := repro.NewGraph().
+		Add("block", nil, func(c *repro.Ctx, _ map[string]any) (any, error) {
+			ranOn <- c.Worker()
+			<-unblock
+			return nil, nil
+		}).
+		Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := cg.Do(context.Background())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			e.Release()
+		}()
+	}
+	release = func() { close(unblock); wg.Wait() }
+	for i := 0; i < 2; i++ {
+		if w := <-ranOn; w < rt.Config().Workers {
+			release()
+			t.Fatalf("a blocking request ran on worker %d, not on a serve slot", w)
+		}
+	}
+	return release
 }

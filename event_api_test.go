@@ -70,7 +70,7 @@ func TestTypedAwaitJoinsEventedFuture(t *testing.T) {
 // TestDrainSealsFacadeSubmissions checks the re-exported sentinel: a
 // drained runtime bounces façade submissions with ErrRuntimeDraining.
 func TestDrainSealsFacadeSubmissions(t *testing.T) {
-	rt := New(WithWorkers(2), WithEventSlots(2))
+	rt := New(WithWorkers(2))
 	defer rt.Close()
 	f := Submit(rt, WithEvents(func(c *Ctx, ev *EventCounter) (int, error) {
 		c.After(3 * time.Millisecond)

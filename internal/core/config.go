@@ -8,8 +8,6 @@ package core
 import (
 	"runtime"
 	"time"
-
-	"repro/internal/deps"
 )
 
 // SchedulerKind selects a scheduler design (paper §3 and baselines).
@@ -84,34 +82,6 @@ type Config struct {
 	// SPSCCap is the capacity of each insertion queue (0: 256).
 	SPSCCap int
 
-	// RootShards is the number of shards of the root dependency domain:
-	// concurrent Submit/Run callers whose accesses hash to different
-	// shards register in parallel, each shard's registration staying
-	// single-writer behind its own lock. Rounded up to a power of two
-	// and clamped to deps.MaxRootShards. 0 selects a default scaled to
-	// the worker count; 1 reproduces the former fully-serialized
-	// (regMu-style) root registration.
-	RootShards int
-
-	// EventSlots is the number of exclusive completer slots that
-	// external event decrements (EventCounter.Done from non-worker
-	// goroutines, timers fired by the timer queue's fallback goroutine)
-	// borrow to run the deferred release path. It bounds how many
-	// external completions can release concurrently — never correctness;
-	// excess completers wait for a slot. 0 selects 4.
-	EventSlots int
-
-	// ServeSlots is the number of exclusive inline-serving slots for
-	// SubmitReq: when one is free, the submitting goroutine executes
-	// the request's tasks itself (becoming a temporary worker) instead
-	// of dispatching the root through the scheduler and sleeping on the
-	// completion latch — the two cross-goroutine hand-offs that
-	// dominate small-request serving latency. Excess concurrent
-	// submitters fall back to the dispatch path, so the count bounds
-	// inline parallelism, never correctness. 0 selects 2; negative
-	// disables inline serving entirely.
-	ServeSlots int
-
 	// IdleSpin is the per-worker idle spin budget: how many consecutive
 	// empty scheduler polls a worker tolerates before parking on its
 	// wake channel. 0 selects the default (1024); negative disables
@@ -162,26 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SPSCCap <= 0 {
 		c.SPSCCap = 256
-	}
-	if c.RootShards <= 0 {
-		// Enough shards that submitter counts well above the worker
-		// count still mostly avoid lock collisions, capped by the
-		// lease bitmask width.
-		c.RootShards = 4 * c.Workers
-		if c.RootShards < 16 {
-			c.RootShards = 16
-		}
-	}
-	// One shared normalization with NewRootDomain, so introspection and
-	// worker-slot sizing always match the domain actually built.
-	c.RootShards = deps.NormalizeShards(c.RootShards)
-	if c.EventSlots <= 0 {
-		c.EventSlots = 4
-	}
-	if c.ServeSlots == 0 {
-		c.ServeSlots = 2
-	} else if c.ServeSlots < 0 {
-		c.ServeSlots = 0
 	}
 	if c.IdleSpin == 0 {
 		c.IdleSpin = 1024

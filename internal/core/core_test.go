@@ -249,13 +249,15 @@ func TestTracerCollectsEvents(t *testing.T) {
 	cfg := testConfig(VariantOptimized)
 	cfg.TraceCapacity = 1 << 12
 	rt := New(cfg)
-	defer rt.Close()
 	rt.Run(func(c *Ctx) {
 		for i := 0; i < 30; i++ {
 			c.Spawn(func(*Ctx) { time.Sleep(50 * time.Microsecond) })
 		}
 		c.Taskwait()
 	})
+	// A lock owner may still emit a serve or drain event after Run
+	// returns: read the trace only once the workers are gone.
+	rt.Close()
 	sum := trace.Analyze(rt.Tracer().Snapshot())
 	tot := sum.Totals()
 	if tot.TaskCount != 31 { // 30 children + root
@@ -271,13 +273,13 @@ func TestNoiseInjection(t *testing.T) {
 	cfg.TraceCapacity = 1 << 12
 	cfg.Noise = NoiseConfig{AfterServes: 1, Duration: 200 * time.Microsecond}
 	rt := New(cfg)
-	defer rt.Close()
 	rt.Run(func(c *Ctx) {
 		for i := 0; i < 500; i++ {
 			c.Spawn(func(*Ctx) {})
 		}
 		c.Taskwait()
 	})
+	rt.Close() // the trace is read only once the workers are gone
 	tot := trace.Analyze(rt.Tracer().Snapshot()).Totals()
 	// Serving is opportunistic: with 500 fine tasks over 4 workers a
 	// delegation serve is overwhelmingly likely, but tolerate zero to

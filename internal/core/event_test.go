@@ -349,7 +349,7 @@ func TestEventsAcrossConfigs(t *testing.T) {
 		{Workers: 2, Scheduler: SchedCentralPTLock, Deps: DepsWaitFree},
 		{Workers: 2, Scheduler: SchedBlocking, Deps: DepsLocked, Alloc: AllocSerial},
 		{Workers: 2, Scheduler: SchedWorkStealing, Deps: DepsLocked},
-		{Workers: 2, Scheduler: SchedWorkStealing, Deps: DepsWaitFree, EventSlots: 1},
+		{Workers: 2, Scheduler: SchedWorkStealing, Deps: DepsWaitFree},
 	}
 	for i, cfg := range cfgs {
 		cfg := cfg

@@ -41,7 +41,6 @@ func (rt *Runtime) schedAdd(t *Task, worker int) {
 	t.qstate.Store(int32(lvl + 1))
 	if lvl > 0 {
 		rt.priPending[lvl].v.Add(1)
-		rt.elevated.v.Add(1)
 	}
 	rt.added.Add(worker, 1)
 	rt.sched.Add(t, worker)
@@ -72,7 +71,6 @@ func (rt *Runtime) schedTook(t *Task, id int) *Task {
 	}
 	if s > 1 {
 		rt.priPending[s-1].v.Add(-1)
-		rt.elevated.v.Add(-1)
 	}
 	return t
 }
@@ -111,15 +109,13 @@ func (rt *Runtime) promote(t *Task, lvl, worker int) bool {
 		if t.qstate.CompareAndSwap(s, int32(lvl+1)) {
 			// Move the pending counts to the new level and push the
 			// duplicate; counts before Add, Add before wake, as in
-			// schedAdd.
+			// schedAdd. The new level is raised before the old one is
+			// lowered: a concurrent level scan (higherPriPending) may
+			// count the task twice, never zero times.
+			rt.priPending[lvl].v.Add(1)
 			if s > 1 {
 				rt.priPending[s-1].v.Add(-1)
-			} else {
-				// Promoted out of level 0: newly elevated (a move between
-				// elevated levels leaves the total unchanged).
-				rt.elevated.v.Add(1)
 			}
-			rt.priPending[lvl].v.Add(1)
 			rt.added.Add(worker, 1)
 			rt.sched.Add(t, worker)
 			rt.wakeWorker()

@@ -63,7 +63,7 @@ func NewReq() *Req {
 // cause. The submission carries no root dependency accesses (serving
 // requests are self-contained graphs ordered internally).
 //
-// When an inline-serving slot is free (Config.ServeSlots), the calling
+// When an inline-serving slot is free (see serveSlots), the calling
 // goroutine executes the request itself: the root body and every ready
 // descendant run right here, on the submitter's exclusive thread
 // index, and SubmitReq returns only once the request fully completed —
@@ -72,9 +72,9 @@ func NewReq() *Req {
 // once keeps only the first for this goroutine (a compiled graph's
 // continuation, or the dependency release's successor bypass); the
 // others go through the scheduler and run on the workers concurrently,
-// so inline serving never reduces parallelism. When every slot is busy
-// (or ServeSlots is negative), the root dispatches through the
-// scheduler as before and Wait blocks on the latch.
+// so inline serving never reduces parallelism. When every slot is busy,
+// the root dispatches through the scheduler and Wait blocks on the
+// latch.
 //
 // A deadline costs one timer registration (a captured-generation
 // closure on the timer queue); the d == 0 path allocates nothing.
@@ -124,7 +124,7 @@ func (rt *Runtime) SubmitReq(ctx context.Context, r *Req, d time.Duration, body 
 func (rt *Runtime) submitReqInline(r *Req, sc *scope, build func(slot int) *Task, slot int) {
 	bs := &rt.bypass[slot]
 	bs.armed = true
-	rt.admit((slot-rt.serveSlots.Base())%rt.cfg.RootShards, slot, sc, nil, r, build)
+	rt.admit((slot-rt.serveSlots.Base())%rt.rootDom.Shards(), slot, sc, nil, r, build)
 	rt.runChain(bs.disarm(), slot)
 	rt.helpUntil(slot, func() bool { return r.state.Load() == reqDone })
 }

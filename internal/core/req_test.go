@@ -10,26 +10,39 @@ import (
 	"time"
 )
 
-// reqConfigs covers both SubmitReq paths: inline serving (the default
-// two slots) and the pure dispatch path (inline serving disabled).
-func reqConfigs() []struct {
-	name string
-	cfg  Config
-} {
-	inline := testConfig(VariantOptimized)
-	dispatch := testConfig(VariantOptimized)
-	dispatch.ServeSlots = -1
-	return []struct {
-		name string
-		cfg  Config
-	}{{"inline", inline}, {"dispatch", dispatch}}
+// reqPaths covers both SubmitReq paths: inline serving, and the
+// dispatch path it falls back to while every serve slot is held.
+var reqPaths = []struct {
+	name     string
+	dispatch bool
+}{{"inline", false}, {"dispatch", true}}
+
+// holdServeSlots takes every inline-serving slot of rt, so SubmitReq
+// takes its dispatch path until the returned release runs.
+func holdServeSlots(t *testing.T, rt *Runtime) (release func()) {
+	t.Helper()
+	var held []int
+	for s := rt.serveSlots.TryAcquire(); s >= 0; s = rt.serveSlots.TryAcquire() {
+		held = append(held, s)
+	}
+	if len(held) != serveSlots {
+		t.Fatalf("held %d serve slots, want %d", len(held), serveSlots)
+	}
+	return func() {
+		for _, s := range held {
+			rt.serveSlots.Release(s)
+		}
+	}
 }
 
 func TestSubmitReqCycles(t *testing.T) {
-	for _, tc := range reqConfigs() {
+	for _, tc := range reqPaths {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := New(tc.cfg)
+			rt := New(testConfig(VariantOptimized))
 			defer rt.Close()
+			if tc.dispatch {
+				defer holdServeSlots(t, rt)()
+			}
 			r := NewReq()
 			var sum atomic.Int64
 			want := int64(0)
@@ -57,10 +70,13 @@ func TestSubmitReqCycles(t *testing.T) {
 
 func TestSubmitReqError(t *testing.T) {
 	boom := errors.New("boom")
-	for _, tc := range reqConfigs() {
+	for _, tc := range reqPaths {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := New(tc.cfg)
+			rt := New(testConfig(VariantOptimized))
 			defer rt.Close()
+			if tc.dispatch {
+				defer holdServeSlots(t, rt)()
+			}
 			r := NewReq()
 			rt.SubmitReq(context.Background(), r, 0, func(c *Ctx) {
 				c.Fail(boom)
@@ -78,10 +94,13 @@ func TestSubmitReqError(t *testing.T) {
 }
 
 func TestSubmitReqDeadline(t *testing.T) {
-	for _, tc := range reqConfigs() {
+	for _, tc := range reqPaths {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := New(tc.cfg)
+			rt := New(testConfig(VariantOptimized))
 			defer rt.Close()
+			if tc.dispatch {
+				defer holdServeSlots(t, rt)()
+			}
 			r := NewReq()
 			var x byte
 			var ran atomic.Bool
@@ -169,5 +188,31 @@ func TestSubmitReqStorm(t *testing.T) {
 	}
 	if rt.LiveTasks() != 0 {
 		t.Fatalf("%d live tasks after storm", rt.LiveTasks())
+	}
+}
+
+// TestSubmitReqDispatchWhenServeSlotsBusy: with every serve slot held,
+// a SubmitReq root dispatches through the scheduler to a worker and
+// Wait still returns; once a slot frees, the next request is served
+// inline again, on a serve-slot index.
+func TestSubmitReqDispatchWhenServeSlotsBusy(t *testing.T) {
+	rt := New(testConfig(VariantOptimized))
+	defer rt.Close()
+	r := NewReq()
+	ranOn := func() int {
+		on := -1
+		rt.SubmitReq(context.Background(), r, 0, func(c *Ctx) { on = c.Worker() })
+		if err := r.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		return on
+	}
+	release := holdServeSlots(t, rt)
+	if on, w := ranOn(), rt.Config().Workers; on < 0 || on >= w {
+		t.Fatalf("with every serve slot held the root ran on index %d, want a worker index below %d", on, w)
+	}
+	release()
+	if on, lo := ranOn(), rt.serveSlots.Base(); on < lo || on >= lo+serveSlots {
+		t.Fatalf("after the release the root ran on index %d, want a serve slot in [%d, %d)", on, lo, lo+serveSlots)
 	}
 }

@@ -105,12 +105,6 @@ type Runtime struct {
 	// cached and contention-free.
 	priPending [sched.PriorityLevels]paddedCount
 
-	// elevated counts queued-but-unclaimed tasks above priority level 0
-	// — the sum of priPending — so the run buffers' question (is any
-	// elevated work queued?) is one read of a read-mostly line per poll
-	// rather than one per level.
-	elevated paddedCount
-
 	// global is the completion parent of every root task submitted
 	// through Run/Submit: the sentinel completeOne's cascade stops at
 	// and the source of a root's inherited (zero) attributes. It counts
@@ -171,11 +165,11 @@ type Runtime struct {
 	eventsHeld paddedCount
 
 	// serveSlots pools the exclusive thread indices inline-serving
-	// submitters borrow (see SubmitReq); nil when Config.ServeSlots is
-	// negative. Acquisition is TryAcquire-only — a busy pool falls back
-	// to the dispatch path — so holding a slot while executing arbitrary
-	// task bodies can never deadlock another goroutine on it. It is a
-	// second pool, never merged with evSlots: see topology.go.
+	// submitters borrow (see SubmitReq). Acquisition is TryAcquire-only
+	// — a busy pool falls back to the dispatch path — so holding a slot
+	// while executing arbitrary task bodies can never deadlock another
+	// goroutine on it. It is a second pool, never merged with evSlots:
+	// see topology.go.
 	serveSlots *event.Slots
 
 	// noise state for the Figure 11 experiment. serves is sharded for
@@ -206,22 +200,22 @@ func New(cfg Config) *Runtime {
 func build(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{cfg: cfg}
-	rt.rootDom = deps.NewRootDomain(cfg.RootShards)
 	// The thread-index space every per-"worker" structure is sized for
-	// is defined ONCE, in topology.go. Constructors below that take a
-	// worker count and add one slot themselves receive slots-1.
-	slots := cfg.Workers + cfg.RootShards + cfg.EventSlots + cfg.ServeSlots
-	rt.evSlots = event.NewSlots(cfg.Workers+cfg.RootShards, cfg.EventSlots)
+	// is defined ONCE, in topology.go, the root-shard count included.
+	// Constructors below that take a worker count and add one slot
+	// themselves receive slots-1.
+	rt.rootDom = deps.NewRootDomain(max(4*cfg.Workers, 16))
+	shards := rt.rootDom.Shards()
+	slots := rt.Slots()
+	rt.evSlots = event.NewSlots(cfg.Workers+shards, eventSlots)
 	rt.wheel = event.NewWheel(0, 0)
-	rt.gate = event.NewGate(cfg.RootShards)
+	rt.gate = event.NewGate(shards)
 	rt.live = counter.NewSharded(slots)
 	rt.added = counter.NewSharded(slots)
 	rt.taken = counter.NewSharded(slots)
 	rt.serves = counter.NewSharded(slots)
 	rt.bypass = make([]bypassSlot, slots)
-	if cfg.ServeSlots > 0 {
-		rt.serveSlots = event.NewSlots(cfg.Workers+cfg.RootShards+cfg.EventSlots, cfg.ServeSlots)
-	}
+	rt.serveSlots = event.NewSlots(cfg.Workers+shards+eventSlots, serveSlots)
 	// Every slot gets a reusable execution context, not just the
 	// workers: inline-serving submitters execute task bodies on their
 	// own index.
@@ -323,9 +317,11 @@ func build(cfg Config) *Runtime {
 			rt.maybeInjectNoise(owner)
 		},
 		// Batched service must not let a buffered level-0 task overtake
-		// elevated work that arrived after the buffer was filled: the
-		// elevated count closes every run buffer.
-		Elevated: func() bool { return rt.elevated.v.Load() > 0 },
+		// elevated work that arrived after the buffer was filled: any
+		// queued task above level 0 closes every run buffer — the level
+		// test of mayHandOff, so the run buffer and the successor bypass
+		// read the same counts.
+		Elevated: func() bool { return rt.higherPriPending(0) },
 	}
 	// The scheduler and allocator are sized for the complete slot space:
 	// any thread index may Add, and the helping loops TryGet from
@@ -385,7 +381,7 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // example histogram recorder shards) must be sized by Slots, not by
 // Config().Workers.
 func (rt *Runtime) Slots() int {
-	return rt.cfg.Workers + rt.cfg.RootShards + rt.cfg.EventSlots + rt.cfg.ServeSlots
+	return rt.cfg.Workers + rt.rootDom.Shards() + eventSlots + serveSlots
 }
 
 // Tracer returns the instrumentation backend, or nil when tracing is

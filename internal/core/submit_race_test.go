@@ -213,13 +213,13 @@ func TestSubmitCancellationMidStorm(t *testing.T) {
 	}
 }
 
-// TestSubmitDuringRunAcrossShardCounts pins the degenerate and maximal
-// shard configurations: RootShards 1 (fully serialized, the old regMu
-// behaviour) and the clamp maximum must produce identical results.
+// TestSubmitDuringRunAcrossShardCounts pins the smallest and the
+// clamped root-shard counts the worker count derives (16 and 64): both
+// must produce identical results, and the slot space must be exactly
+// workers, shards, completer slots and serve slots.
 func TestSubmitDuringRunAcrossShardCounts(t *testing.T) {
-	for _, shards := range []int{1, 64} {
-		cfg := Config{Workers: 2, RootShards: shards}
-		rt := New(cfg)
+	for _, tc := range []struct{ workers, shards int }{{1, 16}, {16, 64}} {
+		rt := New(Config{Workers: tc.workers})
 		var x float64
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -236,10 +236,13 @@ func TestSubmitDuringRunAcrossShardCounts(t *testing.T) {
 		}
 		wg.Wait()
 		if x != 400 {
-			t.Fatalf("shards=%d: x = %v, want 400", shards, x)
+			t.Fatalf("workers=%d: x = %v, want 400", tc.workers, x)
 		}
-		if rt.Config().RootShards != shards {
-			t.Fatalf("RootShards = %d, want %d", rt.Config().RootShards, shards)
+		if got := rt.rootDom.Shards(); got != tc.shards {
+			t.Fatalf("workers=%d: %d root shards, want %d", tc.workers, got, tc.shards)
+		}
+		if got, want := rt.Slots(), tc.workers+tc.shards+4+2; got != want {
+			t.Fatalf("workers=%d: Slots() = %d, want %d", tc.workers, got, want)
 		}
 		rt.Close()
 	}

@@ -14,31 +14,29 @@ import (
 // and a FailFast child's error reaches the root's result slot — a
 // Handle for Run, Submit and loops, a Req on both SubmitReq paths.
 func TestRootAdmission(t *testing.T) {
-	dispatch := testConfig(VariantOptimized)
-	dispatch.ServeSlots = -1
 	req := func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
 		r := NewReq()
 		rt.SubmitReq(ctx, r, 0, body)
 		return r.Wait()
 	}
 	kinds := []struct {
-		name   string
-		cfg    Config
-		submit func(rt *Runtime, ctx context.Context, body func(*Ctx)) error
+		name     string
+		dispatch bool // every serve slot held: SubmitReq dispatches
+		submit   func(rt *Runtime, ctx context.Context, body func(*Ctx)) error
 	}{
-		{"run", testConfig(VariantOptimized), func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
+		{"run", false, func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
 			return rt.RunCtx(ctx, body)
 		}},
-		{"submit", testConfig(VariantOptimized), func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
+		{"submit", false, func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
 			_, err := rt.SubmitCtx(ctx, func(c *Ctx) (any, error) { body(c); return nil, nil }).Wait(nil)
 			return err
 		}},
-		{"loop", testConfig(VariantOptimized), func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
+		{"loop", false, func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
 			_, err := rt.SubmitLoop(ctx, 0, 1, 1, func(c *Ctx, _, _ int) { body(c) }).Wait(nil)
 			return err
 		}},
-		{"req-inline", testConfig(VariantOptimized), req},
-		{"req-dispatch", dispatch, req},
+		{"req-inline", false, req},
+		{"req-dispatch", true, req},
 	}
 	boom := errors.New("boom")
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -60,8 +58,11 @@ func TestRootAdmission(t *testing.T) {
 	for _, k := range kinds {
 		for _, row := range rows {
 			t.Run(k.name+"/"+row.name, func(t *testing.T) {
-				rt := New(k.cfg)
+				rt := New(testConfig(VariantOptimized))
 				defer rt.Close()
+				if k.dispatch {
+					defer holdServeSlots(t, rt)()
+				}
 				if row.drain {
 					if err := rt.Drain(context.Background()); err != nil {
 						t.Fatalf("Drain: %v", err)

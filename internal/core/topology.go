@@ -9,8 +9,13 @@ package core
 //
 // # The slot space
 //
-// A runtime owns Slots() = Workers + RootShards + EventSlots +
-// ServeSlots thread indices, made exclusive by three mechanisms:
+// A runtime owns Slots() = W + RS + ES + SS thread indices, one formula
+// over W = Config.Workers: RS, the root-shard count, is 4 × W, at least
+// 16 (enough that submitter counts well above the worker count still
+// mostly avoid lock collisions), rounded up to a power of two and
+// clamped to deps.MaxRootShards by deps.NewRootDomain; ES = eventSlots
+// and SS = serveSlots are constants. They are made exclusive by three
+// mechanisms:
 //
 //	[0, W)             worker goroutines (one index per worker, for life)
 //	[W, W+RS)          root submitters — exclusive while holding shard
@@ -34,3 +39,22 @@ package core
 // Ctx.Worker reports an index in [0, Slots()), so per-thread structures
 // read through it (e.g. histogram shards) must be sized by
 // Runtime.Slots, never by Config().Workers.
+
+const (
+	// eventSlots is the size of the completer pool: the exclusive
+	// indices that external event decrements (EventCounter.Done from
+	// non-worker goroutines, timers fired by the timer queue's fallback
+	// goroutine) borrow to run the deferred release path. It bounds how
+	// many external completions release concurrently, never correctness:
+	// excess completers wait for a slot.
+	eventSlots = 4
+
+	// serveSlots is the size of the inline-serving pool: while one is
+	// free, a SubmitReq caller executes the request's tasks itself
+	// instead of dispatching the root through the scheduler and sleeping
+	// on the completion latch — the two cross-goroutine hand-offs that
+	// dominate small-request serving latency. Excess concurrent
+	// submitters take the dispatch path, so the count bounds inline
+	// parallelism, never correctness.
+	serveSlots = 2
+)

@@ -61,28 +61,15 @@ type rootShard struct {
 	node Node
 }
 
-// NormalizeShards clamps and rounds a requested shard count exactly as
-// NewRootDomain sizes the domain: at least 1, at most MaxRootShards,
-// rounded up to a power of two. The runtime's Config normalization
-// uses it too, so configuration introspection and worker-slot sizing
-// always agree with the domain actually built.
-func NormalizeShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxRootShards {
-		n = MaxRootShards
-	}
+// NewRootDomain returns a root domain of n shards, clamped to
+// [1, MaxRootShards] and rounded up to a power of two; Shards reports
+// the count built.
+func NewRootDomain(n int) *RootDomain {
+	n = min(max(n, 1), MaxRootShards)
 	sz := 1
 	for sz < n {
 		sz <<= 1
 	}
-	return sz
-}
-
-// NewRootDomain returns a root domain with NormalizeShards(n) shards.
-func NewRootDomain(n int) *RootDomain {
-	sz := NormalizeShards(n)
 	d := &RootDomain{shift: uint(64 - bits.Len(uint(sz-1))), shards: make([]rootShard, sz)}
 	for i := range d.shards {
 		d.shards[i].mu = locks.NewPTLock(locks.DefaultPTLockSize)

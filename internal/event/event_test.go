@@ -107,8 +107,7 @@ func TestSlotsExclusiveAndInRange(t *testing.T) {
 }
 
 // TestSlotsTryAcquire: the non-blocking acquisition hands out the lowest
-// free index, reports exhaustion instead of waiting, and a nil pool has
-// nothing to lend.
+// free index and reports exhaustion instead of waiting.
 func TestSlotsTryAcquire(t *testing.T) {
 	s := NewSlots(10, 2)
 	a, b := s.TryAcquire(), s.TryAcquire()
@@ -121,9 +120,6 @@ func TestSlotsTryAcquire(t *testing.T) {
 	s.Release(a)
 	if got := s.TryAcquire(); got != a {
 		t.Fatalf("TryAcquire after Release = %d, want %d", got, a)
-	}
-	if got := (*Slots)(nil).TryAcquire(); got != -1 {
-		t.Fatalf("nil pool TryAcquire = %d, want -1", got)
 	}
 }
 

@@ -60,11 +60,8 @@ func (s *Slots) Acquire() int {
 // is busy. It never waits and — unlike Acquire — touches no shared
 // cursor: it scans from slot 0, so a lightly loaded pool keeps reusing
 // the lowest slots and a caller on a hot path adds no cross-core write
-// beyond the slot lock itself. A nil pool has no slots.
+// beyond the slot lock itself.
 func (s *Slots) TryAcquire() int {
-	if s == nil {
-		return -1
-	}
 	for i := range s.mus {
 		if s.mus[i].mu.TryLock() {
 			return s.base + i

@@ -29,37 +29,13 @@ type parkSlot struct {
 	_     [48]byte
 }
 
-// domainPark is one runtime domain's shard of the parking state: its
-// own parked count (the producer fast path for home wakes), the
-// woken-but-not-yet-polling hint that throttles redundant wake scans
-// under bursts, the cumulative park/wake diagnostics, and the
-// contiguous worker-index range the domain owns. Padded so
-// neighbouring domains' park/wake traffic never false-shares.
-type domainPark struct {
-	nparked atomic.Int64
-	// woken counts wake tokens delivered to this domain's workers that
-	// have not yet been consumed-and-acted-on: the waker raises it when
-	// it commits a token, the woken worker lowers it as it leaves Park,
-	// strictly before its next scheduler poll. While woken covers the
-	// domain's pending count, a producer's WakeOne is a no-op — the
-	// workers already on their way are guaranteed to observe that
-	// pending work (see WakeOne for the ordering argument), so further
-	// scans are redundant.
-	woken atomic.Int64
-	parks atomic.Uint64
-	wakes atomic.Uint64
-	lo    int
-	hi    int
-	_     [8]byte
-}
-
 // Parker is the elastic pool's park/wake mechanism: per-worker parking
-// channels behind padded state words, with parked counts (one global,
-// one per runtime domain) so the producer-side fast path (nobody
-// parked, nobody to wake) is a single atomic load. It follows the
-// check-then-park pattern of gvisor's sleep/seqcount machinery:
+// channels behind padded state words, with a parked count so the
+// producer-side fast path (nobody parked, nobody to wake) is a single
+// atomic load. It follows the check-then-park pattern of gvisor's
+// sleep/seqcount machinery:
 //
-//   - A worker publishes itself as parked (state word + parked counts),
+//   - A worker publishes itself as parked (state word + parked count),
 //     then re-checks for work; only if the recheck still sees nothing
 //     does it block on its channel.
 //   - A producer makes work visible first, then reads the parked count
@@ -73,59 +49,47 @@ type domainPark struct {
 // finds work cancels its own park with the same CAS; losing that race
 // means a producer already committed a token, which the worker then
 // consumes so the channel is empty for the next cycle.
-//
-// The domain dimension shards this protocol: each domain's producers
-// wake that domain's parked workers first (its own nparked fast path),
-// falling back to any other domain's parked worker only when the home
-// domain has none awake to offer. The runtime builds one domain.
 type Parker struct {
-	// nparked is the global producer fast path: wakers (and WakeAll)
-	// bail on a single load when no worker is parked anywhere. Padded
-	// on both sides — it is written on every park/wake edge and read on
-	// every enqueue.
-	_       [64]byte
+	// slots is written only by NewParker and read on every state change
+	// (MarkSpinning, MarkRunning, Park, the wake scans), so its header
+	// has the first line to itself, away from the counters below.
+	slots []parkSlot
+	_     [40]byte
+
+	// nparked is the producer fast path: wakers (and WakeAll) bail on a
+	// single load when no worker is parked. It owns its line — it is
+	// written on every park/wake edge and read on every enqueue.
 	nparked atomic.Int64
 	_       [56]byte
 
-	doms  []domainPark
-	dom   []int32 // worker id -> domain
-	slots []parkSlot
+	// woken counts delivered wake tokens that have not yet been
+	// consumed-and-acted-on: the waker raises it when it commits a
+	// token, the woken worker lowers it as it leaves Park, strictly
+	// before its next scheduler poll. While woken covers the caller's
+	// pending count, a producer's WakeOne is a no-op — the workers
+	// already on their way are guaranteed to observe that pending work
+	// (see WakeOne for the ordering argument), so further scans are
+	// redundant. parks and wakes are the cumulative diagnostics. The
+	// three share the line after nparked's, written on the same edges.
+	// Three whole lines make a line-aligned size class, so no heap
+	// neighbour shares any of them.
+	woken atomic.Int64
+	parks atomic.Uint64
+	wakes atomic.Uint64
+	_     [40]byte
 }
 
-// NewParker returns a parker for n workers partitioned into domains by
-// domOf (nil, or domains <= 1, collapses to a single domain). Workers
-// of one domain must occupy a contiguous index range, so a domain's
-// wake scan touches only its own slots.
-func NewParker(n, domains int, domOf func(id int) int) *Parker {
+// NewParker returns a parker for n workers. The domain arguments are
+// ignored — they partitioned the workers into runtime domains the
+// runtime no longer has — and the signature is kept for existing
+// callers.
+func NewParker(n, _ int, _ func(id int) int) *Parker {
 	if n < 1 {
 		n = 1
 	}
-	if domains < 1 {
-		domains = 1
-	}
-	p := &Parker{
-		slots: make([]parkSlot, n),
-		doms:  make([]domainPark, domains),
-		dom:   make([]int32, n),
-	}
+	p := &Parker{slots: make([]parkSlot, n)}
 	for i := range p.slots {
 		p.slots[i].wake = make(chan struct{}, 1)
-	}
-	for d := range p.doms {
-		p.doms[d].lo = n // empty until a worker claims the range
-	}
-	for i := 0; i < n; i++ {
-		d := 0
-		if domOf != nil && domains > 1 {
-			d = domOf(i)
-		}
-		p.dom[i] = int32(d)
-		if i < p.doms[d].lo {
-			p.doms[d].lo = i
-		}
-		if i+1 > p.doms[d].hi {
-			p.doms[d].hi = i + 1
-		}
 	}
 	return p
 }
@@ -147,15 +111,13 @@ func (p *Parker) MarkRunning(id int) { p.slots[id].state.Store(WorkerRunning) }
 // producer publishes before calling WakeOne — that ordering is the
 // whole lost-wakeup argument. On return the worker's state is Running.
 //
-// Every consumed wake token lowers the domain's woken hint on the way
-// out, strictly before the caller's next scheduler poll: that ordering
-// is what lets WakeOne trust the hint (see there).
+// Every consumed wake token lowers the woken hint on the way out,
+// strictly before the caller's next scheduler poll: that ordering is
+// what lets WakeOne trust the hint (see there).
 func (p *Parker) Park(id int, recheck func() bool) {
 	s := &p.slots[id]
-	d := &p.doms[p.dom[id]]
 	s.state.Store(WorkerParked)
 	p.nparked.Add(1)
-	d.nparked.Add(1)
 	if recheck() {
 		// Work raced in (or was already there): cancel the park. Losing
 		// the CAS means a waker claimed this worker concurrently and its
@@ -163,75 +125,48 @@ func (p *Parker) Park(id int, recheck func() bool) {
 		// next park cannot wake spuriously.
 		if s.state.CompareAndSwap(WorkerParked, WorkerRunning) {
 			p.nparked.Add(-1)
-			d.nparked.Add(-1)
 			return
 		}
 		<-s.wake
-		d.woken.Add(-1)
+		p.woken.Add(-1)
 		return
 	}
-	d.parks.Add(1)
+	p.parks.Add(1)
 	<-s.wake
-	d.woken.Add(-1)
+	p.woken.Add(-1)
 }
 
-// WakeOne wakes at most one parked worker on behalf of domain d's work.
-// Callers must publish the work (queue insertion, counter increment)
-// before calling, so a worker concurrently executing its pre-sleep
-// recheck cannot miss both the work and the wake. When no worker is
-// parked anywhere this is a single atomic load.
+// WakeOne wakes at most one parked worker. Callers must publish the
+// work (queue insertion, counter increment) before calling, so a worker
+// concurrently executing its pre-sleep recheck cannot miss both the
+// work and the wake. When no worker is parked this is a single atomic
+// load. The first argument is ignored — it named the runtime domain
+// whose workers to prefer, and the signature is kept for existing
+// callers.
 //
-// pending is the caller's current count of queued-but-unclaimed work in
-// domain d; when the domain's woken hint already covers it, the call is
-// a no-op — the wake-throttle that keeps burst producers from issuing
-// one redundant claim scan per enqueue. The throttle cannot strand
-// work: the caller raised pending before reading the hint, and a woken
-// worker lowers the hint only on its way back to polling, so at the
-// moment the producer observes woken >= pending every counted worker
-// still has a full poll (and, failing that, a pre-park recheck of the
-// pending count) ahead of it. pending < 0 disables the throttle, for a
-// caller with no count to offer; the runtime always passes its count
-// (the benchmark's park/wake driver is the one caller that does not).
-//
-// Domain d's own parked workers are claimed first; when d has none,
-// any other domain's parked worker is claimed instead.
-func (p *Parker) WakeOne(d int, pending int64) {
+// pending is the caller's current count of queued-but-unclaimed work;
+// when the woken hint already covers it, the call is a no-op — the
+// wake-throttle that keeps burst producers from issuing one redundant
+// claim scan per enqueue. The throttle cannot strand work: the caller
+// raised pending before reading the hint, and a woken worker lowers the
+// hint only on its way back to polling, so at the moment the producer
+// observes woken >= pending every counted worker still has a full poll
+// (and, failing that, a pre-park recheck of the pending count) ahead of
+// it. pending < 0 disables the throttle, for a caller with no count to
+// offer; the runtime always passes its count (the benchmark's park/wake
+// driver is the one caller that does not).
+func (p *Parker) WakeOne(_ int, pending int64) {
 	if p.nparked.Load() == 0 {
 		return
 	}
-	dp := &p.doms[d]
-	if pending >= 0 && dp.woken.Load() >= pending {
+	if pending >= 0 && p.woken.Load() >= pending {
 		return
 	}
-	if dp.nparked.Load() > 0 && p.wakeIn(dp) {
-		return
-	}
-	if len(p.doms) == 1 {
-		return
-	}
-	for e := range p.doms {
-		ep := &p.doms[e]
-		if ep != dp && ep.nparked.Load() > 0 && p.wakeIn(ep) {
+	for i := range p.slots {
+		if p.wakeSlot(i) {
 			return
 		}
 	}
-}
-
-// wakeIn claims and wakes one parked worker of ep's range, reporting
-// whether a token was committed.
-func (p *Parker) wakeIn(ep *domainPark) bool {
-	for i := ep.lo; i < ep.hi; i++ {
-		s := &p.slots[i]
-		if s.state.Load() == WorkerParked && s.state.CompareAndSwap(WorkerParked, WorkerRunning) {
-			p.nparked.Add(-1)
-			ep.nparked.Add(-1)
-			ep.woken.Add(1)
-			ep.wakes.Add(1)
-			s.wake <- struct{}{}
-			return true
-		}
-	}
-	return false
 }
 
 // WakeAll wakes every currently parked worker (shutdown, exit cascade).
@@ -240,27 +175,30 @@ func (p *Parker) WakeAll() {
 		return
 	}
 	for i := range p.slots {
-		s := &p.slots[i]
-		if s.state.Load() == WorkerParked && s.state.CompareAndSwap(WorkerParked, WorkerRunning) {
-			ep := &p.doms[p.dom[i]]
-			p.nparked.Add(-1)
-			ep.nparked.Add(-1)
-			ep.woken.Add(1)
-			ep.wakes.Add(1)
-			s.wake <- struct{}{}
-		}
+		p.wakeSlot(i)
 	}
+}
+
+// wakeSlot claims worker i if it is parked and sends it a wake token,
+// reporting whether a token was committed.
+func (p *Parker) wakeSlot(i int) bool {
+	s := &p.slots[i]
+	if s.state.Load() != WorkerParked || !s.state.CompareAndSwap(WorkerParked, WorkerRunning) {
+		return false
+	}
+	p.nparked.Add(-1)
+	p.woken.Add(1)
+	p.wakes.Add(1)
+	s.wake <- struct{}{}
+	return true
 }
 
 // Parked returns the number of currently parked workers.
 func (p *Parker) Parked() int { return int(p.nparked.Load()) }
 
-// ParkedIn returns the number of currently parked workers of domain d.
-func (p *Parker) ParkedIn(d int) int { return int(p.doms[d].nparked.Load()) }
-
-// Woken returns domain d's woken-but-not-yet-polling hint (racy
-// diagnostics, like Parked).
-func (p *Parker) Woken(d int) int { return int(p.doms[d].woken.Load()) }
+// Woken returns the woken-but-not-yet-polling hint (racy diagnostics,
+// like Parked).
+func (p *Parker) Woken() int { return int(p.woken.Load()) }
 
 // Spinning returns the number of workers currently in the idle spin
 // phase (diagnostics; a racy snapshot like Parked).
@@ -275,22 +213,7 @@ func (p *Parker) Spinning() int {
 }
 
 // Parks returns the cumulative number of blocking parks.
-func (p *Parker) Parks() uint64 {
-	var n uint64
-	for d := range p.doms {
-		n += p.doms[d].parks.Load()
-	}
-	return n
-}
+func (p *Parker) Parks() uint64 { return p.parks.Load() }
 
 // Wakes returns the cumulative number of wake tokens delivered.
-func (p *Parker) Wakes() uint64 {
-	var n uint64
-	for d := range p.doms {
-		n += p.doms[d].wakes.Load()
-	}
-	return n
-}
-
-// WakesIn returns domain d's cumulative delivered wake tokens.
-func (p *Parker) WakesIn(d int) uint64 { return p.doms[d].wakes.Load() }
+func (p *Parker) Wakes() uint64 { return p.wakes.Load() }

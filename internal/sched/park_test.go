@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // waitParked blocks until at least n workers are visibly parked.
@@ -86,43 +87,20 @@ func TestParkerWakeAll(t *testing.T) {
 	}
 }
 
-// TestParkerDomainWake: a home-domain wake prefers the domain's own
-// parked worker; with the home domain empty the wake falls through to a
-// remote domain's parked worker.
-func TestParkerDomainWake(t *testing.T) {
-	// Workers 0,1 -> domain 0; workers 2,3 -> domain 1 (contiguous, as
-	// NewParker requires).
-	domOf := func(id int) int { return id / 2 }
-	p := NewParker(4, 2, domOf)
-	woke := make(chan int, 4)
-	park := func(id int) {
-		go func() {
-			p.Park(id, func() bool { return false })
-			woke <- id
-		}()
+// TestParkerLayout pins the parker to three whole lines: the slots
+// header, written only at construction; nparked alone; and the woken,
+// parks and wakes counters together. 192 bytes is a line-aligned size
+// class, so no heap neighbour shares any of them.
+func TestParkerLayout(t *testing.T) {
+	var p Parker
+	if off := unsafe.Offsetof(p.nparked); off != 64 {
+		t.Errorf("nparked at offset %d, want 64: it must own the second line", off)
 	}
-	park(1)
-	park(2)
-	waitParked(t, p, 2)
-	if p.ParkedIn(0) != 1 || p.ParkedIn(1) != 1 {
-		t.Fatalf("ParkedIn = %d/%d, want 1/1", p.ParkedIn(0), p.ParkedIn(1))
+	if off := unsafe.Offsetof(p.woken); off != 128 {
+		t.Errorf("woken at offset %d, want 128: the edge counters start the third line", off)
 	}
-	// Domain 1's wake must claim its own worker 2, not domain 0's.
-	p.WakeOne(1, 1)
-	if id := <-woke; id != 2 {
-		t.Fatalf("home wake released worker %d, want 2", id)
-	}
-	// Domain 1 now has nobody parked: its next wake must fall through to
-	// domain 0's worker 1.
-	p.WakeOne(1, 1)
-	if id := <-woke; id != 1 {
-		t.Fatalf("cross-domain wake released worker %d, want 1", id)
-	}
-	if p.Parked() != 0 {
-		t.Fatalf("Parked() = %d, want 0", p.Parked())
-	}
-	if p.WakesIn(1) != 1 || p.WakesIn(0) != 1 {
-		t.Fatalf("WakesIn = %d/%d, want 1/1", p.WakesIn(0), p.WakesIn(1))
+	if sz := unsafe.Sizeof(p); sz != 192 {
+		t.Errorf("Parker is %d bytes, want 192 (three lines, a line-aligned size class)", sz)
 	}
 }
 
@@ -136,16 +114,15 @@ func TestParkerWakeThrottle(t *testing.T) {
 	for i := range p.slots {
 		p.slots[i].state.Store(WorkerParked)
 		p.nparked.Add(1)
-		p.doms[0].nparked.Add(1)
 	}
 	p.WakeOne(0, 1) // claims one worker: woken 0 -> 1
-	if p.Woken(0) != 1 || p.Wakes() != 1 {
-		t.Fatalf("after first wake: woken=%d wakes=%d, want 1/1", p.Woken(0), p.Wakes())
+	if p.Woken() != 1 || p.Wakes() != 1 {
+		t.Fatalf("after first wake: woken=%d wakes=%d, want 1/1", p.Woken(), p.Wakes())
 	}
 	p.WakeOne(0, 1) // woken(1) covers pending(1): throttled no-op
-	if p.Woken(0) != 1 || p.Wakes() != 1 || p.Parked() != 3 {
+	if p.Woken() != 1 || p.Wakes() != 1 || p.Parked() != 3 {
 		t.Fatalf("throttled wake acted: woken=%d wakes=%d parked=%d",
-			p.Woken(0), p.Wakes(), p.Parked())
+			p.Woken(), p.Wakes(), p.Parked())
 	}
 	p.WakeOne(0, 2) // pending(2) > woken(1): claims another
 	if p.Wakes() != 2 {

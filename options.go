@@ -116,15 +116,6 @@ func WithErrorPolicy(p ErrorPolicy) Option {
 	return func(c *core.Config) { c.OnError = p }
 }
 
-// WithEventSlots sets the number of exclusive completer slots external
-// event decrements borrow when the final Done arrives from a
-// non-worker goroutine. The count bounds completer parallelism, never
-// correctness (a decrementer spins until a slot frees); 0 selects the
-// default of 4.
-func WithEventSlots(n int) Option {
-	return func(c *core.Config) { c.EventSlots = n }
-}
-
 // WithTracing enables the instrumentation backend with the given
 // per-core event capacity (<= 0 selects the default capacity).
 func WithTracing(capacity int) Option {
@@ -174,9 +165,8 @@ func WithNodeStats(hook func(NodeStat)) CompileOption {
 
 // WithConfig replaces the whole configuration — the one escape hatch
 // that reaches every Config field, including those with no option of
-// their own (RootShards, ServeSlots, IdleSpin, Noise), for callers that
-// already hold a Config (presets, the harness). Options after it still
-// apply on top.
+// their own (IdleSpin, Noise), for callers that already hold a Config
+// (presets, the harness). Options after it still apply on top.
 func WithConfig(cfg Config) Option {
 	return func(c *core.Config) { *c = cfg }
 }

@@ -36,10 +36,9 @@ func WithEvents[T any](fn func(*Ctx, *EventCounter) (T, error)) func(*Ctx) (T, e
 // on external events. Awaiting a future whose completion depends on
 // the calling task deadlocks, exactly like a misplaced Taskwait.
 func Await[T any](c *Ctx, f *Future[T]) (T, error) {
-	v, err := c.Await(f.h)
-	if err != nil || v == nil {
+	if err := c.Await(&f.handle); err != nil {
 		var zero T
 		return zero, err
 	}
-	return v.(T), nil
+	return f.v, nil
 }

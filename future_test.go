@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,6 +177,121 @@ func TestFutureWaitCancelledContext(t *testing.T) {
 	// A completed task wins over a cancelled context.
 	if v, err := f.Wait(cancelled); err != nil || v != 7 {
 		t.Fatalf("Wait(cancelled ctx, done task) = %v, %v; want 7, nil", v, err)
+	}
+}
+
+// TestFutureDoneLazy: Done asked before completion returns the one
+// channel later closed at completion; Done asked only after completion
+// returns an already-closed channel and allocates nothing for it.
+func TestFutureDoneLazy(t *testing.T) {
+	rt := repro.New(repro.WithWorkers(2))
+	defer rt.Close()
+
+	gate := make(chan struct{})
+	early := repro.Submit(rt, func(*repro.Ctx) (int, error) {
+		<-gate
+		return 1, nil
+	})
+	d := early.Done()
+	select {
+	case <-d:
+		t.Fatal("Done closed before the task completed")
+	default:
+	}
+	close(gate)
+	<-d
+	if early.Done() != d {
+		t.Fatal("Done returned a second channel after completion")
+	}
+
+	// Await polls completion without asking for a channel, so these
+	// complete with nobody holding one: both then share the one
+	// pre-closed channel.
+	late := repro.Submit(rt, func(*repro.Ctx) (int, error) { return 2, nil })
+	other := repro.Submit(rt, func(*repro.Ctx) (int, error) { return 3, nil })
+	if err := rt.Run(func(c *repro.Ctx) {
+		repro.Await(c, late)
+		repro.Await(c, other)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-late.Done():
+	default:
+		t.Fatal("Done after completion is not closed")
+	}
+	if late.Done() != other.Done() {
+		t.Fatal("Done after completion made a channel of its own")
+	}
+	if n := testing.AllocsPerRun(100, func() { <-late.Done() }); n != 0 {
+		t.Fatalf("Done after completion allocates %v times, want 0", n)
+	}
+	if v, err := late.Wait(nil); err != nil || v != 2 {
+		t.Fatalf("Wait = %v, %v; want 2, nil", v, err)
+	}
+}
+
+// TestFutureDoneRacesCompletion: Done and Wait called from two
+// goroutines while the task completes — the lazily made channel and
+// the completion race for the Handle's slot, and both waiters must
+// wake with the result whichever wins. Run it under -race.
+func TestFutureDoneRacesCompletion(t *testing.T) {
+	rt := repro.New(repro.WithWorkers(2))
+	defer rt.Close()
+	iters := 2000
+	if testing.Short() {
+		iters = 500
+	}
+	for i := 0; i < iters; i++ {
+		f := repro.Submit(rt, func(*repro.Ctx) (int, error) { return i, nil })
+		waited := make(chan struct{})
+		go func() {
+			defer close(waited)
+			<-f.Done()
+		}()
+		if v, err := f.Wait(nil); err != nil || v != i {
+			t.Fatalf("iteration %d: Wait = %v, %v", i, v, err)
+		}
+		<-waited
+	}
+}
+
+// piBody is a package-level body, so submitting it allocates no closure.
+func piBody(*repro.Ctx) (float64, error) { return 3.14159, nil }
+
+// TestFutureResultAllocatesOnlyTheFuture: a Future[float64] holds its
+// result in place — no box for the value, no wrapper around the body,
+// no separate handle — so a Submit joined by Await, which never asks for
+// a channel, allocates the Future and nothing else.
+func TestFutureResultAllocatesOnlyTheFuture(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	rt := repro.New(repro.WithWorkers(2))
+	defer rt.Close()
+	const k = 4096
+	var bad error
+	body := func(c *repro.Ctx) {
+		for i := 0; i < k; i++ {
+			if v, err := repro.Await(c, repro.Submit(rt, piBody)); err != nil || v != 3.14159 {
+				bad = fmt.Errorf("Await = %v, %v", v, err)
+			}
+		}
+	}
+	if err := rt.Run(body); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := rt.Run(body)
+	runtime.ReadMemStats(&after)
+	if err != nil || bad != nil {
+		t.Fatal(err, bad)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / k
+	t.Logf("%.3f allocations per Submit", per)
+	if per > 1.1 {
+		t.Fatalf("%.3f allocations per Submit of a Future[float64], want 1 (the Future)", per)
 	}
 }
 

@@ -184,21 +184,15 @@ func (c *Ctx) AfterFunc(d time.Duration, fn func()) {
 }
 
 // Await blocks the running task until h resolves and returns its
-// result, executing other ready tasks on this worker meanwhile (the
-// same blocking-help loop as Taskwait). It is the in-task way to join
-// on a Handle — a bare Handle.Wait inside a body would park the worker
-// goroutine itself. Awaiting a handle whose completion depends on this
-// task deadlocks, exactly like a misplaced Taskwait.
-func (c *Ctx) Await(h *Handle) (any, error) {
-	c.rt.helpUntil(c.worker, func() bool {
-		select {
-		case <-h.done:
-			return true
-		default:
-			return false
-		}
-	})
-	return h.val, h.err
+// error, executing other ready tasks on this worker meanwhile (the same
+// blocking-help loop as Taskwait); the result is then read from the
+// future h is embedded in. It is the in-task way to join on a Handle —
+// a bare Handle.Wait inside a body would park the worker goroutine
+// itself. Awaiting a handle whose completion depends on this task
+// deadlocks, exactly like a misplaced Taskwait.
+func (c *Ctx) Await(h *Handle) error {
+	c.rt.helpUntil(c.worker, h.completed)
+	return h.err
 }
 
 // Drain seals the runtime against new root submissions and waits until

@@ -34,7 +34,7 @@ func TestEventDeferredReleaseOrdersSuccessor(t *testing.T) {
 		got = x
 		return nil, nil
 	}, In(&x))
-	for _, h := range []*Handle{a, b} {
+	for _, h := range []*AnyFuture{a, b} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestEventDecrementBeforeReturnRace(t *testing.T) {
 	defer rt.Close()
 	const n = 400
 	var completed atomic.Int64
-	handles := make([]*Handle, n)
+	handles := make([]*AnyFuture, n)
 	for i := 0; i < n; i++ {
 		i := i
 		handles[i] = rt.Submit(func(c *Ctx) (any, error) {
@@ -121,7 +121,7 @@ func TestEventDoneFromWorkerBypass(t *testing.T) {
 		ev.DoneFrom(c)
 		return nil, nil
 	})
-	for _, h := range []*Handle{a, b, completer} {
+	for _, h := range []*AnyFuture{a, b, completer} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestEventCancellationWhilePending(t *testing.T) {
 	defer rt.Close()
 	sentinel := errors.New("backend exploded")
 	var x int
-	var hSucc, hFail *Handle
+	var hSucc, hFail *AnyFuture
 	var succRan atomic.Bool
 	err := rt.Run(func(c *Ctx) {
 		ev := make(chan *EventCounter, 1)
@@ -307,7 +307,7 @@ func TestAfterFuncDeliversResponse(t *testing.T) {
 		got = resp
 		return nil, nil
 	}, In(&resp))
-	for _, h := range []*Handle{a, b} {
+	for _, h := range []*AnyFuture{a, b} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -325,11 +325,10 @@ func TestAwaitHelpsOnSingleWorker(t *testing.T) {
 	defer rt.Close()
 	err := rt.Run(func(c *Ctx) {
 		inner := rt.Submit(func(*Ctx) (any, error) { return 21, nil })
-		v, err := c.Await(inner)
-		if err != nil {
+		if err := c.Await(&inner.Handle); err != nil {
 			panic(err)
 		}
-		if v.(int) != 21 {
+		if v := inner.val; v.(int) != 21 {
 			panic(fmt.Sprintf("awaited %v", v))
 		}
 	})
@@ -359,7 +358,7 @@ func TestEventsAcrossConfigs(t *testing.T) {
 			const n = 100
 			var sum atomic.Int64
 			cells := make([]int, n)
-			handles := make([]*Handle, 0, 2*n)
+			handles := make([]*AnyFuture, 0, 2*n)
 			for j := 0; j < n; j++ {
 				j := j
 				handles = append(handles, rt.Submit(func(c *Ctx) (any, error) {
@@ -414,7 +413,7 @@ func TestEventWithCommutativeAccess(t *testing.T) {
 	}
 	h1 := rt.Submit(body, Commutative(&x))
 	h2 := rt.Submit(body, Commutative(&x))
-	for _, h := range []*Handle{h1, h2} {
+	for _, h := range []*AnyFuture{h1, h2} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +506,7 @@ func TestTenThousandInflightGraphsOnEightWorkers(t *testing.T) {
 	reqKey := func(r int) int { return int(uint64(r) * 2654435761 % uint64(nkeys)) }
 	reqDelta := func(r int) float64 { return float64(1 + (r*7+3)%11) }
 
-	replies := make([]*Handle, requests)
+	replies := make([]*AnyFuture, requests)
 	for r := 0; r < requests; r++ {
 		st, rp := &stage[r], &resp[r]
 		key := &keys[reqKey(r)]

@@ -117,7 +117,7 @@ func runFuzzGraph(t *testing.T, data []byte, dk DepsKind, pol ErrorPolicy) {
 	defer rt.Close()
 
 	var executed atomic.Int64
-	handles := make([]*Handle, len(tasks))
+	handles := make([]*AnyFuture, len(tasks))
 	done := make(chan error, 1)
 	go func() {
 		done <- rt.Run(func(c *Ctx) {

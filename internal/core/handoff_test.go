@@ -45,12 +45,12 @@ func drive(rt *Runtime) {
 
 // driveUntil plays worker 0 until h resolves, waiting out the timers
 // and external completions that release tasks from other goroutines.
-func driveUntil(t *testing.T, rt *Runtime, h *Handle) {
+func driveUntil(t *testing.T, rt *Runtime, h *AnyFuture) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
 		drive(rt)
 		select {
-		case <-h.done:
+		case <-h.Done():
 			return
 		default:
 		}
@@ -62,10 +62,10 @@ func driveUntil(t *testing.T, rt *Runtime, h *Handle) {
 
 // settled fails the test unless h resolved without error and every task
 // of the runtime fully completed.
-func settled(t *testing.T, rt *Runtime, h *Handle) {
+func settled(t *testing.T, rt *Runtime, h *AnyFuture) {
 	t.Helper()
 	select {
-	case <-h.done:
+	case <-h.Done():
 	default:
 		t.Fatal("root did not complete: a task was lost")
 	}
@@ -78,7 +78,7 @@ func settled(t *testing.T, rt *Runtime, h *Handle) {
 }
 
 // submit is Submit for a body without a result.
-func submit(rt *Runtime, body func(*Ctx)) *Handle {
+func submit(rt *Runtime, body func(*Ctx)) *AnyFuture {
 	return rt.Submit(func(c *Ctx) (any, error) {
 		body(c)
 		return nil, nil
@@ -129,7 +129,7 @@ func TestBypassGates(t *testing.T) {
 				if producer == nil {
 					t.Fatal("the producer is not queued")
 				}
-				var hi *Handle
+				var hi *AnyFuture
 				if tc.queueHigher {
 					hi = rt.Submit(func(*Ctx) (any, error) { return nil, nil }, Priority(MaxPriority))
 				}
@@ -150,12 +150,12 @@ func TestBypassGates(t *testing.T) {
 				if ran != (tc.wantErr == nil) {
 					t.Fatalf("successor ran = %v under root error %v", ran, tc.wantErr)
 				}
-				<-h.done
+				<-h.Done()
 				if !errors.Is(h.err, tc.wantErr) {
 					t.Fatalf("root error = %v, want %v", h.err, tc.wantErr)
 				}
 				if hi != nil {
-					<-hi.done
+					<-hi.Done()
 				}
 				if lv := rt.LiveTasks(); lv != 0 {
 					t.Fatalf("LiveTasks = %d at quiescence", lv)
@@ -243,7 +243,7 @@ func TestBypassSlotEmptyAroundBodies(t *testing.T) {
 			}
 		}},
 		{"declined-node", func(t *testing.T, rt *Runtime, wrap func(func(*Ctx)) func(*Ctx)) {
-			var hi *Handle
+			var hi *AnyFuture
 			ran := false
 			h := submit(rt, wrap(func(c *Ctx) {
 				// A fan-out sibling, spawned first, and then the kept
@@ -259,7 +259,7 @@ func TestBypassSlotEmptyAroundBodies(t *testing.T) {
 			}))
 			driveUntil(t, rt, h)
 			settled(t, rt, h)
-			<-hi.done
+			<-hi.Done()
 			if !ran {
 				t.Fatal("the declined node never ran")
 			}

@@ -131,9 +131,7 @@ func putLoopState(ls *loopState) {
 // Run/Submit roots. The public façade wrappers are repro.ForEach and
 // repro.ForReduce.
 func (rt *Runtime) RunLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) error {
-	h := rt.SubmitLoop(context.Background(), lo, hi, grain, body, accs...)
-	<-h.done
-	return h.err
+	return rt.SubmitLoop(context.Background(), lo, hi, grain, body, accs...).Wait(nil)
 }
 
 // SubmitLoop submits a root work-sharing loop task without waiting; the
@@ -141,9 +139,11 @@ func (rt *Runtime) RunLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ..
 // ctx cancellation skips unexecuted chunks; the Handle then reports an
 // error matching ErrTaskSkipped wrapping the cause.
 func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) *Handle {
-	return rt.submitRoot(ctx, accs, func(slot int) *Task {
+	h := new(Handle)
+	rt.submitRoot(ctx, h, accs, func(slot int) *Task {
 		return rt.newLoopTask(&rt.global, lo, hi, grain, body, accs, slot)
 	})
+	return h
 }
 
 // Loop spawns a work-sharing loop task as a child of the running task:
@@ -162,7 +162,7 @@ func (c *Ctx) Loop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.Ac
 // GoLoop is Loop returning the loop's completion Handle (resolved at
 // full completion, like GoFn's).
 func (c *Ctx) GoLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) *Handle {
-	h := newHandle()
+	h := new(Handle)
 	t := c.rt.newLoopTask(c.task, lo, hi, grain, body, accs, c.worker)
 	t.handle = h
 	c.rt.register(c.task, t, c.worker)

@@ -153,7 +153,7 @@ func TestLoopCancellationMidLoop(t *testing.T) {
 			cancel()
 		}
 	})
-	_, err := h.Wait(nil)
+	err := h.Wait(nil)
 	if !errors.Is(err, ErrTaskSkipped) {
 		t.Fatalf("err = %v, want ErrTaskSkipped", err)
 	}
@@ -173,7 +173,7 @@ func TestLoopCancelledBeforeStart(t *testing.T) {
 	cancel()
 	var calls atomic.Int32
 	h := rt.SubmitLoop(ctx, 0, 1000, 0, func(*Ctx, int, int) { calls.Add(1) })
-	_, err := h.Wait(nil)
+	err := h.Wait(nil)
 	if !errors.Is(err, ErrTaskSkipped) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrTaskSkipped wrapping context.Canceled", err)
 	}
@@ -211,7 +211,7 @@ func TestLoopGoLoopChunkErrorUnderCollectAll(t *testing.T) {
 			}
 		})
 		c.Taskwait()
-		_, herr := h.Wait(nil)
+		herr := h.Wait(nil)
 		var pe *PanicError
 		if !errors.As(herr, &pe) {
 			t.Errorf("loop handle err = %v, want *PanicError", herr)

@@ -73,7 +73,7 @@ func TestPriorityRespectsDependencies(t *testing.T) {
 				return nil, nil
 			}, In(&x), Priority(MaxPriority))
 			close(release)
-			for _, h := range []*Handle{gate, a, b} {
+			for _, h := range []*AnyFuture{gate, a, b} {
 				if _, err := h.Wait(nil); err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestPriorityBypassYieldsToQueuedHigher(t *testing.T) {
 		return nil, nil
 	}, Priority(MaxPriority))
 	close(queued) // q's registration completed: it is queued at level 3
-	for _, h := range []*Handle{t1, s, q} {
+	for _, h := range []*AnyFuture{t1, s, q} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestPriorityStarvationBounded(t *testing.T) {
 			}
 
 			const batch = 50
-			handles := make([]*Handle, batch)
+			handles := make([]*AnyFuture, batch)
 			for i := range handles {
 				handles[i] = rt.Submit(func(*Ctx) (any, error) { return nil, nil })
 			}
@@ -214,7 +214,7 @@ func TestPriorityWithTaskloopsStress(t *testing.T) {
 				})
 			}()
 			var interactive atomic.Int64
-			var handles []*Handle
+			var handles []*AnyFuture
 			for i := 0; i < 200; i++ {
 				handles = append(handles, rt.Submit(func(*Ctx) (any, error) {
 					interactive.Add(1)

@@ -10,7 +10,7 @@ import (
 
 // Req is a reusable completion latch for root submissions on the
 // serving fast path (repro.CompiledGraph.Do). Where Submit allocates a
-// fresh Handle and done channel per call, a Req is allocated once by
+// fresh future per call, a Req is allocated once by
 // the caller and carries one submission at a time: together with the
 // pooled scope and task shell, a steady-state SubmitReq/Wait cycle
 // allocates nothing.

@@ -744,11 +744,7 @@ func (rt *Runtime) runBody(t *Task, id int) {
 	case t.loop != nil:
 		rt.runLoopBody(c, t)
 	case t.fn != nil:
-		v, err := t.fn(c)
-		if t.handle != nil {
-			t.handle.val = v
-		}
-		if err != nil {
+		if err := t.fn.Run(c); err != nil {
 			t.fail(err)
 		}
 	case t.body != nil:
@@ -796,7 +792,7 @@ func (rt *Runtime) completeOne(t *Task, id int) {
 			t.sc.release()
 		}
 		if t.handle != nil {
-			close(t.handle.done)
+			t.handle.complete()
 		}
 		if l := t.loop; l != nil {
 			t.loop = nil

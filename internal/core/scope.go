@@ -218,40 +218,80 @@ func (sc *scope) err() error {
 	return errors.Join(errs...)
 }
 
-// Handle is the untyped completion handle of a submitted task: it
-// carries the task's result value and error and is closed at the task's
-// *full* completion (body finished and every descendant complete). The
-// typed repro.Future[T] wraps a Handle.
+// Handle is the completion latch of a submitted task: it carries the
+// task's error and resolves at the task's *full* completion (body
+// finished and every descendant complete). Its zero value is ready to
+// use, and it is meant to be embedded: the typed repro.Future[T] and
+// core's untyped AnyFuture embed one next to their result, so a
+// result-delivering submission is a single allocation.
+//
+// The done channel is made lazily, as context.cancelCtx makes its own:
+// the slot holds the channel a waiter asked for before completion, or
+// the shared closedchan when completion came first. A task nobody
+// waits on while it runs never gets a channel.
 type Handle struct {
-	done chan struct{}
-	val  any
+	done atomic.Value // of chan struct{}
 	err  error
 }
 
-func newHandle() *Handle { return &Handle{done: make(chan struct{})} }
+// closedchan is the done channel of every Handle whose task completed
+// before anyone asked for one.
+var closedchan = make(chan struct{})
+
+func init() { close(closedchan) }
 
 // Done returns a channel closed when the task has fully completed.
-func (h *Handle) Done() <-chan struct{} { return h.done }
+func (h *Handle) Done() <-chan struct{} {
+	if d := h.done.Load(); d != nil {
+		return d.(chan struct{})
+	}
+	if ch := make(chan struct{}); h.done.CompareAndSwap(nil, ch) {
+		return ch
+	}
+	return h.done.Load().(chan struct{}) // completion won the slot
+}
+
+// completed reports whether the task has fully completed, without
+// making a channel: the in-task wait (Ctx.Await) polls it.
+func (h *Handle) completed() bool {
+	d, _ := h.done.Load().(chan struct{})
+	if d == nil {
+		return false
+	}
+	select {
+	case <-d:
+		return true
+	default:
+		return false
+	}
+}
+
+// complete resolves the handle: close the channel a waiter made, or
+// install closedchan so later Done calls make none. The task's error is
+// written before, and published by, this call.
+func (h *Handle) complete() {
+	if !h.done.CompareAndSwap(nil, closedchan) {
+		close(h.done.Load().(chan struct{}))
+	}
+}
 
 // Wait blocks until the task fully completes or ctx is cancelled, and
-// returns the task's result and error. A nil ctx waits unconditionally.
-// If ctx is cancelled first, Wait returns the cancellation cause; the
-// task itself keeps running (cancel its submission context to stop it).
-func (h *Handle) Wait(ctx context.Context) (any, error) {
-	if ctx == nil {
-		<-h.done
-		return h.val, h.err
-	}
+// returns the task's error. A nil ctx waits unconditionally. If ctx is
+// cancelled first, Wait returns the cancellation cause; the task itself
+// keeps running (cancel its submission context to stop it).
+func (h *Handle) Wait(ctx context.Context) error {
 	// A completed task wins over a cancelled context.
-	select {
-	case <-h.done:
-		return h.val, h.err
-	default:
+	if h.completed() {
+		return h.err
+	}
+	var cancel <-chan struct{} // nil, never ready, for a nil ctx
+	if ctx != nil {
+		cancel = ctx.Done()
 	}
 	select {
-	case <-h.done:
-		return h.val, h.err
-	case <-ctx.Done():
-		return nil, context.Cause(ctx)
+	case <-h.Done():
+		return h.err
+	case <-cancel:
+		return context.Cause(ctx)
 	}
 }

@@ -25,50 +25,79 @@ func (rt *Runtime) Run(body func(*Ctx), accs ...deps.AccessSpec) error {
 // bodies already started run to completion; they can poll Ctx.Err to
 // stop early.
 func (rt *Runtime) RunCtx(ctx context.Context, body func(*Ctx), accs ...deps.AccessSpec) error {
-	h := rt.submitRoot(ctx, accs, func(slot int) *Task {
+	var h Handle
+	rt.submitRoot(ctx, &h, accs, func(slot int) *Task {
 		return rt.newTask(&rt.global, body, accs, slot)
 	})
 	// The root's completion folded the scope's aggregate error into the
 	// handle (completeOne); read that snapshot rather than recomputing,
 	// so Run's return and the Handle always agree.
-	<-h.done
-	return h.err
+	return h.Wait(nil)
 }
 
-// Submit submits a root task whose body returns a result and an error,
-// without waiting: the returned Handle delivers them at the task's full
-// completion. Submissions participate in root-level dependency chains
-// exactly like Run roots (matching accesses order them). The typed
-// façade wrapper is repro.Submit.
-func (rt *Runtime) Submit(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *Handle {
-	return rt.SubmitCtx(context.Background(), fn, accs...)
-}
-
-// SubmitCtx is Submit with a caller context; cancellation drains the
-// task (and any descendants) as in RunCtx, and the Handle reports the
-// cause.
-func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *Handle {
-	return rt.submitRoot(ctx, accs, func(slot int) *Task {
+// SubmitBody submits a root task that runs b and resolves h, the Handle
+// embedded in the future b belongs to, without waiting. Submissions
+// participate in root-level dependency chains exactly like Run roots
+// (matching accesses order them); cancellation of ctx drains the task
+// (and any descendants) as in RunCtx, and h reports the cause. The typed
+// façade wrapper is repro.SubmitCtx.
+func (rt *Runtime) SubmitBody(ctx context.Context, h *Handle, b Body, accs ...deps.AccessSpec) {
+	rt.submitRoot(ctx, h, accs, func(slot int) *Task {
 		t := rt.newTask(&rt.global, nil, accs, slot)
-		t.fn = fn
+		t.fn = b
 		return t
 	})
 }
 
-// submitRoot is the lease path of every Handle root (Run, Submit,
+// AnyFuture is the untyped future of core's own Submit and GoFn: a
+// Handle plus the body and its result, in one allocation. The typed
+// façade equivalent is repro.Future[T].
+type AnyFuture struct {
+	Handle
+	fn  func(*Ctx) (any, error)
+	val any
+}
+
+// Run implements Body.
+func (f *AnyFuture) Run(c *Ctx) error {
+	v, err := f.fn(c)
+	f.fn, f.val = nil, v
+	return err
+}
+
+// Wait is Handle.Wait that also returns the task's result, nil on error.
+func (f *AnyFuture) Wait(ctx context.Context) (any, error) {
+	if err := f.Handle.Wait(ctx); err != nil {
+		return nil, err
+	}
+	return f.val, nil
+}
+
+// Submit is SubmitBody for an untyped body: it returns the task's
+// AnyFuture without waiting.
+func (rt *Runtime) Submit(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *AnyFuture {
+	return rt.SubmitCtx(context.Background(), fn, accs...)
+}
+
+// SubmitCtx is Submit with a caller context.
+func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *AnyFuture {
+	f := &AnyFuture{fn: fn}
+	rt.SubmitBody(ctx, &f.Handle, f, accs...)
+	return f
+}
+
+// submitRoot is the lease path of every Handle root (Run, SubmitBody,
 // SubmitLoop): it leases the root-domain shards the access addresses
 // hash to, in ascending order, and admits the root that build makes
-// under a fresh (pooled) error/cancellation scope. The lease's lowest
-// shard selects the submitter slot whose thread-local structures
-// (allocator free list, dependency mailbox, scheduler insertion index,
-// trace buffer) the registration uses exclusively, so submissions on
-// disjoint shard sets run this whole path in parallel.
-func (rt *Runtime) submitRoot(ctx context.Context, accs []deps.AccessSpec, build func(slot int) *Task) *Handle {
-	h := newHandle()
+// under a fresh (pooled) error/cancellation scope, resolving h. The
+// lease's lowest shard selects the submitter slot whose thread-local
+// structures (allocator free list, dependency mailbox, scheduler
+// insertion index, trace buffer) the registration uses exclusively, so
+// submissions on disjoint shard sets run this whole path in parallel.
+func (rt *Runtime) submitRoot(ctx context.Context, h *Handle, accs []deps.AccessSpec, build func(slot int) *Task) {
 	lease := rt.rootDom.Acquire(accs)
 	rt.admit(lease.Slot(), rt.cfg.Workers+lease.Slot(), newScope(ctx, rt.cfg.OnError), h, nil, build)
 	lease.Release()
-	return h
 }
 
 // admit is root admission, the one way a root task enters the runtime:
@@ -87,7 +116,7 @@ func (rt *Runtime) admit(shard, slot int, sc *scope, h *Handle, r *Req, build fu
 		if h != nil {
 			sc.release()
 			h.err = ErrRuntimeDraining
-			close(h.done)
+			h.complete()
 			return
 		}
 		r.claim() // a racing deadline must not cancel a released scope

@@ -84,7 +84,7 @@ func TestConcurrentSubmitStorm(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					handles := make([]*Handle, 0, perSub)
+					handles := make([]*AnyFuture, 0, perSub)
 					for i := 0; i < perSub; i++ {
 						c1 := (g*31 + i) % ncells
 						if i%5 == 0 {
@@ -161,12 +161,12 @@ func TestSubmitCancellationMidStorm(t *testing.T) {
 
 			var executed atomic.Int64
 			var wg sync.WaitGroup
-			handles := make([][]*Handle, submitters)
+			handles := make([][]*AnyFuture, submitters)
 			for g := 0; g < submitters; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					hs := make([]*Handle, 0, perSub)
+					hs := make([]*AnyFuture, 0, perSub)
 					for i := 0; i < perSub; i++ {
 						hs = append(hs, rt.SubmitCtx(ctx, func(*Ctx) (any, error) {
 							executed.Add(1)

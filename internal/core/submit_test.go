@@ -3,9 +3,99 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/alloc"
 )
+
+// shellCount decorates the task allocator: it counts the distinct
+// shells it ever handed out.
+type shellCount struct {
+	alloc.Allocator[Task]
+	mu   sync.Mutex
+	seen map[*Task]struct{}
+}
+
+func (s *shellCount) Get(worker int) *Task {
+	t := s.Allocator.Get(worker)
+	s.mu.Lock()
+	s.seen[t] = struct{}{}
+	s.mu.Unlock()
+	return t
+}
+
+// TestSubmitDistinctAddressesRecyclesShells: concurrent submitters send
+// roots on distinct addresses — the last root on each address a chain
+// tail nothing ever replaces — and every eighth also on one shared hot
+// cell, so replaced tails and chained successors interleave with the
+// registrar's sweeps. Every root completes and the hot cell's
+// increments stay exclusive; and since swept tails give their shells
+// back, the shells ever made are bounded by what the shard maps may
+// hold (twice the unreleased tails plus the sweep floor of 64, per
+// shard) and the allocator's free lists, not by the submission count.
+func TestSubmitDistinctAddressesRecyclesShells(t *testing.T) {
+	const submitters, window = 4, 32
+	n := 100_000
+	if testing.Short() {
+		n = 20_000
+	}
+	for _, dk := range depsKindsUnderStress() {
+		t.Run(dk.testName(), func(t *testing.T) {
+			rt := build(Config{Workers: 2, Deps: dk})
+			shells := &shellCount{Allocator: rt.alloc, seen: map[*Task]struct{}{}}
+			rt.alloc = shells
+			rt.start()
+			defer rt.Close()
+
+			cells := make([]float64, n)
+			var hot float64
+			var wg sync.WaitGroup
+			for g := range submitters {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					futs := make([]*AnyFuture, 0, window)
+					for i := g; i < n; i += submitters {
+						accs := []AccessSpec{InOut(&cells[i])}
+						if i%8 == 0 {
+							accs = append(accs, InOut(&hot))
+						}
+						futs = append(futs, rt.Submit(func(*Ctx) (any, error) {
+							if len(accs) > 1 {
+								hot++
+							}
+							return nil, nil
+						}, accs...))
+						if len(futs) == window || i+submitters >= n {
+							for _, f := range futs {
+								if _, err := f.Wait(nil); err != nil {
+									t.Error(err)
+								}
+							}
+							futs = futs[:0]
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if want := float64((n + 7) / 8); hot != want {
+				t.Errorf("hot cell = %v, want %v", hot, want)
+			}
+			if live := rt.LiveTasks(); live != 0 {
+				t.Fatalf("LiveTasks = %d after every root resolved", live)
+			}
+			shards := rt.rootDom.Shards()
+			bound := shards*(2*submitters*window+64) + rt.Slots()*2*64
+			made := len(shells.seen)
+			t.Logf("%d shells made for %d roots", made, n)
+			if made > bound {
+				t.Errorf("%d shells made for %d roots, want at most %d", made, n, bound)
+			}
+		})
+	}
+}
 
 // TestRootAdmission drives every root kind through the one admission
 // and the one completion fold: a sealed runtime rejects the root with
@@ -32,8 +122,7 @@ func TestRootAdmission(t *testing.T) {
 			return err
 		}},
 		{"loop", false, func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
-			_, err := rt.SubmitLoop(ctx, 0, 1, 1, func(c *Ctx, _, _ int) { body(c) }).Wait(nil)
-			return err
+			return rt.SubmitLoop(ctx, 0, 1, 1, func(c *Ctx, _, _ int) { body(c) }).Wait(nil)
 		}},
 		{"req-inline", false, req},
 		{"req-dispatch", true, req},

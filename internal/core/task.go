@@ -51,14 +51,14 @@ type Task struct {
 	// drained counter, not corrupt a recycled shell.
 	events *EventCounter
 
-	fn func(*Ctx) (any, error) // typed body (futures); body xor fn
+	fn Body // result-delivering body (futures); body xor fn
 
 	// ownsScope marks the root task of a scope: its full completion
 	// releases the scope's context registration and folds the scope's
 	// aggregate error into the handle.
 	ownsScope bool
 
-	_ [23]byte
+	_ [15]byte
 
 	// Line 1 — the attribute line: written by newTask, read by the
 	// scheduler and execute, wiped by resetBody. While a task's body
@@ -139,12 +139,19 @@ type Task struct {
 	node deps.Node
 }
 
+// Body is the body of a result-delivering task: Run executes the user
+// function, stores its result in the future that implements Body, and
+// returns its error. A future is its own task's body and embeds the
+// task's Handle, so submitting one allocates only the future itself
+// (repro.Future[T]; AnyFuture for core's untyped Submit and GoFn).
+type Body interface{ Run(*Ctx) error }
+
 // resetBody drops the task-level references — closure, scope, handle,
 // parent — at full completion. It runs unconditionally in completeOne,
-// even when the node's access storage is still pinned (e.g. the last
-// root per address stays a tail of the never-unregistered global
-// domain), so a retained shell never keeps a body closure, error
-// scope or Future handle alive.
+// even when the node's access storage is still pinned (a chain tail
+// still installed in a live domain map, or a root-shard tail the
+// registrar has not swept yet), so a retained shell never keeps a body
+// closure, error scope or Future alive.
 func (t *Task) resetBody() {
 	t.body = nil
 	t.fn = nil
@@ -235,23 +242,28 @@ func (c *Ctx) Spawn(body func(*Ctx), accs ...deps.AccessSpec) {
 	c.rt.spawn(c.task, body, accs, c.worker)
 }
 
-// GoFn creates a child task whose body returns a result and an error,
-// and returns its completion Handle. Like Spawn it may only be called
+// GoBody creates a child task that runs b and resolves h, the Handle
+// embedded in the future b belongs to. Like Spawn it may only be called
 // from the task's own body. The child shares this task's scope: its
 // error is recorded there (cancelling the scope under FailFast) in
-// addition to being delivered through the Handle. The typed façade
-// wrapper is repro.Go.
-func (c *Ctx) GoFn(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *Handle {
-	h := newHandle()
+// addition to being delivered through h. The typed façade wrapper is
+// repro.Go.
+func (c *Ctx) GoBody(h *Handle, b Body, accs ...deps.AccessSpec) {
 	t := c.rt.newTask(c.task, nil, accs, c.worker)
-	t.fn = fn
+	t.fn = b
 	t.handle = h
 	c.rt.register(c.task, t, c.worker)
-	return h
 }
 
-// Fail records err as the running task's failure, exactly as if a GoFn
-// body had returned it: the error lands in the task's scope — where
+// GoFn is GoBody for an untyped body, returning its AnyFuture.
+func (c *Ctx) GoFn(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *AnyFuture {
+	f := &AnyFuture{fn: fn}
+	c.GoBody(&f.Handle, f, accs...)
+	return f
+}
+
+// Fail records err as the running task's failure, exactly as if a
+// future's body had returned it: the error lands in the task's scope — where
 // the ErrorPolicy decides whether the rest of the scope keeps running —
 // and on the task's handle, if it has one. It is the error channel for
 // Spawn bodies, which have no return value; the compiled-graph node

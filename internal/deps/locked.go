@@ -166,12 +166,38 @@ func (s *Locked) register(parent *Node, d *RootDomain, n *Node, worker int) {
 		}
 		owner := parent
 		if d != nil {
-			owner = d.shardNode(a.addr)
+			owner = &d.shard(a.addr).node
 		}
 		s.linkInto(owner, a, &post, worker)
 	}
 	s.apply(&post, worker)
+	if d != nil {
+		for i := range n.Accesses {
+			if sh := d.shard(n.Accesses[i].addr); sh.sweepDue(len(sh.node.ldomain)) {
+				s.sweep(sh)
+			}
+		}
+	}
 	n.satisfied(s.ready, worker)
+}
+
+// sweep deletes from root shard sh's map every chain whose
+// entries have all released — the locking baseline's half of the
+// registrar's sweep (see rootShard). The caller must hold sh's lease:
+// only the lease holder appends to a root chain, so an empty chain
+// stays empty. A worker still holding a deleted chain for a deferred
+// rescan only rescans an empty chain.
+func (s *Locked) sweep(sh *rootShard) {
+	m := sh.node.ldomain
+	for addr, ch := range m {
+		ch.mu.Lock()
+		empty := ch.head == len(ch.entries)
+		ch.mu.Unlock()
+		if empty {
+			delete(m, addr)
+		}
+	}
+	sh.sweepAt = 2 * len(m)
 }
 
 // linkInto appends one non-alias access to its chain in owner's domain

@@ -44,10 +44,16 @@ type RootDomain struct {
 // rootShard is one shard: the registration lock and the Node whose
 // domain maps hold the shard's chain tails. The node is never
 // registered or unregistered itself — like the global task it stands
-// in for, it exists only as the owner of its children's chains — so
-// its tail pins are held forever (the per-shard tail-pin rule: the
-// last task per address stays pinned until a later submission
-// replaces it, exactly as with the former single global domain).
+// in for, it exists only as the owner of its children's chains — so no
+// Unregister ever drops its tail pins. The registrar sweeps the map
+// instead: once it has grown to twice the size the last sweep left (and
+// to at least sweepFloor entries), the lease holder deletes every chain
+// whose tail has already released and drops that tail's pin (see
+// WaitFree.sweep and Locked.sweep). A later root on a swept address
+// starts a fresh chain, born satisfied — exactly what chaining after
+// the released tail would have delivered. The amortized sweep keeps a
+// shard's retention proportional to its unreleased tails, not to every
+// address ever submitted.
 //
 // The registration lock is the repository's own Partitioned Ticket
 // Lock, like every other lock on the runtime's synchronization paths
@@ -57,9 +63,20 @@ type RootDomain struct {
 // alloc.Serial exists to counteract — the very contention this
 // sharding removes would be invisible to measurement on small hosts.
 type rootShard struct {
-	mu   *locks.PTLock
-	node Node
+	mu *locks.PTLock
+	// sweepAt is twice the map size the last sweep left; written only
+	// by the lease holder.
+	sweepAt int
+	node    Node
 }
+
+// sweepFloor is the smallest shard map the registrar sweeps: below it a
+// sweep costs more map iteration than the tails it could free are worth.
+const sweepFloor = 64
+
+// sweepDue reports whether a shard map of n entries has grown enough
+// since the last sweep to be swept again.
+func (sh *rootShard) sweepDue(n int) bool { return n >= max(sh.sweepAt, sweepFloor) }
 
 // NewRootDomain returns a root domain of n shards, clamped to
 // [1, MaxRootShards] and rounded up to a power of two; Shards reports
@@ -87,9 +104,9 @@ func (d *RootDomain) shardOf(p unsafe.Pointer) int {
 	return int((uint64(uintptr(p)) * 0x9E3779B97F4A7C15) >> d.shift)
 }
 
-// shardNode returns the shard node owning addr's chain.
-func (d *RootDomain) shardNode(p unsafe.Pointer) *Node {
-	return &d.shards[d.shardOf(p)].node
+// shard returns the shard owning addr's chain.
+func (d *RootDomain) shard(p unsafe.Pointer) *rootShard {
+	return &d.shards[d.shardOf(p)]
 }
 
 // RootLease is a held set of shard registration locks covering one root

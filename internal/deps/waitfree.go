@@ -112,8 +112,10 @@ func (s *WaitFree) Name() string { return "wait-free" }
 // releases (dropped in evaluate at the release transition), and once
 // more while it is the domain-map tail of its chain — until a later
 // sibling replaces it and has delivered flagHasSuccessor to it (the
-// tail pin passes to that message, see linkAfterAccess), or until
-// Unregister closes the parent's domain for good.
+// tail pin passes to that message, see linkAfterAccess), until
+// Unregister closes the parent's domain for good, or — in a root shard,
+// which no Unregister closes — until the registrar's sweep deletes the
+// released tail.
 func (s *WaitFree) Register(parent, n *Node, worker int) {
 	s.register(parent, nil, n, worker)
 }
@@ -144,12 +146,41 @@ func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
 		}
 		owner := parent
 		if d != nil {
-			owner = d.shardNode(a.addr)
+			owner = &d.shard(a.addr).node
 		}
 		s.linkInto(owner, a, mb)
 	}
 	s.drain(mb, worker)
+	if d != nil {
+		// n's own tails cannot have released yet: n runs only once the
+		// registration guard below drops.
+		for i := range n.Accesses {
+			if sh := d.shard(n.Accesses[i].addr); sh.sweepDue(len(sh.node.domain)) {
+				s.sweep(sh, worker)
+			}
+		}
+	}
 	n.satisfied(s.ready, worker) // release the registration guard
+}
+
+// sweep deletes from root shard sh's map every plain tail whose access
+// has released, dropping its tail pin — on the last pin, the
+// quiescence callback recycles the shell onto the sweeper's slot. The
+// caller must hold sh's lease, which makes it the map's single writer
+// and the only thread that could still link a successor after the
+// tail; once released, an access is owed no other message, so the tail
+// pin protects nothing more. Group tails stay: a run is released only
+// as a whole, and a later compatible member may still join it. The
+// workers' release path is untouched — it never reads the map.
+func (s *WaitFree) sweep(sh *rootShard, worker int) {
+	m := sh.node.domain
+	for addr, t := range m {
+		if t.access != nil && t.access.state.Load().Has(flagsReleased) {
+			delete(m, addr)
+			s.unpin(t.access.node, worker)
+		}
+	}
+	sh.sweepAt = 2 * len(m)
 }
 
 // linkInto links one non-alias access into owner's domain map. The

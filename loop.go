@@ -58,9 +58,7 @@ func ForEach(rt *Runtime, lo, hi int, body func(c *Ctx, lo, hi int), opts ...Loo
 // ErrTaskSkipped and the cancellation cause.
 func ForEachCtx(ctx context.Context, rt *Runtime, lo, hi int, body func(c *Ctx, lo, hi int), opts ...LoopOption) error {
 	cfg := buildLoopCfg(opts)
-	h := rt.SubmitLoop(ctx, lo, hi, cfg.grain, body, cfg.accs...)
-	_, err := h.Wait(nil)
-	return err
+	return rt.SubmitLoop(ctx, lo, hi, cfg.grain, body, cfg.accs...).Wait(nil)
 }
 
 // ForReduce executes body over every chunk of [lo, hi) and reduces the
@@ -87,7 +85,7 @@ func ForReduceCtx[T any](ctx context.Context, rt *Runtime, lo, hi int, identity 
 	h := rt.SubmitLoop(ctx, lo, hi, cfg.grain, func(c *Ctx, lo, hi int) {
 		body(c, lo, hi, priv.Slot(c.Worker()))
 	}, cfg.accs...)
-	if _, err := h.Wait(nil); err != nil {
+	if err := h.Wait(nil); err != nil {
 		return identity, err
 	}
 	return priv.Combine(identity, combine), nil

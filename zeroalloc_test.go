@@ -163,6 +163,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		{"compiled-fanout", doLoop(fcg, sink, 16), ops, ops / 10},
 		{"compiled-fanout-attrs", doLoop(acg, sink, 16), ops, ops / 10},
 		{"taskloop", taskloopRun(loopRT, loopOps), loopOps, 7 * loopOps},
+		{"submit", submitRing(rt, ops), ops, 2 * ops},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err != nil {
@@ -184,6 +185,37 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	}
 }
 
+// nopSubmit is the submit row's body: package-level, so it allocates no
+// closure.
+func nopSubmit(*repro.Ctx) (struct{}, error) { return struct{}{}, nil }
+
+// submitRing is the submit row's shape: n repro.Submits of nopSubmit,
+// each with one InOut on the next of 1 024 rotating cells, each waited
+// in submission order before its cell is reused. A Submit allocates its
+// Future, plus the Future's done channel when Wait arrives before the
+// task completed: at most two, and the row fails above that. Every other
+// piece of a root submission — scope, shell, the chain tail a later
+// root replaces — comes from a pool.
+func submitRing(rt *repro.Runtime, n int) func() error {
+	var cells [1024]float64
+	futs := make([]*repro.Future[struct{}], len(cells))
+	return func() error {
+		for i := 0; i < n+len(cells); i++ {
+			j := i % len(cells)
+			if f := futs[j]; f != nil {
+				if _, err := f.Wait(nil); err != nil {
+					return err
+				}
+			}
+			futs[j] = nil
+			if i < n {
+				futs[j] = repro.Submit(rt, nopSubmit, repro.InOut(&cells[j]))
+			}
+		}
+		return nil
+	}
+}
+
 // loopOps is the number of Runs the taskloop row measures (and warms up
 // with: the first few hundred Runs of a fresh runtime cost up to one
 // allocation more each while the shell free lists settle).
@@ -197,7 +229,8 @@ const loopOps = 2048
 // single pair of allocations accounts for it; a profile
 // (-memprofilerate 1, three thousand Runs from cold) finds, per Run:
 //
-//   - 2: the Run's handle and its done channel (core.newHandle);
+//   - 2: the Run's Handle and the done channel its Wait makes while the
+//     loop still runs (core.RunCtx);
 //   - 2: the reduction group and its per-worker slot table
 //     (deps.newGroup), built for every registration of a reduction
 //     access and not pooled;

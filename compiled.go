@@ -200,14 +200,13 @@ func (cg *CompiledGraph) Do(ctx context.Context) (*GraphExec, error) {
 	return cg.do(ctx, 0)
 }
 
-// DoTimeout is Do with a per-request deadline on the runtime's timer
-// queue: if the request has not completed after d, its scope is
-// cancelled — not-yet-started nodes drain with ErrTaskSkipped wrapping
-// context.DeadlineExceeded — and DoTimeout still waits for the full
-// drain before returning, so the frame is quiescent and reusable.
-// Nodes whose bodies already started run to completion (poll Ctx.Err
-// to stop early). d ≤ 0 means no deadline; a deadline costs one timer
-// registration per request on top of Do.
+// DoTimeout is Do with a per-request deadline, observed like a context
+// deadline: nodes that have not started d after the call drain with
+// ErrTaskSkipped wrapping context.DeadlineExceeded, and DoTimeout still
+// waits for the full drain before returning, so the frame is quiescent
+// and reusable. Nodes whose bodies already started run to completion
+// (poll Ctx.Err to stop early). d ≤ 0 means no deadline; a deadline
+// costs a clock read per node start and allocates nothing.
 func (cg *CompiledGraph) DoTimeout(ctx context.Context, d time.Duration) (*GraphExec, error) {
 	return cg.do(ctx, d)
 }

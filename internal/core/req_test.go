@@ -118,15 +118,49 @@ func TestSubmitReqDeadline(t *testing.T) {
 			if ran.Load() {
 				t.Fatal("dependent of the slow task ran past the deadline")
 			}
-			// The latch is reusable after a deadline, and stale timers of
-			// earlier cycles must never cancel later ones: run trivial
-			// cycles well past the old deadline's firing point.
-			deadlineAt := time.Now().Add(5 * time.Millisecond)
-			for time.Now().Before(deadlineAt.Add(5 * time.Millisecond)) {
-				rt.SubmitReq(context.Background(), r, 5*time.Millisecond, func(c *Ctx) {})
+			// The latch and its recycled scope are reusable after a
+			// deadline: later cycles with a deadline that cannot expire
+			// succeed.
+			for cycle := 0; cycle < 100; cycle++ {
+				rt.SubmitReq(context.Background(), r, time.Hour, func(c *Ctx) {})
 				if err := r.Wait(); err != nil {
-					t.Fatalf("reuse cycle after deadline: %v", err)
+					t.Fatalf("reuse cycle %d after deadline: %v", cycle, err)
 				}
+			}
+		})
+	}
+}
+
+// TestSubmitReqDeadlineAfterFailFast: a FailFast failure that lands
+// after the request deadline passed, with nothing having observed the
+// deadline yet, is the whole aggregate — the deadline joins it neither
+// as its cause nor as a second copy of the failure. The dependent of the
+// failed node still drains.
+func TestSubmitReqDeadlineAfterFailFast(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range reqPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(testConfig(VariantOptimized))
+			defer rt.Close()
+			if tc.dispatch {
+				defer holdServeSlots(t, rt)()
+			}
+			r := NewReq()
+			var x byte
+			var ran atomic.Bool
+			rt.SubmitReq(context.Background(), r, 2*time.Millisecond, func(c *Ctx) {
+				c.Spawn(func(c *Ctx) {
+					time.Sleep(10 * time.Millisecond)
+					c.Fail(boom)
+				}, Out(&x))
+				c.Spawn(func(*Ctx) { ran.Store(true) }, In(&x))
+				c.Taskwait()
+			})
+			if err := r.Wait(); err == nil || err.Error() != boom.Error() {
+				t.Fatalf("Wait = %v, want exactly %v", err, boom)
+			}
+			if ran.Load() {
+				t.Fatal("dependent of the failed node ran")
 			}
 		})
 	}
@@ -134,9 +168,9 @@ func TestSubmitReqDeadline(t *testing.T) {
 
 // TestSubmitReqStorm hammers SubmitReq from more goroutines than there
 // are inline-serving slots, so submissions race over slot acquisition
-// and fall back to the dispatch path under contention, with stale
-// deadline timers constantly firing into later cycles. Each goroutine
-// verifies every successful cycle's dependency chain exactly.
+// and fall back to the dispatch path under contention, with every
+// fourth cycle's deadline short enough to expire under load. Each
+// goroutine verifies every successful cycle's dependency chain exactly.
 func TestSubmitReqStorm(t *testing.T) {
 	rt := New(testConfig(VariantOptimized))
 	defer rt.Close()

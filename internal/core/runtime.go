@@ -772,9 +772,6 @@ func (rt *Runtime) completeOne(t *Task, id int) {
 		rt.live.Add(id, -1)
 		req := t.req
 		if t.ownsScope {
-			if req != nil {
-				req.claim() // the aggregate is final once a deadline cancel is out
-			}
 			if agg := t.sc.err(); agg != nil {
 				p := t.result()
 				if sk, ok := (*p).(*skipError); ok {

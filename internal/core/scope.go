@@ -68,8 +68,9 @@ func (e *PanicError) Error() string {
 // scope is the error/cancellation domain of one root submission: the
 // root task of a Run, RunCtx or Submit call and all of its descendants
 // share one scope. It records task failures, applies the error policy,
-// and mirrors the caller's context cancellation into the runtime (the
-// execute path consults abortCause before running each body).
+// and mirrors the caller's context cancellation and the request
+// deadline into the runtime (the execute path consults abortCause
+// before running each body).
 type scope struct {
 	ctx    context.Context // caller context; nil for plain Run/Submit
 	policy ErrorPolicy
@@ -79,16 +80,18 @@ type scope struct {
 	// contexts (Background), which skips the poll entirely.
 	done <-chan struct{}
 
+	// cancelAt is the request deadline SubmitReq stamps, in NowNS
+	// nanoseconds; 0 means none. It is not the EDF Task.deadline: it
+	// cancels, like a context deadline, and orders nothing.
+	cancelAt int64
+
 	// aborted flips once; cause holds the first cancellation cause.
 	// ctxAborted additionally marks that the abort came from the
-	// caller's context (observed during execution), as opposed to a
-	// FailFast task error already recorded in errs. extAborted marks an
-	// out-of-band cancellation (cancelExternal — a Req deadline from the
-	// timer queue): like a context cancellation, its cause joins the
-	// aggregate error only once a task actually observes the abort.
+	// caller's context or the request deadline (observed during
+	// execution), as opposed to a FailFast task error already recorded
+	// in errs.
 	aborted    atomic.Bool
 	ctxAborted atomic.Bool
-	extAborted atomic.Bool
 	cause      atomic.Pointer[error]
 
 	mu   sync.Mutex
@@ -125,9 +128,9 @@ func (sc *scope) release() {
 	sc.ctx = nil
 	sc.done = nil
 	sc.policy = FailFast
+	sc.cancelAt = 0
 	sc.aborted.Store(false)
 	sc.ctxAborted.Store(false)
-	sc.extAborted.Store(false)
 	sc.cause.Store(nil)
 	sc.mu.Lock()
 	clear(sc.errs) // drop the error references, keep the capacity
@@ -159,55 +162,48 @@ func (sc *scope) cancel(cause error) {
 	sc.aborted.Store(true)
 }
 
-// cancelExternal aborts the scope like a caller-context cancellation
-// that arrives out of band — a Req deadline fired by the timer queue
-// rather than a context. The cause joins the aggregate error only if a
-// task observes the abort while the scope is still executing (the
-// extAborted check in abortCause), exactly as with context
-// cancellation: a deadline that fires after every task already
-// completed does not fail a successful run.
-func (sc *scope) cancelExternal(cause error) {
-	sc.extAborted.Store(true)
-	sc.cancel(cause)
-}
-
 // abortCause returns the cancellation cause, or nil while the scope is
-// live. It is the per-task hot-path check — one atomic load, plus a
-// poll of the caller context's Done channel for cancellable
-// submissions — and is safe on a nil scope (tasks of the global
-// domain).
+// live. It is the per-task hot-path check — one atomic load and one
+// compare, plus a clock read for deadlined submissions and a poll of the
+// caller context's Done channel for cancellable ones — and is safe on a
+// nil scope (tasks of the global domain). It is where every cancellation
+// is observed: a FailFast failure sets aborted, and the request
+// deadline and the caller's context cancel here, on first sight.
 func (sc *scope) abortCause() error {
 	if sc == nil {
 		return nil
 	}
 	if sc.aborted.Load() {
-		if sc.extAborted.Load() {
-			// An out-of-band cancel was observed during execution:
-			// promote its cause into the aggregate, like the context
-			// branch below does.
-			sc.ctxAborted.Store(true)
-		}
 		return *sc.cause.Load()
+	}
+	if sc.cancelAt != 0 && NowNS() >= sc.cancelAt {
+		return sc.observe(context.DeadlineExceeded)
 	}
 	if sc.done != nil {
 		select {
 		case <-sc.done:
-			sc.cancel(context.Cause(sc.ctx))
-			sc.ctxAborted.Store(true)
-			return *sc.cause.Load()
+			return sc.observe(context.Cause(sc.ctx))
 		default:
 		}
 	}
 	return nil
 }
 
-// err returns the scope's aggregate error: the context cancellation
-// cause — only if the cancellation was actually observed during
-// execution (something drained or a body saw Ctx.Err), so a deadline
-// firing after every task already completed does not fail a successful
-// run — joined with every recorded task error. Skipped tasks are not
-// errors of the scope; only the failure (or cancellation) that caused
-// the skipping is reported.
+// observe cancels the scope with an external cause seen during
+// execution and marks it for the aggregate error.
+func (sc *scope) observe(cause error) error {
+	sc.cancel(cause)
+	sc.ctxAborted.Store(true)
+	return *sc.cause.Load()
+}
+
+// err returns the scope's aggregate error: the context or deadline
+// cancellation cause — only if the cancellation was actually observed
+// during execution (something drained or a body saw Ctx.Err), so a
+// deadline passing after every task already completed does not fail a
+// successful run — joined with every recorded task error. Skipped tasks
+// are not errors of the scope; only the failure (or cancellation) that
+// caused the skipping is reported.
 func (sc *scope) err() error {
 	sc.mu.Lock()
 	errs := sc.errs

@@ -113,16 +113,14 @@ func (rt *Runtime) submitRoot(ctx context.Context, h *Handle, accs []deps.Access
 // caller's closure stays on its stack.
 func (rt *Runtime) admit(shard, slot int, sc *scope, h *Handle, r *Req, build func(slot int) *Task) {
 	if !rt.gate.Enter(shard) {
+		sc.release()
 		if h != nil {
-			sc.release()
 			h.err = ErrRuntimeDraining
 			h.complete()
-			return
+		} else {
+			r.err = ErrRuntimeDraining
+			r.done <- struct{}{}
 		}
-		r.claim() // a racing deadline must not cancel a released scope
-		sc.release()
-		r.err = ErrRuntimeDraining
-		r.done <- struct{}{}
 		return
 	}
 	t := build(slot)

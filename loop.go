@@ -62,7 +62,7 @@ func ForEachCtx(ctx context.Context, rt *Runtime, lo, hi int, body func(c *Ctx, 
 }
 
 // ForReduce executes body over every chunk of [lo, hi) and reduces the
-// per-chunk partials into a single T. Each worker accumulates into a
+// per-chunk partials into a single T. Each thread accumulates into a
 // private, cache-line-padded slot (initialized to identity, which must
 // be the identity element of combine: 0 for sums, +Inf for mins, ...);
 // the partials are combined exactly once, after the last chunk
@@ -81,7 +81,7 @@ func ForReduce[T any](rt *Runtime, lo, hi int, identity T, combine func(T, T) T,
 // value is returned.
 func ForReduceCtx[T any](ctx context.Context, rt *Runtime, lo, hi int, identity T, combine func(T, T) T, body func(c *Ctx, lo, hi int, acc *T), opts ...LoopOption) (T, error) {
 	cfg := buildLoopCfg(opts)
-	priv := deps.NewPrivate(rt.Config().Workers, identity)
+	priv := deps.NewPrivate(rt.Slots(), identity)
 	h := rt.SubmitLoop(ctx, lo, hi, cfg.grain, func(c *Ctx, lo, hi int) {
 		body(c, lo, hi, priv.Slot(c.Worker()))
 	}, cfg.accs...)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -155,6 +156,59 @@ func TestForReduceNonCommutativeTypes(t *testing.T) {
 	}
 	if got.idx != n/3 || got.v != 1<<21 {
 		t.Fatalf("ForReduce found peak %+v, want {v:%d idx:%d}", got, 1<<21, n/3)
+	}
+}
+
+// TestForReduceChunksOnServeSlot: ForReduce's private partials are
+// indexed by Ctx.Worker(), and a chunk runs on whatever thread helps —
+// here an inline-served request's Taskwait on a serve-slot index well
+// past the worker count. With the only worker held, the loop is queued
+// when the request's node spawns and waits, so the serve slot picks it up.
+func TestForReduceChunksOnServeSlot(t *testing.T) {
+	rt := repro.New(repro.WithWorkers(1))
+	defer rt.Close()
+	hold, held := make(chan struct{}), make(chan struct{})
+	repro.Submit(rt, func(*repro.Ctx) (any, error) {
+		close(held)
+		<-hold
+		return nil, nil
+	})
+	<-held
+	const n = 1000
+	type result struct {
+		sum int64
+		err error
+	}
+	res := make(chan result, 1)
+	go func() {
+		sum, err := repro.ForReduce(rt, 0, n, int64(0),
+			func(a, b int64) int64 { return a + b },
+			func(_ *repro.Ctx, lo, hi int, acc *int64) { *acc += int64(hi - lo) })
+		res <- result{sum, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.LiveTasks() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the loop never reached the queue")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	cg, err := repro.NewGraph().Add("a", nil, func(c *repro.Ctx, _ map[string]any) (any, error) {
+		c.Spawn(func(*repro.Ctx) {})
+		c.Taskwait()
+		return nil, nil
+	}).Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := cg.Do(context.Background())
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	e.Release()
+	close(hold)
+	if r := <-res; r.err != nil || r.sum != n {
+		t.Fatalf("ForReduce = %d, %v; want %d, nil", r.sum, r.err, n)
 	}
 }
 

@@ -158,8 +158,8 @@
 //		e.Release()                  // frame back to the pool
 //	}
 //
-// DoTimeout cancels the request on the runtime's timer queue —
-// not-yet-started nodes drain with ErrTaskSkipped wrapping
+// DoTimeout gives the request a deadline observed like a context's —
+// nodes not started by then drain with ErrTaskSkipped wrapping
 // context.DeadlineExceeded — and still waits for the full drain, so
 // the frame is always quiescent when it returns. MarkPure memoizes a
 // node whose result depends only on its (pure) dependencies, with

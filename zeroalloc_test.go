@@ -104,12 +104,13 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// doLoop serves ops requests from cg and checks node out of each.
+	// doLoop serves ops requests from cg, each with deadline d (0: none,
+	// which is Do), and checks node out of each.
 	ctx := context.Background()
-	doLoop := func(cg *repro.CompiledGraph, out, want int) func() error {
+	doLoop := func(cg *repro.CompiledGraph, d time.Duration, out, want int) func() error {
 		return func() error {
 			for i := 0; i < ops; i++ {
-				e, err := cg.Do(ctx)
+				e, err := cg.DoTimeout(ctx, d)
 				if err != nil {
 					return err
 				}
@@ -159,9 +160,10 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 				c.Spawn(nop, repro.In(&cells[0]))
 			}
 		}), ops, ops / 10},
-		{"compiled-do", doLoop(cg, render, (21+13+7+21)^1), ops, ops / 10},
-		{"compiled-fanout", doLoop(fcg, sink, 16), ops, ops / 10},
-		{"compiled-fanout-attrs", doLoop(acg, sink, 16), ops, ops / 10},
+		{"compiled-do", doLoop(cg, 0, render, (21+13+7+21)^1), ops, ops / 10},
+		{"compiled-timeout", doLoop(cg, time.Hour, render, (21+13+7+21)^1), ops, ops / 10},
+		{"compiled-fanout", doLoop(fcg, 0, sink, 16), ops, ops / 10},
+		{"compiled-fanout-attrs", doLoop(acg, 0, sink, 16), ops, ops / 10},
 		{"taskloop", taskloopRun(loopRT, loopOps), loopOps, 7 * loopOps},
 		{"submit", submitRing(rt, ops), ops, 2 * ops},
 	} {

@@ -55,6 +55,8 @@ func main() {
 		fmt.Print(sum.String())
 		fmt.Printf("%s: %d graph nodes ran as calls inside %d tasks\n",
 			trace.KNodeContinue, tot.Continues, tot.TaskCount)
+		fmt.Printf("%s: %d episodes ran %d tasks on creating threads\n",
+			trace.KSpawnHelp, tot.SpawnHelps, tot.SpawnHelped)
 		fmt.Print(trace.Timeline(tr, 100))
 
 	case *compare:

@@ -74,10 +74,11 @@ func SubmitCtx[T any](ctx context.Context, rt *Runtime, fn func(*Ctx) (T, error)
 }
 
 // Go spawns a future-backed child task from inside a task body (it may
-// only be called with the spawning task's own Ctx, like Ctx.Spawn). The
-// child shares the parent's submission scope: its error propagates to
-// the root (cancelling unstarted scope tasks under FailFast) in
-// addition to being delivered through the Future.
+// only be called with the spawning task's own Ctx, like Ctx.Spawn, and
+// like it may run ready tasks first). The child shares the parent's
+// submission scope: its error propagates to the root (cancelling
+// unstarted scope tasks under FailFast) in addition to being delivered
+// through the Future.
 func Go[T any](c *Ctx, fn func(*Ctx) (T, error), accs ...AccessSpec) *Future[T] {
 	f := &Future[T]{fn: fn}
 	c.GoBody(&f.handle, (*futureBody[T])(f), accs...)

@@ -18,9 +18,9 @@ package alloc
 
 import "sync"
 
-// Allocator hands out and recycles objects of type T for workers
-// identified by index (0..workers; the last index is the external
-// submitter slot).
+// Allocator hands out and recycles objects of type T for threads
+// identified by an exclusive index; the runtime sizes it for its full
+// slot space (internal/core/topology.go), not just its workers.
 type Allocator[T any] interface {
 	Get(worker int) *T
 	Put(worker int, obj *T)
@@ -42,13 +42,13 @@ type poolSlot[T any] struct {
 	_    [40]byte
 }
 
-// NewPooled returns a pooled allocator for workers+1 threads with the
-// given refill batch size (0 selects a default of 64).
-func NewPooled[T any](workers, batch int) *Pooled[T] {
+// NewPooled returns a pooled allocator for the indices 0..last (the
+// runtime passes Slots()-1) with the given refill batch size (0: 64).
+func NewPooled[T any](last, batch int) *Pooled[T] {
 	if batch <= 0 {
 		batch = 64
 	}
-	return &Pooled[T]{batch: batch, local: make([]poolSlot[T], workers+1)}
+	return &Pooled[T]{batch: batch, local: make([]poolSlot[T], last+1)}
 }
 
 // Name implements Allocator.

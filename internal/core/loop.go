@@ -148,19 +148,19 @@ func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(
 
 // Loop spawns a work-sharing loop task as a child of the running task:
 // body executes over [lo, hi) in chunks, on whichever workers join.
-// Like Spawn it may only be called from the task's own body, and
-// Taskwait waits for the whole loop (the loop is one child; it
-// completes when its last chunk drains). grain <= 0 selects the
-// adaptive grain. The chunk body may be called concurrently from
-// several workers on disjoint chunks; it must not call Spawn-family
-// methods of a Ctx other than its own argument.
+// Like Spawn it may only be called from the task's own body, and may
+// run ready tasks first; Taskwait waits for the whole loop (the loop is
+// one child; it completes when its last chunk drains). grain <= 0
+// selects the adaptive grain. The chunk body may be called concurrently
+// from several workers on disjoint chunks; it must not call
+// Spawn-family methods of a Ctx other than its own argument.
 func (c *Ctx) Loop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) {
 	t := c.rt.newLoopTask(c.task, lo, hi, grain, body, accs, c.worker)
 	c.rt.register(c.task, t, c.worker)
 }
 
 // GoLoop is Loop returning the loop's completion Handle (resolved at
-// full completion, like GoFn's).
+// full completion, like GoFn's); like Spawn, it may run ready tasks first.
 func (c *Ctx) GoLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) *Handle {
 	h := new(Handle)
 	t := c.rt.newLoopTask(c.task, lo, hi, grain, body, accs, c.worker)
@@ -243,7 +243,8 @@ func (rt *Runtime) maybeRecruit(ls *loopState, worker int) {
 	}
 	d := rt.newTask(owner, nil, nil, worker)
 	d.loop = ls
-	rt.register(owner, d, worker)
+	// Chunk threads never help: a descriptor bypasses the spawn window.
+	rt.registerWith(owner, nil, d, worker)
 }
 
 // loopClaim claims and runs chunks until the loop's span is exhausted

@@ -459,22 +459,30 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec
 	return t
 }
 
-// register links the task into the dependency graph; the task becomes
-// ready (and is scheduled) as soon as its accesses allow.
+// spawnWindow is the children a task may have in flight (about 1.4 MB
+// of shells) before a body-side registration helps (helpSpawn).
+const spawnWindow = 2048
+
+// register links a child the running task's body created (Spawn,
+// GoBody, Loop, GoLoop) into the dependency graph — the window's one
+// enforcement site: past spawnWindow children in flight, it helps.
 func (rt *Runtime) register(parent *Task, t *Task, worker int) {
-	rt.registerWith(parent, nil, t, worker)
+	if rt.registerWith(parent, nil, t, worker) > spawnWindow {
+		rt.helpSpawn(parent, worker)
+	}
 }
 
 // registerWith is the shared registration accounting: parent liveness,
 // the sharded live counter, trace emission and the dependency-system
 // call — against parent's own domain for nested tasks, or the sharded
-// root domain when d is non-nil (mirroring deps' register shape).
-func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worker int) {
+// root domain when d is non-nil (mirroring deps' register shape). It
+// returns parent's children in flight (0 for a root) and never helps.
+func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worker int) (inFlight int64) {
 	// Roots have no parent to keep alive: completeOne stops at
 	// &rt.global, so counting them there would be a dead RMW on a line
 	// every submitter shares.
 	if parent != &rt.global {
-		parent.alive.Add(1)
+		inFlight = parent.alive.Add(1) - 1
 	}
 	rt.live.Add(worker, 1)
 	// The tracer is nil-receiver-safe (a nil *trace.Tracer no-ops every
@@ -503,6 +511,23 @@ func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worke
 	if inherit && lvl > 0 {
 		rt.promotePreds(&t.node, lvl, worker)
 	}
+	return inFlight
+}
+
+// helpSpawn runs ready tasks on the creating thread until half the
+// window of parent's children is in flight, nothing is ready, or a
+// window of tasks ran (a commutative child losing its token race
+// cannot hold it), then emits one KSpawnHelp. It never waits.
+func (rt *Runtime) helpSpawn(parent *Task, id int) {
+	n := 0
+	for n < spawnWindow && parent.alive.Load() > spawnWindow/2+1 {
+		k := rt.runReady(id)
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	rt.tracer.Emit(id, trace.KSpawnHelp, uint64(n))
 }
 
 // spawn implements Ctx.Spawn.
@@ -603,8 +628,7 @@ func (rt *Runtime) workerLoop(id int) {
 // called, never stored, so closure arguments stay on the caller's stack.
 func (rt *Runtime) helpUntil(id int, done func() bool) {
 	for i := 0; !done(); i++ {
-		if t := rt.schedTook(rt.sched.TryGet(id), id); t != nil {
-			rt.runChain(t, id)
+		if rt.runReady(id) > 0 {
 			i = 0
 			continue
 		}
@@ -625,13 +649,20 @@ func (rt *Runtime) helpWhileChildren(t *Task, id int) {
 
 // runChain executes t on thread id and then every successor its
 // release hands back through the bypass slot, without returning to the
-// scheduler in between. Every loop that runs tasks — the worker loop,
-// the helping loop, inline serving, a worker-side deferred release —
-// runs them through it.
-func (rt *Runtime) runChain(t *Task, id int) {
-	for t != nil {
+// scheduler in between, and reports how many tasks it ran. Every loop
+// that runs tasks — the worker loop, the helping loops, inline serving,
+// a worker-side deferred release — runs them through it.
+func (rt *Runtime) runChain(t *Task, id int) (n int) {
+	for ; t != nil; n++ {
 		t = rt.execute(t, id)
 	}
+	return n
+}
+
+// runReady is the helping loops' one step: take a ready task without
+// blocking and run its chain; 0 means nothing was ready.
+func (rt *Runtime) runReady(id int) int {
+	return rt.runChain(rt.schedTook(rt.sched.TryGet(id), id), id)
 }
 
 // execute runs one ready task to completion on worker id: commutative

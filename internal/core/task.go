@@ -237,17 +237,21 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // Spawn creates a child task with the given body and accesses. It may
 // only be called from the task's own body (sibling registration is
 // single-writer per domain, as in Nanos6). The child becomes ready when
-// its dependencies are satisfied and runs on any worker.
+// its dependencies are satisfied and runs on any worker. Once the task
+// has 2 048 children in flight, Spawn may first run ready tasks on the
+// calling thread, as Taskwait does: hold no lock across it that a task
+// takes, and let no child spin on a store the body makes after its
+// spawn loop.
 func (c *Ctx) Spawn(body func(*Ctx), accs ...deps.AccessSpec) {
 	c.rt.spawn(c.task, body, accs, c.worker)
 }
 
 // GoBody creates a child task that runs b and resolves h, the Handle
 // embedded in the future b belongs to. Like Spawn it may only be called
-// from the task's own body. The child shares this task's scope: its
-// error is recorded there (cancelling the scope under FailFast) in
-// addition to being delivered through h. The typed façade wrapper is
-// repro.Go.
+// from the task's own body, and may run ready tasks first. The child
+// shares this task's scope: its error is recorded there (cancelling the
+// scope under FailFast) in addition to being delivered through h. The
+// typed façade wrapper is repro.Go.
 func (c *Ctx) GoBody(h *Handle, b Body, accs ...deps.AccessSpec) {
 	t := c.rt.newTask(c.task, nil, accs, c.worker)
 	t.fn = b

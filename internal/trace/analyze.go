@@ -13,6 +13,8 @@ type WorkerStats struct {
 	IdleTime     int64 // ns spent idle (no interval open)
 	TaskCount    int
 	Continues    int // compiled-graph nodes run as calls inside those tasks
+	SpawnHelps   int // Spawn help episodes (the creator passed the spawn window)
+	SpawnHelped  int // tasks those episodes ran
 	Serves       int // tasks this worker served to others as DTLock owner
 	ServedTo     int // (aggregated) times this worker received a served task
 	Drains       int // SPSC drain operations
@@ -67,6 +69,9 @@ func Analyze(tr *Trace) *Summary {
 				closeInterval(e.TS, &ws.TaskTime)
 			case KNodeContinue:
 				ws.Continues++
+			case KSpawnHelp:
+				ws.SpawnHelps++
+				ws.SpawnHelped += int(e.Arg)
 			case KSchedEnter, KTaskwaitStart:
 				openInterval(e.Kind, e.TS)
 			case KSchedLeave, KTaskwaitEnd:
@@ -104,6 +109,8 @@ func (s *Summary) Totals() WorkerStats {
 		t.IdleTime += w.IdleTime
 		t.TaskCount += w.TaskCount
 		t.Continues += w.Continues
+		t.SpawnHelps += w.SpawnHelps
+		t.SpawnHelped += w.SpawnHelped
 		t.Serves += w.Serves
 		t.ServedTo += w.ServedTo
 		t.Drains += w.Drains

@@ -42,6 +42,7 @@ const (
 	// KNodeContinue: the running task went on with compiled-graph node
 	// Arg as a call instead of spawning it (no create/start/end follow).
 	KNodeContinue
+	KSpawnHelp // a Spawn past the spawn window first ran Arg ready tasks
 	kindMax
 )
 
@@ -53,7 +54,7 @@ var kindNames = [...]string{
 	KTaskwaitStart: "taskwait-start", KTaskwaitEnd: "taskwait-end",
 	KInterrupt: "interrupt", KTaskCancel: "task-cancel",
 	KEventHold: "event-hold", KEventFire: "event-fire",
-	KNodeContinue: "node-continue",
+	KNodeContinue: "node-continue", KSpawnHelp: "spawn-help",
 }
 
 // String returns the event kind's name.

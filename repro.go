@@ -26,6 +26,11 @@
 //	// err == nil and x == 42, with the two tasks ordered by their
 //	// data dependency.
 //
+// A body may spawn any number of children: once 2 048 are in flight,
+// Spawn first runs ready tasks on the calling thread, as Taskwait does.
+// So do not hold a lock across Spawn that a task takes, and do not make
+// children spin on a store the body makes after its spawn loop.
+//
 // # Results, errors, cancellation
 //
 // Task bodies can return typed results and errors. Submit runs a root

@@ -125,6 +125,8 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 
 	loopRT := repro.New(repro.WithWorkers(2))
 	defer loopRT.Close()
+	oneRT := repro.New(repro.WithWorkers(1))
+	defer oneRT.Close()
 
 	for _, tc := range []struct {
 		name string
@@ -166,6 +168,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		{"compiled-fanout-attrs", doLoop(acg, 0, sink, 16), ops, ops / 10},
 		{"taskloop", taskloopRun(loopRT, loopOps), loopOps, 7 * loopOps},
 		{"submit", submitRing(rt, ops), ops, 2 * ops},
+		{"spawn-window", spawnWindowRun(oneRT), 4 * spawnWindow, 4 * spawnWindow / 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err != nil {
@@ -215,6 +218,30 @@ func submitRing(rt *repro.Runtime, n int) func() error {
 			}
 		}
 		return nil
+	}
+}
+
+// spawnWindow mirrors internal/core's spawn window: once a task has
+// more children than this in flight, Spawn runs ready tasks first.
+const spawnWindow = 2048
+
+// nopSpawn is the spawn-window row's body: package-level, so it
+// allocates no closure.
+func nopSpawn(*repro.Ctx) {}
+
+// spawnWindowRun is the spawn-window row's shape: one root spawning
+// 4 × spawnWindow children of nopSpawn with no Taskwait until the end,
+// on a one-worker runtime, so the creator passes the window again and
+// again and every child after the first window runs inside a Spawn.
+// It pins that the help loop allocates nothing.
+func spawnWindowRun(rt *repro.Runtime) func() error {
+	return func() error {
+		return rt.Run(func(c *repro.Ctx) {
+			for range 4 * spawnWindow {
+				c.Spawn(nopSpawn)
+			}
+			c.Taskwait()
+		})
 	}
 }
 

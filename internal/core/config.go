@@ -82,14 +82,6 @@ type Config struct {
 	// SPSCCap is the capacity of each insertion queue (0: 256).
 	SPSCCap int
 
-	// IdleSpin is the per-worker idle spin budget: how many consecutive
-	// empty scheduler polls a worker tolerates before parking on its
-	// wake channel. 0 selects the default (1024); negative disables
-	// parking entirely — every worker spins, the pre-elastic pure-spin
-	// baseline. The blocking scheduler ignores both knobs: its workers
-	// already sleep in the scheduler's own condvar.
-	IdleSpin int
-
 	Scheduler SchedulerKind
 	Deps      DepsKind
 	Alloc     AllocKind
@@ -132,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SPSCCap <= 0 {
 		c.SPSCCap = 256
-	}
-	if c.IdleSpin == 0 {
-		c.IdleSpin = 1024
 	}
 	return c
 }

@@ -33,11 +33,20 @@ func waitStats(t *testing.T, rt *Runtime, what string, cond func(Stats) bool) {
 	}
 }
 
+// newSpin is New with a worker idle spin budget of spin empty polls,
+// lowered between build and start.
+func newSpin(cfg Config, spin int) *Runtime {
+	rt := build(cfg)
+	rt.idleSpin = spin
+	rt.start()
+	return rt
+}
+
 // TestElasticParkIdle: an idle elastic pool parks every worker, and a
 // submission into the fully parked pool still completes — the wake
 // protocol recruits workers back on demand.
 func TestElasticParkIdle(t *testing.T) {
-	rt := New(Config{Workers: 4, IdleSpin: 64})
+	rt := newSpin(Config{Workers: 4}, 64)
 	defer rt.Close()
 	if err := rt.Run(func(*Ctx) {}); err != nil {
 		t.Fatal(err)
@@ -63,24 +72,10 @@ func TestElasticParkIdle(t *testing.T) {
 	}
 }
 
-// TestElasticSpinDisabled: IdleSpin < 0 reproduces the pure-spin
-// baseline — no worker ever parks.
-func TestElasticSpinDisabled(t *testing.T) {
-	rt := New(Config{Workers: 4, IdleSpin: -1})
-	defer rt.Close()
-	if err := rt.Run(func(*Ctx) {}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if s := rt.Stats(); s.Parked != 0 || s.Parks != 0 {
-		t.Fatalf("IdleSpin=-1 still parked: %+v", s)
-	}
-}
-
 // TestElasticCloseWhileParked: Close must release a fully parked pool
 // (the stop flag alone is unobservable to a sleeping worker).
 func TestElasticCloseWhileParked(t *testing.T) {
-	rt := New(Config{Workers: 4, IdleSpin: 64})
+	rt := newSpin(Config{Workers: 4}, 64)
 	if err := rt.Run(func(*Ctx) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +96,7 @@ func TestElasticCloseWhileParked(t *testing.T) {
 // worker is asleep: the deferred release path's enqueue must wake the
 // pool, and Drain must observe full quiescence.
 func TestElasticDrainWhileParked(t *testing.T) {
-	rt := New(Config{Workers: 4, IdleSpin: 64})
+	rt := newSpin(Config{Workers: 4}, 64)
 	defer rt.Close()
 	var x int
 	var order atomic.Int32
@@ -135,7 +130,7 @@ func TestElasticDrainWhileParked(t *testing.T) {
 // schedAdd's wake is the only thing that can recruit a second worker;
 // if it did not, one worker would run every chunk.
 func TestLoopRecruitsFromParkedPool(t *testing.T) {
-	rt := New(Config{Workers: 4, IdleSpin: 1})
+	rt := newSpin(Config{Workers: 4}, 1)
 	defer rt.Close()
 	waitStats(t, rt, "idle pool never fully parked", func(s Stats) bool {
 		return s.Parked == 4
@@ -171,7 +166,7 @@ func TestLoopRecruitsFromParkedPool(t *testing.T) {
 func TestElasticLostWakeupStorm(t *testing.T) {
 	for _, sk := range schedKindsUnderStress() {
 		t.Run(sk.testName(), func(t *testing.T) {
-			rt := New(Config{Workers: 4, Scheduler: sk, IdleSpin: 16})
+			rt := newSpin(Config{Workers: 4, Scheduler: sk}, 16)
 			defer rt.Close()
 			rounds := elasticRounds(400)
 			var ran atomic.Int64

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/event"
 	"repro/internal/trace"
@@ -87,13 +88,13 @@ func (ec *EventCounter) Add(n int) {
 // Done signals one external completion; it may be called from any
 // goroutine. The call that drains the counter to zero runs the task's
 // dependency release and completion cascade — successors become ready,
-// the handle resolves, the scope unwinds — on an exclusive borrowed
-// completer slot.
+// the handle resolves, the scope unwinds — on the thread index of a
+// borrowed root-shard lease.
 func (ec *EventCounter) Done() { ec.done(event.NoThread) }
 
 // DoneFrom is Done called from inside another task's body: the final
 // decrement then reuses the calling worker's thread index instead of
-// borrowing a completer slot, and the release keeps the worker-only
+// borrowing a root-shard lease, and the release keeps the worker-only
 // fast paths — including the immediate-successor bypass, so a
 // successor readied by this decrement can run on the calling worker
 // right after the current body. c must be the Ctx of the task whose
@@ -101,8 +102,8 @@ func (ec *EventCounter) Done() { ec.done(event.NoThread) }
 func (ec *EventCounter) DoneFrom(c *Ctx) { ec.done(c.worker) }
 
 // done is the one decrement. The call that drains the counter runs the
-// release on thread id, or on a borrowed completer slot when id is
-// event.NoThread.
+// release on thread id, or on a borrowed root-shard lease's index when
+// id is event.NoThread.
 func (ec *EventCounter) done(id int) {
 	switch v := ec.n.Add(-1); {
 	case v > 0:
@@ -120,9 +121,9 @@ func (ec *EventCounter) done(id int) {
 
 // timerDone is an EventCounter in the role of the timer queue's
 // completer: a timer polled by a runtime thread completes on that
-// thread's index, one fired by the fallback goroutine on a completer
-// slot. A distinct type keeps Complete off EventCounter's public method
-// set; the conversion allocates nothing.
+// thread's index, one fired by the fallback goroutine on a borrowed
+// root-shard lease's. A distinct type keeps Complete off
+// EventCounter's public method set; the conversion allocates nothing.
 type timerDone EventCounter
 
 func (d *timerDone) Complete(id int) { (*EventCounter)(d).done(id) }
@@ -130,13 +131,17 @@ func (d *timerDone) Complete(id int) { (*EventCounter)(d).done(id) }
 // releaseExternal runs the deferred release from a non-worker
 // goroutine. The release path touches thread-indexed structures
 // (dependency mailbox, allocator free list, scheduler insertion, trace
-// buffer), so it borrows an exclusive event-completer slot for its
-// duration; the slot count bounds completer parallelism, never
-// correctness (Acquire spins until a slot frees).
+// buffer), so it borrows the root-shard lease the task's address hashes
+// to and releases on that shard's index, Workers+shard, exactly as a
+// root submitter registers on it. The lease cannot deadlock (see
+// core/topology.go): the release runs no body and waits on no event —
+// releaseDeferred's runChain is given nil, as nothing is armed — and,
+// like every lease holder, it takes its one shard lock before any
+// dependency-chain lock.
 func (rt *Runtime) releaseExternal(t *Task) {
-	slot := rt.evSlots.Acquire()
-	rt.releaseDeferred(t, slot, false)
-	rt.evSlots.Release(slot)
+	lease := rt.rootDom.AcquireFor(uintptr(unsafe.Pointer(t)))
+	rt.releaseDeferred(t, rt.cfg.Workers+lease.Slot(), false)
+	lease.Release()
 }
 
 // releaseDeferred finishes the lifecycle of a task whose body returned
@@ -147,7 +152,7 @@ func (rt *Runtime) releaseExternal(t *Task) {
 // completion would have produced. When the final decrementer is itself
 // a worker (isWorker), the release arms the bypass slot and the first
 // successor it readied runs here with its chain, matching the worker
-// release path; decrements from completer slots route every readied
+// release path; decrements on a borrowed lease route every readied
 // successor through the scheduler (whose Add maintains the priority
 // pending counts — a deferred release never lets a successor jump a
 // queued higher-priority task).
@@ -208,7 +213,8 @@ func (c *Ctx) Await(h *Handle) error {
 // Concurrent and repeated calls are safe; they all wait for the same
 // quiescence.
 func (rt *Runtime) Drain(ctx context.Context) error {
-	rt.gate.Close()
+	// The seal is stored before the first sum: see admit.
+	rt.sealed.Store(true)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()

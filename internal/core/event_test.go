@@ -337,10 +337,11 @@ func TestAwaitHelpsOnSingleWorker(t *testing.T) {
 	}
 }
 
-// TestEventsAcrossConfigs smoke-tests the completer-slot wiring on
-// every scheduler/deps/alloc combination the thread-index space must
+// TestEventsAcrossConfigs smoke-tests the external completers' wiring
+// on every scheduler/deps/alloc combination the thread-index space must
 // cover: external decrements run dependency release and completion on
-// borrowed slots, which all per-thread structures must be sized for.
+// borrowed root-shard indices, which all per-thread structures must be
+// sized for.
 func TestEventsAcrossConfigs(t *testing.T) {
 	cfgs := []Config{
 		{Workers: 2, Scheduler: SchedSyncDTLock, Deps: DepsWaitFree},
@@ -571,5 +572,111 @@ func TestTenThousandInflightGraphsOnEightWorkers(t *testing.T) {
 	}
 	if pend := rt.PendingEvents(); pend != 0 {
 		t.Fatalf("PendingEvents = %d after drain, want 0", pend)
+	}
+}
+
+// TestDrainRacesAdmission: submitters loop over every root kind —
+// RunCtx, SubmitCtx, SubmitLoop and SubmitReq — while Drain fires
+// mid-storm, once with the inline-serving slots free and once with them
+// held, so that every SubmitReq dispatches. Every call returns nil or
+// ErrRuntimeDraining; the bodies of every admitted call ran before Drain
+// returned and no body ran after it; a call started after Drain returned
+// is rejected; and the runtime is quiescent afterwards.
+func TestDrainRacesAdmission(t *testing.T) {
+	kinds := []struct {
+		name   string
+		bodies int64 // body runs of an admitted call
+		submit func(rt *Runtime, body func(*Ctx)) error
+	}{
+		{"run", 2, func(rt *Runtime, body func(*Ctx)) error {
+			return rt.RunCtx(context.Background(), func(c *Ctx) { body(c); c.Spawn(body) })
+		}},
+		{"submit", 1, func(rt *Runtime, body func(*Ctx)) error {
+			_, err := rt.SubmitCtx(context.Background(), func(c *Ctx) (any, error) { body(c); return nil, nil }).Wait(nil)
+			return err
+		}},
+		{"loop", 4, func(rt *Runtime, body func(*Ctx)) error {
+			return rt.SubmitLoop(context.Background(), 0, 4, 1, func(c *Ctx, _, _ int) { body(c) }).Wait(nil)
+		}},
+		{"req", 2, func(rt *Runtime, body func(*Ctx)) error {
+			r := NewReq()
+			rt.SubmitReq(context.Background(), r, 0, func(c *Ctx) { body(c); c.Spawn(body) })
+			return r.Wait()
+		}},
+	}
+	const submitters = 8
+	for _, dk := range depsKindsUnderStress() {
+		for _, held := range []bool{false, true} {
+			name := dk.testName() + "/serve-free"
+			if held {
+				name = dk.testName() + "/serve-held"
+			}
+			t.Run(name, func(t *testing.T) {
+				rt := New(Config{Workers: 4, Deps: dk})
+				defer rt.Close()
+				if held {
+					defer holdServeSlots(t, rt)()
+				}
+				var bodies, admitted, calls atomic.Int64
+				var drained atomic.Bool
+				body := func(*Ctx) { bodies.Add(1) }
+				var wg sync.WaitGroup
+				errc := make(chan error, submitters)
+				for g := 0; g < submitters; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := g; ; i++ {
+							late := drained.Load()
+							k := kinds[i%len(kinds)]
+							err := k.submit(rt, body)
+							calls.Add(1)
+							switch {
+							case err == nil && late:
+								errc <- fmt.Errorf("%s admitted after Drain returned", k.name)
+								return
+							case err == nil:
+								admitted.Add(k.bodies)
+							case !errors.Is(err, ErrRuntimeDraining):
+								errc <- fmt.Errorf("%s: %v", k.name, err)
+								return
+							case late:
+								return
+							}
+						}
+					}(g)
+				}
+				for calls.Load() < 200 {
+					runtime.Gosched()
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				if err := rt.Drain(ctx); err != nil {
+					t.Fatalf("Drain: %v", err)
+				}
+				atDrain := bodies.Load()
+				drained.Store(true)
+				wg.Wait()
+				t.Logf("%d calls, %d bodies ran", calls.Load(), atDrain)
+				close(errc)
+				for err := range errc {
+					t.Error(err)
+				}
+				if want := admitted.Load(); atDrain != want {
+					t.Errorf("%d bodies ran before Drain returned, want %d (every admitted call's)", atDrain, want)
+				}
+				if l, p := rt.LiveTasks(), rt.PendingEvents(); l != 0 || p != 0 {
+					t.Errorf("LiveTasks = %d, PendingEvents = %d after Drain", l, p)
+				}
+				for _, k := range kinds {
+					if err := k.submit(rt, body); !errors.Is(err, ErrRuntimeDraining) {
+						t.Errorf("%s after Drain = %v, want ErrRuntimeDraining", k.name, err)
+					}
+				}
+				if n := bodies.Load(); n != atDrain {
+					t.Errorf("%d bodies ran after Drain returned", n-atDrain)
+				}
+			})
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 func handoffRuntimes(t *testing.T, f func(t *testing.T, rt *Runtime)) {
 	for _, sk := range []SchedulerKind{SchedSyncDTLock, SchedCentralPTLock} {
 		t.Run(sk.testName(), func(t *testing.T) {
-			rt := build(Config{Workers: 1, Scheduler: sk, IdleSpin: -1})
+			rt := build(Config{Workers: 1, Scheduler: sk})
 			defer rt.Close()
 			f(t, rt)
 		})

@@ -40,7 +40,7 @@ func watchdog(t *testing.T, stall time.Duration, progress func() int64, f func()
 // a built-but-not-started runtime (no workers racing the test). A stale
 // promotion duplicate is booked as taken like any entry and dissolves.
 func TestShardedPendingExact(t *testing.T) {
-	rt := build(Config{Workers: 4, Scheduler: SchedCentralPTLock, IdleSpin: -1})
+	rt := build(Config{Workers: 4, Scheduler: SchedCentralPTLock})
 	defer rt.Close()
 	check := func(when string, want int64) {
 		t.Helper()
@@ -86,17 +86,16 @@ func TestShardedPendingExact(t *testing.T) {
 }
 
 // TestParkWakePingPong: one producer hands single tasks to a pool that
-// parks the instant it idles (IdleSpin 1: one empty poll; 0 would
-// select the default). The producer is an external submitter blocked
-// in Run, so it never helps: every hand-off needs a worker, and races
-// that worker's pre-park recheck against the producer's parked-count
-// read. With the pending count now a sum over per-slot halves, a wrong
+// parks the instant it idles (a spin budget of one empty poll). The
+// producer is an external submitter blocked in Run, so it never helps:
+// every hand-off needs a worker, and races that worker's pre-park
+// recheck against the producer's parked-count read. With the pending count now a sum over per-slot halves, a wrong
 // read order (added before taken) could let the recheck miss a queued
 // task and strand it. A lost wake hangs Run; the watchdog turns that
 // into a failure with stacks.
 func TestParkWakePingPong(t *testing.T) {
 	rounds := elasticRounds(1_000_000)
-	rt := New(Config{Workers: 2, IdleSpin: 1})
+	rt := newSpin(Config{Workers: 2}, 1)
 	defer rt.Close()
 	var handed atomic.Int64
 	watchdog(t, 20*time.Second, handed.Load, func() {

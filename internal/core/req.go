@@ -67,7 +67,7 @@ func (rt *Runtime) SubmitReq(ctx context.Context, r *Req, d time.Duration, body 
 		return
 	}
 	lease := rt.rootDom.AcquireFor(uintptr(unsafe.Pointer(r)))
-	rt.admit(lease.Slot(), rt.cfg.Workers+lease.Slot(), sc, nil, r, build)
+	rt.admit(rt.cfg.Workers+lease.Slot(), sc, nil, r, build)
 	lease.Release()
 }
 
@@ -76,14 +76,14 @@ func (rt *Runtime) SubmitReq(ctx context.Context, r *Req, d time.Duration, body 
 // bypass so the access-free root comes straight back to this goroutine
 // instead of the scheduler, and the goroutine then helps execute ready
 // tasks until the request's completion fold filled the latch (a sealed
-// gate fills it at once). The bypass declines a root whose scope is
+// runtime fills it at once). The bypass declines a root whose scope is
 // already aborted (or when higher-priority work is queued); the root
 // then went through the scheduler and the helping loop drains it like
 // any other task.
 func (rt *Runtime) submitReqInline(r *Req, sc *scope, build func(slot int) *Task, slot int) {
 	bs := &rt.bypass[slot]
 	bs.armed = true
-	rt.admit((slot-rt.serveSlots.Base())%rt.rootDom.Shards(), slot, sc, nil, r, build)
+	rt.admit(slot, sc, nil, r, build)
 	rt.runChain(bs.disarm(), slot)
 	rt.helpUntil(slot, func() bool { return len(r.done) != 0 })
 }

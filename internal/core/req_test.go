@@ -246,7 +246,7 @@ func TestSubmitReqDispatchWhenServeSlotsBusy(t *testing.T) {
 		t.Fatalf("with every serve slot held the root ran on index %d, want a worker index below %d", on, w)
 	}
 	release()
-	if on, lo := ranOn(), rt.serveSlots.Base(); on < lo || on >= lo+serveSlots {
+	if on, lo := ranOn(), rt.Slots()-serveSlots; on < lo || on >= lo+serveSlots {
 		t.Fatalf("after the release the root ran on index %d, want a serve slot in [%d, %d)", on, lo, lo+serveSlots)
 	}
 }

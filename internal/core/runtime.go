@@ -127,48 +127,50 @@ type Runtime struct {
 	// worker so the two hottest lifecycle events (create, complete)
 	// never ping-pong a shared cache line. The sum is exact at
 	// quiescence, which is the only time anyone reads it (LiveTasks
-	// diagnostics, the worker stop check).
+	// diagnostics, the worker stop check, Drain). It is also the drain
+	// gate: admit raises it before reading sealed, and Drain stores
+	// sealed before summing it (see admit).
 	live     *counter.Sharded
+	sealed   atomic.Bool
 	stopping atomic.Bool
 	wg       sync.WaitGroup
 
 	// Elastic worker pool state. parker holds the per-worker parking
 	// channels and state words; the pending count is the pre-park
 	// recheck's primary signal; parkRecheck is the recheck closure,
-	// built once at New so the park path never allocates; elastic gates
-	// the whole mechanism — false for the blocking scheduler (its
-	// workers sleep in the scheduler's own condvar) and for IdleSpin<0
-	// (the pure-spin baseline).
+	// built once at New so the park path never allocates; idleSpin is
+	// how many consecutive empty polls a worker tolerates before it
+	// parks (idleSpinDefault; in-package tests lower it between build
+	// and start); elastic gates the whole mechanism — false for the
+	// blocking scheduler, whose workers sleep in the scheduler's own
+	// condvar.
 	parker      *sched.Parker
 	parkRecheck func() bool
+	idleSpin    int
 	elastic     bool
 
 	// bypass and wctx are per-worker hot-path state (successor bypass
 	// slots and reusable execution contexts), indexed by worker; bypass
-	// has extra slots for the submitter and event-completer indices so
-	// the ready callback can index it unconditionally (those are never
-	// armed; inline-serving slots are).
+	// has extra slots for the root-shard indices so the ready callback
+	// can index it unconditionally (those are never armed;
+	// inline-serving slots are).
 	bypass []bypassSlot
 	wctx   []ctxSlot
 
-	// External-event machinery (see event.go): evSlots pools the
-	// exclusive thread indices non-worker goroutines borrow to run the
-	// deferred release path, wheel is the timer queue behind
-	// Ctx.After/AfterFunc that idle threads poll, and gate seals root
-	// submission for Drain (entered under the registration lease's shard
-	// lock, so it adds no cross-submitter cache traffic). eventsHeld
+	// External-event machinery (see event.go): wheel is the timer queue
+	// behind Ctx.After/AfterFunc that idle threads poll; eventsHeld
 	// counts tasks parked between body return and final event decrement;
 	// together with the live counter it defines Drain's quiescence.
-	evSlots    *event.Slots
+	// A non-worker goroutine's final decrement borrows a root-shard
+	// lease for its thread index (releaseExternal).
 	wheel      *event.Wheel
-	gate       *event.Gate
 	eventsHeld paddedCount
 
 	// serveSlots pools the exclusive thread indices inline-serving
 	// submitters borrow (see SubmitReq). Acquisition is TryAcquire-only
 	// — a busy pool falls back to the dispatch path — so holding a slot
 	// while executing arbitrary task bodies can never deadlock another
-	// goroutine on it. It is a second pool, never merged with evSlots:
+	// goroutine on it. It is never merged with the root-shard indices:
 	// see topology.go.
 	serveSlots *event.Slots
 
@@ -199,7 +201,7 @@ func New(cfg Config) *Runtime {
 // hand.
 func build(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
-	rt := &Runtime{cfg: cfg}
+	rt := &Runtime{cfg: cfg, idleSpin: idleSpinDefault}
 	// The thread-index space every per-"worker" structure is sized for
 	// is defined ONCE, in topology.go, the root-shard count included.
 	// Constructors below that take a worker count and add one slot
@@ -207,27 +209,24 @@ func build(cfg Config) *Runtime {
 	rt.rootDom = deps.NewRootDomain(max(4*cfg.Workers, 16))
 	shards := rt.rootDom.Shards()
 	slots := rt.Slots()
-	rt.evSlots = event.NewSlots(cfg.Workers+shards, eventSlots)
 	rt.wheel = event.NewWheel(0, 0)
-	rt.gate = event.NewGate(shards)
 	rt.live = counter.NewSharded(slots)
 	rt.added = counter.NewSharded(slots)
 	rt.taken = counter.NewSharded(slots)
 	rt.serves = counter.NewSharded(slots)
 	rt.bypass = make([]bypassSlot, slots)
-	rt.serveSlots = event.NewSlots(cfg.Workers+shards+eventSlots, serveSlots)
+	rt.serveSlots = event.NewSlots(cfg.Workers+shards, serveSlots)
 	// Every slot gets a reusable execution context, not just the
 	// workers: inline-serving submitters execute task bodies on their
 	// own index.
 	rt.wctx = make([]ctxSlot, slots)
 	// Elastic parking is off for the blocking scheduler (its workers
-	// already sleep inside Get) and for the pure-spin baseline. The
-	// recheck closure is built once here: Park calls it after the worker
-	// is visible as parked, and it must observe every signal a producer
-	// publishes before waking — the scheduler pending count and the stop
-	// flag (Close never strands a worker that parked between the flag
-	// store and WakeAll).
-	rt.elastic = cfg.Scheduler != SchedBlocking && cfg.IdleSpin >= 0
+	// already sleep inside Get). The recheck closure is built once here:
+	// Park calls it after the worker is visible as parked, and it must
+	// observe every signal a producer publishes before waking — the
+	// scheduler pending count and the stop flag (Close never strands a
+	// worker that parked between the flag store and WakeAll).
+	rt.elastic = cfg.Scheduler != SchedBlocking
 	rt.parker = sched.NewParker(cfg.Workers, 1, nil)
 	rt.parkRecheck = func() bool { return rt.stopping.Load() || rt.pending() > 0 }
 	for i := range rt.wctx {
@@ -374,14 +373,13 @@ func (rt *Runtime) recycleQuiescent(n *deps.Node, worker int) {
 func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Slots returns the size of the runtime's thread-index space: workers,
-// root-submitter shards, event-completer slots and inline-serving
-// slots. Ctx.Worker reports an index in [0, Slots()) — task bodies
-// execute on non-worker indices when an inline-serving submitter runs
-// or helps them — so per-thread structures indexed by Ctx.Worker (for
-// example histogram recorder shards) must be sized by Slots, not by
-// Config().Workers.
+// root shards and inline-serving slots. Ctx.Worker reports an index in
+// [0, Slots()) — task bodies execute on non-worker indices when an
+// inline-serving submitter runs or helps them — so per-thread
+// structures indexed by Ctx.Worker (for example histogram recorder
+// shards) must be sized by Slots, not by Config().Workers.
 func (rt *Runtime) Slots() int {
-	return rt.cfg.Workers + rt.rootDom.Shards() + eventSlots + serveSlots
+	return rt.cfg.Workers + rt.rootDom.Shards() + serveSlots
 }
 
 // Tracer returns the instrumentation backend, or nil when tracing is
@@ -480,11 +478,11 @@ func (rt *Runtime) register(parent *Task, t *Task, worker int) {
 func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worker int) (inFlight int64) {
 	// Roots have no parent to keep alive: completeOne stops at
 	// &rt.global, so counting them there would be a dead RMW on a line
-	// every submitter shares.
+	// every submitter shares. Their live count was raised by admit.
 	if parent != &rt.global {
 		inFlight = parent.alive.Add(1) - 1
+		rt.live.Add(worker, 1)
 	}
-	rt.live.Add(worker, 1)
 	// The tracer is nil-receiver-safe (a nil *trace.Tracer no-ops every
 	// method), so emission sites call it unconditionally.
 	rt.tracer.Emit(worker, trace.KTaskCreate, 0)
@@ -555,9 +553,13 @@ func ContinueNode(c *Ctx, node int) bool {
 	return true
 }
 
+// idleSpinDefault is a worker's idle spin budget: the consecutive empty
+// scheduler polls it tolerates before it parks on its wake channel.
+const idleSpinDefault = 1024
+
 // workerLoop is the per-core scheduling loop: ask the scheduler for
 // work, run it, and while idle fire due timers and climb the spin→park
-// ladder — a bounded spin-yield phase (Config.IdleSpin empty polls)
+// ladder — a bounded spin-yield phase (idleSpin empty polls)
 // followed by parking on the worker's wake channel until a producer's
 // enqueue claims it. A worker whose timer queue has a deadline within
 // event.Horizon stays up instead, as the one timer owner. No worker
@@ -601,7 +603,7 @@ func (rt *Runtime) workerLoop(id int) {
 			rt.parker.MarkSpinning(id)
 			spinning = true
 		}
-		if rt.elastic && i >= rt.cfg.IdleSpin && !rt.stopping.Load() && !rt.wheel.Hold(id) {
+		if rt.elastic && i >= rt.idleSpin && !rt.stopping.Load() && !rt.wheel.Hold(id) {
 			// Spin budget exhausted and no timer near enough to keep this
 			// worker up as the owner: park until a producer's enqueue
 			// claims this worker. Park publishes the parked state before
@@ -923,9 +925,9 @@ type Stats struct {
 	Pending int64
 }
 
-// Stats returns a pool snapshot. With parking disabled (blocking
-// scheduler, or IdleSpin < 0) the park/wake fields stay zero and
-// Pending still tracks the scheduler queues.
+// Stats returns a pool snapshot. On the blocking scheduler, which does
+// not park, the park/wake fields stay zero and Pending still tracks the
+// scheduler queues.
 func (rt *Runtime) Stats() Stats {
 	return Stats{
 		Workers:  rt.cfg.Workers,

@@ -96,23 +96,29 @@ func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), ac
 // submissions on disjoint shard sets run this whole path in parallel.
 func (rt *Runtime) submitRoot(ctx context.Context, h *Handle, accs []deps.AccessSpec, build func(slot int) *Task) {
 	lease := rt.rootDom.Acquire(accs)
-	rt.admit(lease.Slot(), rt.cfg.Workers+lease.Slot(), newScope(ctx, rt.cfg.OnError), h, nil, build)
+	rt.admit(rt.cfg.Workers+lease.Slot(), newScope(ctx, rt.cfg.OnError), h, nil, build)
 	lease.Release()
 }
 
 // admit is root admission, the one way a root task enters the runtime:
-// enter the drain gate on shard, build the root on slot, make it the
-// owner of scope sc and of its latch (a Handle h or a Req r, exactly
-// one non-nil), register it into the root domain and leave the gate.
-// The caller owns slot for the call — through a root-domain lease,
-// whose shard lock also keeps the gate's per-shard count uncontended,
-// or an inline-serving slot. Leaving only after registration raised the
-// live count hands Drain's quiescence wait the task. A sealed gate
-// builds nothing: the scope is released and the latch resolves with
-// ErrRuntimeDraining at once. build is only called, never stored, so a
-// caller's closure stays on its stack.
-func (rt *Runtime) admit(shard, slot int, sc *scope, h *Handle, r *Req, build func(slot int) *Task) {
-	if !rt.gate.Enter(shard) {
+// count the root live on slot, build it there, make it the owner of
+// scope sc and of its latch (a Handle h or a Req r, exactly one
+// non-nil) and register it into the root domain. The caller owns slot
+// for the call — through a root-domain lease or an inline-serving
+// slot. A sealed runtime builds nothing: the count is taken back, the
+// scope is released and the latch resolves with ErrRuntimeDraining at
+// once. build is only called, never stored, so a caller's closure stays
+// on its stack.
+//
+// The live count is the drain gate. admit raises it before it reads
+// sealed, and Drain stores sealed before it sums live; with
+// sequentially consistent atomics (Dekker), either this read sees the
+// seal, or Drain's sum sees the increment and waits for the root to
+// complete.
+func (rt *Runtime) admit(slot int, sc *scope, h *Handle, r *Req, build func(slot int) *Task) {
+	rt.live.Add(slot, 1)
+	if rt.sealed.Load() {
+		rt.live.Add(slot, -1)
 		sc.release()
 		if h != nil {
 			h.err = ErrRuntimeDraining
@@ -129,5 +135,4 @@ func (rt *Runtime) admit(shard, slot int, sc *scope, h *Handle, r *Req, build fu
 	t.req = r
 	t.ownsScope = true
 	rt.registerWith(&rt.global, rt.rootDom, t, slot)
-	rt.gate.Leave(shard)
 }

@@ -216,7 +216,7 @@ func TestSubmitCancellationMidStorm(t *testing.T) {
 // TestSubmitDuringRunAcrossShardCounts pins the smallest and the
 // clamped root-shard counts the worker count derives (16 and 64): both
 // must produce identical results, and the slot space must be exactly
-// workers, shards, completer slots and serve slots.
+// workers, shards and serve slots.
 func TestSubmitDuringRunAcrossShardCounts(t *testing.T) {
 	for _, tc := range []struct{ workers, shards int }{{1, 16}, {16, 64}} {
 		rt := New(Config{Workers: tc.workers})
@@ -241,7 +241,7 @@ func TestSubmitDuringRunAcrossShardCounts(t *testing.T) {
 		if got := rt.rootDom.Shards(); got != tc.shards {
 			t.Fatalf("workers=%d: %d root shards, want %d", tc.workers, got, tc.shards)
 		}
-		if got, want := rt.Slots(), tc.workers+tc.shards+4+2; got != want {
+		if got, want := rt.Slots(), tc.workers+tc.shards+2; got != want {
 			t.Fatalf("workers=%d: Slots() = %d, want %d", tc.workers, got, want)
 		}
 		rt.Close()

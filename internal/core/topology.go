@@ -9,52 +9,52 @@ package core
 //
 // # The slot space
 //
-// A runtime owns Slots() = W + RS + ES + SS thread indices, one formula
-// over W = Config.Workers: RS, the root-shard count, is 4 × W, at least
-// 16 (enough that submitter counts well above the worker count still
+// A runtime owns Slots() = W + RS + SS thread indices, one formula over
+// W = Config.Workers: RS, the root-shard count, is 4 × W, at least 16
+// (enough that submitter counts well above the worker count still
 // mostly avoid lock collisions), rounded up to a power of two and
-// clamped to deps.MaxRootShards by deps.NewRootDomain; ES = eventSlots
-// and SS = serveSlots are constants. They are made exclusive by three
-// mechanisms:
+// clamped to deps.MaxRootShards by deps.NewRootDomain; SS = serveSlots
+// is a constant. There are three kinds of slot, each made exclusive by
+// its own mechanism:
 //
-//	[0, W)             worker goroutines (one index per worker, for life)
-//	[W, W+RS)          root submitters — exclusive while holding shard
-//	                   i's registration lock (deps.RootLease)
-//	[W+RS, W+RS+ES)    event completers — exclusive while holding a slot
-//	                   of the completer pool (event.Slots, Acquire)
-//	[W+RS+ES, Slots)   inline-serving submitters — exclusive while
-//	                   holding a slot of the serving pool (a second
-//	                   event.Slots, TryAcquire only)
+//	[0, W)           worker goroutines (one index per worker, for life)
+//	[W, W+RS)        root-shard lease holders — exclusive while holding
+//	                 shard i's registration lock (deps.RootLease): root
+//	                 submitters, and non-worker goroutines whose event
+//	                 decrement runs a deferred release (releaseExternal)
+//	[W+RS, Slots)    inline-serving submitters — exclusive while holding
+//	                 a slot of the serving pool (event.Slots, TryAcquire
+//	                 only)
 //
-// The last two ranges are one implementation — an exclusive index lent
-// to a non-worker goroutine — but must stay two pools. A serving
-// submitter holds its index across arbitrary task bodies until its
-// request completes; a completer waits in Acquire until an index
-// frees. Sharing one pool, every index could be held by requests parked
-// on external events while the completers that would fire those events
-// wait for an index: each side waiting on the other, forever. Apart,
-// completer critical sections are short and never run user code, so
-// Acquire always makes progress, and serving never waits at all.
+// A lease holder may wait for a shard lock, so a lease must never be
+// held by a thread that something else waits on. Three facts make the
+// shared root-shard range deadlock-free for completers:
+//
+//   - A lease holder runs no user code and never waits on an event.
+//     Registration runs no body, and neither does a deferred release:
+//     its bypass slot is not armed, so its runChain is given nil.
+//   - A completer takes one shard lock (deps.RootDomain.AcquireFor).
+//   - Lease holders take their shard locks before any dependency-chain
+//     lock (deps.Locked's), so a completer waiting on a chain lock waits
+//     for a holder that needs no shard.
+//
+// The serving range must stay apart. A serving submitter holds its index
+// across arbitrary task bodies until its request completes, and a body
+// may wait on an external event. If completers waited on serving
+// indices, every index could be held by requests parked on events whose
+// completers wait for an index: each side waiting on the other, forever.
+// Serving never waits for an index at all (a busy pool falls back to the
+// dispatch path).
 //
 // Ctx.Worker reports an index in [0, Slots()), so per-thread structures
 // read through it (e.g. histogram shards) must be sized by
 // Runtime.Slots, never by Config().Workers.
 
-const (
-	// eventSlots is the size of the completer pool: the exclusive
-	// indices that external event decrements (EventCounter.Done from
-	// non-worker goroutines, timers fired by the timer queue's fallback
-	// goroutine) borrow to run the deferred release path. It bounds how
-	// many external completions release concurrently, never correctness:
-	// excess completers wait for a slot.
-	eventSlots = 4
-
-	// serveSlots is the size of the inline-serving pool: while one is
-	// free, a SubmitReq caller executes the request's tasks itself
-	// instead of dispatching the root through the scheduler and sleeping
-	// on the completion latch — the two cross-goroutine hand-offs that
-	// dominate small-request serving latency. Excess concurrent
-	// submitters take the dispatch path, so the count bounds inline
-	// parallelism, never correctness.
-	serveSlots = 2
-)
+// serveSlots is the size of the inline-serving pool: while one is free,
+// a SubmitReq caller executes the request's tasks itself instead of
+// dispatching the root through the scheduler and sleeping on the
+// completion latch — the two cross-goroutine hand-offs that dominate
+// small-request serving latency. Excess concurrent submitters take the
+// dispatch path, so the count bounds inline parallelism, never
+// correctness.
+const serveSlots = 2

@@ -75,13 +75,13 @@ func (k *nearKeeper) waitOwned(t *testing.T) {
 // TestWheelFiresOnWorkerIndex: a one-worker chain whose producer parks on
 // a 1 ms timer. The idle worker stays up as the timer owner and fires the
 // timer itself, so the event's release — KEventFire — is recorded on
-// worker 0's index, not on a completer slot borrowed by a timer
+// worker 0's index, not on a root-shard lease borrowed by a timer
 // goroutine, and the successor runs right behind it. A keeper holds a
 // deadline near throughout, so the worker owns the queue before the first
 // chain arms its timer; a fire off worker 0 is excused only by a timer
 // that fired a horizon or more late, when the host did not run the owner.
 func TestWheelFiresOnWorkerIndex(t *testing.T) {
-	rt := New(Config{Workers: 1, IdleSpin: 16, TraceCapacity: 1 << 12})
+	rt := newSpin(Config{Workers: 1, TraceCapacity: 1 << 12}, 16)
 	k := keepNear(rt)
 	if err := rt.Run(func(*Ctx) {}); err != nil { // wake the worker
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestWheelFiresOnWorkerIndex(t *testing.T) {
 // settle; the timer is checked only if it came due after the pool settled
 // and was not excused by firing a horizon late.
 func TestWheelOwnerBound(t *testing.T) {
-	rt := New(Config{Workers: 4, IdleSpin: 64, TraceCapacity: 1 << 12})
+	rt := newSpin(Config{Workers: 4, TraceCapacity: 1 << 12}, 64)
 	waitStats(t, rt, "idle pool never fully parked", func(s Stats) bool {
 		return s.Parked == 4
 	})

@@ -27,14 +27,17 @@ type shard struct {
 // adders quiesce (no Add running or in flight), Sum returns the exact
 // total of all completed Adds. Callers that need an exact read (the
 // worker-stop check, LiveTasks assertions in tests) therefore only
-// consult Sum at quiescence points, or poll it until it settles.
+// consult Sum at quiescence points, or poll it until it settles. An Add
+// ordered, in the sequentially consistent order of Go atomics, before
+// an atomic operation the summer made before calling Sum is always
+// included — the runtime's drain gate rests on that.
 type Sharded struct {
 	shards []shard
 }
 
-// NewSharded returns a counter with n shards (one per concurrent
-// caller; the runtime uses workers+1, the last shard belonging to the
-// external submitter thread).
+// NewSharded returns a counter with n shards, one per concurrent
+// caller; the runtime makes one per index of its thread-index space
+// (Runtime.Slots).
 func NewSharded(n int) *Sharded {
 	if n < 1 {
 		n = 1

@@ -81,8 +81,8 @@ func TestWheelAfterOnStoppedWheelStillRuns(t *testing.T) {
 func TestSlotsExclusiveAndInRange(t *testing.T) {
 	const base, n = 10, 3
 	s := NewSlots(base, n)
-	if s.Base() != base || s.Len() != n {
-		t.Fatalf("Base/Len = %d/%d, want %d/%d", s.Base(), s.Len(), base, n)
+	if s.base != base || len(s.mus) != n {
+		t.Fatalf("base/len = %d/%d, want %d/%d", s.base, len(s.mus), base, n)
 	}
 	var held [n]atomic.Bool
 	var wg sync.WaitGroup
@@ -121,70 +121,4 @@ func TestSlotsTryAcquire(t *testing.T) {
 	if got := s.TryAcquire(); got != a {
 		t.Fatalf("TryAcquire after Release = %d, want %d", got, a)
 	}
-}
-
-func TestGateCloseExcludesNewEntrants(t *testing.T) {
-	g := NewGate(4)
-	if g.Closed() {
-		t.Fatal("new gate reports closed")
-	}
-	if !g.Enter(1) {
-		t.Fatal("Enter on open gate failed")
-	}
-	closed := make(chan struct{})
-	go func() { g.Close(); close(closed) }()
-	// Close must wait for the current entrant.
-	select {
-	case <-closed:
-		t.Fatal("Close returned while an entrant was inside")
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.Leave(1)
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close never returned after the entrant left")
-	}
-	if g.Enter(0) {
-		t.Fatal("Enter succeeded on a closed gate")
-	}
-	if !g.Closed() {
-		t.Fatal("Closed() false after Close")
-	}
-	g.Close() // idempotent
-}
-
-func TestGateConcurrentEnterLeaveClose(t *testing.T) {
-	g := NewGate(8)
-	var inside atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for s := 0; s < 8; s++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if !g.Enter(shard) {
-					return
-				}
-				inside.Add(1)
-				inside.Add(-1)
-				g.Leave(shard)
-			}
-		}(s)
-	}
-	time.Sleep(5 * time.Millisecond)
-	g.Close()
-	// After Close returns, no goroutine can be inside: every racer has
-	// either left or been refused.
-	if n := inside.Load(); n != 0 {
-		t.Fatalf("%d entrants inside after Close returned", n)
-	}
-	close(stop)
-	wg.Wait()
 }

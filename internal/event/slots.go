@@ -7,19 +7,16 @@ import (
 )
 
 // Slots is a pool of exclusive thread indices for goroutines that are
-// neither workers nor root submitters but must run thread-indexed
-// runtime code — the final event decrement runs the whole dependency
-// release and completion path, and every per-thread structure it
-// touches (dependency mailbox, allocator free list, scheduler
-// insertion, trace buffer) requires an index unique among concurrent
-// callers. The pool hands out indices [base, base+n) guarded by one
-// mutex each; Acquire round-robins a cursor over the slots and takes
-// the first free one, spinning (with yields) when all n are busy —
-// for holders whose critical section is short and never blocks on user
-// code, so a small n bounds parallelism without risking deadlock.
+// neither workers nor root-shard lease holders but run thread-indexed
+// runtime code: every per-thread structure that code touches
+// (dependency mailbox, allocator free list, scheduler insertion, trace
+// buffer) requires an index unique among concurrent callers. The pool
+// hands out indices [base, base+n) guarded by one mutex each.
 // TryAcquire never waits, for holders that keep their index across
-// arbitrary code (the runtime's inline-serving pool); the two kinds of
-// holder must not share one pool, see core/topology.go.
+// arbitrary code (the runtime's inline-serving submitters, see
+// core/topology.go). Acquire round-robins a cursor over the slots and
+// spins (with yields) until one frees; the runtime does not use it —
+// only the benchmark's slots driver does.
 type Slots struct {
 	base int
 	next atomic.Uint32
@@ -74,9 +71,3 @@ func (s *Slots) TryAcquire() int {
 func (s *Slots) Release(slot int) {
 	s.mus[slot-s.base].mu.Unlock()
 }
-
-// Base returns the first index of the pool's range.
-func (s *Slots) Base() int { return s.base }
-
-// Len returns the number of slots in the pool.
-func (s *Slots) Len() int { return len(s.mus) }

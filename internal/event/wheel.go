@@ -6,7 +6,7 @@
 // worker that ran the body goes straight back to the scheduler.
 //
 // The package is deliberately core-agnostic (it knows nothing about
-// tasks); it contributes three primitives the core wires together:
+// tasks); it contributes two primitives the core wires together:
 //
 //   - Wheel: a deadline-ordered timer queue. Idle runtime threads poll
 //     it (Poll), so a due timer fires on a thread that is already awake
@@ -15,12 +15,8 @@
 //     lazily started goroutine sleeping until the earliest deadline
 //     fires what no thread polls. Timer-deferred completions
 //     (Ctx.After) cost no worker and no per-timer goroutine.
-//   - Slots: a small pool of exclusive thread indices that non-worker
-//     goroutines borrow to run the release path, which requires a
-//     thread index that is unique among concurrent callers (dependency
-//     mailboxes, allocator free lists, scheduler insertion).
-//   - Gate: a sharded drain gate in the style of gvisor's sync.Gate,
-//     the shutdown story Runtime.Drain builds on.
+//   - Slots: a small pool of exclusive thread indices, the runtime's
+//     inline-serving submitters' (see core/topology.go).
 package event
 
 import (

@@ -162,11 +162,3 @@ func WithNodeStats(hook func(NodeStat)) CompileOption {
 		cg.stats = hook
 	}
 }
-
-// WithConfig replaces the whole configuration — the one escape hatch
-// that reaches every Config field, including those with no option of
-// their own (IdleSpin, Noise), for callers that already hold a Config
-// (presets, the harness). Options after it still apply on top.
-func WithConfig(cfg Config) Option {
-	return func(c *core.Config) { *c = cfg }
-}

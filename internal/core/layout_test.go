@@ -8,6 +8,15 @@ import (
 	"repro/internal/deps"
 )
 
+// TestAccessSpecLayout pins the clause type at deps.AccessSpec's 24
+// bytes: the attribute kind fills the padding after the weak flag, so
+// typed attributes cost an access list nothing.
+func TestAccessSpecLayout(t *testing.T) {
+	if s, d := unsafe.Sizeof(AccessSpec{}), unsafe.Sizeof(deps.AccessSpec{}); s != 24 || d != 24 {
+		t.Errorf("AccessSpec is %d bytes and deps.AccessSpec %d, want 24 each", s, d)
+	}
+}
+
 // TestTaskLayout pins the hot/cold layout of the task shell (see the
 // Task doc comment and DESIGN.md, "Task lifetime and memory"): every
 // field an access-free task's lifecycle touches sits on its assigned

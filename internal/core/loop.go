@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/deps"
 )
 
 // This file implements work-sharing loop tasks (OmpSs-2 taskloop /
@@ -83,7 +81,7 @@ var loopPool = sync.Pool{New: func() any { return new(loopState) }}
 
 // newLoopTask builds (without registering) the owner task of a loop
 // over [lo, hi) with the given grain (<= 0 selects the adaptive grain).
-func (rt *Runtime) newLoopTask(parent *Task, lo, hi, grain int, body func(*Ctx, int, int), accs []deps.AccessSpec, worker int) *Task {
+func (rt *Runtime) newLoopTask(parent *Task, lo, hi, grain int, body func(*Ctx, int, int), accs []AccessSpec, worker int) *Task {
 	t := rt.newTask(parent, nil, accs, worker)
 	ls := loopPool.Get().(*loopState)
 	ls.owner = t
@@ -130,7 +128,7 @@ func putLoopState(ls *loopState) {
 // accesses participate in root-level dependency chains exactly like
 // Run/Submit roots. The public façade wrappers are repro.ForEach and
 // repro.ForReduce.
-func (rt *Runtime) RunLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) error {
+func (rt *Runtime) RunLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) error {
 	return rt.SubmitLoop(context.Background(), lo, hi, grain, body, accs...).Wait(nil)
 }
 
@@ -138,7 +136,7 @@ func (rt *Runtime) RunLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ..
 // Handle resolves at the loop's full completion (every chunk drained).
 // ctx cancellation skips unexecuted chunks; the Handle then reports an
 // error matching ErrTaskSkipped wrapping the cause.
-func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) *Handle {
+func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) *Handle {
 	h := new(Handle)
 	rt.submitRoot(ctx, h, accs, func(slot int) *Task {
 		return rt.newLoopTask(&rt.global, lo, hi, grain, body, accs, slot)
@@ -154,14 +152,14 @@ func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(
 // selects the adaptive grain. The chunk body may be called concurrently
 // from several workers on disjoint chunks; it must not call
 // Spawn-family methods of a Ctx other than its own argument.
-func (c *Ctx) Loop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) {
+func (c *Ctx) Loop(lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) {
 	t := c.rt.newLoopTask(c.task, lo, hi, grain, body, accs, c.worker)
 	c.rt.register(c.task, t, c.worker)
 }
 
 // GoLoop is Loop returning the loop's completion Handle (resolved at
 // full completion, like GoFn's); like Spawn, it may run ready tasks first.
-func (c *Ctx) GoLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...deps.AccessSpec) *Handle {
+func (c *Ctx) GoLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) *Handle {
 	h := new(Handle)
 	t := c.rt.newLoopTask(c.task, lo, hi, grain, body, accs, c.worker)
 	t.handle = h

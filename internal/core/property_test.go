@@ -43,7 +43,7 @@ func TestQuickRandomProgramsMatchSerial(t *testing.T) {
 			for ti := range prog {
 				ops := prog[ti]
 				ti := ti
-				specs := make([]deps.AccessSpec, 0, len(ops))
+				specs := make([]AccessSpec, 0, len(ops))
 				for _, o := range ops {
 					if o.write {
 						specs = append(specs, InOut(&cells[o.cell]))

@@ -174,10 +174,10 @@ type Runtime struct {
 	// see topology.go.
 	serveSlots *event.Slots
 
-	// noise state for the Figure 11 experiment. serves is sharded for
-	// the same reason as live; it is only touched while the experiment
-	// is armed (noise configured and not yet fired).
-	serves    *counter.Sharded
+	// noise state for the Figure 11 experiment. serves is only touched
+	// while the experiment is armed (noise configured and not yet
+	// fired), and only by the DTLock owner.
+	serves    atomic.Int64
 	noiseDone atomic.Bool
 }
 
@@ -213,7 +213,6 @@ func build(cfg Config) *Runtime {
 	rt.live = counter.NewSharded(slots)
 	rt.added = counter.NewSharded(slots)
 	rt.taken = counter.NewSharded(slots)
-	rt.serves = counter.NewSharded(slots)
 	rt.bypass = make([]bypassSlot, slots)
 	rt.serveSlots = event.NewSlots(cfg.Workers+shards, serveSlots)
 	// Every slot gets a reusable execution context, not just the
@@ -401,7 +400,7 @@ func (rt *Runtime) DepsName() string { return rt.deps.Name() }
 // earlier, deps.Unregister relies on it to cover the unpinned messages
 // it sends the task's own accesses — and the shell is recycled by
 // whoever drops the node's last pin (usually completeOne itself).
-func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec, worker int) *Task {
+func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []AccessSpec, worker int) *Task {
 	t := rt.alloc.Get(worker)
 	t.body = body
 	t.parent = parent
@@ -416,41 +415,31 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []deps.AccessSpec
 		t.node.Payload = t
 	}
 	t.node.Pin()
-	// Pseudo accesses (priority, deadline, inheritance clauses) are
-	// stripped here: they set the task's scheduling attributes (last
-	// clause of a kind wins, overriding the inherited value) and never
-	// reach the dependency system.
-	nacc := len(accs)
+	// Attribute clauses set the task's scheduling attributes (the last
+	// clause of a kind wins over the inherited value); data clauses go
+	// to the node.
+	nacc := 0
 	for i := range accs {
-		switch accs[i].Type {
-		case deps.PriorityClause:
-			t.pri = int8(sched.ClampPriority(accs[i].Len))
-			nacc--
-		case deps.DeadlineClause:
-			dl = int64(accs[i].Len)
-			nacc--
-		case deps.InheritClause:
+		switch accs[i].attr {
+		case attrNone:
+			nacc++
+		case attrPriority:
+			t.pri = int8(sched.ClampPriority(accs[i].n))
+		case attrDeadline:
+			dl = int64(accs[i].n)
+		case attrInherit:
 			t.inherit = true
-			nacc--
 		}
 	}
 	t.deadline.Store(dl)
 	t.epri.Store(int32(t.pri))
 	if nacc > 0 {
 		dst := t.node.InitAccesses(nacc)
-		if nacc == len(accs) {
-			for i := range accs {
-				dst[i].Init(&t.node, accs[i])
-			}
-		} else {
-			j := 0
-			for i := range accs {
-				switch accs[i].Type {
-				case deps.PriorityClause, deps.DeadlineClause, deps.InheritClause:
-				default:
-					dst[j].Init(&t.node, accs[i])
-					j++
-				}
+		j := 0
+		for i := range accs {
+			if accs[i].attr == attrNone {
+				dst[j].Init(&t.node, accs[i].data())
+				j++
 			}
 		}
 	}
@@ -529,7 +518,7 @@ func (rt *Runtime) helpSpawn(parent *Task, id int) {
 }
 
 // spawn implements Ctx.Spawn.
-func (rt *Runtime) spawn(parent *Task, body func(*Ctx), accs []deps.AccessSpec, worker int) {
+func (rt *Runtime) spawn(parent *Task, body func(*Ctx), accs []AccessSpec, worker int) {
 	t := rt.newTask(parent, body, accs, worker)
 	rt.register(parent, t, worker)
 }
@@ -855,19 +844,16 @@ func (rt *Runtime) completeOne(t *Task, id int) {
 // The guards come before any counting so the common cases pay nothing:
 // runs without noise configured return on the config check, and once
 // the one-shot has fired every subsequent serve returns on the
-// noiseDone load instead of bumping a counter forever. While armed,
-// the serve count is sharded per worker; the threshold is a >= test on
-// the sum (concurrent serves may overshoot the exact value by a few)
-// with the CAS keeping the stall exactly-once. Serve/drain events only
-// ever fire on the current DTLock owner, so Add and Sum here are
-// owner-serialized — the Sum walk is not a concurrent hot-line scan.
+// noiseDone load instead of bumping a counter forever. Serve/drain
+// events only ever fire on the current DTLock owner, so the owner
+// serialises the count's increments; the CAS keeps the stall
+// exactly-once.
 func (rt *Runtime) maybeInjectNoise(owner int) {
 	n := rt.cfg.Noise
 	if n.AfterServes <= 0 || n.Duration <= 0 || rt.noiseDone.Load() {
 		return
 	}
-	rt.serves.Add(owner, 1)
-	if rt.serves.Sum() < int64(n.AfterServes) || !rt.noiseDone.CompareAndSwap(false, true) {
+	if rt.serves.Add(1) < int64(n.AfterServes) || !rt.noiseDone.CompareAndSwap(false, true) {
 		return
 	}
 	start := rt.tracer.Now()

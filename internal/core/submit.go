@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"repro/internal/deps"
-)
+import "context"
 
 // Run submits a root task and blocks until it and all its descendants
 // have fully completed. It returns the scope's aggregate error: task
@@ -13,7 +9,7 @@ import (
 // called repeatedly, from multiple goroutines; submissions whose
 // accesses hash to different root-domain shards register in parallel,
 // and same-shard registrations serialize only on that shard's lock.
-func (rt *Runtime) Run(body func(*Ctx), accs ...deps.AccessSpec) error {
+func (rt *Runtime) Run(body func(*Ctx), accs ...AccessSpec) error {
 	return rt.RunCtx(context.Background(), body, accs...)
 }
 
@@ -24,7 +20,7 @@ func (rt *Runtime) Run(body func(*Ctx), accs ...deps.AccessSpec) error {
 // scope has fully drained, with the cancellation cause. Tasks whose
 // bodies already started run to completion; they can poll Ctx.Err to
 // stop early.
-func (rt *Runtime) RunCtx(ctx context.Context, body func(*Ctx), accs ...deps.AccessSpec) error {
+func (rt *Runtime) RunCtx(ctx context.Context, body func(*Ctx), accs ...AccessSpec) error {
 	var h Handle
 	rt.submitRoot(ctx, &h, accs, func(slot int) *Task {
 		return rt.newTask(&rt.global, body, accs, slot)
@@ -41,7 +37,7 @@ func (rt *Runtime) RunCtx(ctx context.Context, body func(*Ctx), accs ...deps.Acc
 // (matching accesses order them); cancellation of ctx drains the task
 // (and any descendants) as in RunCtx, and h reports the cause. The typed
 // façade wrapper is repro.SubmitCtx.
-func (rt *Runtime) SubmitBody(ctx context.Context, h *Handle, b Body, accs ...deps.AccessSpec) {
+func (rt *Runtime) SubmitBody(ctx context.Context, h *Handle, b Body, accs ...AccessSpec) {
 	rt.submitRoot(ctx, h, accs, func(slot int) *Task {
 		t := rt.newTask(&rt.global, nil, accs, slot)
 		t.fn = b
@@ -75,12 +71,12 @@ func (f *AnyFuture) Wait(ctx context.Context) (any, error) {
 
 // Submit is SubmitBody for an untyped body: it returns the task's
 // AnyFuture without waiting.
-func (rt *Runtime) Submit(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *AnyFuture {
+func (rt *Runtime) Submit(fn func(*Ctx) (any, error), accs ...AccessSpec) *AnyFuture {
 	return rt.SubmitCtx(context.Background(), fn, accs...)
 }
 
 // SubmitCtx is Submit with a caller context.
-func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *AnyFuture {
+func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), accs ...AccessSpec) *AnyFuture {
 	f := &AnyFuture{fn: fn}
 	rt.SubmitBody(ctx, &f.Handle, f, accs...)
 	return f
@@ -94,8 +90,15 @@ func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), ac
 // structures (allocator free list, dependency mailbox, scheduler
 // insertion index, trace buffer) the registration uses exclusively, so
 // submissions on disjoint shard sets run this whole path in parallel.
-func (rt *Runtime) submitRoot(ctx context.Context, h *Handle, accs []deps.AccessSpec, build func(slot int) *Task) {
-	lease := rt.rootDom.Acquire(accs)
+func (rt *Runtime) submitRoot(ctx context.Context, h *Handle, accs []AccessSpec, build func(slot int) *Task) {
+	// Attributes carry no address: they join no chain and lease no shard.
+	var mask uint64
+	for i := range accs {
+		if accs[i].attr == attrNone {
+			mask |= rt.rootDom.Bit(accs[i].addr)
+		}
+	}
+	lease := rt.rootDom.AcquireMask(mask)
 	rt.admit(rt.cfg.Workers+lease.Slot(), newScope(ctx, rt.cfg.OnError), h, nil, build)
 	lease.Release()
 }

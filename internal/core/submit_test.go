@@ -1,13 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/alloc"
+	"repro/internal/trace"
 )
 
 // shellCount decorates the task allocator: it counts the distinct
@@ -176,6 +182,58 @@ func TestRootAdmission(t *testing.T) {
 					t.Errorf("LiveTasks = %d after the root resolved", n)
 				}
 			})
+		}
+	}
+}
+
+// TestRootLeaseIgnoresAttributes: a root's shard lease comes from its
+// data clauses alone. A root with priority, deadline and inheritance
+// plus one InOut registers on the slot of the InOut's shard, and
+// attribute-only roots rotate across shards as access-free ones do. The
+// slot is the index of the root's KTaskCreate event, read after Close.
+func TestRootLeaseIgnoresAttributes(t *testing.T) {
+	for _, dk := range []DepsKind{DepsWaitFree, DepsLocked} {
+		rt := New(Config{Workers: 2, Deps: dk, TraceCapacity: 1 << 10})
+		// An address off shard 0, where a nil attribute address would
+		// hash, so a lease that counted attributes would show.
+		var cells [64]int
+		x := &cells[0]
+		for i := 1; rt.rootDom.Bit(unsafe.Pointer(x)) == 1; i++ {
+			x = &cells[i]
+		}
+		want := int32(rt.cfg.Workers + bits.TrailingZeros64(rt.rootDom.Bit(unsafe.Pointer(x))))
+		attrs := []AccessSpec{Priority(MaxPriority), Deadline(NowNS() + int64(time.Hour)), Inherit()}
+		if err := rt.Run(func(*Ctx) {}, append(attrs, InOut(x))...); err != nil {
+			t.Fatal(err)
+		}
+		const attrOnly = 8
+		for range attrOnly {
+			if err := rt.Run(func(*Ctx) {}, attrs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.Close()
+		var creates []trace.Event
+		for _, evs := range rt.Tracer().Snapshot().PerCore {
+			for _, e := range evs {
+				if e.Kind == trace.KTaskCreate {
+					creates = append(creates, e)
+				}
+			}
+		}
+		if len(creates) != 1+attrOnly {
+			t.Fatalf("deps %d: %d task-create events, want %d", dk, len(creates), 1+attrOnly)
+		}
+		slices.SortFunc(creates, func(a, b trace.Event) int { return cmp.Compare(a.TS, b.TS) })
+		if got := creates[0].Worker; got != want {
+			t.Errorf("deps %d: the InOut root registered on slot %d, want %d (its address's shard)", dk, got, want)
+		}
+		seen := map[int32]bool{}
+		for _, e := range creates[1:] {
+			seen[e.Worker] = true
+		}
+		if len(seen) < 2 {
+			t.Errorf("deps %d: %d attribute-only roots all registered on slots %v, want a rotation", dk, attrOnly, seen)
 		}
 	}
 }

@@ -77,11 +77,11 @@ type Task struct {
 	// deadline is the task's absolute scheduling deadline in
 	// nanoseconds on the runtime's monotonic clock (NowNS); 0 means no
 	// deadline. Inherited from the parent like pri and overridden by a
-	// DeadlineClause pseudo access; read by the EDF policy, which sorts
-	// deadline-less tasks last. newTask stores it once per incarnation,
-	// but the EDF heap may still read it through a stale promotion
-	// duplicate — a queue entry that outlived its task and points at a
-	// recycled shell — so it is atomic like epri.
+	// Deadline clause; read by the EDF policy, which sorts deadline-less
+	// tasks last. newTask stores it once per incarnation, but the EDF
+	// heap may still read it through a stale promotion duplicate — a
+	// queue entry that outlived its task and points at a recycled shell
+	// — so it is atomic like epri.
 	deadline atomic.Int64
 
 	// epri is the task's *effective* priority level: pri, possibly
@@ -104,9 +104,8 @@ type Task struct {
 	// [0, MaxPriority]. It is inherited from the parent at creation
 	// (children of an interactive request stay interactive; taskloop
 	// steal descriptors ride at their loop's level) and overridden by a
-	// PriorityClause pseudo access in the task's access list. newTask
-	// assigns it unconditionally, so recycled shells cannot leak a
-	// stale level.
+	// Priority clause. newTask assigns it unconditionally, so recycled
+	// shells cannot leak a stale level.
 	pri int8
 
 	// inherit marks the task as a priority-inheritance donor: at
@@ -242,7 +241,7 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // calling thread, as Taskwait does: hold no lock across it that a task
 // takes, and let no child spin on a store the body makes after its
 // spawn loop.
-func (c *Ctx) Spawn(body func(*Ctx), accs ...deps.AccessSpec) {
+func (c *Ctx) Spawn(body func(*Ctx), accs ...AccessSpec) {
 	c.rt.spawn(c.task, body, accs, c.worker)
 }
 
@@ -252,7 +251,7 @@ func (c *Ctx) Spawn(body func(*Ctx), accs ...deps.AccessSpec) {
 // shares this task's scope: its error is recorded there (cancelling the
 // scope under FailFast) in addition to being delivered through h. The
 // typed façade wrapper is repro.Go.
-func (c *Ctx) GoBody(h *Handle, b Body, accs ...deps.AccessSpec) {
+func (c *Ctx) GoBody(h *Handle, b Body, accs ...AccessSpec) {
 	t := c.rt.newTask(c.task, nil, accs, c.worker)
 	t.fn = b
 	t.handle = h
@@ -260,7 +259,7 @@ func (c *Ctx) GoBody(h *Handle, b Body, accs ...deps.AccessSpec) {
 }
 
 // GoFn is GoBody for an untyped body, returning its AnyFuture.
-func (c *Ctx) GoFn(fn func(*Ctx) (any, error), accs ...deps.AccessSpec) *AnyFuture {
+func (c *Ctx) GoFn(fn func(*Ctx) (any, error), accs ...AccessSpec) *AnyFuture {
 	f := &AnyFuture{fn: fn}
 	c.GoBody(&f.Handle, f, accs...)
 	return f
@@ -322,36 +321,63 @@ func (c *Ctx) ReductionBuffer(p *float64) []float64 {
 	return c.rt.deps.ReductionBuffer(n, unsafe.Pointer(p), c.worker)
 }
 
-// AccessSpec aliases the dependency system's access declaration for
-// callers that build spec slices dynamically.
-type AccessSpec = deps.AccessSpec
+// AccessSpec is one clause of a task: a data access the dependency
+// system orders (In, Out, InOut, RedSpec, Commutative, WeakIn,
+// WeakInOut) or a scheduling attribute the core reads (Priority,
+// Deadline, Inherit). Only those constructors set its fields, so an
+// attribute cannot reach the dependency system: newTask and submitRoot
+// hand it data clauses alone. The fields are flat so the attribute
+// kind fills the padding after weak (24 bytes, as deps.AccessSpec).
+type AccessSpec struct {
+	addr unsafe.Pointer
+	n    int // a reduction's length, a priority level or a deadline
+	typ  deps.AccessType
+	op   deps.ReductionOp
+	weak bool
+	attr attrKind
+}
+
+// attrKind names a clause's scheduling attribute; data clauses have none.
+type attrKind uint8
+
+const (
+	attrNone attrKind = iota
+	attrPriority
+	attrDeadline
+	attrInherit
+)
+
+// data is the dependency system's view of a data clause.
+func (s *AccessSpec) data() deps.AccessSpec {
+	return deps.AccessSpec{Addr: s.addr, Len: s.n, Type: s.typ, Op: s.op, Weak: s.weak}
+}
 
 // Access spec constructors. Addresses identify dependencies (OmpSs-2
 // matches accesses by address); for array blocks pass the first element.
 
 // In declares a read access on p.
-func In[T any](p *T) deps.AccessSpec {
-	return deps.AccessSpec{Addr: unsafe.Pointer(p), Type: deps.Read}
+func In[T any](p *T) AccessSpec {
+	return AccessSpec{addr: unsafe.Pointer(p), typ: deps.Read}
 }
 
 // Out declares a write access on p.
-func Out[T any](p *T) deps.AccessSpec {
-	return deps.AccessSpec{Addr: unsafe.Pointer(p), Type: deps.Write}
+func Out[T any](p *T) AccessSpec {
+	return AccessSpec{addr: unsafe.Pointer(p), typ: deps.Write}
 }
 
 // InOut declares a read-write access on p.
-func InOut[T any](p *T) deps.AccessSpec {
-	return deps.AccessSpec{Addr: unsafe.Pointer(p), Type: deps.ReadWrite}
+func InOut[T any](p *T) AccessSpec {
+	return AccessSpec{addr: unsafe.Pointer(p), typ: deps.ReadWrite}
 }
 
 // RedSpec declares a reduction access over n float64 elements at p.
-func RedSpec(p *float64, n int, op deps.ReductionOp) deps.AccessSpec {
-	return deps.AccessSpec{Addr: unsafe.Pointer(p), Len: n, Type: deps.Reduction, Op: op}
+func RedSpec(p *float64, n int, op deps.ReductionOp) AccessSpec {
+	return AccessSpec{addr: unsafe.Pointer(p), n: n, typ: deps.Reduction, op: op}
 }
 
 // Commutative declares a commutative access on p.
-func Commutative[T any](p *T) deps.AccessSpec {
-	return deps.AccessSpec{Addr: unsafe.Pointer(p), Type: deps.Commutative}
+func Commutative[T any](p *T) AccessSpec {
+	return AccessSpec{addr: unsafe.Pointer(p), typ: deps.Commutative}
 }
 
 // MaxPriority is the highest scheduling priority level; 0 is the
@@ -359,30 +385,28 @@ func Commutative[T any](p *T) deps.AccessSpec {
 // Priority values outside [0, MaxPriority] are clamped.
 const MaxPriority = sched.PriorityLevels - 1
 
-// Priority declares the task's scheduling priority level, as a pseudo
-// access riding in the access list (the OmpSs-2 priority clause). It
-// declares no data dependency: the runtime strips it before
-// registration and uses it to route the task through the scheduler's
+// Priority declares the task's scheduling priority level (the OmpSs-2
+// priority clause, written beside the dependency clauses). It declares
+// no data dependency: it routes the task through the scheduler's
 // priority levels. Higher runs earlier among *ready* tasks — a
 // priority never overtakes a data dependency. Children inherit the
 // spawning task's level unless they carry their own clause. The public
 // façade wrapper is repro.WithPriority.
-func Priority(n int) deps.AccessSpec {
-	return deps.AccessSpec{Type: deps.PriorityClause, Len: n}
+func Priority(n int) AccessSpec {
+	return AccessSpec{n: n, attr: attrPriority}
 }
 
 // Deadline declares the task's absolute scheduling deadline: absNS
 // nanoseconds on the runtime's monotonic clock (NowNS). Like Priority
-// it is a pseudo access — stripped before registration — and like
-// priorities it is inherited by children unless they carry their own
-// clause. Deadlines only order tasks *within* the top priority level,
-// and only when the runtime was built with Config.EDF: earlier
-// deadlines pop first, deadline-less tasks last. A deadline never
-// overtakes a data dependency. The public façade wrapper is
-// repro.WithDeadline, which resolves a relative duration against
-// NowNS.
-func Deadline(absNS int64) deps.AccessSpec {
-	return deps.AccessSpec{Type: deps.DeadlineClause, Len: int(absNS)}
+// it declares no data dependency, and like priorities it is inherited
+// by children unless they carry their own clause. Deadlines only order
+// tasks *within* the top priority level, and only when the runtime was
+// built with Config.EDF: earlier deadlines pop first, deadline-less
+// tasks last. A deadline never overtakes a data dependency. The public
+// façade wrapper is repro.WithDeadline, which resolves a relative
+// duration against NowNS.
+func Deadline(absNS int64) AccessSpec {
+	return AccessSpec{n: int(absNS), attr: attrDeadline}
 }
 
 // Inherit declares the task a priority-inheritance donor: at
@@ -390,14 +414,13 @@ func Deadline(absNS int64) deps.AccessSpec {
 // promoted (transitively) to the task's effective priority level, so a
 // low-priority task holding a dependency a high-priority task waits on
 // is re-ranked instead of being starved behind mid-priority work (the
-// classic priority-inversion window). Like Priority it is a pseudo
-// access, stripped before registration, and the flag is inherited by
-// children unless overridden. Promotion is best-effort for tasks
-// mid-flight through shell recycling, and group predecessors
-// (reductions, commutative runs) are not promoted. The public façade
-// wrapper is repro.WithInheritance.
-func Inherit() deps.AccessSpec {
-	return deps.AccessSpec{Type: deps.InheritClause}
+// classic priority-inversion window). Like Priority it declares no data
+// dependency; children inherit the flag, and no clause clears it.
+// Promotion is best-effort for tasks mid-flight through shell
+// recycling, and group predecessors (reductions, commutative runs) are
+// not promoted. The public façade wrapper is repro.WithInheritance.
+func Inherit() AccessSpec {
+	return AccessSpec{attr: attrInherit}
 }
 
 // WeakIn declares a weak read access on p: the task does not read p
@@ -405,12 +428,12 @@ func Inherit() deps.AccessSpec {
 // task's execution; they anchor the children's dependency chains so
 // successors at this nesting level wait for the children (OmpSs-2
 // weakin).
-func WeakIn[T any](p *T) deps.AccessSpec {
-	return deps.AccessSpec{Addr: unsafe.Pointer(p), Type: deps.Read, Weak: true}
+func WeakIn[T any](p *T) AccessSpec {
+	return AccessSpec{addr: unsafe.Pointer(p), typ: deps.Read, weak: true}
 }
 
 // WeakInOut declares a weak read-write access on p (OmpSs-2 weakinout):
 // like InOut for the task's children, invisible to the task itself.
-func WeakInOut[T any](p *T) deps.AccessSpec {
-	return deps.AccessSpec{Addr: unsafe.Pointer(p), Type: deps.ReadWrite, Weak: true}
+func WeakInOut[T any](p *T) AccessSpec {
+	return AccessSpec{addr: unsafe.Pointer(p), typ: deps.ReadWrite, weak: true}
 }

@@ -28,7 +28,7 @@ const MaxRootShards = 64
 // concurrently without sharing those structures.
 //
 // A submission whose accesses span several shards takes every involved
-// shard lock in ascending index order (Acquire), which makes cross-shard
+// shard lock in ascending index order (AcquireMask), which makes cross-shard
 // submissions deadlock-free while still ordering same-address
 // submissions through their common shard.
 type RootDomain struct {
@@ -110,30 +110,33 @@ func (d *RootDomain) shard(p unsafe.Pointer) *rootShard {
 }
 
 // RootLease is a held set of shard registration locks covering one root
-// submission. It is a value type: Acquire/Release allocate nothing.
+// submission. It is a value type: AcquireMask/Release allocate nothing.
 type RootLease struct {
 	d    *RootDomain
 	mask uint64
 	slot int
 }
 
-// Acquire locks every shard covering the addresses of accs, in
-// ascending index order. A submission with no accesses still leases one
-// shard (rotating across them) because the submitter needs exclusive
-// use of a slot's thread-local structures even when there is no chain
-// to join. The caller must Release the lease after RegisterRoot.
+// Bit returns the lease-mask bit of the shard owning p's chain.
+func (d *RootDomain) Bit(p unsafe.Pointer) uint64 { return 1 << uint(d.shardOf(p)) }
+
+// Acquire leases the shards covering the addresses of accs: AcquireMask
+// of their Bits.
 func (d *RootDomain) Acquire(accs []AccessSpec) RootLease {
 	var mask uint64
 	for i := range accs {
-		if accs[i].Type == PriorityClause || accs[i].Type == DeadlineClause ||
-			accs[i].Type == InheritClause {
-			// Pseudo accesses carry no address: they join no chain and
-			// lease no shard (a nil Addr would always hash to one shard
-			// and needlessly serialize every priority-tagged submission).
-			continue
-		}
-		mask |= 1 << uint(d.shardOf(accs[i].Addr))
+		mask |= d.Bit(accs[i].Addr)
 	}
+	return d.AcquireMask(mask)
+}
+
+// AcquireMask locks every shard in mask (a union of Bits), in ascending
+// index order. An empty mask — a submission with no accesses — still
+// leases one shard (rotating across them) because the submitter needs
+// exclusive use of a slot's thread-local structures even when there is
+// no chain to join. The caller must Release the lease after
+// RegisterRoot.
+func (d *RootDomain) AcquireMask(mask uint64) RootLease {
 	if mask == 0 {
 		mask = 1 << (uint64(d.rr.Add(1)) & uint64(len(d.shards)-1))
 	}
@@ -145,7 +148,7 @@ func (d *RootDomain) Acquire(accs []AccessSpec) RootLease {
 	return RootLease{d: d, mask: mask, slot: bits.TrailingZeros64(mask)}
 }
 
-// AcquireFor is Acquire for a submission with no data accesses whose
+// AcquireFor is AcquireMask for a submission with no data accesses whose
 // caller holds a stable spreading key — typically the address of a
 // pooled per-request structure (the compiled-graph serving path). The
 // key hashes straight to one shard with the same Fibonacci hash the

@@ -32,26 +32,6 @@ const (
 	// Commutative grants mutual exclusion without ordering: consecutive
 	// commutative tasks may run in any order but never simultaneously.
 	Commutative
-	// PriorityClause is a pseudo access type: a spec of this type
-	// declares no data access at all — it carries a scheduling priority
-	// (in the spec's Len field) through a task's access list, the way
-	// OmpSs-2's priority clause rides alongside the dependency clauses.
-	// The runtime core strips these specs before registration, so a
-	// dependency system never sees one; Acquire skips them when leasing
-	// root shards.
-	PriorityClause
-	// DeadlineClause is a pseudo access type like PriorityClause: it
-	// carries an absolute scheduling deadline (nanoseconds on the
-	// runtime's monotonic clock, in the spec's Len field) through a
-	// task's access list. Stripped by the core before registration;
-	// skipped by Acquire.
-	DeadlineClause
-	// InheritClause is a pseudo access type like PriorityClause: its
-	// presence asks the core to promote the task's unsatisfied
-	// predecessors (transitively) to the task's effective priority at
-	// registration, closing the priority-inversion window. Stripped by
-	// the core before registration; skipped by Acquire.
-	InheritClause
 )
 
 // String returns the OmpSs-2 clause name of the access type.
@@ -67,12 +47,6 @@ func (t AccessType) String() string {
 		return "reduction"
 	case Commutative:
 		return "commutative"
-	case PriorityClause:
-		return "priority"
-	case DeadlineClause:
-		return "deadline"
-	case InheritClause:
-		return "inherit"
 	}
 	return "unknown"
 }
@@ -133,7 +107,7 @@ type System interface {
 	Register(parent, n *Node, worker int)
 	// RegisterRoot is Register against a sharded root domain: each
 	// access of n joins the chain of its address's shard. The caller
-	// must hold a lease of d covering n's accesses (RootDomain.Acquire)
+	// must hold a lease of d covering n's accesses (RootDomain.AcquireMask)
 	// and pass the lease's submitter-slot worker index, which keeps
 	// per-shard registration single-writer while unrelated root
 	// submissions proceed in parallel on other shards.

@@ -196,8 +196,11 @@ type (
 	// Variant names a preset runtime configuration from the paper's
 	// evaluation ("optimized", "w/o DTLock", ...).
 	Variant = core.Variant
-	// AccessSpec declares one data access of a task.
-	AccessSpec = deps.AccessSpec
+	// AccessSpec is one clause of a task: a data access (In, Out,
+	// InOut, RedSum, Commutative, WeakIn, ...) or a scheduling attribute
+	// (WithPriority, WithDeadline, WithInheritance). Only those helpers
+	// make one; see core.AccessSpec.
+	AccessSpec = core.AccessSpec
 	// NoiseConfig configures simulated OS noise (Figure 11).
 	NoiseConfig = core.NoiseConfig
 	// ErrorPolicy selects fail-fast vs collect-all error propagation.
@@ -223,30 +226,12 @@ type (
 var ErrTaskSkipped = core.ErrTaskSkipped
 
 // VariantOptions returns the functional options defining one of the
-// paper's preset variants — the scheduler/deps/allocator/policy
-// selection only, with pool shape left to the caller. It panics on an
-// unknown variant, like core.ConfigFor.
+// paper's preset variants — core.ConfigFor's scheduler, dependency
+// system, allocator and policy, with pool shape left to the caller. It
+// panics on an unknown variant, like core.ConfigFor.
 func VariantOptions(v Variant) []Option {
-	switch v {
-	case VariantOptimized:
-		// Sync scheduler + wait-free deps + pooled allocator: all
-		// defaults.
-		return nil
-	case VariantNoJemalloc:
-		return []Option{WithAlloc(AllocSerial)}
-	case VariantNoWaitFreeDeps:
-		return []Option{WithDeps(DepsLocked)}
-	case VariantNoDTLock:
-		return []Option{WithScheduler(SchedCentralPTLock)}
-	case VariantGOMPLike:
-		return []Option{WithScheduler(SchedBlocking), WithDeps(DepsLocked), WithAlloc(AllocSerial)}
-	case VariantLLVMLike:
-		return []Option{WithScheduler(SchedWorkStealing), WithDeps(DepsLocked)}
-	case VariantIntelLike:
-		return []Option{WithScheduler(SchedWorkStealing), WithDeps(DepsLocked), WithPolicy(PolicyLIFO)}
-	default:
-		panic("repro: unknown variant " + string(v))
-	}
+	c := core.ConfigFor(v, 0, 0)
+	return []Option{WithScheduler(c.Scheduler), WithDeps(c.Deps), WithAlloc(c.Alloc), WithPolicy(c.Policy)}
 }
 
 // NewVariant builds a runtime from one of the paper's preset variants:
@@ -296,8 +281,8 @@ func WeakInOut[T any](p *T) AccessSpec { return core.WeakInOut(p) }
 const MaxPriority = core.MaxPriority
 
 // WithPriority declares the task's scheduling priority level, as a
-// pseudo access riding in the access list of Go, Submit, Spawn or a
-// loop's WithAccesses (the OmpSs-2 priority clause). It declares no
+// clause beside the accesses of Go, Submit, Spawn or a loop's
+// WithAccesses (the OmpSs-2 priority clause). It declares no
 // data dependency: among *ready* tasks, higher levels are scheduled
 // first — a priority never overtakes a data dependency, and sustained
 // high-priority load cannot starve level 0 indefinitely (the scheduler
@@ -312,7 +297,7 @@ const MaxPriority = core.MaxPriority
 func WithPriority(n int) AccessSpec { return core.Priority(n) }
 
 // WithDeadline declares the task's scheduling deadline, d from now, as
-// a pseudo access riding in the access list like WithPriority. The
+// a clause beside the accesses like WithPriority. The
 // deadline is resolved to an absolute instant on the runtime's
 // monotonic clock (NowNS) at clause construction, so every task of one
 // request can share a single clause value. Deadlines order ready tasks

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 )
 
 // TestPublicAPIQuickstart exercises the façade exactly as the README's
@@ -48,13 +49,20 @@ func TestPublicAPIReductions(t *testing.T) {
 	}
 }
 
+// TestPublicAPIVariants builds all seven presets through the façade:
+// each has core.ConfigFor's design axes, and a spawned task runs.
 func TestPublicAPIVariants(t *testing.T) {
 	for _, v := range []repro.Variant{
 		repro.VariantOptimized, repro.VariantNoDTLock,
 		repro.VariantNoWaitFreeDeps, repro.VariantNoJemalloc,
-		repro.VariantGOMPLike, repro.VariantLLVMLike,
+		repro.VariantGOMPLike, repro.VariantLLVMLike, repro.VariantIntelLike,
 	} {
 		rt := repro.NewVariant(v, 2, 1)
+		got, want := rt.Config(), core.ConfigFor(v, 2, 1)
+		if got.Scheduler != want.Scheduler || got.Deps != want.Deps || got.Alloc != want.Alloc || got.Policy != want.Policy {
+			t.Errorf("%s: scheduler/deps/alloc/policy %d/%d/%d/%d, core.ConfigFor's %d/%d/%d/%d", v,
+				got.Scheduler, got.Deps, got.Alloc, got.Policy, want.Scheduler, want.Deps, want.Alloc, want.Policy)
+		}
 		var ran bool
 		rt.Run(func(c *repro.Ctx) {
 			c.Spawn(func(*repro.Ctx) { ran = true })

@@ -97,8 +97,8 @@ type memoEntry struct {
 // repeated Compile/Run calls share one template and frame pool;
 // compiles with options always build a fresh template.
 func (g *Graph) Compile(rt *Runtime, opts ...CompileOption) (*CompiledGraph, error) {
-	if len(opts) == 0 && g.compiled != nil && g.compiled.rt == rt {
-		return g.compiled, nil
+	if cg := g.compiled.Load(); len(opts) == 0 && cg != nil && cg.rt == rt {
+		return cg, nil
 	}
 	order, err := g.validate()
 	if err != nil {
@@ -150,7 +150,7 @@ func (g *Graph) Compile(rt *Runtime, opts ...CompileOption) (*CompiledGraph, err
 	}
 	cg.frames.New = func() any { return cg.newFrame() }
 	if len(opts) == 0 {
-		g.compiled = cg
+		g.compiled.Store(cg)
 	}
 	return cg, nil
 }

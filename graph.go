@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -41,27 +42,29 @@ func Value[T any](res map[string]Result, name string) (T, error) {
 	return v, nil
 }
 
-// Graph is a declarative, named-task layer over the runtime's
-// dependency engine: tasks are added with explicit dependency names
-// (symphony-style) rather than data accesses, and Run executes the
-// whole DAG with the usual result/error/cancellation semantics. The
-// ordering is enforced by the same dependency system the paper
-// describes — each task's name is materialized as an out() access on a
-// per-task sentinel, and each dependency as an in() on it.
+// Graph is a declarative, named-task layer over the runtime: tasks are
+// added with explicit dependency names (symphony-style) rather than
+// data accesses, and Run executes the whole DAG with the usual
+// result/error/cancellation semantics. Run compiles the graph into a
+// template on first use (see Compile) and caches it: each node holds a
+// join counter of its unfinished dependencies, and the node whose
+// finish drops a counter to zero readies that dependent.
 //
 // A Graph is a builder: it is not safe for concurrent mutation, but
 // once built it may be Run repeatedly and concurrently (Run stamps
-// per-request state from the graph's compiled template; see Compile
-// for the serving fast path that amortizes the compilation too).
+// per-request state from the cached template; serving loops should
+// hold the template from Compile and call Do, which also skips Run's
+// result map).
 type Graph struct {
 	nodes  []*gnode
 	byName map[string]*gnode
 	err    error
 
 	// compiled caches the option-free compiled template so repeated
-	// legacy Runs reuse one template (and its frame pool); any builder
-	// mutation invalidates it.
-	compiled *CompiledGraph
+	// Runs reuse one template (and its frame pool); any builder
+	// mutation invalidates it. It is atomic because concurrent first
+	// Runs may both compile: each stores its template, the last wins.
+	compiled atomic.Pointer[CompiledGraph]
 }
 
 type gnode struct {
@@ -101,7 +104,7 @@ func (g *Graph) Add(name string, deps []string, fn GraphFunc) *Graph {
 	n := &gnode{name: name, deps: deps, fn: fn}
 	g.byName[name] = n
 	g.nodes = append(g.nodes, n)
-	g.compiled = nil
+	g.compiled.Store(nil)
 	return g
 }
 
@@ -121,7 +124,7 @@ func (g *Graph) SetPriority(name string, pri int) *Graph {
 		return g
 	}
 	n.pri = pri
-	g.compiled = nil
+	g.compiled.Store(nil)
 	return g
 }
 
@@ -147,7 +150,7 @@ func (g *Graph) SetDeadline(name string, d time.Duration) *Graph {
 		d = 0
 	}
 	n.dl = d
-	g.compiled = nil
+	g.compiled.Store(nil)
 	return g
 }
 
@@ -169,7 +172,7 @@ func (g *Graph) MarkPure(name string) *Graph {
 		return g
 	}
 	n.pure = true
-	g.compiled = nil
+	g.compiled.Store(nil)
 	return g
 }
 

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro"
@@ -182,5 +183,41 @@ func TestGraphCancellation(t *testing.T) {
 	}
 	if !errors.Is(res["a"].Err, repro.ErrTaskSkipped) {
 		t.Fatalf("a error = %v, want ErrTaskSkipped", res["a"].Err)
+	}
+}
+
+// TestGraphRunConcurrentFirstUse runs a fresh graph from four
+// goroutines at once: the first Runs race to compile, and each must see
+// a whole template (the cache is one atomic pointer; the last store
+// wins).
+func TestGraphRunConcurrentFirstUse(t *testing.T) {
+	rt := repro.New(repro.WithWorkers(2))
+	defer rt.Close()
+	for round := 0; round < 20; round++ {
+		g := repro.NewGraph().
+			Add("a", nil, func(*repro.Ctx, map[string]any) (any, error) { return 20, nil }).
+			Add("b", []string{"a"}, func(_ *repro.Ctx, deps map[string]any) (any, error) {
+				return deps["a"].(int) + 1, nil
+			})
+		start := make(chan struct{})
+		errs := make(chan error, 4)
+		for i := 0; i < 4; i++ {
+			go func() {
+				<-start
+				res, err := g.Run(context.Background(), rt)
+				if err == nil {
+					if v, verr := repro.Value[int](res, "b"); verr != nil || v != 21 {
+						err = fmt.Errorf("b = %v, %v; want 21, nil", v, verr)
+					}
+				}
+				errs <- err
+			}()
+		}
+		close(start)
+		for i := 0; i < 4; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestBypassChainDrains(t *testing.T) {
 			var x int64
 			var ran atomic.Int64
 			err := rt.Run(func(c *Ctx) {
-				c.GoFn(func(*Ctx) (any, error) { return nil, boom }, InOut(&x))
+				goAny(c, func(*Ctx) (any, error) { return nil, boom }, InOut(&x))
 				for i := 0; i < n; i++ {
 					c.Spawn(func(*Ctx) { ran.Add(1) }, InOut(&x))
 				}

@@ -17,7 +17,7 @@ func TestExternalDoneReleasesOnRootShard(t *testing.T) {
 	const tasks = 8
 	for i := 0; i < tasks; i++ {
 		evc := make(chan *EventCounter, 1)
-		h := rt.Submit(func(c *Ctx) (any, error) {
+		h := submitAny(rt, func(c *Ctx) (any, error) {
 			ev := c.Events()
 			ev.Add(1)
 			evc <- ev
@@ -90,7 +90,7 @@ func TestExternalDoneShardStorm(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					hs := make([]*AnyFuture, 0, perSub)
+					hs := make([]*anyFuture, 0, perSub)
 					for i := 0; i < perSub; i++ {
 						cell := &cells[(g+i)%ncells]
 						body := func(*Ctx) (any, error) { *cell++; return nil, nil }
@@ -102,7 +102,7 @@ func TestExternalDoneShardStorm(t *testing.T) {
 								return nil, nil
 							}
 						}
-						hs = append(hs, rt.Submit(body, InOut(cell)))
+						hs = append(hs, submitAny(rt, body, InOut(cell)))
 					}
 					for _, h := range hs {
 						if _, err := h.Wait(nil); err != nil {

@@ -100,7 +100,7 @@ func TestElasticDrainWhileParked(t *testing.T) {
 	defer rt.Close()
 	var x int
 	var order atomic.Int32
-	h := rt.Submit(func(c *Ctx) (any, error) {
+	h := submitAny(rt, func(c *Ctx) (any, error) {
 		c.Spawn(func(c *Ctx) {
 			order.CompareAndSwap(0, 1)
 			c.After(10 * time.Millisecond)
@@ -136,7 +136,7 @@ func TestLoopRecruitsFromParkedPool(t *testing.T) {
 		return s.Parked == 4
 	})
 	ranOn := make([]atomic.Bool, rt.Slots())
-	err := rt.RunLoop(0, 64, 1, func(c *Ctx, _, _ int) {
+	err := runLoop(rt, 0, 64, 1, func(c *Ctx, _, _ int) {
 		ranOn[c.Worker()].Store(true)
 		for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
 		}
@@ -176,7 +176,7 @@ func TestElasticLostWakeupStorm(t *testing.T) {
 			defer watchdog.Stop()
 			for r := 0; r < rounds; r++ {
 				var x int
-				h := rt.Submit(func(c *Ctx) (any, error) {
+				h := submitAny(rt, func(c *Ctx) (any, error) {
 					for i := 0; i < 4; i++ {
 						c.Spawn(func(*Ctx) { ran.Add(1) }, Out(&x))
 					}

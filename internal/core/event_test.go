@@ -19,7 +19,7 @@ func TestEventDeferredReleaseOrdersSuccessor(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	var x int
-	a := rt.Submit(func(c *Ctx) (any, error) {
+	a := submitAny(rt, func(c *Ctx) (any, error) {
 		ev := c.Events()
 		ev.Add(1)
 		go func() {
@@ -30,11 +30,11 @@ func TestEventDeferredReleaseOrdersSuccessor(t *testing.T) {
 		return nil, nil
 	}, Out(&x))
 	var got int
-	b := rt.Submit(func(*Ctx) (any, error) {
+	b := submitAny(rt, func(*Ctx) (any, error) {
 		got = x
 		return nil, nil
 	}, In(&x))
-	for _, h := range []*AnyFuture{a, b} {
+	for _, h := range []*anyFuture{a, b} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -59,10 +59,10 @@ func TestEventDecrementBeforeReturnRace(t *testing.T) {
 	defer rt.Close()
 	const n = 400
 	var completed atomic.Int64
-	handles := make([]*AnyFuture, n)
+	handles := make([]*anyFuture, n)
 	for i := 0; i < n; i++ {
 		i := i
-		handles[i] = rt.Submit(func(c *Ctx) (any, error) {
+		handles[i] = submitAny(rt, func(c *Ctx) (any, error) {
 			ev := c.Events()
 			k := 1 + i%2
 			ev.Add(k)
@@ -102,26 +102,26 @@ func TestEventDoneFromWorkerBypass(t *testing.T) {
 	defer rt.Close()
 	var x int
 	ecCh := make(chan *EventCounter, 1)
-	a := rt.Submit(func(c *Ctx) (any, error) {
+	a := submitAny(rt, func(c *Ctx) (any, error) {
 		ev := c.Events()
 		ev.Add(1)
 		ecCh <- ev
 		return nil, nil
 	}, Out(&x))
 	var got atomic.Int64
-	b := rt.Submit(func(*Ctx) (any, error) {
+	b := submitAny(rt, func(*Ctx) (any, error) {
 		got.Store(int64(x))
 		return nil, nil
 	}, In(&x))
 	// completer is an independent task that finishes a's event from its
 	// own body.
-	completer := rt.Submit(func(c *Ctx) (any, error) {
+	completer := submitAny(rt, func(c *Ctx) (any, error) {
 		ev := <-ecCh
 		x = 7
 		ev.DoneFrom(c)
 		return nil, nil
 	})
-	for _, h := range []*AnyFuture{a, b, completer} {
+	for _, h := range []*anyFuture{a, b, completer} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -144,21 +144,21 @@ func TestEventCancellationWhilePending(t *testing.T) {
 	defer rt.Close()
 	sentinel := errors.New("backend exploded")
 	var x int
-	var hSucc, hFail *AnyFuture
+	var hSucc, hFail *anyFuture
 	var succRan atomic.Bool
 	err := rt.Run(func(c *Ctx) {
 		ev := make(chan *EventCounter, 1)
-		c.GoFn(func(cc *Ctx) (any, error) {
+		goAny(c, func(cc *Ctx) (any, error) {
 			e := cc.Events()
 			e.Add(1)
 			ev <- e
 			return nil, nil
 		}, Out(&x))
-		hSucc = c.GoFn(func(*Ctx) (any, error) {
+		hSucc = goAny(c, func(*Ctx) (any, error) {
 			succRan.Store(true)
 			return nil, nil
 		}, In(&x))
-		hFail = c.GoFn(func(*Ctx) (any, error) {
+		hFail = goAny(c, func(*Ctx) (any, error) {
 			return nil, sentinel
 		})
 		go func() {
@@ -191,7 +191,7 @@ func TestEventPanicWhileHoldingEvents(t *testing.T) {
 	rt := New(Config{Workers: 2, OnError: CollectAll})
 	defer rt.Close()
 	var fired atomic.Bool
-	h := rt.Submit(func(c *Ctx) (any, error) {
+	h := submitAny(rt, func(c *Ctx) (any, error) {
 		ev := c.Events()
 		ev.Add(1)
 		go func() {
@@ -220,7 +220,7 @@ func TestEventPanicWhileHoldingEvents(t *testing.T) {
 func TestEventsOnLoopTasksRejected(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
-	err := rt.RunLoop(0, 8, 1, func(c *Ctx, lo, hi int) {
+	err := runLoop(rt, 0, 8, 1, func(c *Ctx, lo, hi int) {
 		c.Events()
 	})
 	var pe *PanicError
@@ -238,7 +238,7 @@ func TestEventCounterMisusePanics(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	var ec *EventCounter
-	h := rt.Submit(func(c *Ctx) (any, error) {
+	h := submitAny(rt, func(c *Ctx) (any, error) {
 		ec = c.Events()
 		return nil, nil
 	})
@@ -267,13 +267,13 @@ func TestAfterDefersCompletion(t *testing.T) {
 	const d = 20 * time.Millisecond
 	start := time.Now()
 	var overlapped atomic.Bool
-	h := rt.Submit(func(c *Ctx) (any, error) {
+	h := submitAny(rt, func(c *Ctx) (any, error) {
 		c.After(d)
 		return nil, nil
 	})
 	// This task only runs if the worker was freed while the timer
 	// pends.
-	h2 := rt.Submit(func(*Ctx) (any, error) {
+	h2 := submitAny(rt, func(*Ctx) (any, error) {
 		overlapped.Store(true)
 		return nil, nil
 	})
@@ -298,16 +298,16 @@ func TestAfterFuncDeliversResponse(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	var resp int
-	a := rt.Submit(func(c *Ctx) (any, error) {
+	a := submitAny(rt, func(c *Ctx) (any, error) {
 		c.AfterFunc(2*time.Millisecond, func() { resp = 99 })
 		return nil, nil
 	}, Out(&resp))
 	var got int
-	b := rt.Submit(func(*Ctx) (any, error) {
+	b := submitAny(rt, func(*Ctx) (any, error) {
 		got = resp
 		return nil, nil
 	}, In(&resp))
-	for _, h := range []*AnyFuture{a, b} {
+	for _, h := range []*anyFuture{a, b} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestAwaitHelpsOnSingleWorker(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	err := rt.Run(func(c *Ctx) {
-		inner := rt.Submit(func(*Ctx) (any, error) { return 21, nil })
+		inner := submitAny(rt, func(*Ctx) (any, error) { return 21, nil })
 		if err := c.Await(&inner.Handle); err != nil {
 			panic(err)
 		}
@@ -359,10 +359,10 @@ func TestEventsAcrossConfigs(t *testing.T) {
 			const n = 100
 			var sum atomic.Int64
 			cells := make([]int, n)
-			handles := make([]*AnyFuture, 0, 2*n)
+			handles := make([]*anyFuture, 0, 2*n)
 			for j := 0; j < n; j++ {
 				j := j
-				handles = append(handles, rt.Submit(func(c *Ctx) (any, error) {
+				handles = append(handles, submitAny(rt, func(c *Ctx) (any, error) {
 					ev := c.Events()
 					ev.Add(1)
 					go func() {
@@ -371,7 +371,7 @@ func TestEventsAcrossConfigs(t *testing.T) {
 					}()
 					return nil, nil
 				}, Out(&cells[j])))
-				handles = append(handles, rt.Submit(func(*Ctx) (any, error) {
+				handles = append(handles, submitAny(rt, func(*Ctx) (any, error) {
 					sum.Add(int64(cells[j]))
 					return nil, nil
 				}, In(&cells[j])))
@@ -412,9 +412,9 @@ func TestEventWithCommutativeAccess(t *testing.T) {
 		}()
 		return nil, nil
 	}
-	h1 := rt.Submit(body, Commutative(&x))
-	h2 := rt.Submit(body, Commutative(&x))
-	for _, h := range []*AnyFuture{h1, h2} {
+	h1 := submitAny(rt, body, Commutative(&x))
+	h2 := submitAny(rt, body, Commutative(&x))
+	for _, h := range []*anyFuture{h1, h2} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func TestDrainGraceful(t *testing.T) {
 	defer rt.Close()
 	var done atomic.Int64
 	for i := 0; i < 20; i++ {
-		rt.Submit(func(c *Ctx) (any, error) {
+		submitAny(rt, func(c *Ctx) (any, error) {
 			c.After(2 * time.Millisecond)
 			done.Add(1)
 			return nil, nil
@@ -459,7 +459,7 @@ func TestDrainContextCancel(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	release := make(chan struct{})
-	h := rt.Submit(func(c *Ctx) (any, error) {
+	h := submitAny(rt, func(c *Ctx) (any, error) {
 		ev := c.Events()
 		ev.Add(1)
 		go func() {
@@ -507,21 +507,21 @@ func TestTenThousandInflightGraphsOnEightWorkers(t *testing.T) {
 	reqKey := func(r int) int { return int(uint64(r) * 2654435761 % uint64(nkeys)) }
 	reqDelta := func(r int) float64 { return float64(1 + (r*7+3)%11) }
 
-	replies := make([]*AnyFuture, requests)
+	replies := make([]*anyFuture, requests)
 	for r := 0; r < requests; r++ {
 		st, rp := &stage[r], &resp[r]
 		key := &keys[reqKey(r)]
-		rt.Submit(func(*Ctx) (any, error) {
+		submitAny(rt, func(*Ctx) (any, error) {
 			*st = reqDelta(r)
 			return nil, nil
 		}, Out(st))
-		rt.Submit(func(c *Ctx) (any, error) {
+		submitAny(rt, func(c *Ctx) (any, error) {
 			ec := c.Events()
 			ec.Add(1)
 			evs[r] = ec // published to the firing goroutines via PendingEvents below
 			return nil, nil
 		}, In(st), Out(rp))
-		replies[r] = rt.Submit(func(*Ctx) (any, error) {
+		replies[r] = submitAny(rt, func(*Ctx) (any, error) {
 			*key += *rp
 			return nil, nil
 		}, In(rp), InOut(key))
@@ -576,7 +576,7 @@ func TestTenThousandInflightGraphsOnEightWorkers(t *testing.T) {
 }
 
 // TestDrainRacesAdmission: submitters loop over every root kind —
-// RunCtx, SubmitCtx, SubmitLoop and SubmitReq — while Drain fires
+// RunCtx, SubmitBody, SubmitLoop and SubmitReq — while Drain fires
 // mid-storm, once with the inline-serving slots free and once with them
 // held, so that every SubmitReq dispatches. Every call returns nil or
 // ErrRuntimeDraining; the bodies of every admitted call ran before Drain
@@ -592,7 +592,7 @@ func TestDrainRacesAdmission(t *testing.T) {
 			return rt.RunCtx(context.Background(), func(c *Ctx) { body(c); c.Spawn(body) })
 		}},
 		{"submit", 1, func(rt *Runtime, body func(*Ctx)) error {
-			_, err := rt.SubmitCtx(context.Background(), func(c *Ctx) (any, error) { body(c); return nil, nil }).Wait(nil)
+			_, err := submitAnyCtx(context.Background(), rt, func(c *Ctx) (any, error) { body(c); return nil, nil }).Wait(nil)
 			return err
 		}},
 		{"loop", 4, func(rt *Runtime, body func(*Ctx)) error {

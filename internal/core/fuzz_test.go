@@ -117,13 +117,13 @@ func runFuzzGraph(t *testing.T, data []byte, dk DepsKind, pol ErrorPolicy) {
 	defer rt.Close()
 
 	var executed atomic.Int64
-	handles := make([]*AnyFuture, len(tasks))
+	handles := make([]*anyFuture, len(tasks))
 	done := make(chan error, 1)
 	go func() {
 		done <- rt.Run(func(c *Ctx) {
 			for i, ft := range tasks {
 				ft := ft
-				handles[i] = c.GoFn(func(*Ctx) (any, error) {
+				handles[i] = goAny(c, func(*Ctx) (any, error) {
 					executed.Add(1)
 					if ft.fail {
 						return nil, errFuzzTask

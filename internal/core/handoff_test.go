@@ -45,7 +45,7 @@ func drive(rt *Runtime) {
 
 // driveUntil plays worker 0 until h resolves, waiting out the timers
 // and external completions that release tasks from other goroutines.
-func driveUntil(t *testing.T, rt *Runtime, h *AnyFuture) {
+func driveUntil(t *testing.T, rt *Runtime, h *anyFuture) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
 		drive(rt)
@@ -62,7 +62,7 @@ func driveUntil(t *testing.T, rt *Runtime, h *AnyFuture) {
 
 // settled fails the test unless h resolved without error and every task
 // of the runtime fully completed.
-func settled(t *testing.T, rt *Runtime, h *AnyFuture) {
+func settled(t *testing.T, rt *Runtime, h *anyFuture) {
 	t.Helper()
 	select {
 	case <-h.Done():
@@ -78,8 +78,8 @@ func settled(t *testing.T, rt *Runtime, h *AnyFuture) {
 }
 
 // submit is Submit for a body without a result.
-func submit(rt *Runtime, body func(*Ctx)) *AnyFuture {
-	return rt.Submit(func(c *Ctx) (any, error) {
+func submit(rt *Runtime, body func(*Ctx)) *anyFuture {
+	return submitAny(rt, func(c *Ctx) (any, error) {
 		body(c)
 		return nil, nil
 	})
@@ -129,9 +129,9 @@ func TestBypassGates(t *testing.T) {
 				if producer == nil {
 					t.Fatal("the producer is not queued")
 				}
-				var hi *AnyFuture
+				var hi *anyFuture
 				if tc.queueHigher {
-					hi = rt.Submit(func(*Ctx) (any, error) { return nil, nil }, Priority(MaxPriority))
+					hi = submitAny(rt, func(*Ctx) (any, error) { return nil, nil }, Priority(MaxPriority))
 				}
 				added := rt.added.Sum()
 				next := rt.execute(producer, 0)
@@ -243,7 +243,7 @@ func TestBypassSlotEmptyAroundBodies(t *testing.T) {
 			}
 		}},
 		{"declined-node", func(t *testing.T, rt *Runtime, wrap func(func(*Ctx)) func(*Ctx)) {
-			var hi *AnyFuture
+			var hi *anyFuture
 			ran := false
 			h := submit(rt, wrap(func(c *Ctx) {
 				// A fan-out sibling, spawned first, and then the kept
@@ -251,7 +251,7 @@ func TestBypassSlotEmptyAroundBodies(t *testing.T) {
 				// away from the continuation: GraphExec.advance's
 				// declined branch.
 				c.Spawn(wrap(func(*Ctx) {}))
-				hi = rt.Submit(func(*Ctx) (any, error) { return nil, nil }, Priority(MaxPriority))
+				hi = submitAny(rt, func(*Ctx) (any, error) { return nil, nil }, Priority(MaxPriority))
 				if ContinueNode(c, 1) {
 					t.Error("ContinueNode passed with an elevated task queued")
 				}

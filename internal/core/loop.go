@@ -72,7 +72,7 @@ type loopState struct {
 	// fail holds the first error of a chunk that executed under a steal
 	// descriptor (descriptors have no handle of their own — see
 	// Task.fail). The owner folds it into the loop's handle after the
-	// descriptors complete, so GoLoop/SubmitLoop callers observe chunk
+	// descriptors complete, so SubmitLoop callers observe chunk
 	// failures even under CollectAll, where no scope abort occurs.
 	fail atomic.Pointer[error]
 }
@@ -122,20 +122,14 @@ func putLoopState(ls *loopState) {
 	loopPool.Put(ls)
 }
 
-// RunLoop executes body over [lo, hi) as one work-sharing loop task and
-// blocks until every chunk has completed. grain <= 0 selects the
-// adaptive grain (about loopGrainTarget chunks per worker). The loop's
-// accesses participate in root-level dependency chains exactly like
-// Run/Submit roots. The public façade wrappers are repro.ForEach and
-// repro.ForReduce.
-func (rt *Runtime) RunLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) error {
-	return rt.SubmitLoop(context.Background(), lo, hi, grain, body, accs...).Wait(nil)
-}
-
-// SubmitLoop submits a root work-sharing loop task without waiting; the
-// Handle resolves at the loop's full completion (every chunk drained).
-// ctx cancellation skips unexecuted chunks; the Handle then reports an
-// error matching ErrTaskSkipped wrapping the cause.
+// SubmitLoop submits body over [lo, hi) as one root work-sharing loop
+// task without waiting; the Handle resolves at the loop's full
+// completion (every chunk drained). grain <= 0 selects the adaptive
+// grain (about loopGrainTarget chunks per worker). The loop's accesses
+// join root-level dependency chains exactly like Run roots. ctx
+// cancellation skips unexecuted chunks; the Handle then reports an
+// error matching ErrTaskSkipped wrapping the cause. The façade wrappers
+// are repro.ForEach and repro.ForReduce.
 func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) *Handle {
 	h := new(Handle)
 	rt.submitRoot(ctx, h, accs, func(slot int) *Task {
@@ -155,16 +149,6 @@ func (rt *Runtime) SubmitLoop(ctx context.Context, lo, hi, grain int, body func(
 func (c *Ctx) Loop(lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) {
 	t := c.rt.newLoopTask(c.task, lo, hi, grain, body, accs, c.worker)
 	c.rt.register(c.task, t, c.worker)
-}
-
-// GoLoop is Loop returning the loop's completion Handle (resolved at
-// full completion, like GoFn's); like Spawn, it may run ready tasks first.
-func (c *Ctx) GoLoop(lo, hi, grain int, body func(*Ctx, int, int), accs ...AccessSpec) *Handle {
-	h := new(Handle)
-	t := c.rt.newLoopTask(c.task, lo, hi, grain, body, accs, c.worker)
-	t.handle = h
-	c.rt.register(c.task, t, c.worker)
-	return h
 }
 
 // runLoopBody is the body of both the loop owner and its steal

@@ -35,13 +35,13 @@ func TestLoopRunsEveryIterationExactlyOnce(t *testing.T) {
 		rt := loopTestRT(t, workers)
 		const n = 10000
 		hits := make([]atomic.Int32, n)
-		err := rt.RunLoop(0, n, 0, func(_ *Ctx, lo, hi int) {
+		err := runLoop(rt, 0, n, 0, func(_ *Ctx, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hits[i].Add(1)
 			}
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: RunLoop: %v", workers, err)
+			t.Fatalf("workers=%d: runLoop: %v", workers, err)
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
@@ -56,10 +56,10 @@ func TestLoopEmptyRange(t *testing.T) {
 	rt := loopTestRT(t, 2)
 	var calls atomic.Int32
 	body := func(*Ctx, int, int) { calls.Add(1) }
-	if err := rt.RunLoop(5, 5, 0, body); err != nil {
+	if err := runLoop(rt, 5, 5, 0, body); err != nil {
 		t.Fatalf("empty range: %v", err)
 	}
-	if err := rt.RunLoop(7, 3, 0, body); err != nil {
+	if err := runLoop(rt, 7, 3, 0, body); err != nil {
 		t.Fatalf("inverted range: %v", err)
 	}
 	if got := calls.Load(); got != 0 {
@@ -72,7 +72,7 @@ func TestLoopGrainLargerThanRange(t *testing.T) {
 	rt := loopTestRT(t, 4)
 	var chunks atomic.Int32
 	var span atomic.Int64
-	err := rt.RunLoop(3, 10, 100, func(_ *Ctx, lo, hi int) {
+	err := runLoop(rt, 3, 10, 100, func(_ *Ctx, lo, hi int) {
 		chunks.Add(1)
 		span.Add(int64(hi - lo))
 		if lo != 3 || hi != 10 {
@@ -91,7 +91,7 @@ func TestLoopExplicitGrainBoundsChunks(t *testing.T) {
 	rt := loopTestRT(t, 4)
 	const n, grain = 1000, 64
 	var covered atomic.Int64
-	err := rt.RunLoop(0, n, grain, func(_ *Ctx, lo, hi int) {
+	err := runLoop(rt, 0, n, grain, func(_ *Ctx, lo, hi int) {
 		if hi-lo > grain {
 			t.Errorf("chunk [%d,%d) exceeds grain %d", lo, hi, grain)
 		}
@@ -185,7 +185,7 @@ func TestLoopCancelledBeforeStart(t *testing.T) {
 
 func TestLoopChunkPanicFailsScope(t *testing.T) {
 	rt := loopTestRT(t, 4)
-	err := rt.RunLoop(0, 1000, 8, func(_ *Ctx, lo, hi int) {
+	err := runLoop(rt, 0, 1000, 8, func(_ *Ctx, lo, hi int) {
 		if lo <= 500 && 500 < hi {
 			panic("chunk exploded")
 		}
@@ -197,29 +197,21 @@ func TestLoopChunkPanicFailsScope(t *testing.T) {
 	waitQuiescent(t, rt)
 }
 
-// TestLoopGoLoopChunkErrorUnderCollectAll: a chunk panic must surface
-// through the loop's own Handle even under CollectAll (no scope abort)
-// and even when the failing chunk executed under a steal descriptor,
-// which has no handle of its own.
-func TestLoopGoLoopChunkErrorUnderCollectAll(t *testing.T) {
+// TestLoopSubmitLoopChunkErrorUnderCollectAll: a chunk panic must
+// surface through the loop's own Handle even under CollectAll (no scope
+// abort) and even when the failing chunk executed under a steal
+// descriptor, which has no handle of its own.
+func TestLoopSubmitLoopChunkErrorUnderCollectAll(t *testing.T) {
 	rt := New(Config{Workers: 4, NUMANodes: 1, OnError: CollectAll})
 	defer rt.Close()
-	err := rt.Run(func(c *Ctx) {
-		h := c.GoLoop(0, 10000, 8, func(_ *Ctx, lo, hi int) {
-			if lo <= 7777 && 7777 < hi {
-				panic("chunk exploded")
-			}
-		})
-		c.Taskwait()
-		herr := h.Wait(nil)
-		var pe *PanicError
-		if !errors.As(herr, &pe) {
-			t.Errorf("loop handle err = %v, want *PanicError", herr)
+	h := rt.SubmitLoop(context.Background(), 0, 10000, 8, func(_ *Ctx, lo, hi int) {
+		if lo <= 7777 && 7777 < hi {
+			panic("chunk exploded")
 		}
 	})
 	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("scope err = %v, want *PanicError joined", err)
+	if err := h.Wait(nil); !errors.As(err, &pe) {
+		t.Fatalf("loop handle err = %v, want *PanicError", err)
 	}
 	waitQuiescent(t, rt)
 }
@@ -258,7 +250,7 @@ func TestLoopNestedInsideChunk(t *testing.T) {
 	rt := loopTestRT(t, 4)
 	const outer, inner = 64, 128
 	var total atomic.Int64
-	err := rt.RunLoop(0, outer, 4, func(c *Ctx, lo, hi int) {
+	err := runLoop(rt, 0, outer, 4, func(c *Ctx, lo, hi int) {
 		c.Loop(0, inner, 0, func(_ *Ctx, ilo, ihi int) {
 			total.Add(int64(ihi - ilo))
 		})
@@ -327,7 +319,7 @@ func TestLoopOnEverySchedulerKind(t *testing.T) {
 		rt := New(Config{Workers: 4, NUMANodes: 1, Scheduler: kind})
 		const n = 20000
 		var covered atomic.Int64
-		err := rt.RunLoop(0, n, 64, func(_ *Ctx, lo, hi int) {
+		err := runLoop(rt, 0, n, 64, func(_ *Ctx, lo, hi int) {
 			covered.Add(int64(hi - lo))
 		})
 		if err != nil {
@@ -349,7 +341,7 @@ func TestLoopManyConcurrentLoops(t *testing.T) {
 	counts := make([]atomic.Int64, loops)
 	for l := 0; l < loops; l++ {
 		go func(l int) {
-			done <- rt.RunLoop(0, n, 0, func(_ *Ctx, lo, hi int) {
+			done <- runLoop(rt, 0, n, 0, func(_ *Ctx, lo, hi int) {
 				counts[l].Add(int64(hi - lo))
 			})
 		}(l)
@@ -367,22 +359,15 @@ func TestLoopManyConcurrentLoops(t *testing.T) {
 	waitQuiescent(t, rt)
 }
 
-// TestLoopGoLoopHandle resolves a child loop through its Handle.
-func TestLoopGoLoopHandle(t *testing.T) {
+// TestLoopSubmitLoopHandle resolves a root loop through its Handle,
+// after every iteration has run.
+func TestLoopSubmitLoopHandle(t *testing.T) {
 	rt := loopTestRT(t, 2)
 	var total atomic.Int64
-	err := rt.Run(func(c *Ctx) {
-		h := c.GoLoop(0, 1000, 0, func(_ *Ctx, lo, hi int) {
-			total.Add(int64(hi - lo))
-		})
-		c.Taskwait()
-		select {
-		case <-h.Done():
-		default:
-			t.Error("handle unresolved after Taskwait")
-		}
+	h := rt.SubmitLoop(context.Background(), 0, 1000, 0, func(_ *Ctx, lo, hi int) {
+		total.Add(int64(hi - lo))
 	})
-	if err != nil {
+	if err := h.Wait(nil); err != nil {
 		t.Fatal(err)
 	}
 	if total.Load() != 1000 {

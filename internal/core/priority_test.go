@@ -56,24 +56,24 @@ func TestPriorityRespectsDependencies(t *testing.T) {
 			rt := New(Config{Workers: 1, Scheduler: sk})
 			defer rt.Close()
 			release := make(chan struct{})
-			gate := rt.Submit(func(*Ctx) (any, error) {
+			gate := submitAny(rt, func(*Ctx) (any, error) {
 				<-release
 				return nil, nil
 			})
 			var x float64
 			var aDone atomic.Bool
-			a := rt.Submit(func(*Ctx) (any, error) {
+			a := submitAny(rt, func(*Ctx) (any, error) {
 				x = 42
 				aDone.Store(true)
 				return nil, nil
 			}, Out(&x))
 			var sawPredecessor atomic.Bool
-			b := rt.Submit(func(*Ctx) (any, error) {
+			b := submitAny(rt, func(*Ctx) (any, error) {
 				sawPredecessor.Store(aDone.Load() && x == 42)
 				return nil, nil
 			}, In(&x), Priority(MaxPriority))
 			close(release)
-			for _, h := range []*AnyFuture{gate, a, b} {
+			for _, h := range []*anyFuture{gate, a, b} {
 				if _, err := h.Wait(nil); err != nil {
 					t.Fatal(err)
 				}
@@ -105,20 +105,20 @@ func TestPriorityBypassYieldsToQueuedHigher(t *testing.T) {
 	queued := make(chan struct{})
 	// t1 holds the worker; its completion releases s (the bypass
 	// candidate). q is queued at MaxPriority while t1 runs.
-	t1 := rt.Submit(func(*Ctx) (any, error) {
+	t1 := submitAny(rt, func(*Ctx) (any, error) {
 		<-queued
 		return nil, nil
 	}, InOut(&a))
-	s := rt.Submit(func(*Ctx) (any, error) {
+	s := submitAny(rt, func(*Ctx) (any, error) {
 		record("successor")
 		return nil, nil
 	}, InOut(&a))
-	q := rt.Submit(func(*Ctx) (any, error) {
+	q := submitAny(rt, func(*Ctx) (any, error) {
 		record("interactive")
 		return nil, nil
 	}, Priority(MaxPriority))
 	close(queued) // q's registration completed: it is queued at level 3
-	for _, h := range []*AnyFuture{t1, s, q} {
+	for _, h := range []*anyFuture{t1, s, q} {
 		if _, err := h.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestPriorityStarvationBounded(t *testing.T) {
 							return
 						default:
 						}
-						h := rt.Submit(func(*Ctx) (any, error) {
+						h := submitAny(rt, func(*Ctx) (any, error) {
 							interactiveRan.Add(1)
 							return nil, nil
 						}, Priority(MaxPriority))
@@ -165,9 +165,9 @@ func TestPriorityStarvationBounded(t *testing.T) {
 			}
 
 			const batch = 50
-			handles := make([]*AnyFuture, batch)
+			handles := make([]*anyFuture, batch)
 			for i := range handles {
-				handles[i] = rt.Submit(func(*Ctx) (any, error) { return nil, nil })
+				handles[i] = submitAny(rt, func(*Ctx) (any, error) { return nil, nil })
 			}
 			done := make(chan struct{})
 			go func() {
@@ -205,7 +205,7 @@ func TestPriorityWithTaskloopsStress(t *testing.T) {
 			var sum atomic.Int64
 			loopDone := make(chan error, 1)
 			go func() {
-				loopDone <- rt.RunLoop(0, iters, 64, func(_ *Ctx, lo, hi int) {
+				loopDone <- runLoop(rt, 0, iters, 64, func(_ *Ctx, lo, hi int) {
 					s := 0
 					for i := lo; i < hi; i++ {
 						s += i
@@ -214,9 +214,9 @@ func TestPriorityWithTaskloopsStress(t *testing.T) {
 				})
 			}()
 			var interactive atomic.Int64
-			var handles []*AnyFuture
+			var handles []*anyFuture
 			for i := 0; i < 200; i++ {
-				handles = append(handles, rt.Submit(func(*Ctx) (any, error) {
+				handles = append(handles, submitAny(rt, func(*Ctx) (any, error) {
 					interactive.Add(1)
 					return nil, nil
 				}, Priority(MaxPriority)))

@@ -30,7 +30,7 @@ func NewReq() *Req {
 	return &Req{done: make(chan struct{}, 1)}
 }
 
-// SubmitReq submits a root task like SubmitCtx, resolving the
+// SubmitReq submits a root task like SubmitBody, resolving the
 // caller-pooled Req instead of allocating a Handle. body runs under a
 // fresh (pooled) scope with ctx and the configured ErrorPolicy; if
 // d > 0 the scope also carries a deadline d from now, observed exactly

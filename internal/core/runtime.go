@@ -451,7 +451,7 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []AccessSpec, wor
 const spawnWindow = 2048
 
 // register links a child the running task's body created (Spawn,
-// GoBody, Loop, GoLoop) into the dependency graph — the window's one
+// GoBody, Loop) into the dependency graph — the window's one
 // enforcement site: past spawnWindow children in flight, it helps.
 func (rt *Runtime) register(parent *Task, t *Task, worker int) {
 	if rt.registerWith(parent, nil, t, worker) > spawnWindow {

@@ -217,9 +217,9 @@ func (sc *scope) err() error {
 // Handle is the completion latch of a submitted task: it carries the
 // task's error and resolves at the task's *full* completion (body
 // finished and every descendant complete). Its zero value is ready to
-// use, and it is meant to be embedded: the typed repro.Future[T] and
-// core's untyped AnyFuture embed one next to their result, so a
-// result-delivering submission is a single allocation.
+// use, and it is meant to be embedded: the typed repro.Future[T] embeds
+// one next to its result, so a result-delivering submission is a single
+// allocation.
 //
 // The done channel is made lazily, as context.cancelCtx makes its own:
 // the slot holds the channel a waiter asked for before completion, or

@@ -11,14 +11,14 @@ func TestHandleSubmit(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 
-	h := rt.Submit(func(*Ctx) (any, error) { return 41, nil })
+	h := submitAny(rt, func(*Ctx) (any, error) { return 41, nil })
 	v, err := h.Wait(nil)
 	if err != nil || v.(int) != 41 {
 		t.Fatalf("Wait = %v, %v; want 41, nil", v, err)
 	}
 
 	boom := errors.New("boom")
-	h = rt.Submit(func(*Ctx) (any, error) { return nil, boom })
+	h = submitAny(rt, func(*Ctx) (any, error) { return nil, boom })
 	if _, err := h.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Wait = %v, want %v", err, boom)
 	}
@@ -40,7 +40,7 @@ func TestSubmitDuringRun(t *testing.T) {
 		})
 	}()
 	<-inRun
-	h := rt.Submit(func(*Ctx) (any, error) { return "ok", nil })
+	h := submitAny(rt, func(*Ctx) (any, error) { return "ok", nil })
 	v, err := h.Wait(nil) // completes while the Run is still blocked
 	if err != nil || v.(string) != "ok" {
 		t.Fatalf("Submit during Run = %v, %v", v, err)
@@ -107,7 +107,7 @@ func TestCollectAllKeepsRunning(t *testing.T) {
 
 	ran := 0
 	err := rt.Run(func(c *Ctx) {
-		c.GoFn(func(*Ctx) (any, error) { return nil, errors.New("early") })
+		goAny(c, func(*Ctx) (any, error) { return nil, errors.New("early") })
 		c.Spawn(func(*Ctx) { ran++ })
 		c.Taskwait()
 	})

@@ -4,7 +4,7 @@ import "context"
 
 // Run submits a root task and blocks until it and all its descendants
 // have fully completed. It returns the scope's aggregate error: task
-// errors (from GoFn bodies or recovered panics) joined per the
+// errors (from future bodies, Ctx.Fail or recovered panics) joined per the
 // configured ErrorPolicy, or nil when every task succeeded. Run may be
 // called repeatedly, from multiple goroutines; submissions whose
 // accesses hash to different root-domain shards register in parallel,
@@ -43,43 +43,6 @@ func (rt *Runtime) SubmitBody(ctx context.Context, h *Handle, b Body, accs ...Ac
 		t.fn = b
 		return t
 	})
-}
-
-// AnyFuture is the untyped future of core's own Submit and GoFn: a
-// Handle plus the body and its result, in one allocation. The typed
-// façade equivalent is repro.Future[T].
-type AnyFuture struct {
-	Handle
-	fn  func(*Ctx) (any, error)
-	val any
-}
-
-// Run implements Body.
-func (f *AnyFuture) Run(c *Ctx) error {
-	v, err := f.fn(c)
-	f.fn, f.val = nil, v
-	return err
-}
-
-// Wait is Handle.Wait that also returns the task's result, nil on error.
-func (f *AnyFuture) Wait(ctx context.Context) (any, error) {
-	if err := f.Handle.Wait(ctx); err != nil {
-		return nil, err
-	}
-	return f.val, nil
-}
-
-// Submit is SubmitBody for an untyped body: it returns the task's
-// AnyFuture without waiting.
-func (rt *Runtime) Submit(fn func(*Ctx) (any, error), accs ...AccessSpec) *AnyFuture {
-	return rt.SubmitCtx(context.Background(), fn, accs...)
-}
-
-// SubmitCtx is Submit with a caller context.
-func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Ctx) (any, error), accs ...AccessSpec) *AnyFuture {
-	f := &AnyFuture{fn: fn}
-	rt.SubmitBody(ctx, &f.Handle, f, accs...)
-	return f
 }
 
 // submitRoot is the lease path of every Handle root (Run, SubmitBody,

@@ -84,21 +84,21 @@ func TestConcurrentSubmitStorm(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					handles := make([]*AnyFuture, 0, perSub)
+					handles := make([]*anyFuture, 0, perSub)
 					for i := 0; i < perSub; i++ {
 						c1 := (g*31 + i) % ncells
 						if i%5 == 0 {
 							// Multi-cell submission: both increments under
 							// one root task whose lease may span shards.
 							c2 := (c1 + 1 + i%(ncells-1)) % ncells
-							handles = append(handles, rt.Submit(func(*Ctx) (any, error) {
+							handles = append(handles, submitAny(rt, func(*Ctx) (any, error) {
 								cells[c1]++
 								cells[c2]++
 								return nil, nil
 							}, InOut(&cells[c1]), InOut(&cells[c2])))
 							continue
 						}
-						handles = append(handles, rt.Submit(func(*Ctx) (any, error) {
+						handles = append(handles, submitAny(rt, func(*Ctx) (any, error) {
 							cells[c1]++
 							return nil, nil
 						}, InOut(&cells[c1])))
@@ -132,7 +132,7 @@ func TestConcurrentSubmitStorm(t *testing.T) {
 }
 
 // TestSubmitCancellationMidStorm cancels a context while a storm of
-// SubmitCtx chains is in flight. The first task of the hot chain blocks
+// submitAnyCtx chains is in flight. The first task of the hot chain blocks
 // until the cancellation has happened, so every submission queued
 // behind it is provably unstarted at cancel time: each of those handles
 // must resolve with an error matching ErrTaskSkipped that also wraps
@@ -154,21 +154,21 @@ func TestSubmitCancellationMidStorm(t *testing.T) {
 
 			// Blocker: starts immediately (head of the hot chain), then
 			// parks until the cancellation below has been issued.
-			blocker := rt.SubmitCtx(ctx, func(c *Ctx) (any, error) {
+			blocker := submitAnyCtx(ctx, rt, func(c *Ctx) (any, error) {
 				<-cancelled
 				return nil, nil
 			}, InOut(&hot))
 
 			var executed atomic.Int64
 			var wg sync.WaitGroup
-			handles := make([][]*AnyFuture, submitters)
+			handles := make([][]*anyFuture, submitters)
 			for g := 0; g < submitters; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					hs := make([]*AnyFuture, 0, perSub)
+					hs := make([]*anyFuture, 0, perSub)
 					for i := 0; i < perSub; i++ {
-						hs = append(hs, rt.SubmitCtx(ctx, func(*Ctx) (any, error) {
+						hs = append(hs, submitAnyCtx(ctx, rt, func(*Ctx) (any, error) {
 							executed.Add(1)
 							return nil, nil
 						}, InOut(&hot)))

@@ -62,13 +62,13 @@ func TestSubmitDistinctAddressesRecyclesShells(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					futs := make([]*AnyFuture, 0, window)
+					futs := make([]*anyFuture, 0, window)
 					for i := g; i < n; i += submitters {
 						accs := []AccessSpec{InOut(&cells[i])}
 						if i%8 == 0 {
 							accs = append(accs, InOut(&hot))
 						}
-						futs = append(futs, rt.Submit(func(*Ctx) (any, error) {
+						futs = append(futs, submitAny(rt, func(*Ctx) (any, error) {
 							if len(accs) > 1 {
 								hot++
 							}
@@ -124,7 +124,7 @@ func TestRootAdmission(t *testing.T) {
 			return rt.RunCtx(ctx, body)
 		}},
 		{"submit", false, func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {
-			_, err := rt.SubmitCtx(ctx, func(c *Ctx) (any, error) { body(c); return nil, nil }).Wait(nil)
+			_, err := submitAnyCtx(ctx, rt, func(c *Ctx) (any, error) { body(c); return nil, nil }).Wait(nil)
 			return err
 		}},
 		{"loop", false, func(rt *Runtime, ctx context.Context, body func(*Ctx)) error {

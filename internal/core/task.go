@@ -142,7 +142,7 @@ type Task struct {
 // function, stores its result in the future that implements Body, and
 // returns its error. A future is its own task's body and embeds the
 // task's Handle, so submitting one allocates only the future itself
-// (repro.Future[T]; AnyFuture for core's untyped Submit and GoFn).
+// (repro.Future[T]).
 type Body interface{ Run(*Ctx) error }
 
 // resetBody drops the task-level references — closure, scope, handle,
@@ -258,13 +258,6 @@ func (c *Ctx) GoBody(h *Handle, b Body, accs ...AccessSpec) {
 	c.rt.register(c.task, t, c.worker)
 }
 
-// GoFn is GoBody for an untyped body, returning its AnyFuture.
-func (c *Ctx) GoFn(fn func(*Ctx) (any, error), accs ...AccessSpec) *AnyFuture {
-	f := &AnyFuture{fn: fn}
-	c.GoBody(&f.Handle, f, accs...)
-	return f
-}
-
 // Fail records err as the running task's failure, exactly as if a
 // future's body had returned it: the error lands in the task's scope — where
 // the ErrorPolicy decides whether the rest of the scope keeps running —
@@ -285,7 +278,7 @@ func (c *Ctx) Fail(err error) {
 func (c *Ctx) Err() error { return c.task.sc.abortCause() }
 
 // Context returns the context of the task's submission scope (the ctx
-// given to RunCtx/SubmitCtx), for passing to context-aware callees.
+// given to RunCtx or SubmitBody), for passing to context-aware callees.
 // Tasks submitted without a context get a Background context.
 func (c *Ctx) Context() context.Context {
 	if c.task.sc != nil && c.task.sc.ctx != nil {

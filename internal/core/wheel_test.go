@@ -146,7 +146,7 @@ func TestWheelOwnerBound(t *testing.T) {
 	var due, firedAt int64
 	upAtFire := -1
 	release := make(chan struct{})
-	h := rt.Submit(func(c *Ctx) (any, error) {
+	h := submitAny(rt, func(c *Ctx) (any, error) {
 		// Each child holds a worker until release, so all four are busy.
 		for i := 0; i < 4; i++ {
 			c.Spawn(func(c *Ctx) {

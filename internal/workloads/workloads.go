@@ -29,7 +29,7 @@ type Workload interface {
 	// Reset reinitializes the data to the deterministic initial state.
 	Reset()
 	// Run executes one full instance through the runtime. It returns
-	// the submission's aggregate error (recovered task panics, GoFn
+	// the submission's aggregate error (recovered task panics, task
 	// errors); numerical mismatches are Verify's department.
 	Run(rt *core.Runtime) error
 	// RunSerial executes the reference implementation on the same data.

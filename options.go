@@ -80,32 +80,12 @@ func WithSPSCCap(n int) Option {
 	return func(c *core.Config) { c.SPSCCap = n }
 }
 
-// WithScheduler selects the scheduler design.
-func WithScheduler(k SchedulerKind) Option {
-	return func(c *core.Config) { c.Scheduler = k }
-}
-
-// WithDeps selects the dependency-system implementation.
-func WithDeps(k DepsKind) Option {
-	return func(c *core.Config) { c.Deps = k }
-}
-
-// WithAlloc selects the task-memory allocator.
-func WithAlloc(k AllocKind) Option {
-	return func(c *core.Config) { c.Alloc = k }
-}
-
-// WithPolicy selects the unsynchronized scheduling policy.
-func WithPolicy(k PolicyKind) Option {
-	return func(c *core.Config) { c.Policy = k }
-}
-
 // WithEDF makes the top priority level deadline-aware: among ready
 // tasks of the highest class, the one with the earliest absolute
 // deadline (WithDeadline) runs first; deadline-less tasks sort last
 // and keep FIFO order among themselves. Lower priority levels keep the
-// configured policy. The work-stealing baseline (SchedWorkStealing)
-// ignores deadlines.
+// configured policy. The work-stealing baseline (the LLVM- and
+// Intel-like variants) ignores deadlines.
 func WithEDF() Option {
 	return func(c *core.Config) { c.EDF = true }
 }

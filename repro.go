@@ -109,8 +109,8 @@
 // inherit their parent's level, and a bounded courtesy slot keeps
 // sustained high-priority load from starving the batch class. The
 // synchronized, central and blocking schedulers honour it; the
-// work-stealing baseline (SchedWorkStealing, the LLVM- and Intel-like
-// variants of Figures 7–9) ignores priorities and deadlines. See
+// work-stealing baseline (the LLVM- and Intel-like variants of Figures
+// 7–9) ignores priorities and deadlines. See
 // DESIGN.md ("Priority scheduling and QoS") for the per-scheduler
 // table.
 //
@@ -201,20 +201,10 @@ type (
 	// (WithPriority, WithDeadline, WithInheritance). Only those helpers
 	// make one; see core.AccessSpec.
 	AccessSpec = core.AccessSpec
-	// NoiseConfig configures simulated OS noise (Figure 11).
-	NoiseConfig = core.NoiseConfig
 	// ErrorPolicy selects fail-fast vs collect-all error propagation.
 	ErrorPolicy = core.ErrorPolicy
 	// PanicError wraps a panic recovered from a task body.
 	PanicError = core.PanicError
-	// SchedulerKind selects a scheduler design.
-	SchedulerKind = core.SchedulerKind
-	// DepsKind selects a dependency-system implementation.
-	DepsKind = core.DepsKind
-	// AllocKind selects the task-memory allocator.
-	AllocKind = core.AllocKind
-	// PolicyKind selects the unsynchronized scheduling policy.
-	PolicyKind = core.PolicyKind
 	// Stats is a runtime snapshot (Runtime.Stats): pool-wide parked and
 	// spinning worker counts, cumulative park/wake counters and the
 	// scheduler backlog.
@@ -225,25 +215,12 @@ type (
 // submission scope was cancelled; see core.ErrTaskSkipped.
 var ErrTaskSkipped = core.ErrTaskSkipped
 
-// VariantOptions returns the functional options defining one of the
-// paper's preset variants — core.ConfigFor's scheduler, dependency
-// system, allocator and policy, with pool shape left to the caller. It
-// panics on an unknown variant, like core.ConfigFor.
-func VariantOptions(v Variant) []Option {
-	c := core.ConfigFor(v, 0, 0)
-	return []Option{WithScheduler(c.Scheduler), WithDeps(c.Deps), WithAlloc(c.Alloc), WithPolicy(c.Policy)}
-}
-
-// NewVariant builds a runtime from one of the paper's preset variants:
-// VariantOptions for the design axes, WithTopology for the pool shape
-// (workers, numaNodes SPSC insertion queues, pinned workers).
+// NewVariant builds a runtime from one of the paper's preset variants
+// (core.ConfigFor): the variant fixes the scheduler, dependency system,
+// allocator and policy; workers and numaNodes shape the pinned pool. It
+// panics on an unknown variant.
 func NewVariant(v Variant, workers, numaNodes int) *Runtime {
-	opts := append(VariantOptions(v), WithTopology(Topology{
-		Workers:    workers,
-		NUMANodes:  numaNodes,
-		PinWorkers: true,
-	}))
-	return New(opts...)
+	return core.New(core.ConfigFor(v, workers, numaNodes))
 }
 
 // Access declaration helpers (OmpSs-2 clause equivalents).
@@ -289,8 +266,8 @@ const MaxPriority = core.MaxPriority
 // grants the lowest waiting level a bounded courtesy slot). Children
 // inherit the spawning task's level unless they carry their own
 // clause; taskloop chunks run at their loop's level. Graph nodes take
-// theirs through Graph.SetPriority. The work-stealing baseline
-// (SchedWorkStealing) ignores the clause.
+// theirs through Graph.SetPriority. The work-stealing baseline (the
+// LLVM- and Intel-like variants) ignores the clause.
 //
 //	f := repro.Submit(rt, handle, repro.InOut(&row), repro.WithPriority(repro.MaxPriority))
 //	err := repro.ForEach(rt, 0, n, body, repro.WithAccesses(repro.WithPriority(1)))
@@ -339,24 +316,6 @@ func WithInheritance() AccessSpec { return core.Inherit() }
 // clock (nanoseconds since process start): the clock WithDeadlineAt
 // and Ctx.Deadline values live on.
 func NowNS() int64 { return core.NowNS() }
-
-// Scheduler, dependency-system, allocator and policy selectors.
-const (
-	SchedSyncDTLock    = core.SchedSyncDTLock
-	SchedCentralPTLock = core.SchedCentralPTLock
-	SchedBlocking      = core.SchedBlocking
-	SchedWorkStealing  = core.SchedWorkStealing
-
-	DepsWaitFree = core.DepsWaitFree
-	DepsLocked   = core.DepsLocked
-
-	AllocPooled = core.AllocPooled
-	AllocSerial = core.AllocSerial
-
-	PolicyFIFO     = core.PolicyFIFO
-	PolicyLIFO     = core.PolicyLIFO
-	PolicyLocality = core.PolicyLocality
-)
 
 // Error-propagation policies (see ErrorPolicy).
 const (

@@ -50,18 +50,28 @@ func TestPublicAPIReductions(t *testing.T) {
 }
 
 // TestPublicAPIVariants builds all seven presets through the façade:
-// each has core.ConfigFor's design axes, and a spawned task runs.
+// each has core.ConfigFor's whole design (the four axes, the pinned
+// pool and its shape), and a spawned task runs.
 func TestPublicAPIVariants(t *testing.T) {
+	type design struct {
+		Scheduler          core.SchedulerKind
+		Deps               core.DepsKind
+		Alloc              core.AllocKind
+		Policy             core.PolicyKind
+		PinWorkers         bool
+		Workers, NUMANodes int
+	}
+	of := func(c repro.Config) design {
+		return design{c.Scheduler, c.Deps, c.Alloc, c.Policy, c.PinWorkers, c.Workers, c.NUMANodes}
+	}
 	for _, v := range []repro.Variant{
 		repro.VariantOptimized, repro.VariantNoDTLock,
 		repro.VariantNoWaitFreeDeps, repro.VariantNoJemalloc,
 		repro.VariantGOMPLike, repro.VariantLLVMLike, repro.VariantIntelLike,
 	} {
 		rt := repro.NewVariant(v, 2, 1)
-		got, want := rt.Config(), core.ConfigFor(v, 2, 1)
-		if got.Scheduler != want.Scheduler || got.Deps != want.Deps || got.Alloc != want.Alloc || got.Policy != want.Policy {
-			t.Errorf("%s: scheduler/deps/alloc/policy %d/%d/%d/%d, core.ConfigFor's %d/%d/%d/%d", v,
-				got.Scheduler, got.Deps, got.Alloc, got.Policy, want.Scheduler, want.Deps, want.Alloc, want.Policy)
+		if got, want := of(rt.Config()), of(core.ConfigFor(v, 2, 1)); got != want {
+			t.Errorf("%s: design %+v, core.ConfigFor's %+v", v, got, want)
 		}
 		var ran bool
 		rt.Run(func(c *repro.Ctx) {

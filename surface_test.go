@@ -16,10 +16,15 @@ import (
 // constructors returning Option or CompileOption) and the fields of the
 // runtime's Config. Each is a value a caller can set, so each doubles
 // the configurations tests and benchmarks must cover; a change that
-// needs one more must first delete one.
+// needs one more must first delete one. The exported methods of
+// *Runtime and *Ctx are budgeted too, so that a second entry point for
+// a job the façade already does (an untyped future beside Future[T], a
+// blocking loop beside SubmitLoop) cannot come back unnoticed.
 const (
-	maxOptions      = 11
-	maxConfigFields = 12
+	maxOptions        = 7
+	maxConfigFields   = 12
+	maxRuntimeMethods = 15
+	maxCtxMethods     = 16
 )
 
 func TestPublicSurfaceBudget(t *testing.T) {
@@ -48,5 +53,20 @@ func TestPublicSurfaceBudget(t *testing.T) {
 	}
 	if n := reflect.TypeOf(repro.Config{}).NumField(); n > maxConfigFields {
 		t.Errorf("Config has %d fields, budget %d", n, maxConfigFields)
+	}
+	for _, b := range []struct {
+		typ reflect.Type
+		max int
+	}{
+		{reflect.TypeOf((*repro.Runtime)(nil)), maxRuntimeMethods},
+		{reflect.TypeOf((*repro.Ctx)(nil)), maxCtxMethods},
+	} {
+		if n := b.typ.NumMethod(); n > b.max {
+			var names []string
+			for i := 0; i < n; i++ {
+				names = append(names, b.typ.Method(i).Name)
+			}
+			t.Errorf("%v has %d exported methods %v, budget %d", b.typ, n, names, b.max)
+		}
 	}
 }

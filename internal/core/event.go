@@ -40,6 +40,13 @@ var ErrRuntimeDraining = errors.New("runtime draining")
 // After the final decrement the counter is spent: further Add or Done
 // calls panic, and the task — its successors now released, its handle
 // resolved — is recycled as usual.
+//
+// A task with a Handle (Submit, Go, SubmitBody, GoBody, Run) keeps its
+// counter inside that Handle, so Events, After and AfterFunc allocate
+// nothing for it: a Handle resolves only once, so its counter is never
+// reused and stays spent. A task without one (Spawn, SubmitReq roots,
+// compiled-graph nodes) gets a counter of its own on the heap, never in
+// its recycled shell.
 type EventCounter struct {
 	t  *Task
 	rt *Runtime
@@ -66,7 +73,13 @@ func (c *Ctx) Events() *EventCounter {
 		panic("repro: Events is not supported on work-sharing loop tasks")
 	}
 	if t.events == nil {
-		ec := &EventCounter{t: t, rt: c.rt}
+		var ec *EventCounter
+		if h := t.handle; h != nil {
+			ec = &h.events
+		} else {
+			ec = new(EventCounter)
+		}
+		ec.t, ec.rt = t, c.rt
 		ec.n.Store(1)
 		t.events = ec
 	}

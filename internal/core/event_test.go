@@ -146,6 +146,7 @@ func TestEventCancellationWhilePending(t *testing.T) {
 	var x int
 	var hSucc, hFail *anyFuture
 	var succRan atomic.Bool
+	ran := make(chan struct{})
 	err := rt.Run(func(c *Ctx) {
 		ev := make(chan *EventCounter, 1)
 		goAny(c, func(cc *Ctx) (any, error) {
@@ -163,12 +164,19 @@ func TestEventCancellationWhilePending(t *testing.T) {
 		})
 		go func() {
 			// Fire the event only after the failure has fully aborted the
-			// scope, so the successor's skip is deterministic.
+			// scope, so the successor's skip is deterministic. The abort
+			// can also drain the event-holding task before its body runs;
+			// then no counter arrives and Run returns without one.
 			<-hFail.Done()
-			(<-ev).Done()
+			select {
+			case e := <-ev:
+				e.Done()
+			case <-ran:
+			}
 		}()
 		c.Taskwait()
 	})
+	close(ran)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("Run error = %v, want %v", err, sentinel)
 	}
@@ -233,29 +241,49 @@ func TestEventsOnLoopTasksRejected(t *testing.T) {
 }
 
 // TestEventCounterMisusePanics: a drained counter is spent — further
-// Add or Done must panic instead of corrupting a recycled task.
+// Add or Done must panic instead of corrupting a recycled task. That
+// holds for a counter kept in the task's Handle, whether the body took
+// it with Events or a timer armed it (AfterFunc), and for the heap
+// counter of a task without a Handle (Spawn).
 func TestEventCounterMisusePanics(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
-	var ec *EventCounter
-	h := submitAny(rt, func(c *Ctx) (any, error) {
-		ec = c.Events()
-		return nil, nil
-	})
-	if _, err := h.Wait(nil); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		body func(c *Ctx, ec **EventCounter)
+	}{
+		{"Events", func(c *Ctx, ec **EventCounter) { *ec = c.Events() }},
+		{"AfterFunc", func(c *Ctx, ec **EventCounter) {
+			c.AfterFunc(time.Microsecond, nil)
+			*ec = c.Events()
+		}},
+		{"Spawn", func(c *Ctx, ec **EventCounter) {
+			c.Spawn(func(c *Ctx) {
+				c.AfterFunc(time.Microsecond, nil)
+				*ec = c.Events()
+			})
+		}},
+	} {
+		var ec *EventCounter
+		h := submitAny(rt, func(c *Ctx) (any, error) {
+			tc.body(c, &ec)
+			return nil, nil
+		})
+		if _, err := h.Wait(nil); err != nil {
+			t.Fatal(err)
+		}
+		mustPanic := func(name string, f func()) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: %s on a drained counter did not panic", tc.name, name)
+				}
+			}()
+			f()
+		}
+		mustPanic("Add", func() { ec.Add(1) })
+		mustPanic("Done", func() { ec.Done() })
+		mustPanic("Add(0)", func() { ec.Add(0) })
 	}
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s on a drained counter did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("Add", func() { ec.Add(1) })
-	mustPanic("Done", func() { ec.Done() })
-	mustPanic("Add(0)", func() { ec.Add(0) })
 }
 
 // TestAfterDefersCompletion: Ctx.After must hold the task's completion

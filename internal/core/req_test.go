@@ -131,11 +131,19 @@ func TestSubmitReqDeadline(t *testing.T) {
 	}
 }
 
+// expireDeadline moves the request deadline of the running task's scope
+// into the past, as if it had passed while the task ran. The task's own
+// start ordered every earlier read of it; later readers are ordered by
+// the task's release.
+func expireDeadline(c *Ctx) { c.task.sc.cancelAt = NowNS() - 1 }
+
 // TestSubmitReqDeadlineAfterFailFast: a FailFast failure that lands
 // after the request deadline passed, with nothing having observed the
 // deadline yet, is the whole aggregate — the deadline joins it neither
 // as its cause nor as a second copy of the failure. The dependent of the
-// failed node still drains.
+// failed node still drains. The deadline is an hour, so the first child
+// always starts before it; once started, the child moves it into the
+// past itself — a start gate that does not depend on the clock.
 func TestSubmitReqDeadlineAfterFailFast(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range reqPaths {
@@ -148,9 +156,9 @@ func TestSubmitReqDeadlineAfterFailFast(t *testing.T) {
 			r := NewReq()
 			var x byte
 			var ran atomic.Bool
-			rt.SubmitReq(context.Background(), r, 2*time.Millisecond, func(c *Ctx) {
+			rt.SubmitReq(context.Background(), r, time.Hour, func(c *Ctx) {
 				c.Spawn(func(c *Ctx) {
-					time.Sleep(10 * time.Millisecond)
+					expireDeadline(c)
 					c.Fail(boom)
 				}, Out(&x))
 				c.Spawn(func(*Ctx) { ran.Store(true) }, In(&x))

@@ -551,9 +551,14 @@ const idleSpinDefault = 1024
 // ladder — a bounded spin-yield phase (idleSpin empty polls)
 // followed by parking on the worker's wake channel until a producer's
 // enqueue claims it. A worker whose timer queue has a deadline within
-// event.Horizon stays up instead, as the one timer owner. No worker
-// parks once the runtime is stopping (the stop condition below must
-// stay polled).
+// event.Horizon stays up instead, as the one timer owner, and holds its
+// P: from the Hold that made it the owner until the Hold that steps it
+// down — the idle polls after each chain it runs included — it spins
+// and yields once per idleSpin polls, not on every poll, because a
+// yield next to busy goroutines can return a millisecond or more later,
+// and that is when the owner's timers would fire (DESIGN.md, "Why an
+// owner at all"). No worker parks once the runtime is stopping (the
+// stop condition below must stay polled).
 // The loop exits once the runtime is stopping and no live tasks remain;
 // each exiting worker wakes all parked peers so the exit cascades.
 func (rt *Runtime) workerLoop(id int) {
@@ -562,7 +567,7 @@ func (rt *Runtime) workerLoop(id int) {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	spinning := false
+	spinning, owner := false, false
 	for i := 0; ; i++ {
 		t0 := rt.tracer.Now()
 		if t := rt.schedTook(rt.sched.Get(id), id); t != nil {
@@ -592,20 +597,26 @@ func (rt *Runtime) workerLoop(id int) {
 			rt.parker.MarkSpinning(id)
 			spinning = true
 		}
-		if rt.elastic && i >= rt.idleSpin && !rt.stopping.Load() && !rt.wheel.Hold(id) {
-			// Spin budget exhausted and no timer near enough to keep this
-			// worker up as the owner: park until a producer's enqueue
-			// claims this worker. Park publishes the parked state before
-			// running the recheck, so an enqueue that lands between the
-			// last empty poll above and the sleep is never lost — either
-			// the recheck sees its pending count, or the producer's
-			// WakeOne sees this worker parked.
-			rt.parker.Park(id, rt.parkRecheck)
-			spinning = false
-			i = -1 // restart the ladder: poll eagerly after a wake
-			continue
+		if rt.elastic && i >= rt.idleSpin && !rt.stopping.Load() {
+			if owner = rt.wheel.Hold(id); !owner {
+				// Spin budget exhausted and no timer near enough to keep
+				// this worker up as the owner: park until a producer's
+				// enqueue claims this worker. Park publishes the parked
+				// state before running the recheck, so an enqueue that
+				// lands between the last empty poll above and the sleep is
+				// never lost — either the recheck sees its pending count,
+				// or the producer's WakeOne sees this worker parked.
+				rt.parker.Park(id, rt.parkRecheck)
+				spinning = false
+				i = -1 // restart the ladder: poll eagerly after a wake
+				continue
+			}
 		}
-		spinOrYield(i)
+		if owner {
+			locks.SpinPaced(i, rt.idleSpin)
+		} else {
+			spinOrYield(i)
+		}
 	}
 }
 

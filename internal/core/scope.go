@@ -228,6 +228,9 @@ func (sc *scope) err() error {
 type Handle struct {
 	done atomic.Value // of chan struct{}
 	err  error
+	// events is the task's event counter once its body calls
+	// Ctx.Events (see EventCounter).
+	events EventCounter
 }
 
 // closedchan is the done channel of every Handle whose task completed

@@ -47,8 +47,9 @@ type Task struct {
 	// (lazily created by Ctx.Events): the body returned — or will
 	// return — with out-of-band completions pending, and the release
 	// path runs at the final decrement instead of inline in execute.
-	// Heap-allocated on purpose: a buggy late Done must panic on the
-	// drained counter, not corrupt a recycled shell.
+	// Never in the shell, on purpose: it lives in the task's Handle or
+	// on the heap, so a buggy late Done panics on the spent counter
+	// instead of corrupting a recycled shell.
 	events *EventCounter
 
 	fn Body // result-delivering body (futures); body xor fn

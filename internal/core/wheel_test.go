@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -34,6 +35,7 @@ type nearKeeper struct {
 	rt       *Runtime
 	stopped  atomic.Bool
 	onWorker atomic.Int32 // the keeper's latest fires in a row on a worker index
+	offWork  atomic.Int32 // the keeper's fires off the worker indices
 }
 
 func keepNear(rt *Runtime) *nearKeeper {
@@ -52,6 +54,7 @@ func (k *nearKeeper) Complete(id int) {
 		k.onWorker.Add(1)
 	} else {
 		k.onWorker.Store(0)
+		k.offWork.Add(1)
 	}
 	if !k.stopped.Load() {
 		k.arm()
@@ -190,4 +193,95 @@ func TestWheelOwnerBound(t *testing.T) {
 	if len(ids) != 1 || ids[0] >= 4 {
 		t.Fatalf("event fires on threads %v, want one on a worker index", ids)
 	}
+}
+
+// TestWheelOwnerBesideYielder: the timer owner next to a goroutine that
+// loops on runtime.Gosched on the other P. An owner that yields on
+// every idle poll gets its P back, now and then, a millisecond or more
+// later, and its timers fire that late; an owner that holds its P fires
+// every one on worker 0 within event.Horizon of its deadline.
+//
+// A round is a fresh one-worker runtime and a hundred 1 ms AfterFunc
+// chains, and the test passes on the first round in which every fire
+// met that. A fire off worker 0 in a round with no timer a horizon late
+// fails it at once. A round with one — a chain's, or the keeper's, whose
+// late fire off the worker lets the owner step down — is the host not
+// running the owner, as in TestWheelFiresOnWorkerIndex, and if every
+// round has one the test skips.
+func TestWheelOwnerBesideYielder(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs a second P for the yielding goroutine")
+	}
+	var stop atomic.Bool
+	yielded := make(chan struct{})
+	defer func() {
+		stop.Store(true)
+		<-yielded
+	}()
+	go func() {
+		defer close(yielded)
+		for !stop.Load() {
+			runtime.Gosched()
+		}
+	}()
+	const rounds, chains = 5, 100
+	var excused []string
+	for range rounds {
+		late, off, keeperOff := ownerRound(t, chains)
+		switch {
+		case late == 0 && keeperOff == 0 && off > 0:
+			t.Fatalf("%d of %d timers fired off worker 0 with none a horizon late, want every one on worker 0", off, chains)
+		case late == 0 && keeperOff == 0:
+			return
+		}
+		excused = append(excused, fmt.Sprintf("%d late, %d off worker 0, keeper %d off", late, off, keeperOff))
+	}
+	t.Skipf("every round had a timer a horizon past its deadline (%v): the host did not run the owner", excused)
+}
+
+// ownerRound runs one round of TestWheelOwnerBesideYielder: the chains
+// whose timer fired a horizon or more late, the fires off worker 0, and
+// the keeper's fires off the worker.
+func ownerRound(t *testing.T, chains int) (late, off, keeperOff int) {
+	t.Helper()
+	// A lowered budget: before it owns the queue the worker yields on
+	// every poll past the first 128, and next to the yielder a full
+	// 1 024 of those can outlast the keeper's half horizon, whose fire
+	// restarts the count, so the worker would never reach Hold.
+	rt := newSpin(Config{Workers: 1, TraceCapacity: 1 << 14}, 64)
+	k := keepNear(rt)
+	if err := rt.Run(func(*Ctx) {}); err != nil { // wake the worker
+		t.Fatal(err)
+	}
+	k.waitOwned(t)
+	k.offWork.Store(0)
+	for range chains {
+		var x int
+		var lateBy time.Duration
+		if err := rt.Run(func(c *Ctx) {
+			c.Spawn(func(c *Ctx) {
+				due := NowNS() + int64(time.Millisecond)
+				c.AfterFunc(time.Millisecond, func() { lateBy = time.Duration(NowNS() - due) })
+			}, Out(&x))
+			c.Spawn(func(*Ctx) {}, In(&x))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if lateBy >= event.Horizon {
+			late++
+		}
+	}
+	k.stop()
+	keeperOff = int(k.offWork.Load())
+	rt.Close()
+	ids := eventFires(rt)
+	if len(ids) != chains {
+		t.Fatalf("%d event fires recorded, want %d", len(ids), chains)
+	}
+	for _, id := range ids {
+		if id != 0 {
+			off++
+		}
+	}
+	return late, off, keeperOff
 }

@@ -113,6 +113,14 @@ func (a *Access) weak() bool      { return a.marks&markWeak != 0 }
 func (a *Access) alias() bool     { return a.marks&markAlias != 0 }
 func (a *Access) groupHead() bool { return a.marks&markGroupHead != 0 }
 
+// blocking reports whether a counts in its task's pending count: every
+// access but a reduction (reductions execute eagerly into privatized
+// storage) and a weak one, except that a commutative access always
+// counts.
+func (a *Access) blocking() bool {
+	return a.typ == Commutative || a.typ != Reduction && !a.weak()
+}
+
 // token returns the commutative execution token shared by the access's
 // run, nil for every other access (aliases included: they join no run).
 func (a *Access) token() *atomic.Int32 {

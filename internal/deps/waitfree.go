@@ -133,15 +133,40 @@ func (s *WaitFree) RegisterRoot(d *RootDomain, n *Node, worker int) {
 // register is the shared registration loop: each access links into
 // parent's domain (nested tasks) or, when d is non-nil, into the shard
 // of its own address (root tasks).
+//
+// The pending count and the pins are counted once, before the first
+// link: a link publishes its access, and from then on another thread's
+// release can satisfy it — a commutative member joining an open run
+// receives the run's broadcast as soon as it is a member — so a count
+// raised after the link could reach zero while the task is still
+// registering, and ready it twice.
 func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
 	mb := &s.mbs[worker].mb
-	n.pending.Store(1) // registration guard
+	pending, pins := int32(1), int32(0) // 1: the registration guard
 	for i := range n.Accesses {
 		a := &n.Accesses[i]
 		if hasEarlierAccess(n, i) {
 			// Duplicate declaration within one task: linking it into the
 			// chain would deadlock the task on itself, so alias it.
 			a.marks |= markAlias
+			continue
+		}
+		if a.blocking() {
+			pending++
+		}
+		if a.typ == Reduction || a.typ == Commutative {
+			pins++ // release pin; a run's domain-map tail is its group
+		} else {
+			pins += 2 // release pin, and tail pin while a is the chain tail
+		}
+	}
+	n.pending.Store(pending)
+	if pins > 0 {
+		n.pins.Add(pins)
+	}
+	for i := range n.Accesses {
+		a := &n.Accesses[i]
+		if a.alias() {
 			continue
 		}
 		owner := parent
@@ -204,16 +229,11 @@ func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) {
 		tail.parent = findOwnAccess(owner, a.addr)
 		s.linkFresh(tail.parent, a, mb)
 	}
-	// The pins are taken after the linking, in one step: nothing can
-	// drop them before the caller's drain (a's release needs the task
-	// to have finished, which needs the registration guard), and until
-	// then the task's own shell guard keeps the count above zero.
+	// a's pins were taken before the first link (register).
 	if a.group != nil {
 		owner.domain[a.addr] = tailEntry{group: a.group, parent: tail.parent}
-		n.Pin() // release pin, dropped at a's release transition
 	} else {
 		owner.domain[a.addr] = tailEntry{access: a, parent: tail.parent}
-		n.pins.Add(2) // release pin, and tail pin while a is the chain tail
 	}
 }
 
@@ -341,34 +361,23 @@ func (s *WaitFree) linkAfterGroup(tail tailEntry, a *Access, mb *mailbox) {
 		if tail.parent != nil {
 			tail.parent.childGuard.Add(1)
 		}
-		if a.typ == Commutative {
-			a.node.pending.Add(1)
-		}
 		return
 	}
 	s.armAccess(a, tail.parent, mb)
 	g.close(a, mb)
 }
 
-// armAccess performs the per-access bookkeeping common to all link paths:
-// parent guard, pending count, and group creation for run-typed accesses.
+// armAccess performs the per-access bookkeeping common to the link paths
+// that start a chain segment: parent guard, and group creation for
+// run-typed accesses. The task's pending count was raised for a before
+// the first link (register).
 func (s *WaitFree) armAccess(a *Access, chainParent *Access, mb *mailbox) {
 	a.parentAccess = chainParent
 	if chainParent != nil {
 		chainParent.childGuard.Add(1)
 	}
-	switch a.typ {
-	case Reduction:
-		newGroup(Reduction, a, s.workers)
-		// Reductions execute eagerly into privatized storage; they never
-		// block the task, so they do not contribute to pending.
-	case Commutative:
-		newGroup(Commutative, a, s.workers)
-		a.node.pending.Add(1)
-	default:
-		if !a.weak() {
-			a.node.pending.Add(1)
-		}
+	if a.typ == Reduction || a.typ == Commutative {
+		newGroup(a.typ, a, s.workers)
 	}
 }
 

@@ -32,7 +32,10 @@ import (
 // time.Timer fired at p90 4.8 ms on a two-core host — so a
 // timer is only on time if somebody awake polls for it; the horizon
 // bounds what that costs: one core, for at most this long before each
-// deadline.
+// deadline. Awake is not enough: a goroutine that yields its P next to
+// busy ones can get it back a millisecond or more later, so the owner
+// holds its P while it polls and yields only once per idle budget (the
+// runtime's worker loop).
 const Horizon = time.Millisecond
 
 // NoThread is the thread index a Completer receives when the fallback

@@ -40,6 +40,20 @@ func Spin(i int) {
 	runtime.Gosched()
 }
 
+// SpinPaced performs one iteration of a long busy-wait whose caller
+// must keep its P: it busy-loops and yields to the Go scheduler only on
+// the last of every `every` iterations — a goroutine that yields on
+// each poll, as Spin does past its budget, can get its P back a
+// millisecond or more later when the other Ps are busy. With a single
+// P it yields on every iteration, as Spin does. every must be positive.
+func SpinPaced(i, every int) {
+	if !singleProc && i%every != every-1 {
+		_ = procYield()
+		return
+	}
+	runtime.Gosched()
+}
+
 // procYield executes a short platform pause. Without access to the PAUSE
 // instruction from pure Go we approximate it with a non-inlinable call:
 // the call overhead itself (a couple of nanoseconds) plays the role of

@@ -167,7 +167,8 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		{"compiled-fanout", doLoop(fcg, 0, sink, 16), ops, ops / 10},
 		{"compiled-fanout-attrs", doLoop(acg, 0, sink, 16), ops, ops / 10},
 		{"taskloop", taskloopRun(loopRT, loopOps), loopOps, 7 * loopOps},
-		{"submit", submitRing(rt, ops), ops, 2 * ops},
+		{"submit", submitRing(rt, ops, 1024, nopSubmit), ops, 2 * ops},
+		{"submit-after", submitRing(rt, afterOps, 1, afterSubmit), afterOps, 2*afterOps + afterOps/10},
 		{"spawn-window", spawnWindowRun(oneRT), 4 * spawnWindow, 4 * spawnWindow / 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,19 +195,34 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 // closure.
 func nopSubmit(*repro.Ctx) (struct{}, error) { return struct{}{}, nil }
 
-// submitRing is the submit row's shape: n repro.Submits of nopSubmit,
-// each with one InOut on the next of 1 024 rotating cells, each waited
-// in submission order before its cell is reused. A Submit allocates its
+// afterSubmit is the submit-after row's body: it defers its task's
+// completion on a timer. The row waits for each Submit at once, so Wait
+// finds the timer pending and makes the Future's done channel. The
+// event counter lives in the Future's Handle and the timer queue's
+// entry holds it without a closure, so the timer allocates nothing: the
+// row allows the Future and its done channel, about two per operation.
+func afterSubmit(c *repro.Ctx) (struct{}, error) {
+	c.After(100 * time.Microsecond)
+	return struct{}{}, nil
+}
+
+// afterOps is the submit-after row's operation count: each waits out
+// its timer, so the row takes about afterOps × 100 µs.
+const afterOps = 1 << 12
+
+// submitRing is the submit rows' shape: n repro.Submits of body, each
+// with one InOut on the next of ring rotating cells, each waited in
+// submission order before its cell is reused. A Submit allocates its
 // Future, plus the Future's done channel when Wait arrives before the
-// task completed: at most two, and the row fails above that. Every other
-// piece of a root submission — scope, shell, the chain tail a later
-// root replaces — comes from a pool.
-func submitRing(rt *repro.Runtime, n int) func() error {
-	var cells [1024]float64
-	futs := make([]*repro.Future[struct{}], len(cells))
+// task completed: at most two, and the rows fail above that. Every
+// other piece of a root submission — scope, shell, the chain tail a
+// later root replaces — comes from a pool.
+func submitRing(rt *repro.Runtime, n, ring int, body func(*repro.Ctx) (struct{}, error)) func() error {
+	cells := make([]float64, ring)
+	futs := make([]*repro.Future[struct{}], ring)
 	return func() error {
-		for i := 0; i < n+len(cells); i++ {
-			j := i % len(cells)
+		for i := 0; i < n+ring; i++ {
+			j := i % ring
 			if f := futs[j]; f != nil {
 				if _, err := f.Wait(nil); err != nil {
 					return err
@@ -214,7 +230,7 @@ func submitRing(rt *repro.Runtime, n int) func() error {
 			}
 			futs[j] = nil
 			if i < n {
-				futs[j] = repro.Submit(rt, nopSubmit, repro.InOut(&cells[j]))
+				futs[j] = repro.Submit(rt, body, repro.InOut(&cells[j]))
 			}
 		}
 		return nil

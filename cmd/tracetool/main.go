@@ -9,7 +9,9 @@
 //	                     pattern changes around it.
 //	tracetool -dump f    Decode and summarize a binary trace file;
 //	                     node-continue events (compiled-graph nodes run
-//	                     as calls, not tasks) are counted beside tasks.
+//	                     as calls, not tasks) are counted beside tasks,
+//	                     and so are cell-steal events (tasks taken from
+//	                     another serving slot's hand-off cells).
 //
 // Traces can be saved with -save for later inspection.
 package main
@@ -57,6 +59,8 @@ func main() {
 			trace.KNodeContinue, tot.Continues, tot.TaskCount)
 		fmt.Printf("%s: %d episodes ran %d tasks on creating threads\n",
 			trace.KSpawnHelp, tot.SpawnHelps, tot.SpawnHelped)
+		fmt.Printf("%s: %d tasks taken from another slot's hand-off cells\n",
+			trace.KCellSteal, tot.CellSteals)
 		fmt.Print(trace.Timeline(tr, 100))
 
 	case *compare:

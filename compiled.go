@@ -35,7 +35,9 @@ type Histogram = counter.Histogram
 // each successor's counter, and the thread that readies a node goes on
 // with it as a plain call inside the task it is already running — one
 // readied successor per node, when it has the level and deadline of the
-// node before it; the others are spawned, access-free, for the workers.
+// node before it; the others are spawned, access-free, for the workers
+// (on a request served inline they wait in the submitter's hand-off
+// cells, which the submitter drains next and idle workers steal from).
 // A linear stretch of a template is therefore one task, however long,
 // and only a fan-out's siblings and changes of level or deadline cost a
 // task each (DESIGN.md, "Compiled hand-off"). The differential test

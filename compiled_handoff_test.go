@@ -3,7 +3,9 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,4 +174,104 @@ func holdServeSlots(t *testing.T, rt *repro.Runtime) (release func()) {
 		}
 	}
 	return release
+}
+
+// TestCompiledCellsExactlyOnce: more concurrent Do callers than there
+// are inline-serving slots drive a wide fan-out template, so requests
+// are served inline — their siblings waiting in the serving slot's
+// hand-off cells, taken by the submitter or stolen by a worker or the
+// other slot — and dispatched, where the siblings go through the
+// scheduler. Every node of every request must run exactly once, and
+// the sink must see every sibling's value.
+func TestCompiledCellsExactlyOnce(t *testing.T) {
+	const (
+		clients = 6
+		width   = 8
+	)
+	requests := 300
+	if testing.Short() {
+		requests = 100
+	}
+	rt := repro.New(repro.WithWorkers(2))
+	nodes := width + 2
+	runs := make([]atomic.Int32, clients*requests*nodes)
+	var tickets atomic.Int64
+	var inline, dispatched atomic.Int64
+	servedFrom := rt.Slots() - 2
+	record := func(ticket int64, node int) {
+		runs[int(ticket)*nodes+node].Add(1)
+	}
+	g := repro.NewGraph().Add("src", nil, func(c *repro.Ctx, _ map[string]any) (any, error) {
+		if c.Worker() >= servedFrom {
+			inline.Add(1)
+		} else {
+			dispatched.Add(1)
+		}
+		tk := tickets.Add(1) - 1
+		record(tk, 0)
+		return tk, nil
+	})
+	sinkDeps := make([]string, width)
+	for i := range width {
+		name := fmt.Sprintf("w%d", i)
+		sinkDeps[i] = name
+		g.Add(name, []string{"src"}, func(_ *repro.Ctx, d map[string]any) (any, error) {
+			tk := d["src"].(int64)
+			record(tk, 1+i)
+			return tk*int64(width) + int64(i), nil
+		})
+	}
+	g.Add("sink", sinkDeps, func(_ *repro.Ctx, d map[string]any) (any, error) {
+		tk := int64(-1)
+		for i, name := range sinkDeps {
+			v := d[name].(int64)
+			if i == 0 {
+				tk = v / int64(width)
+			}
+			if v != tk*int64(width)+int64(i) {
+				return nil, fmt.Errorf("sibling %s of ticket %d delivered %d", name, tk, v)
+			}
+		}
+		record(tk, nodes-1)
+		return tk, nil
+	})
+	cg, err := g.Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range requests {
+				e, err := cg.Do(context.Background())
+				if err != nil {
+					errs <- err
+					return
+				}
+				e.Release()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		// No Close: it would wait for the lost sibling too.
+		t.Fatal("requests never completed: a fan-out sibling was lost")
+	}
+	rt.Close()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("node %d of ticket %d ran %d times", i%nodes, i/nodes, n)
+		}
+	}
+	t.Logf("%d requests served inline, %d dispatched", inline.Load(), dispatched.Load())
 }

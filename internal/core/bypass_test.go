@@ -170,7 +170,8 @@ func TestInlineAccessReuseChains(t *testing.T) {
 }
 
 // TestCtxSize pins the Ctx layout the padded per-worker ctxSlot assumes
-// (three words; the slot pads the remainder of the cache line).
+// (three words; the slot pads the remainder of the cache line), and the
+// line each bypass slot and hand-off cell pair fills.
 func TestCtxSize(t *testing.T) {
 	if s := unsafe.Sizeof(Ctx{}); s != 24 {
 		t.Fatalf("Ctx size = %d, want 24 (update ctxSlot padding)", s)
@@ -180,6 +181,9 @@ func TestCtxSize(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(bypassSlot{}); s != 64 {
 		t.Fatalf("bypassSlot size = %d, want 64", s)
+	}
+	if s := unsafe.Sizeof(cellPair{}); s != 64 {
+		t.Fatalf("cellPair size = %d, want 64", s)
 	}
 }
 

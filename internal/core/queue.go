@@ -1,17 +1,22 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/deps"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
-// Queue accounting: every scheduler insertion and claim goes through
-// schedAdd and schedTook, which keep the pending counts the park/wake
-// protocol and the priority gates read.
+// Queue accounting: every insertion and claim of a ready task goes
+// through schedAdd and schedTook, which keep the pending counts the
+// park/wake protocol and the priority gates read. A queued task waits in
+// the scheduler or, readied on an inline-serving slot, in that slot's
+// hand-off cells; take is the one place either is looked in.
 
-// pending returns the number of tasks queued in the scheduler (added
-// and not yet taken). The read order is load-bearing: taken is
-// summed FIRST, then added. Both are monotone and every take follows
+// pending returns the number of tasks queued (added and not yet taken),
+// in the scheduler or in a hand-off cell. The read order is
+// load-bearing: taken is summed FIRST, then added. Both are monotone and every take follows
 // its add, so the result over-approximates the true count at the
 // instant between the two sums — never negative, and never zero while
 // an add the caller must observe (one sequenced before its read, the
@@ -24,10 +29,20 @@ func (rt *Runtime) pending() int64 {
 	return rt.added.Sum() - taken
 }
 
-// schedAdd hands a task to the scheduler, maintaining the per-level
-// pending counts for elevated tasks and the elastic pending count.
-// Every scheduler insertion must go through it (ready callback,
-// commutative re-enqueue) so the counts match what Get can return. The
+// schedAdd queues a ready task, maintaining the per-level pending
+// counts for elevated tasks and the elastic pending count. Every
+// insertion must go through it (ready callback, commutative re-enqueue)
+// so the counts match what take can return. A level-0 task readied on
+// an inline-serving slot that passes the hand-off gates (mayHandOff,
+// and not commutative: a lost token race re-enqueues it) waits in the
+// slot's cells instead of the scheduler (cellPair); whatever it pushes
+// out of them goes to the scheduler. An elevated task never waits in a
+// cell: unlike the bypass slot's, a cell task does not run next, and an
+// elevated one must not wait out the submitter's current task, or a
+// thief's empty poll, while workers run lower levels from the scheduler;
+// the policy orders it there. Only where the task waits differs:
+// the counts and the wake below are the same either way, so a parked
+// pool, Drain and Stats see a task in a cell as a queued task. The
 // queue level is the task's *effective* priority, and it is recorded in
 // qstate (as level+1; 0 means not queued) before the insertion so a
 // concurrent promotion (promote) can re-rank the entry and move the
@@ -43,12 +58,111 @@ func (rt *Runtime) schedAdd(t *Task, worker int) {
 		rt.priPending[lvl].v.Add(1)
 	}
 	rt.added.Add(worker, 1)
-	rt.sched.Add(t, worker)
+	if cp := rt.cellsOf(worker); cp != nil && lvl == 0 && !t.node.HasCommutative() && rt.mayHandOff(t) {
+		t = cp.push(t)
+	}
+	if t != nil {
+		rt.sched.Add(t, worker)
+	}
 	rt.wakeWorker()
 }
 
-// schedTook books a task that slot id obtained from sched.Get/TryGet
-// out of the pending counts — on id's own taken line; a stale promotion
+// cellPair is one inline-serving slot's two hand-off cells, on a cache
+// line of their own: the work-first half of the immediate-successor
+// hand-off. A request served inline readies its fan-out siblings on the
+// submitter's slot; they wait here, within the submitter's reach, for
+// the submitter's next take — it runs the newest first — while an idle
+// thread whose scheduler poll came up empty steals the oldest. Only
+// the slot's holder pushes (the index is exclusive, topology.go); anyone
+// may claim, the holder with a CompareAndSwap, everyone else with a
+// Swap(nil), so each entry has exactly one taker and schedTook's qstate
+// claim stays the one claim of the task, as for a scheduler entry.
+type cellPair struct {
+	c [2]atomic.Pointer[Task]
+	_ [48]byte
+}
+
+// cellsOf returns the hand-off cells of slot id, or nil when id is not
+// an inline-serving slot or the runtime's workers sleep in the
+// blocking scheduler's Get, where they would never look.
+func (rt *Runtime) cellsOf(id int) *cellPair {
+	if i := id - rt.serveBase; rt.elastic && i >= 0 && i < serveSlots {
+		return &rt.cells[i]
+	}
+	return nil
+}
+
+// push puts t in the first cell, moving the task it displaces to the
+// second, and returns the task pushed out of both (nil if none), which
+// the caller hands to the scheduler.
+func (cp *cellPair) push(t *Task) *Task {
+	if t = cp.c[0].Swap(t); t != nil {
+		t = cp.c[1].Swap(t)
+	}
+	return t
+}
+
+// take is the one claim of every loop that runs tasks (the worker
+// loop, runReady). It looks in three places, in order:
+//
+//  1. id's own cells, newest first, when id is an inline-serving slot —
+//     passed over while elevated work is queued, so the policy orders
+//     it first (the lock-free reading of "elevated work is waiting", as
+//     for the bypass slot; cell tasks are level 0);
+//  2. the scheduler: Get when wait is set (the worker loop), else TryGet;
+//  3. only when the scheduler had nothing, the other serving slots'
+//     cells, oldest first (stealCell).
+//
+// The entry found is claimed through schedTook.
+func (rt *Runtime) take(id int, wait bool) *Task {
+	if cp := rt.cellsOf(id); cp != nil {
+		for i := range cp.c {
+			c := &cp.c[i]
+			// No ABA: only this thread pushes to its cells, so between the
+			// Load and the CompareAndSwap the cell can only be emptied.
+			if t := c.Load(); t != nil && !rt.higherPriPending(0) && c.CompareAndSwap(t, nil) {
+				return rt.schedTook(t, id)
+			}
+		}
+	}
+	var t *Task
+	if wait {
+		t = rt.sched.Get(id)
+	} else {
+		t = rt.sched.TryGet(id)
+	}
+	if t == nil && rt.elastic {
+		t = rt.stealCell(id)
+	}
+	return rt.schedTook(t, id)
+}
+
+// stealCell claims the oldest task in another inline-serving slot's
+// cells and records one KCellSteal (Arg = the slot robbed). A cell
+// found empty is only loaded, never swapped, so idle pollers do not
+// write the lines the submitters push to.
+func (rt *Runtime) stealCell(id int) *Task {
+	for i := range rt.cells {
+		slot := rt.serveBase + i
+		if slot == id {
+			continue
+		}
+		cp := &rt.cells[i]
+		for j := len(cp.c) - 1; j >= 0; j-- {
+			if cp.c[j].Load() == nil {
+				continue
+			}
+			if t := cp.c[j].Swap(nil); t != nil {
+				rt.tracer.Emit(id, trace.KCellSteal, uint64(slot))
+				return t
+			}
+		}
+	}
+	return nil
+}
+
+// schedTook books a task that slot id obtained from take out of the
+// pending counts — on id's own taken line; a stale promotion
 // duplicate counts as taken like any other entry, which is what keeps
 // added - taken exact — and claims it for execution: the Swap on qstate
 // is what makes a promotion's duplicate queue entry exactly-once — the
@@ -179,7 +293,8 @@ func (rt *Runtime) higherPriPending(pri int8) bool {
 // cancelled scope's tasks drain through the scheduler) and nothing of a
 // higher level is queued (the priority policy must order the two). The
 // ready callback asks it about the task it would park in the bypass
-// slot, ContinueNode about the running task itself.
+// slot, schedAdd about the task it would put in a hand-off cell, and
+// ContinueNode about the running task itself.
 func (rt *Runtime) mayHandOff(t *Task) bool {
 	return t.sc.abortCause() == nil && !rt.higherPriPending(int8(t.epri.Load()))
 }

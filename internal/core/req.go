@@ -47,10 +47,12 @@ func NewReq() *Req {
 // wake-up) of the dispatch path. A body that readies several tasks at
 // once keeps only the first for this goroutine (a compiled graph's
 // continuation, or the dependency release's successor bypass); the
-// others go through the scheduler and run on the workers concurrently,
-// so inline serving never reduces parallelism. When every slot is busy,
-// the root dispatches through the scheduler and Wait blocks on the
-// latch.
+// others wait in the slot's two hand-off cells, where this goroutine
+// takes the newest next and an idle worker steals the oldest, so inline
+// serving never reduces parallelism (a third, an elevated task and any
+// task a hand-off gate declines go through the scheduler). When every
+// slot is busy, the root dispatches through the scheduler and Wait
+// blocks on the latch.
 //
 // A deadline costs one clock read per abort check of the request's
 // tasks; the cycle allocates nothing either way.

@@ -99,7 +99,8 @@ type Runtime struct {
 	// protect from it). The successor-bypass gate reads the levels above
 	// a candidate's own before parking it, so a low-priority immediate
 	// successor cannot jump a queued high-priority task. Counting covers
-	// exactly the tasks routed through sched.Add/Get. Each level sits on
+	// exactly the tasks routed through schedAdd/schedTook, in the
+	// scheduler or a hand-off cell. Each level sits on
 	// its own cache line; runs that never set a priority only ever
 	// *read* these (always-zero) lines on the bypass path, which stays
 	// cached and contention-free.
@@ -173,12 +174,22 @@ type Runtime struct {
 	// goroutine on it. It is never merged with the root-shard indices:
 	// see topology.go.
 	serveSlots *event.Slots
+	serveBase  int // the first inline-serving index
 
 	// noise state for the Figure 11 experiment. serves is only touched
 	// while the experiment is armed (noise configured and not yet
 	// fired), and only by the DTLock owner.
 	serves    atomic.Int64
 	noiseDone atomic.Bool
+
+	// cells are the inline-serving slots' hand-off cells, one pair per
+	// index of [serveBase, Slots): where a serving slot's readied tasks
+	// wait instead of the scheduler (queue.go). Unused on the blocking
+	// scheduler (elastic false), whose workers sleep in Get. The pad
+	// keeps the first pair's line clear of the fields above; each pair
+	// pads its own tail.
+	_     [48]byte
+	cells [serveSlots]cellPair
 }
 
 // paddedCount is one cache-line-isolated atomic counter (the per-level
@@ -214,7 +225,8 @@ func build(cfg Config) *Runtime {
 	rt.added = counter.NewSharded(slots)
 	rt.taken = counter.NewSharded(slots)
 	rt.bypass = make([]bypassSlot, slots)
-	rt.serveSlots = event.NewSlots(cfg.Workers+shards, serveSlots)
+	rt.serveBase = cfg.Workers + shards
+	rt.serveSlots = event.NewSlots(rt.serveBase, serveSlots)
 	// Every slot gets a reusable execution context, not just the
 	// workers: inline-serving submitters execute task bodies on their
 	// own index.
@@ -570,7 +582,7 @@ func (rt *Runtime) workerLoop(id int) {
 	spinning, owner := false, false
 	for i := 0; ; i++ {
 		t0 := rt.tracer.Now()
-		if t := rt.schedTook(rt.sched.Get(id), id); t != nil {
+		if t := rt.take(id, true); t != nil {
 			if spinning {
 				rt.parker.MarkRunning(id)
 				spinning = false
@@ -664,7 +676,7 @@ func (rt *Runtime) runChain(t *Task, id int) (n int) {
 // runReady is the helping loops' one step: take a ready task without
 // blocking and run its chain; 0 means nothing was ready.
 func (rt *Runtime) runReady(id int) int {
-	return rt.runChain(rt.schedTook(rt.sched.TryGet(id), id), id)
+	return rt.runChain(rt.take(id, false), id)
 }
 
 // execute runs one ready task to completion on worker id: commutative
@@ -917,8 +929,8 @@ type Stats struct {
 	Parks uint64
 	// Wakes counts wake tokens delivered to parked workers.
 	Wakes uint64
-	// Pending is the number of tasks currently queued in the scheduler
-	// (added and not yet taken).
+	// Pending is the number of tasks currently queued (added and not yet
+	// taken), in the scheduler or in a serving slot's hand-off cells.
 	Pending int64
 }
 

@@ -46,6 +46,14 @@ package core
 // Serving never waits for an index at all (a busy pool falls back to the
 // dispatch path).
 //
+// Each serving index also owns two hand-off cells (cellPair in
+// queue.go): the level-0 tasks a body running on it readies wait there
+// instead of the scheduler. Only the index's holder pushes, but any
+// thread may take, so a submitter that returns with another request's
+// task in its cells leaves it to the workers, as a queued task it is
+// counted as.
+// Worker and root-shard indices have none.
+//
 // Ctx.Worker reports an index in [0, Slots()), so per-thread structures
 // read through it (e.g. histogram shards) must be sized by
 // Runtime.Slots, never by Config().Workers.
@@ -56,5 +64,5 @@ package core
 // completion latch — the two cross-goroutine hand-offs that dominate
 // small-request serving latency. Excess concurrent submitters take the
 // dispatch path, so the count bounds inline parallelism, never
-// correctness.
+// correctness. It is also the number of hand-off cell pairs.
 const serveSlots = 2

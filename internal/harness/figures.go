@@ -176,14 +176,18 @@ func RunTraced(label string, schedKind core.SchedulerKind, machine platform.Mach
 	cfg.Scheduler = schedKind
 	cfg.TraceCapacity = 1 << 18
 	cfg.Noise = noise
-	rt := core.New(cfg)
-	defer rt.Close()
 	w, err := workloads.Build("miniamr", size, block)
 	if err != nil {
 		return TraceResult{}, err
 	}
+	rt := core.New(cfg)
 	w.Reset()
-	if err := w.Run(rt); err != nil {
+	err = w.Run(rt)
+	// The snapshot is taken after Close: a worker may still emit after
+	// the run's last task completed, until the pool has stopped, and
+	// Snapshot reads the per-core buffers those emissions append to.
+	rt.Close()
+	if err != nil {
 		return TraceResult{}, err
 	}
 	if err := w.Verify(); err != nil {

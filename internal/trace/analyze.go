@@ -15,6 +15,7 @@ type WorkerStats struct {
 	Continues    int // compiled-graph nodes run as calls inside those tasks
 	SpawnHelps   int // Spawn help episodes (the creator passed the spawn window)
 	SpawnHelped  int // tasks those episodes ran
+	CellSteals   int // tasks taken from another slot's hand-off cells
 	Serves       int // tasks this worker served to others as DTLock owner
 	ServedTo     int // (aggregated) times this worker received a served task
 	Drains       int // SPSC drain operations
@@ -72,6 +73,8 @@ func Analyze(tr *Trace) *Summary {
 			case KSpawnHelp:
 				ws.SpawnHelps++
 				ws.SpawnHelped += int(e.Arg)
+			case KCellSteal:
+				ws.CellSteals++
 			case KSchedEnter, KTaskwaitStart:
 				openInterval(e.Kind, e.TS)
 			case KSchedLeave, KTaskwaitEnd:
@@ -111,6 +114,7 @@ func (s *Summary) Totals() WorkerStats {
 		t.Continues += w.Continues
 		t.SpawnHelps += w.SpawnHelps
 		t.SpawnHelped += w.SpawnHelped
+		t.CellSteals += w.CellSteals
 		t.Serves += w.Serves
 		t.ServedTo += w.ServedTo
 		t.Drains += w.Drains

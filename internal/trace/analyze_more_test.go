@@ -83,3 +83,21 @@ func TestTimelineWidthClamp(t *testing.T) {
 		t.Fatal("default width render failed")
 	}
 }
+
+func TestAnalyzeCountsCellSteals(t *testing.T) {
+	tr := New(2, 16)
+	tr.EmitTS(0, KCellSteal, 2, 100)
+	tr.EmitTS(0, KCellSteal, 2, 200)
+	tr.EmitTS(1, KCellSteal, 2, 300)
+	s := Analyze(tr.Snapshot())
+	if s.Workers[0].CellSteals != 2 || s.Workers[1].CellSteals != 1 || s.Totals().CellSteals != 3 {
+		t.Fatalf("cell steals %d, %d, total %d; want 2, 1, 3",
+			s.Workers[0].CellSteals, s.Workers[1].CellSteals, s.Totals().CellSteals)
+	}
+	if s.StarvationPct() != 100 {
+		t.Fatalf("starvation = %v: a steal is a point event, not busy time", s.StarvationPct())
+	}
+	if KCellSteal.String() != "cell-steal" {
+		t.Fatalf("KCellSteal.String() = %q", KCellSteal.String())
+	}
+}

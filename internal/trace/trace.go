@@ -43,6 +43,9 @@ const (
 	// Arg as a call instead of spawning it (no create/start/end follow).
 	KNodeContinue
 	KSpawnHelp // a Spawn past the spawn window first ran Arg ready tasks
+	// KCellSteal: a thread took a task from the hand-off cells of
+	// inline-serving slot Arg, not its own.
+	KCellSteal
 	kindMax
 )
 
@@ -55,6 +58,7 @@ var kindNames = [...]string{
 	KInterrupt: "interrupt", KTaskCancel: "task-cancel",
 	KEventHold: "event-hold", KEventFire: "event-fire",
 	KNodeContinue: "node-continue", KSpawnHelp: "spawn-help",
+	KCellSteal: "cell-steal",
 }
 
 // String returns the event kind's name.

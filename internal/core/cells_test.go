@@ -37,7 +37,8 @@ func cellSteals(t *testing.T, rt *Runtime, thief, slot int) int {
 // pushes the oldest out to the scheduler. A queued task of a higher
 // level is taken before any cell task; then the slot's own take runs
 // the newest cell, and a worker whose scheduler poll comes up empty
-// steals what is left, leaving one KCellSteal.
+// steals what is left once the slot has left it for cellGrace, leaving
+// one KCellSteal.
 func TestCellsOrder(t *testing.T) {
 	for _, sk := range []SchedulerKind{SchedSyncDTLock, SchedCentralPTLock} {
 		t.Run(sk.testName(), func(t *testing.T) {
@@ -70,6 +71,10 @@ func TestCellsOrder(t *testing.T) {
 			if n := cellSteals(t, rt, 0, slot); n != 0 {
 				t.Fatalf("%d cell steals while the scheduler held a task", n)
 			}
+			if tk := rt.take(0, false); tk != nil {
+				t.Fatal("a cell task was stolen at first sight")
+			}
+			time.Sleep(2 * cellGrace)
 			rt.runChain(rt.take(0, false), 0) // b, stolen
 			if n := cellSteals(t, rt, 0, slot); n != 1 {
 				t.Fatalf("%d cell steals, want 1", n)
@@ -90,6 +95,43 @@ func TestCellsOrder(t *testing.T) {
 			settled(t, rt, h)
 		})
 	}
+}
+
+// TestCellStealGrace: a thief steals from a serving slot's cells only
+// after watching the slot's holder leave them untouched for cellGrace.
+// Its first look starts the watch, a take by the holder restarts it,
+// and a look a grace after the last touch steals the oldest task.
+func TestCellStealGrace(t *testing.T) {
+	rt := build(Config{Workers: 1, TraceCapacity: 1 << 10})
+	defer rt.Close()
+	slot := rt.serveSlots.TryAcquire()
+	defer rt.serveSlots.Release(slot)
+	var order []string
+	ran := func(name string) func(*Ctx) {
+		return func(*Ctx) { order = append(order, name) }
+	}
+	h := submit(rt, func(c *Ctx) {
+		c.Spawn(ran("a"))
+		c.Spawn(ran("b"))
+	})
+	rt.runChain(rt.take(slot, false), slot) // the root; a and b wait in the cells
+	if tk := rt.take(0, false); tk != nil {
+		t.Fatal("a cell task was stolen at the thief's first look")
+	}
+	time.Sleep(2 * cellGrace)
+	rt.runChain(rt.take(slot, false), slot) // b, the holder's newest
+	if tk := rt.take(0, false); tk != nil {
+		t.Fatal("a cell task was stolen although the holder took one since the thief's last look")
+	}
+	time.Sleep(2 * cellGrace)
+	rt.runChain(rt.take(0, false), 0) // a, stolen
+	if n := cellSteals(t, rt, 0, slot); n != 1 {
+		t.Fatalf("%d cell steals, want 1", n)
+	}
+	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
+		t.Fatalf("ran %v, want [b a]", order)
+	}
+	settled(t, rt, h)
 }
 
 // TestCellsHoldLevelZeroOnly: a cell task waits for its submitter's

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/deps"
 	"repro/internal/sched"
@@ -72,14 +73,40 @@ func (rt *Runtime) schedAdd(t *Task, worker int) {
 // hand-off. A request served inline readies its fan-out siblings on the
 // submitter's slot; they wait here, within the submitter's reach, for
 // the submitter's next take — it runs the newest first — while an idle
-// thread whose scheduler poll came up empty steals the oldest. Only
-// the slot's holder pushes (the index is exclusive, topology.go); anyone
-// may claim, the holder with a CompareAndSwap, everyone else with a
+// thread whose scheduler poll came up empty steals the oldest once the
+// holder has left the cells untouched for cellGrace. Only the slot's
+// holder pushes (the index is exclusive, topology.go); anyone may
+// claim, the holder with a CompareAndSwap, everyone else with a
 // Swap(nil), so each entry has exactly one taker and schedTook's qstate
 // claim stays the one claim of the task, as for a scheduler entry.
+// touched counts the holder's pushes and takes; only the holder writes
+// it, on the line its push or take writes anyway.
 type cellPair struct {
-	c [2]atomic.Pointer[Task]
-	_ [48]byte
+	c       [2]atomic.Pointer[Task]
+	touched atomic.Uint32
+	_       [44]byte
+}
+
+// cellGrace is how long a serving slot's holder may leave a task in its
+// cells, without pushing or taking, before a thief steals it. A holder
+// that is serving takes its cells within a body or two, and a steal
+// then only moves the rest of the request to another thread: stealing
+// at first sight, graph_closed (two cores) lost 2 000 to 30 000 of a
+// window's 350 000 siblings, each costing about 5 us of wall time, and
+// the count, so the throughput, moved with each window's timing. A
+// holder stuck in a long body, or gone (its request done), leaves its
+// cells untouched, and they are stolen after the grace. Like the Go
+// scheduler's few-microsecond wait before it steals a P's runnext, the
+// grace only has to be long against the holder's next take and short
+// against a body worth running in parallel.
+const cellGrace = 20 * time.Microsecond
+
+// cellWatch is a thief's last sighting of one serving slot's occupied
+// cells: the holder's touch count it read, and since when it has read
+// that count (0: no sighting).
+type cellWatch struct {
+	touched uint32
+	since   int64
 }
 
 // cellsOf returns the hand-off cells of slot id, or nil when id is not
@@ -96,6 +123,7 @@ func (rt *Runtime) cellsOf(id int) *cellPair {
 // second, and returns the task pushed out of both (nil if none), which
 // the caller hands to the scheduler.
 func (cp *cellPair) push(t *Task) *Task {
+	cp.touched.Add(1)
 	if t = cp.c[0].Swap(t); t != nil {
 		t = cp.c[1].Swap(t)
 	}
@@ -111,7 +139,8 @@ func (cp *cellPair) push(t *Task) *Task {
 //     for the bypass slot; cell tasks are level 0);
 //  2. the scheduler: Get when wait is set (the worker loop), else TryGet;
 //  3. only when the scheduler had nothing, the other serving slots'
-//     cells, oldest first (stealCell).
+//     cells, oldest first, once their holder has left them untouched
+//     for cellGrace (stealCell).
 //
 // The entry found is claimed through schedTook.
 func (rt *Runtime) take(id int, wait bool) *Task {
@@ -121,6 +150,7 @@ func (rt *Runtime) take(id int, wait bool) *Task {
 			// No ABA: only this thread pushes to its cells, so between the
 			// Load and the CompareAndSwap the cell can only be emptied.
 			if t := c.Load(); t != nil && !rt.higherPriPending(0) && c.CompareAndSwap(t, nil) {
+				cp.touched.Add(1)
 				return rt.schedTook(t, id)
 			}
 		}
@@ -138,16 +168,31 @@ func (rt *Runtime) take(id int, wait bool) *Task {
 }
 
 // stealCell claims the oldest task in another inline-serving slot's
-// cells and records one KCellSteal (Arg = the slot robbed). A cell
-// found empty is only loaded, never swapped, so idle pollers do not
-// write the lines the submitters push to.
+// cells, once id has watched that slot's holder leave them untouched
+// for cellGrace, and records one KCellSteal (Arg = the slot robbed).
+// The first sighting of occupied cells, or of a touch count that moved
+// since the last one, only starts the watch. A cell found empty is only
+// loaded, never swapped, so idle pollers do not write the lines the
+// submitters push to.
 func (rt *Runtime) stealCell(id int) *Task {
+	watch := &rt.bypass[id].watch
 	for i := range rt.cells {
 		slot := rt.serveBase + i
 		if slot == id {
 			continue
 		}
 		cp := &rt.cells[i]
+		if cp.c[0].Load() == nil && cp.c[1].Load() == nil {
+			continue
+		}
+		w, n, now := &watch[i], cp.touched.Load(), NowNS()
+		if w.since == 0 || w.touched != n {
+			w.touched, w.since = n, now
+			continue
+		}
+		if now-w.since < int64(cellGrace) {
+			continue
+		}
 		for j := len(cp.c) - 1; j >= 0; j-- {
 			if cp.c[j].Load() == nil {
 				continue

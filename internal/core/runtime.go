@@ -41,13 +41,16 @@ func NowNS() int64 { return int64(time.Since(epoch)) }
 // sees is parked here instead of round-tripping through the scheduler,
 // and disarm hands it to the owning thread, which runs it next. No body
 // runs inside an armed region, so the slot is empty whenever a body
-// starts or returns. The slot is strictly thread-local — armed and next
-// are only ever touched by the goroutine that owns the index — and
-// padded so neighbouring slots never false-share.
+// starts or returns. watch is the same index's record, as a thief, of
+// the serving slots' hand-off cells (stealCell). The slot is strictly
+// thread-local — armed, next and watch are only ever touched by the
+// goroutine that owns the index — and padded so neighbouring slots
+// never false-share.
 type bypassSlot struct {
 	armed bool
 	next  *Task
-	_     [48]byte
+	watch [serveSlots]cellWatch
+	_     [16]byte
 }
 
 // disarm closes the armed region and returns the task the ready

@@ -8,10 +8,11 @@
 //	                     the DTLock owner mid-service; the serve-gap
 //	                     pattern changes around it.
 //	tracetool -dump f    Decode and summarize a binary trace file;
-//	                     node-continue events (compiled-graph nodes run
-//	                     as calls, not tasks) are counted beside tasks,
-//	                     and so are cell-steal events (tasks taken from
-//	                     another serving slot's hand-off cells).
+//	                     node-continue and node-offer events
+//	                     (compiled-graph nodes run as calls, not tasks)
+//	                     are counted beside tasks, and so are cell-steal
+//	                     events (offers taken from another serving
+//	                     slot's hand-off cells, each made a task).
 //
 // Traces can be saved with -save for later inspection.
 package main
@@ -59,7 +60,9 @@ func main() {
 			trace.KNodeContinue, tot.Continues, tot.TaskCount)
 		fmt.Printf("%s: %d episodes ran %d tasks on creating threads\n",
 			trace.KSpawnHelp, tot.SpawnHelps, tot.SpawnHelped)
-		fmt.Printf("%s: %d tasks taken from another slot's hand-off cells\n",
+		fmt.Printf("%s: %d offered graph nodes taken back and run as calls\n",
+			trace.KNodeOffer, tot.Offers)
+		fmt.Printf("%s: %d offers taken from another slot's hand-off cells as tasks\n",
 			trace.KCellSteal, tot.CellSteals)
 		fmt.Print(trace.Timeline(tr, 100))
 

@@ -35,12 +35,15 @@ type Histogram = counter.Histogram
 // each successor's counter, and the thread that readies a node goes on
 // with it as a plain call inside the task it is already running — one
 // readied successor per node, when it has the level and deadline of the
-// node before it; the others are spawned, access-free, for the workers
-// (on a request served inline they wait in the submitter's hand-off
-// cells, which the submitter drains next and idle workers steal from).
-// A linear stretch of a template is therefore one task, however long,
-// and only a fan-out's siblings and changes of level or deadline cost a
-// task each (DESIGN.md, "Compiled hand-off"). The differential test
+// node before it; the others are offered, access-free, to the workers
+// (on a request served inline as the frame's offer records, waiting in
+// the submitter's hand-off cells: the submitter takes them back as
+// calls inside the request's root, and only one an idle worker steals
+// becomes a task). A request of a template without priorities or
+// deadlines served inline is therefore one task, however long its
+// chains and however wide its fan-outs, and elsewhere only a fan-out's
+// siblings and changes of level or deadline cost a task each
+// (DESIGN.md, "Compiled hand-off"). The differential test
 // against the interpreted path pins the equivalence. Fan-in/fan-out
 // width does not affect the zero-allocation property.
 type CompiledGraph struct {
@@ -249,6 +252,7 @@ type GraphExec struct {
 	// slot to the node's body.
 	pending []atomic.Int32
 	bodies  []func(*Ctx)
+	offers  []core.Offer
 	root    func(*Ctx)
 	depm    []map[string]any
 
@@ -281,6 +285,7 @@ func (cg *CompiledGraph) newFrame() *GraphExec {
 		req:     core.NewReq(),
 		pending: make([]atomic.Int32, n),
 		bodies:  make([]func(*Ctx), n),
+		offers:  make([]core.Offer, n),
 		depm:    make([]map[string]any, n),
 		vals:    make([]any, n),
 		errs:    make([]error, n),
@@ -296,6 +301,7 @@ func (cg *CompiledGraph) newFrame() *GraphExec {
 			e.runNode(c, i)
 			e.advance(c, cn.succs, cn.pri, cn.dl)
 		}
+		e.offers[i] = core.NewOffer(e.bodies[i], i)
 	}
 	// The root task is level 0 and carries no deadline.
 	e.root = func(c *Ctx) {
@@ -344,14 +350,19 @@ func (e *GraphExec) advance(c *Ctx, succs []int32, pri int, dl time.Duration) {
 	}
 }
 
-// spawn offers node i to the workers as a task of its own. A spawned
-// task inherits the spawning task's level and deadline, so on a
-// template with any elevated or deadlined node every node's task states
-// both: its level, and its deadline — request start plus offset — or 0,
-// which clears an inherited one.
+// spawn offers node i to the workers. On a template without
+// attributes it hands over the frame's offer record (core.OfferNode):
+// on an inline-serving slot the node waits in the slot's hand-off cells
+// and becomes a task only if a thief takes it, while the submitter,
+// waiting in the request's root, takes it back as a call; elsewhere it
+// is spawned. A spawned task inherits the spawning task's level and
+// deadline, so on a template with any elevated or deadlined node every
+// node is spawned, and its task states both: its level, and its
+// deadline — request start plus offset — or 0, which clears an
+// inherited one.
 func (e *GraphExec) spawn(c *Ctx, i int) {
 	if !e.cg.attrs {
-		c.Spawn(e.bodies[i])
+		core.OfferNode(c, &e.offers[i])
 		return
 	}
 	cn := &e.cg.nodes[i]

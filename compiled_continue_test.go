@@ -30,6 +30,22 @@ func tracedRuntime(opts ...repro.Option) *repro.Runtime {
 // created and how often each node index was continued.
 func traceCounts(t *testing.T, rt *repro.Runtime) (tasks int, continued map[int]int) {
 	t.Helper()
+	n := closedTrace(t, rt)
+	return n.tasks, n.continued
+}
+
+// nodeCounts is what a closed runtime's trace says about compiled
+// nodes: tasks created, and per node index how often it was continued
+// and how often, offered, it was taken back and run as a call; plus the
+// offers stolen from a serving slot's cells, each made a task.
+type nodeCounts struct {
+	tasks, steals     int
+	continued, offers map[int]int
+}
+
+// closedTrace closes rt and counts its trace (see traceCounts).
+func closedTrace(t *testing.T, rt *repro.Runtime) nodeCounts {
+	t.Helper()
 	if lv := rt.LiveTasks(); lv != 0 {
 		t.Fatalf("LiveTasks = %d at quiescence", lv)
 	}
@@ -38,18 +54,22 @@ func traceCounts(t *testing.T, rt *repro.Runtime) (tasks int, continued map[int]
 	if d := tr.Drops(); d != 0 {
 		t.Fatalf("trace dropped %d events: raise the capacity", d)
 	}
-	continued = map[int]int{}
+	n := nodeCounts{continued: map[int]int{}, offers: map[int]int{}}
 	for _, evs := range tr.Snapshot().PerCore {
 		for _, e := range evs {
 			switch e.Kind {
 			case trace.KTaskCreate:
-				tasks++
+				n.tasks++
 			case trace.KNodeContinue:
-				continued[int(e.Arg)]++
+				n.continued[int(e.Arg)]++
+			case trace.KNodeOffer:
+				n.offers[int(e.Arg)]++
+			case trace.KCellSteal:
+				n.steals++
 			}
 		}
 	}
-	return tasks, continued
+	return n
 }
 
 // chainGraph is n nodes in a line, node i computing i from node i-1;
@@ -151,11 +171,15 @@ func benchShape() *repro.Graph {
 	return g
 }
 
-// TestCompiledBenchmarkShapeIsThreeTasks: of the seven nodes only the
-// two siblings the source's fan-out offers to the workers are tasks; the
-// root task continues the source, and every join is continued by
-// whichever thread completes it.
-func TestCompiledBenchmarkShapeIsThreeTasks(t *testing.T) {
+// TestCompiledBenchmarkShapeIsOneTask: a request of the benchmark's
+// template is one task, its root. The root continues the source, and
+// every join is continued by whichever thread completes it; the two
+// siblings the source's fan-out offers wait in the serving slot's cells
+// and are taken back by the root's Taskwait and run as calls. The trace
+// accounts for all seven nodes of every request: five node-continue
+// and two node-offer events — less one per offer a worker stole, which
+// a cell-steal and a task of its own account for instead.
+func TestCompiledBenchmarkShapeIsOneTask(t *testing.T) {
 	rt := tracedRuntime()
 	cg, err := benchShape().Compile(rt)
 	if err != nil {
@@ -173,17 +197,30 @@ func TestCompiledBenchmarkShapeIsThreeTasks(t *testing.T) {
 		}
 		e.Release()
 	}
-	tasks, cont := traceCounts(t, rt)
-	if tasks != 3*reqs {
-		t.Fatalf("%d requests created %d tasks, want three each", reqs, tasks)
+	n := closedTrace(t, rt)
+	sum := func(m map[int]int) (k int) {
+		for _, v := range m {
+			k += v
+		}
+		return k
 	}
-	total := 0
-	for _, k := range cont {
-		total += k
+	cont, offered := sum(n.continued), sum(n.offers)
+	if cont != 5*reqs {
+		t.Fatalf("%d requests continued %d nodes, want five each", reqs, cont)
 	}
-	if total != 5*reqs {
-		t.Fatalf("%d requests continued %d nodes, want five each", reqs, total)
+	if n.tasks != reqs+n.steals || offered+n.steals != 2*reqs {
+		t.Fatalf("%d requests: %d tasks, %d offers run as calls, %d stolen; want one task each, two offers each, and a task per steal",
+			reqs, n.tasks, offered, n.steals)
 	}
+	for i := range n.offers {
+		if name := cg.NodeName(i); name != "inventory" && name != "promo" {
+			t.Fatalf("node %s was offered; only the source's second and third successors are", name)
+		}
+	}
+	if n.steals > reqs/10 {
+		t.Fatalf("%d of %d offers stolen: the holder no longer takes its offers back", n.steals, 2*reqs)
+	}
+	t.Logf("%d of %d offers stolen", n.steals, 2*reqs)
 }
 
 // TestCompiledChainStopsMidway: a FailFast failure, a context cancel

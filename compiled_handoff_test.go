@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,4 +275,133 @@ func TestCompiledCellsExactlyOnce(t *testing.T) {
 		}
 	}
 	t.Logf("%d requests served inline, %d dispatched", inline.Load(), dispatched.Load())
+}
+
+// TestCompiledOfferedSiblingDrains: a request stopped — by a FailFast
+// failure in the kept node, a context cancel or a DoTimeout expiry —
+// while its fan-out sibling waits offered in the serving slot's cells
+// drains that sibling: its body never runs and it reports the skip
+// with the right cause, whether the submitter takes it back or a worker
+// steals it, and the frame serves a clean request next. The one worker
+// is held by a blocking task while the scope stops, so only the
+// submitter can take the offer; in the stolen rounds the kept node then
+// frees the worker and waits until it has stolen and drained the
+// sibling. Either way the drained sibling is a task, and the clean
+// request's sibling is taken back and run as a call.
+func TestCompiledOfferedSiblingDrains(t *testing.T) {
+	const rounds = 3
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name  string
+		stop  func(c *repro.Ctx, cancel context.CancelFunc) error
+		d     time.Duration
+		cause error
+	}{
+		{"failfast", func(c *repro.Ctx, _ context.CancelFunc) error { c.Fail(boom); return boom }, 0, boom},
+		{"cancel", func(c *repro.Ctx, cancel context.CancelFunc) error {
+			cancel()
+			return waitAborted(c)
+		}, 0, context.Canceled},
+		{"timeout", func(c *repro.Ctx, _ context.CancelFunc) error { return waitAborted(c) },
+			5 * time.Millisecond, context.DeadlineExceeded},
+	} {
+		for _, stolen := range []bool{false, true} {
+			name := tc.name + "/taken-back"
+			if stolen {
+				name = tc.name + "/stolen"
+			}
+			t.Run(name, func(t *testing.T) {
+				rt := tracedRuntime(repro.WithWorkers(1))
+				// block holds the one worker in a task until free runs.
+				var free func()
+				var blocker *repro.Future[int]
+				block := func() {
+					started, release := make(chan struct{}), make(chan struct{})
+					blocker = repro.Submit(rt, func(*repro.Ctx) (int, error) {
+						close(started)
+						<-release
+						return 0, nil
+					})
+					<-started
+					free = sync.OnceFunc(func() { close(release) })
+				}
+				unblock := func() {
+					free()
+					if _, err := blocker.Wait(nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var armed atomic.Bool
+				var cancel context.CancelFunc
+				var sibRan atomic.Int32
+				cg, err := repro.NewGraph().
+					Add("src", nil, func(*repro.Ctx, map[string]any) (any, error) { return 1, nil }).
+					Add("stop", []string{"src"}, func(c *repro.Ctx, _ map[string]any) (any, error) {
+						if !armed.Load() {
+							return 2, nil
+						}
+						err := tc.stop(c, cancel)
+						if stolen {
+							free()
+							for t0 := time.Now(); rt.LiveTasks() != 1; runtime.Gosched() {
+								if time.Since(t0) > 10*time.Second {
+									return nil, errors.New("the offered sibling was never stolen")
+								}
+							}
+						}
+						return 2, err
+					}).
+					Add("sib", []string{"src"}, func(*repro.Ctx, map[string]any) (any, error) {
+						sibRan.Add(1)
+						return 3, nil
+					}).
+					Compile(rt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < rounds; round++ {
+					var ctx context.Context
+					ctx, cancel = context.WithCancel(context.Background())
+					block()
+					armed.Store(true)
+					e, err := cg.DoTimeout(ctx, tc.d)
+					if !errors.Is(err, tc.cause) {
+						t.Fatalf("aggregate = %v, want %v", err, tc.cause)
+					}
+					if v, err := e.Value("sib"); !errors.Is(err, repro.ErrTaskSkipped) || !errors.Is(err, tc.cause) {
+						t.Fatalf("sibling = %v, %v, want a skip caused by %v", v, err, tc.cause)
+					}
+					if n := sibRan.Load(); n != int32(round) {
+						t.Fatalf("the sibling ran in a stopped request (%d runs in %d clean requests)", n, round)
+					}
+					e.Release()
+					cancel()
+					unblock()
+
+					// The same frame serves a clean request next.
+					block()
+					armed.Store(false)
+					e, err = cg.Do(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v, err := e.Value("sib"); err != nil || v.(int) != 3 {
+						t.Fatalf("clean request after a stopped one: sibling = %v, %v", v, err)
+					}
+					e.Release()
+					unblock()
+				}
+				n := closedTrace(t, rt)
+				sib, _ := cg.NodeIndex("sib")
+				steals, tasks := 0, 5*rounds // two blockers, two roots, the drained sibling
+				if stolen {
+					steals = rounds
+				}
+				if n.steals != steals || n.tasks != tasks || n.offers[sib] != rounds || len(n.offers) != 1 {
+					t.Fatalf("%d steals, %d tasks, offers run as calls %v: want %d, %d and the clean requests' %d siblings",
+						n.steals, n.tasks, n.offers, steals, tasks, rounds)
+				}
+			})
+		}
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -10,20 +11,22 @@ import (
 
 // The cell tests play an inline-serving slot by hand: the test goroutine
 // holds a slot of the serving pool and takes and runs tasks on its index
-// with Runtime.take and runChain, as submitReqInline's helping loop does.
+// with Runtime.take, runReady and runChain, as submitReqInline's helping
+// loop does. A root body they run there offers with OfferNode, as a
+// compiled graph's fan-out does.
 
-// cellSteals counts the KCellSteal events in rt's trace that robbed
-// slot, failing the test on one that names another slot or comes from
-// an index other than thief.
-func cellSteals(t *testing.T, rt *Runtime, thief, slot int) int {
+// traceKinds counts rt's trace events of kind k, failing the test on a
+// cell steal that robbed another slot than slot or came from another
+// index than thief.
+func traceKinds(t *testing.T, rt *Runtime, k trace.Kind, thief, slot int) int {
 	t.Helper()
 	n := 0
 	for w, evs := range rt.Tracer().Snapshot().PerCore {
 		for _, e := range evs {
-			if e.Kind != trace.KCellSteal {
+			if e.Kind != k {
 				continue
 			}
-			if w != thief || int(e.Arg) != slot {
+			if k == trace.KCellSteal && (w != thief || int(e.Arg) != slot) {
 				t.Fatalf("index %d stole from slot %d, want %d from %d", w, e.Arg, thief, slot)
 			}
 			n++
@@ -32,13 +35,33 @@ func cellSteals(t *testing.T, rt *Runtime, thief, slot int) int {
 	return n
 }
 
-// TestCellsOrder: the tasks a body readies on a serving slot wait in the
-// slot's two cells, where Stats counts them as queued, and a third
-// pushes the oldest out to the scheduler. A queued task of a higher
-// level is taken before any cell task; then the slot's own take runs
-// the newest cell, and a worker whose scheduler poll comes up empty
-// steals what is left once the slot has left it for cellGrace, leaving
-// one KCellSteal.
+// cellSteals counts the KCellSteal events in rt's trace (see traceKinds).
+func cellSteals(t *testing.T, rt *Runtime, thief, slot int) int {
+	t.Helper()
+	return traceKinds(t, rt, trace.KCellSteal, thief, slot)
+}
+
+// sameOrder fails the test unless got equals want.
+func sameOrder(t *testing.T, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ran %v, want %v", got, want)
+		}
+	}
+}
+
+// TestCellsOrder: the offers a body makes on a serving slot wait in the
+// slot's two cells, where Stats counts them as queued, and a third push
+// makes the oldest a task in the scheduler. While an elevated task is
+// queued the holder's helping step takes that first; then it takes back
+// its newest offer and runs it as a call inside the waiting body,
+// leaving one KNodeOffer and no task. A worker whose scheduler poll
+// comes up empty steals what is left, as a task, once the slot has left
+// it for cellGrace, leaving one KCellSteal.
 func TestCellsOrder(t *testing.T) {
 	for _, sk := range []SchedulerKind{SchedSyncDTLock, SchedCentralPTLock} {
 		t.Run(sk.testName(), func(t *testing.T) {
@@ -50,49 +73,54 @@ func TestCellsOrder(t *testing.T) {
 			ran := func(name string) func(*Ctx) {
 				return func(*Ctx) { order = append(order, name) }
 			}
+			offers := []Offer{NewOffer(ran("a"), 0), NewOffer(ran("b"), 1), NewOffer(ran("c"), 2)}
+			var hi *anyFuture
+			var cells []*Offer
+			var pending int64
 			h := submit(rt, func(c *Ctx) {
-				c.Spawn(ran("a"))
-				c.Spawn(ran("b"))
-				c.Spawn(ran("c"))
+				for i := range offers {
+					OfferNode(c, &offers[i])
+				}
+				cp := rt.cellsOf(slot)
+				cells = []*Offer{cp.c[0].Load(), cp.c[1].Load()}
+				pending = rt.Stats().Pending
+				hi = submitAny(rt, func(c *Ctx) (any, error) { ran("elevated")(c); return nil, nil },
+					Priority(MaxPriority))
+				rt.runReady(slot) // the elevated root, ahead of the offers
+				rt.runReady(slot) // c, the newest offer, as a call
 			})
 			rt.runChain(rt.take(slot, false), slot) // the root, from the scheduler
-			cp := rt.cellsOf(slot)
-			if cp.c[0].Load() == nil || cp.c[1].Load() == nil {
-				t.Fatal("the root's children did not land in the serving slot's cells")
+			if cells[0] != &offers[2] || cells[1] != &offers[1] {
+				t.Fatal("the root's offers did not land in the serving slot's cells, newest first")
 			}
-			if got := rt.Stats().Pending; got != 3 {
-				t.Fatalf("Pending = %d with three children queued, want 3", got)
+			if pending != 3 {
+				t.Fatalf("Pending = %d with two offers and a task queued, want 3", pending)
 			}
-			hi := submitAny(rt, func(c *Ctx) (any, error) { ran("elevated")(c); return nil, nil },
-				Priority(MaxPriority))
-			rt.runChain(rt.take(slot, false), slot) // the elevated root
-			rt.runChain(rt.take(slot, false), slot) // c, the newest cell
-			rt.runChain(rt.take(0, false), 0)       // a, pushed out to the scheduler
+			rt.runChain(rt.take(0, false), 0) // a, pushed out to the scheduler as a task
 			if n := cellSteals(t, rt, 0, slot); n != 0 {
 				t.Fatalf("%d cell steals while the scheduler held a task", n)
 			}
 			if tk := rt.take(0, false); tk != nil {
-				t.Fatal("a cell task was stolen at first sight")
+				t.Fatal("an offer was stolen at first sight")
 			}
 			time.Sleep(2 * cellGrace)
-			rt.runChain(rt.take(0, false), 0) // b, stolen
+			rt.runChain(rt.take(0, false), 0) // b, stolen as a task
 			if n := cellSteals(t, rt, 0, slot); n != 1 {
 				t.Fatalf("%d cell steals, want 1", n)
 			}
-			if tk := rt.take(slot, false); tk != nil {
-				t.Fatal("a task is left after every child ran")
+			if tk := rt.take(slot, false); tk != nil || rt.takeOffer(slot) != nil {
+				t.Fatal("work is left after every offer ran")
 			}
-			want := []string{"elevated", "c", "a", "b"}
-			if len(order) != len(want) {
-				t.Fatalf("ran %v, want %v", order, want)
-			}
-			for i := range want {
-				if order[i] != want[i] {
-					t.Fatalf("ran %v, want %v", order, want)
-				}
-			}
+			sameOrder(t, order, []string{"elevated", "c", "a", "b"})
 			<-hi.Done()
 			settled(t, rt, h)
+			// The root, the elevated root, a and b: c ran as a call.
+			if n := traceKinds(t, rt, trace.KTaskCreate, 0, 0); n != 4 {
+				t.Fatalf("%d tasks created, want 4", n)
+			}
+			if n := traceKinds(t, rt, trace.KNodeOffer, 0, 0); n != 1 {
+				t.Fatalf("%d offers run as calls, want 1", n)
+			}
 		})
 	}
 }
@@ -100,7 +128,9 @@ func TestCellsOrder(t *testing.T) {
 // TestCellStealGrace: a thief steals from a serving slot's cells only
 // after watching the slot's holder leave them untouched for cellGrace.
 // Its first look starts the watch, a take by the holder restarts it,
-// and a look a grace after the last touch steals the oldest task.
+// and a look a grace after the last touch steals the oldest offer. The
+// offers' parent has returned from its body, so the holder's take makes
+// its offer a task too, not a call.
 func TestCellStealGrace(t *testing.T) {
 	rt := build(Config{Workers: 1, TraceCapacity: 1 << 10})
 	defer rt.Close()
@@ -110,34 +140,40 @@ func TestCellStealGrace(t *testing.T) {
 	ran := func(name string) func(*Ctx) {
 		return func(*Ctx) { order = append(order, name) }
 	}
+	offers := []Offer{NewOffer(ran("a"), 0), NewOffer(ran("b"), 1)}
 	h := submit(rt, func(c *Ctx) {
-		c.Spawn(ran("a"))
-		c.Spawn(ran("b"))
+		OfferNode(c, &offers[0])
+		OfferNode(c, &offers[1])
 	})
 	rt.runChain(rt.take(slot, false), slot) // the root; a and b wait in the cells
 	if tk := rt.take(0, false); tk != nil {
-		t.Fatal("a cell task was stolen at the thief's first look")
+		t.Fatal("an offer was stolen at the thief's first look")
 	}
 	time.Sleep(2 * cellGrace)
-	rt.runChain(rt.take(slot, false), slot) // b, the holder's newest
+	rt.runReady(slot) // b, the holder's newest
 	if tk := rt.take(0, false); tk != nil {
-		t.Fatal("a cell task was stolen although the holder took one since the thief's last look")
+		t.Fatal("an offer was stolen although the holder took one since the thief's last look")
 	}
 	time.Sleep(2 * cellGrace)
 	rt.runChain(rt.take(0, false), 0) // a, stolen
 	if n := cellSteals(t, rt, 0, slot); n != 1 {
 		t.Fatalf("%d cell steals, want 1", n)
 	}
-	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
-		t.Fatalf("ran %v, want [b a]", order)
-	}
+	sameOrder(t, order, []string{"b", "a"})
 	settled(t, rt, h)
+	if n := traceKinds(t, rt, trace.KNodeOffer, 0, 0); n != 0 {
+		t.Fatalf("%d offers ran as calls after their parent's body returned", n)
+	}
+	if n := traceKinds(t, rt, trace.KTaskCreate, 0, 0); n != 3 {
+		t.Fatalf("%d tasks created, want the root and one per offer", n)
+	}
 }
 
-// TestCellsHoldLevelZeroOnly: a cell task waits for its submitter's
-// next take or for a scheduler poll that comes up empty, so an elevated
-// task readied on a serving slot is queued in the scheduler instead,
-// where a worker takes it before level-0 work queued after it.
+// TestCellsHoldLevelZeroOnly: the cells hold offers of level-0 tasks
+// only. A task readied on a serving slot is queued in the scheduler, as
+// anywhere else, and so is an elevated task's offer, made a task at
+// once; a worker takes the elevated tasks before level-0 work queued
+// ahead of them.
 func TestCellsHoldLevelZeroOnly(t *testing.T) {
 	handoffRuntimes(t, func(t *testing.T, rt *Runtime) {
 		slot := rt.serveSlots.TryAcquire()
@@ -146,26 +182,37 @@ func TestCellsHoldLevelZeroOnly(t *testing.T) {
 		ran := func(name string) func(*Ctx) {
 			return func(*Ctx) { order = append(order, name) }
 		}
-		h := submit(rt, func(c *Ctx) { c.Spawn(ran("elevated"), Priority(MaxPriority)) })
-		rt.runChain(rt.take(slot, false), slot) // the root, from the scheduler
-		if rt.cellsOf(slot).c[0].Load() != nil {
-			t.Fatal("an elevated task waits in a serving slot's cell")
+		empty := func(when string) {
+			cp := rt.cellsOf(slot)
+			if cp.c[0].Load() != nil || cp.c[1].Load() != nil {
+				t.Fatalf("%s: a serving slot's cell is occupied", when)
+			}
 		}
-		lo := submit(rt, ran("level-0"))
-		for k := 0; k < 2; k++ {
+		lo := submit(rt, func(c *Ctx) {
+			c.Spawn(ran("level-0 task"))
+			c.Spawn(ran("elevated task"), Priority(MaxPriority))
+		})
+		rt.runChain(rt.take(slot, false), slot) // the root, from the scheduler
+		empty("spawned tasks")
+		o := NewOffer(ran("elevated offer"), 0)
+		hi := submitAny(rt, func(c *Ctx) (any, error) {
+			OfferNode(c, &o)
+			return nil, nil
+		}, Priority(MaxPriority))
+		rt.runChain(rt.take(slot, false), slot) // the elevated root
+		empty("an elevated task's offer")
+		for k := 0; k < 3; k++ {
 			rt.runChain(rt.take(0, false), 0)
 		}
-		if len(order) != 2 || order[0] != "elevated" || order[1] != "level-0" {
-			t.Fatalf("ran %v, want [elevated level-0]", order)
-		}
-		<-lo.Done()
-		settled(t, rt, h)
+		sameOrder(t, order, []string{"elevated task", "elevated offer", "level-0 task"})
+		<-hi.Done()
+		settled(t, rt, lo)
 	})
 }
 
 // TestCellsNoStranding: a serving slot helps run another request's root,
-// whose child lands in the slot's cells, and then returns, as a
-// submitter whose own request completed does. The child is counted as
+// whose offer lands in the slot's cells, and then returns, as a
+// submitter whose own request completed does. The offer is counted as
 // queued, so the worker, parked while the root ran, is woken for it and
 // steals it, and Drain finishes.
 func TestCellsNoStranding(t *testing.T) {
@@ -174,7 +221,9 @@ func TestCellsNoStranding(t *testing.T) {
 			rt := build(Config{Workers: 1, Scheduler: sk, TraceCapacity: 1 << 10})
 			rt.idleSpin = 16
 			slot := rt.serveSlots.TryAcquire()
-			h := submit(rt, func(c *Ctx) { c.Spawn(func(*Ctx) {}) })
+			ran := false
+			o := NewOffer(func(*Ctx) { ran = true }, 0)
+			h := submit(rt, func(c *Ctx) { OfferNode(c, &o) })
 			other := rt.take(slot, false)
 			if other == nil {
 				t.Fatal("the other request's root is not queued")
@@ -186,13 +235,56 @@ func TestCellsNoStranding(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			if err := rt.Drain(ctx); err != nil {
-				t.Fatalf("Drain: %v with the child in a returned slot's cells (%+v)", err, rt.Stats())
+				t.Fatalf("Drain: %v with an offer in a returned slot's cells (%+v)", err, rt.Stats())
 			}
 			rt.Close()
 			settled(t, rt, h)
+			if !ran {
+				t.Fatal("the offer never ran")
+			}
 			if n := cellSteals(t, rt, 0, slot); n != 1 {
 				t.Fatalf("%d cell steals, want the worker's 1", n)
 			}
 		})
+	}
+}
+
+// TestCellOfferPanic: a panic that escapes an offer the holder runs as
+// a call fails the offer's parent with a *PanicError, as runBody's
+// recover fails a task, and the parent's body goes on after its
+// Taskwait.
+func TestCellOfferPanic(t *testing.T) {
+	rt := build(Config{Workers: 1, TraceCapacity: 1 << 10})
+	defer rt.Close()
+	slot := rt.serveSlots.TryAcquire()
+	defer rt.serveSlots.Release(slot)
+	o := NewOffer(func(*Ctx) { panic("offer boom") }, 7)
+	after := false
+	h := submit(rt, func(c *Ctx) {
+		OfferNode(c, &o)
+		c.Taskwait() // takes o back and runs it as a call
+		after = true
+	})
+	rt.runChain(rt.take(slot, false), slot)
+	select {
+	case <-h.Done():
+	default:
+		t.Fatal("the root did not complete")
+	}
+	var pe *PanicError
+	if !errors.As(h.err, &pe) || pe.Value != "offer boom" {
+		t.Fatalf("root error %v, want the offer's panic", h.err)
+	}
+	if !after {
+		t.Fatal("the parent's body did not go on after the offer's panic")
+	}
+	if lv := rt.LiveTasks(); lv != 0 {
+		t.Fatalf("LiveTasks = %d at quiescence", lv)
+	}
+	if n := traceKinds(t, rt, trace.KNodeOffer, 0, 0); n != 1 {
+		t.Fatalf("%d offers run as calls, want 1", n)
+	}
+	if n := traceKinds(t, rt, trace.KTaskCreate, 0, 0); n != 1 {
+		t.Fatalf("%d tasks created, want the root alone", n)
 	}
 }

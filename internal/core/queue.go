@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -12,11 +13,13 @@ import (
 // Queue accounting: every insertion and claim of a ready task goes
 // through schedAdd and schedTook, which keep the pending counts the
 // park/wake protocol and the priority gates read. A queued task waits in
-// the scheduler or, readied on an inline-serving slot, in that slot's
-// hand-off cells; take is the one place either is looked in.
+// the scheduler; take is the one place it is looked for. An offer
+// (OfferNode) waiting in an inline-serving slot's hand-off cells is
+// counted as queued too, and claimed by its slot's holder (takeOffer)
+// or by a thief (stealCell).
 
-// pending returns the number of tasks queued (added and not yet taken),
-// in the scheduler or in a hand-off cell. The read order is
+// pending returns the number of tasks and offers queued (added and not
+// yet taken), in the scheduler or in a hand-off cell. The read order is
 // load-bearing: taken is summed FIRST, then added. Both are monotone and every take follows
 // its add, so the result over-approximates the true count at the
 // instant between the two sums — never negative, and never zero while
@@ -30,28 +33,20 @@ func (rt *Runtime) pending() int64 {
 	return rt.added.Sum() - taken
 }
 
-// schedAdd queues a ready task, maintaining the per-level pending
-// counts for elevated tasks and the elastic pending count. Every
-// insertion must go through it (ready callback, commutative re-enqueue)
-// so the counts match what take can return. A level-0 task readied on
-// an inline-serving slot that passes the hand-off gates (mayHandOff,
-// and not commutative: a lost token race re-enqueues it) waits in the
-// slot's cells instead of the scheduler (cellPair); whatever it pushes
-// out of them goes to the scheduler. An elevated task never waits in a
-// cell: unlike the bypass slot's, a cell task does not run next, and an
-// elevated one must not wait out the submitter's current task, or a
-// thief's empty poll, while workers run lower levels from the scheduler;
-// the policy orders it there. Only where the task waits differs:
-// the counts and the wake below are the same either way, so a parked
-// pool, Drain and Stats see a task in a cell as a queued task. The
-// queue level is the task's *effective* priority, and it is recorded in
-// qstate (as level+1; 0 means not queued) before the insertion so a
-// concurrent promotion (promote) can re-rank the entry and move the
-// pending counts with it. The order against wakeWorker is the
-// lost-wakeup argument's producer half: the slot's added count is
-// raised (sequentially consistent) before the parked count is read, so
-// a worker concurrently publishing itself as parked either sees
-// pending > 0 in its recheck or is seen here.
+// schedAdd queues a ready task in the scheduler, maintaining the
+// per-level pending counts for elevated tasks and the elastic pending
+// count. Every insertion must go through it (ready callback, commutative
+// re-enqueue, an offer made a task) so the counts match what take can
+// return. A task readied on an inline-serving slot is queued here like
+// any other: the slot's cells hold offers, never tasks. The queue level
+// is the task's *effective* priority, and it is recorded in qstate (as
+// level+1; 0 means not queued) before the insertion so a concurrent
+// promotion (promote) can re-rank the entry and move the pending counts
+// with it. The order against wakeWorker is the lost-wakeup argument's
+// producer half: the slot's added count is raised (sequentially
+// consistent) before the parked count is read, so a worker concurrently
+// publishing itself as parked either sees pending > 0 in its recheck or
+// is seen here.
 func (rt *Runtime) schedAdd(t *Task, worker int) {
 	lvl := sched.ClampPriority(int(t.epri.Load()))
 	t.qstate.Store(int32(lvl + 1))
@@ -59,46 +54,60 @@ func (rt *Runtime) schedAdd(t *Task, worker int) {
 		rt.priPending[lvl].v.Add(1)
 	}
 	rt.added.Add(worker, 1)
-	if cp := rt.cellsOf(worker); cp != nil && lvl == 0 && !t.node.HasCommutative() && rt.mayHandOff(t) {
-		t = cp.push(t)
-	}
-	if t != nil {
-		rt.sched.Add(t, worker)
-	}
+	rt.sched.Add(t, worker)
 	rt.wakeWorker()
 }
 
+// Offer is a compiled-graph node a serving body hands to its slot's
+// hand-off cells instead of spawning it (OfferNode): the work-first
+// half of the immediate-successor hand-off, done as lazy task creation
+// (Mohr, Kranz and Halstead, 1991). The record belongs to the caller —
+// a GraphExec frame binds one per node with NewOffer and reuses it for
+// every request — and holds the node's body, its index for the trace,
+// and, while it waits in a cell, the task it is a child of. A push costs
+// what a task's queueing costs, the counts and the wake; only a thief
+// pays for a task.
+type Offer struct {
+	body   func(*Ctx)
+	parent *Task
+	node   int
+}
+
+// NewOffer binds body, the body of graph node node, into an offer
+// record for OfferNode.
+func NewOffer(body func(*Ctx), node int) Offer {
+	return Offer{body: body, node: node}
+}
+
 // cellPair is one inline-serving slot's two hand-off cells, on a cache
-// line of their own: the work-first half of the immediate-successor
-// hand-off. A request served inline readies its fan-out siblings on the
-// submitter's slot; they wait here, within the submitter's reach, for
-// the submitter's next take — it runs the newest first — while an idle
-// thread whose scheduler poll came up empty steals the oldest once the
-// holder has left the cells untouched for cellGrace. Only the slot's
-// holder pushes (the index is exclusive, topology.go); anyone may
-// claim, the holder with a CompareAndSwap, everyone else with a
-// Swap(nil), so each entry has exactly one taker and schedTook's qstate
-// claim stays the one claim of the task, as for a scheduler entry.
+// line of their own. A request served inline offers its fan-out
+// siblings on the submitter's slot; they wait here, within the
+// submitter's reach, for the submitter's next take — it runs the newest
+// first — while an idle thread whose scheduler poll came up empty
+// steals the oldest once the holder has left the cells untouched for
+// cellGrace. Only the slot's holder pushes (the index is exclusive,
+// topology.go); anyone may claim, the holder with a CompareAndSwap,
+// everyone else with a Swap(nil), so each offer has exactly one taker.
 // touched counts the holder's pushes and takes; only the holder writes
 // it, on the line its push or take writes anyway.
 type cellPair struct {
-	c       [2]atomic.Pointer[Task]
+	c       [2]atomic.Pointer[Offer]
 	touched atomic.Uint32
 	_       [44]byte
 }
 
-// cellGrace is how long a serving slot's holder may leave a task in its
-// cells, without pushing or taking, before a thief steals it. A holder
-// that is serving takes its cells within a body or two, and a steal
-// then only moves the rest of the request to another thread: stealing
-// at first sight, graph_closed (two cores) lost 2 000 to 30 000 of a
-// window's 350 000 siblings, each costing about 5 us of wall time, and
-// the count, so the throughput, moved with each window's timing. A
-// holder stuck in a long body, or gone (its request done), leaves its
-// cells untouched, and they are stolen after the grace. Like the Go
-// scheduler's few-microsecond wait before it steals a P's runnext, the
-// grace only has to be long against the holder's next take and short
-// against a body worth running in parallel.
+// cellGrace is how long a serving slot's holder may leave an offer in
+// its cells, without pushing or taking, before a thief steals it. A
+// holder that is serving takes its cells within a body or two, and a
+// steal then only moves the rest of the request to another thread:
+// stealing at first sight, graph_closed (two cores) lost 2 000 to
+// 30 000 of a window's 350 000 siblings, each costing about 5 us of
+// wall time, and the count, so the throughput, moved with each window's
+// timing. A holder stuck in a long body, or gone (its request done),
+// leaves its cells untouched, and they are stolen after the grace. Like
+// the Go scheduler's few-microsecond wait before it steals a P's
+// runnext, the grace only has to be long against the holder's next
+// take and short against a body worth running in parallel.
 const cellGrace = 20 * time.Microsecond
 
 // cellWatch is a thief's last sighting of one serving slot's occupied
@@ -119,42 +128,26 @@ func (rt *Runtime) cellsOf(id int) *cellPair {
 	return nil
 }
 
-// push puts t in the first cell, moving the task it displaces to the
-// second, and returns the task pushed out of both (nil if none), which
-// the caller hands to the scheduler.
-func (cp *cellPair) push(t *Task) *Task {
+// push puts o in the first cell, moving the offer it displaces to the
+// second, and returns the offer pushed out of both (nil if none), which
+// the caller makes a task.
+func (cp *cellPair) push(o *Offer) *Offer {
 	cp.touched.Add(1)
-	if t = cp.c[0].Swap(t); t != nil {
-		t = cp.c[1].Swap(t)
+	if o = cp.c[0].Swap(o); o != nil {
+		o = cp.c[1].Swap(o)
 	}
-	return t
+	return o
 }
 
-// take is the one claim of every loop that runs tasks (the worker
-// loop, runReady). It looks in three places, in order:
-//
-//  1. id's own cells, newest first, when id is an inline-serving slot —
-//     passed over while elevated work is queued, so the policy orders
-//     it first (the lock-free reading of "elevated work is waiting", as
-//     for the bypass slot; cell tasks are level 0);
-//  2. the scheduler: Get when wait is set (the worker loop), else TryGet;
-//  3. only when the scheduler had nothing, the other serving slots'
-//     cells, oldest first, once their holder has left them untouched
-//     for cellGrace (stealCell).
-//
-// The entry found is claimed through schedTook.
+// take is the one task claim of every loop that runs tasks (the worker
+// loop, runReady): the scheduler — Get when wait is set (the worker
+// loop), else TryGet — and, only when it had nothing, the other serving
+// slots' cells, oldest first, once their holder has left them untouched
+// for cellGrace (stealCell). A stolen offer becomes a task here
+// (offerTask), which take returns unless a hand-off gate sent it to the
+// scheduler. A slot's own cells are runReady's to look in (takeOffer).
+// The scheduler entry found is claimed through schedTook.
 func (rt *Runtime) take(id int, wait bool) *Task {
-	if cp := rt.cellsOf(id); cp != nil {
-		for i := range cp.c {
-			c := &cp.c[i]
-			// No ABA: only this thread pushes to its cells, so between the
-			// Load and the CompareAndSwap the cell can only be emptied.
-			if t := c.Load(); t != nil && !rt.higherPriPending(0) && c.CompareAndSwap(t, nil) {
-				cp.touched.Add(1)
-				return rt.schedTook(t, id)
-			}
-		}
-	}
 	var t *Task
 	if wait {
 		t = rt.sched.Get(id)
@@ -162,19 +155,43 @@ func (rt *Runtime) take(id int, wait bool) *Task {
 		t = rt.sched.TryGet(id)
 	}
 	if t == nil && rt.elastic {
-		t = rt.stealCell(id)
+		if o := rt.stealCell(id); o != nil {
+			return rt.offerTask(o, id, true)
+		}
 	}
 	return rt.schedTook(t, id)
 }
 
-// stealCell claims the oldest task in another inline-serving slot's
+// takeOffer claims the newest offer in id's own cells, when id is an
+// inline-serving slot — passed over while elevated work is queued, so
+// the policy orders that first (the lock-free reading of "elevated work
+// is waiting", as for the bypass slot; offers are level 0). It is the
+// first step of the holder's runReady. No ABA: only this thread pushes
+// to its cells, so between the Load and the CompareAndSwap a cell can
+// only be emptied.
+func (rt *Runtime) takeOffer(id int) *Offer {
+	cp := rt.cellsOf(id)
+	if cp == nil {
+		return nil
+	}
+	for i := range cp.c {
+		c := &cp.c[i]
+		if o := c.Load(); o != nil && !rt.higherPriPending(0) && c.CompareAndSwap(o, nil) {
+			cp.touched.Add(1)
+			return o
+		}
+	}
+	return nil
+}
+
+// stealCell claims the oldest offer in another inline-serving slot's
 // cells, once id has watched that slot's holder leave them untouched
 // for cellGrace, and records one KCellSteal (Arg = the slot robbed).
 // The first sighting of occupied cells, or of a touch count that moved
 // since the last one, only starts the watch. A cell found empty is only
 // loaded, never swapped, so idle pollers do not write the lines the
 // submitters push to.
-func (rt *Runtime) stealCell(id int) *Task {
+func (rt *Runtime) stealCell(id int) *Offer {
 	watch := &rt.bypass[id].watch
 	for i := range rt.cells {
 		slot := rt.serveBase + i
@@ -197,13 +214,69 @@ func (rt *Runtime) stealCell(id int) *Task {
 			if cp.c[j].Load() == nil {
 				continue
 			}
-			if t := cp.c[j].Swap(nil); t != nil {
+			if o := cp.c[j].Swap(nil); o != nil {
 				rt.tracer.Emit(id, trace.KCellSteal, uint64(slot))
-				return t
+				return o
 			}
 		}
 	}
 	return nil
+}
+
+// offerTask makes o, an offer thread id claimed from a cell, the task
+// it stands for, through Spawn's accounting — newTask and registerWith,
+// the one registration path — and then books the claim: the offer's
+// queued count is taken on id's line, and the parent-alive and live
+// counts its push raised are dropped, after the task raised its own, so
+// the parent cannot complete in between. With arm set, id's bypass slot
+// is armed around the registration and the task comes straight back
+// for the caller to run, unless a hand-off gate sends it to the
+// scheduler (an aborted scope drains there); without, it is queued.
+// Registration only reads the parent's attribute line and never its
+// dependency domain (an offer is access-free), so it is sound on any
+// thread, also after the parent's body returned.
+func (rt *Runtime) offerTask(o *Offer, id int, arm bool) *Task {
+	p := o.parent
+	t := rt.newTask(p, o.body, nil, id)
+	bs := &rt.bypass[id]
+	bs.armed = arm
+	rt.registerWith(p, nil, t, id)
+	t = bs.disarm()
+	rt.taken.Add(id, 1)
+	p.alive.Add(-1)
+	rt.live.Add(id, -1)
+	return t
+}
+
+// callOffer runs o, an offer the holder of slot id took back from its
+// own cells, as a plain call inside its parent, when that parent is the
+// task waiting on this thread (its body is helping: Taskwait, or a
+// Spawn past the window) and its scope is healthy — no shell,
+// registration, qstate claim, release or completion, as for a continued
+// node — and records one KNodeOffer (Arg = the node). It reports false,
+// touching nothing, for any other offer; the caller makes that a task.
+// The offer's counts are dropped before the call, so a Taskwait inside
+// it does not wait for itself; the parent's body guard keeps the parent
+// from completing meanwhile. A panic that escapes the call fails the
+// parent, as runBody's recover fails a task.
+func (rt *Runtime) callOffer(o *Offer, id int) (ran bool) {
+	c := &rt.wctx[id].ctx
+	p := o.parent
+	if p != c.task || p.sc.abortCause() != nil {
+		return false
+	}
+	rt.taken.Add(id, 1)
+	p.alive.Add(-1)
+	rt.live.Add(id, -1)
+	rt.tracer.Emit(id, trace.KNodeOffer, uint64(o.node))
+	defer func() {
+		if r := recover(); r != nil {
+			p.fail(&PanicError{Value: r, Stack: debug.Stack()})
+		}
+	}()
+	ran = true
+	o.body(c)
+	return ran
 }
 
 // schedTook books a task that slot id obtained from take out of the
@@ -338,8 +411,7 @@ func (rt *Runtime) higherPriPending(pri int8) bool {
 // cancelled scope's tasks drain through the scheduler) and nothing of a
 // higher level is queued (the priority policy must order the two). The
 // ready callback asks it about the task it would park in the bypass
-// slot, schedAdd about the task it would put in a hand-off cell, and
-// ContinueNode about the running task itself.
+// slot, and ContinueNode and OfferNode about the running task itself.
 func (rt *Runtime) mayHandOff(t *Task) bool {
 	return t.sc.abortCause() == nil && !rt.higherPriPending(int8(t.epri.Load()))
 }

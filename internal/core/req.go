@@ -44,15 +44,17 @@ func NewReq() *Req {
 // descendant run right here, on the submitter's exclusive thread
 // index, and SubmitReq returns only once the request fully completed —
 // skipping both cross-goroutine hand-offs (submit wake-up, completion
-// wake-up) of the dispatch path. A body that readies several tasks at
+// wake-up) of the dispatch path. A body that readies several nodes at
 // once keeps only the first for this goroutine (a compiled graph's
-// continuation, or the dependency release's successor bypass); the
-// others wait in the slot's two hand-off cells, where this goroutine
-// takes the newest next and an idle worker steals the oldest, so inline
-// serving never reduces parallelism (a third, an elevated task and any
-// task a hand-off gate declines go through the scheduler). When every
-// slot is busy, the root dispatches through the scheduler and Wait
-// blocks on the latch.
+// continuation, or the dependency release's successor bypass). The
+// compiled graph's others are offered (OfferNode) into the slot's two
+// hand-off cells, where this goroutine, waiting in the root's Taskwait,
+// takes back the newest and runs it as a call, and an idle worker
+// steals the oldest as a task, so inline serving never reduces
+// parallelism; a third offer becomes a task in the scheduler, and so
+// does every task readied here (a spawned child, an elevated node, one
+// a hand-off gate declines). When every slot is busy, the root
+// dispatches through the scheduler and Wait blocks on the latch.
 //
 // A deadline costs one clock read per abort check of the request's
 // tasks; the cycle allocates nothing either way.

@@ -88,9 +88,10 @@ type Runtime struct {
 	alloc alloc.Allocator[Task]
 
 	// added and taken are the two halves of the pending count
-	// (scheduler-queued tasks), sharded per slot like live and both
-	// monotone: a producer bumps added on its own slot's line
-	// (schedAdd/promote), a taker bumps taken on its own (schedTook), so
+	// (scheduler-queued tasks and offers in hand-off cells), sharded per
+	// slot like live and both monotone: a producer bumps added on its own
+	// slot's line (schedAdd/promote/OfferNode), a taker bumps taken on its
+	// own (schedTook, callOffer, offerTask), so
 	// the per-task hot path writes no line another core writes. Their
 	// difference (pending) is the scheduler's half of the Dekker
 	// no-lost-wakeup argument, and is only summed on slow paths.
@@ -102,8 +103,8 @@ type Runtime struct {
 	// protect from it). The successor-bypass gate reads the levels above
 	// a candidate's own before parking it, so a low-priority immediate
 	// successor cannot jump a queued high-priority task. Counting covers
-	// exactly the tasks routed through schedAdd/schedTook, in the
-	// scheduler or a hand-off cell. Each level sits on
+	// exactly the tasks routed through schedAdd/schedTook (offers are
+	// level 0 and never counted here). Each level sits on
 	// its own cache line; runs that never set a priority only ever
 	// *read* these (always-zero) lines on the bypass path, which stays
 	// cached and contention-free.
@@ -127,7 +128,8 @@ type Runtime struct {
 	// lease holder uses exclusively.
 	rootDom *deps.RootDomain
 
-	// live counts created-but-not-fully-completed tasks, sharded per
+	// live counts created-but-not-fully-completed tasks, and offers
+	// waiting in hand-off cells (OfferNode), sharded per
 	// worker so the two hottest lifecycle events (create, complete)
 	// never ping-pong a shared cache line. The sum is exact at
 	// quiescence, which is the only time anyone reads it (LiveTasks
@@ -186,8 +188,8 @@ type Runtime struct {
 	noiseDone atomic.Bool
 
 	// cells are the inline-serving slots' hand-off cells, one pair per
-	// index of [serveBase, Slots): where a serving slot's readied tasks
-	// wait instead of the scheduler (queue.go). Unused on the blocking
+	// index of [serveBase, Slots): where the offers a serving slot's
+	// bodies make wait (OfferNode, queue.go). Unused on the blocking
 	// scheduler (elastic false), whose workers sleep in Get. The pad
 	// keeps the first pair's line clear of the fields above; each pair
 	// pads its own tail.
@@ -557,6 +559,38 @@ func ContinueNode(c *Ctx, node int) bool {
 	return true
 }
 
+// OfferNode hands graph node o, ready and access-free, to the workers
+// without creating a task for it. On an inline-serving slot, from a
+// level-0 task whose hand-off gates pass (mayHandOff), o is pushed into
+// the slot's hand-off cells with a queued task's bookkeeping — the
+// running task's alive count, the live and queued counts, a worker
+// woken, and the spawn window — and whoever takes it decides what it
+// costs: the holder, while this task waits on its thread, runs it as a
+// call inside the task (callOffer); anyone else makes it a task
+// (offerTask), as does a push that moves it out of both cells.
+// Anywhere else o is spawned at once, as Spawn would. A record may be
+// pushed again only once its last push was claimed, which a request's
+// completion implies.
+func OfferNode(c *Ctx, o *Offer) {
+	rt, p, id := c.rt, c.task, c.worker
+	cp := rt.cellsOf(id)
+	if cp == nil || p.epri.Load() != 0 || !rt.mayHandOff(p) {
+		rt.spawn(p, o.body, nil, id)
+		return
+	}
+	o.parent = p
+	inFlight := p.alive.Add(1) - 1
+	rt.live.Add(id, 1)
+	rt.added.Add(id, 1)
+	if out := cp.push(o); out != nil {
+		rt.offerTask(out, id, false)
+	}
+	rt.wakeWorker()
+	if inFlight > spawnWindow {
+		rt.helpSpawn(p, id)
+	}
+}
+
 // idleSpinDefault is a worker's idle spin budget: the consecutive empty
 // scheduler polls it tolerates before it parks on its wake channel.
 const idleSpinDefault = 1024
@@ -676,9 +710,19 @@ func (rt *Runtime) runChain(t *Task, id int) (n int) {
 	return n
 }
 
-// runReady is the helping loops' one step: take a ready task without
-// blocking and run its chain; 0 means nothing was ready.
+// runReady is the helping loops' one step: take back the newest offer
+// in id's own cells, if any, and run it — as a call (callOffer) or as
+// the task it becomes — or else take a ready task without blocking and
+// run its chain; 0 means nothing was ready.
 func (rt *Runtime) runReady(id int) int {
+	if o := rt.takeOffer(id); o != nil {
+		if rt.callOffer(o, id) {
+			return 1
+		}
+		if t := rt.offerTask(o, id, true); t != nil {
+			return rt.runChain(t, id)
+		}
+	}
 	return rt.runChain(rt.take(id, false), id)
 }
 
@@ -909,7 +953,8 @@ func (rt *Runtime) Close() {
 }
 
 // LiveTasks returns the number of tasks created but not yet fully
-// completed (diagnostics and tests). The underlying counter is sharded:
+// completed, counting an offer waiting in a hand-off cell as one
+// (diagnostics and tests). The underlying counter is sharded:
 // the value is exact once submitters and workers are quiescent, which
 // is when the tests that assert on it read it.
 func (rt *Runtime) LiveTasks() int64 { return rt.live.Sum() }
@@ -932,8 +977,9 @@ type Stats struct {
 	Parks uint64
 	// Wakes counts wake tokens delivered to parked workers.
 	Wakes uint64
-	// Pending is the number of tasks currently queued (added and not yet
-	// taken), in the scheduler or in a serving slot's hand-off cells.
+	// Pending is the number of tasks currently queued in the scheduler
+	// plus the offers waiting in serving slots' hand-off cells (added and
+	// not yet taken).
 	Pending int64
 }
 

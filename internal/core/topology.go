@@ -47,11 +47,11 @@ package core
 // dispatch path).
 //
 // Each serving index also owns two hand-off cells (cellPair in
-// queue.go): the level-0 tasks a body running on it readies wait there
-// instead of the scheduler. Only the index's holder pushes, but any
-// thread may take, so a submitter that returns with another request's
-// task in its cells leaves it to the workers, as a queued task it is
-// counted as.
+// queue.go): the compiled-graph nodes a level-0 body running on it
+// offers (OfferNode) wait there as offers, not tasks. Only the index's
+// holder pushes, but any thread may take, so a submitter that returns
+// with another task's offer in its cells leaves it to the workers, as
+// the queued work it is counted as; a thief makes it a task.
 // Worker and root-shard indices have none.
 //
 // Ctx.Worker reports an index in [0, Slots()), so per-thread structures

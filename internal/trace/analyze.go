@@ -13,9 +13,10 @@ type WorkerStats struct {
 	IdleTime     int64 // ns spent idle (no interval open)
 	TaskCount    int
 	Continues    int // compiled-graph nodes run as calls inside those tasks
+	Offers       int // offered compiled-graph nodes taken back and run as calls
 	SpawnHelps   int // Spawn help episodes (the creator passed the spawn window)
 	SpawnHelped  int // tasks those episodes ran
-	CellSteals   int // tasks taken from another slot's hand-off cells
+	CellSteals   int // offers taken from another slot's hand-off cells
 	Serves       int // tasks this worker served to others as DTLock owner
 	ServedTo     int // (aggregated) times this worker received a served task
 	Drains       int // SPSC drain operations
@@ -70,6 +71,8 @@ func Analyze(tr *Trace) *Summary {
 				closeInterval(e.TS, &ws.TaskTime)
 			case KNodeContinue:
 				ws.Continues++
+			case KNodeOffer:
+				ws.Offers++
 			case KSpawnHelp:
 				ws.SpawnHelps++
 				ws.SpawnHelped += int(e.Arg)
@@ -112,6 +115,7 @@ func (s *Summary) Totals() WorkerStats {
 		t.IdleTime += w.IdleTime
 		t.TaskCount += w.TaskCount
 		t.Continues += w.Continues
+		t.Offers += w.Offers
 		t.SpawnHelps += w.SpawnHelps
 		t.SpawnHelped += w.SpawnHelped
 		t.CellSteals += w.CellSteals

@@ -101,3 +101,22 @@ func TestAnalyzeCountsCellSteals(t *testing.T) {
 		t.Fatalf("KCellSteal.String() = %q", KCellSteal.String())
 	}
 }
+
+func TestAnalyzeCountsNodeOffers(t *testing.T) {
+	tr := New(2, 16)
+	tr.EmitTS(0, KNodeOffer, 3, 100)
+	tr.EmitTS(1, KNodeOffer, 4, 200)
+	tr.EmitTS(1, KNodeOffer, 3, 300)
+	s := Analyze(tr.Snapshot())
+	if s.Workers[0].Offers != 1 || s.Workers[1].Offers != 2 || s.Totals().Offers != 3 {
+		t.Fatalf("node offers %d, %d, total %d; want 1, 2, 3",
+			s.Workers[0].Offers, s.Workers[1].Offers, s.Totals().Offers)
+	}
+	if s.Totals().TaskCount != 0 || s.StarvationPct() != 100 {
+		t.Fatalf("tasks %d, starvation %v: an offer run as a call is a point event, not a task",
+			s.Totals().TaskCount, s.StarvationPct())
+	}
+	if KNodeOffer.String() != "node-offer" {
+		t.Fatalf("KNodeOffer.String() = %q", KNodeOffer.String())
+	}
+}

@@ -43,9 +43,13 @@ const (
 	// Arg as a call instead of spawning it (no create/start/end follow).
 	KNodeContinue
 	KSpawnHelp // a Spawn past the spawn window first ran Arg ready tasks
-	// KCellSteal: a thread took a task from the hand-off cells of
-	// inline-serving slot Arg, not its own.
+	// KCellSteal: a thread took an offer from the hand-off cells of
+	// inline-serving slot Arg, not its own, to make it a task.
 	KCellSteal
+	// KNodeOffer: the running task took back compiled-graph node Arg,
+	// offered to its serving slot's hand-off cells, and ran it as a
+	// call (no create/start/end follow).
+	KNodeOffer
 	kindMax
 )
 
@@ -58,7 +62,7 @@ var kindNames = [...]string{
 	KInterrupt: "interrupt", KTaskCancel: "task-cancel",
 	KEventHold: "event-hold", KEventFire: "event-fire",
 	KNodeContinue: "node-continue", KSpawnHelp: "spawn-help",
-	KCellSteal: "cell-steal",
+	KCellSteal: "cell-steal", KNodeOffer: "node-offer",
 }
 
 // String returns the event kind's name.

@@ -249,8 +249,9 @@ type GraphExec struct {
 	// completed dependency; the decrement to zero readies the node
 	// (advance). The atomic read-modify-write chain on a counter is also
 	// the happens-before edge that publishes every dependency's result
-	// slot to the node's body.
-	pending []atomic.Int32
+	// slot to the node's body. begin initializes it with plain stores;
+	// advance lowers it with atomic.AddInt32.
+	pending []int32
 	bodies  []func(*Ctx)
 	offers  []core.Offer
 	root    func(*Ctx)
@@ -283,7 +284,7 @@ func (cg *CompiledGraph) newFrame() *GraphExec {
 	e := &GraphExec{
 		cg:      cg,
 		req:     core.NewReq(),
-		pending: make([]atomic.Int32, n),
+		pending: make([]int32, n),
 		bodies:  make([]func(*Ctx), n),
 		offers:  make([]core.Offer, n),
 		depm:    make([]map[string]any, n),
@@ -328,7 +329,7 @@ func (e *GraphExec) advance(c *Ctx, succs []int32, pri int, dl time.Duration) {
 	for {
 		next := -1
 		for _, s := range succs {
-			if e.pending[s].Add(-1) != 0 {
+			if atomic.AddInt32(&e.pending[s], -1) != 0 {
 				continue
 			}
 			if next < 0 {
@@ -379,8 +380,10 @@ func (e *GraphExec) begin() {
 	// vals, errs and err are clear already: by newFrame, or by the
 	// Release every pooled frame came back through.
 	clear(e.state)
+	// Plain stores: the frame is unpublished until SubmitReq hands it
+	// to the workers, which then lower the counters atomically.
 	for i := range e.pending {
-		e.pending[i].Store(int32(max(1, len(e.cg.nodes[i].deps))))
+		e.pending[i] = int32(max(1, len(e.cg.nodes[i].deps)))
 	}
 	if e.cg.hasDL {
 		e.start = core.NowNS()

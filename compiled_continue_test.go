@@ -534,6 +534,65 @@ func TestCompiledContinuedNodeTaskwait(t *testing.T) {
 	}
 }
 
+// TestCompiledCallSpawnsAndWaits: the two fan-out siblings of a request
+// served inline run as calls inside the request's root — one continued,
+// the other offered and taken back — and each spawns children and waits
+// for them there, once past the spawn window. Their children are
+// counted on the root's thread: each Taskwait returns with the node's
+// own children run, and the runtime ends with no live task.
+func TestCompiledCallSpawnsAndWaits(t *testing.T) {
+	rt := tracedRuntime()
+	const reqs = 20
+	var kids [2]atomic.Int64
+	k := 0
+	spawner := func(j int) repro.GraphFunc {
+		return func(c *repro.Ctx, _ map[string]any) (any, error) {
+			before := kids[j].Load()
+			for range k {
+				c.Spawn(func(*repro.Ctx) { kids[j].Add(1) })
+			}
+			c.Taskwait()
+			if got := kids[j].Load() - before; got != int64(k) {
+				return nil, fmt.Errorf("Taskwait returned with %d of %d children run", got, k)
+			}
+			return j + 1, nil
+		}
+	}
+	g := repro.NewGraph().
+		Add("src", nil, func(*repro.Ctx, map[string]any) (any, error) { return 0, nil }).
+		Add("left", []string{"src"}, spawner(0)).
+		Add("right", []string{"src"}, spawner(1)).
+		Add("sink", []string{"left", "right"}, func(_ *repro.Ctx, d map[string]any) (any, error) {
+			return d["left"].(int) + d["right"].(int), nil
+		})
+	cg, err := g.Compile(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < reqs; i++ {
+		k = 16
+		if i == 0 {
+			k = 2100 // past the 2 048-child spawn window
+		}
+		e, err := cg.Do(context.Background())
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if v, err := e.Value("sink"); err != nil || v.(int) != 3 {
+			t.Fatalf("request %d: sink = %v, %v", i, v, err)
+		}
+		e.Release()
+	}
+	l, _ := cg.NodeIndex("left")
+	r, _ := cg.NodeIndex("right")
+	n := closedTrace(t, rt)
+	cont, offered := n.continued[l]+n.continued[r], n.offers[l]+n.offers[r]
+	if cont == 0 || offered == 0 {
+		t.Fatalf("%d continued and %d offered spawning nodes over %d requests: the test no longer covers both calls", cont, offered, reqs)
+	}
+	t.Logf("%d continued, %d offered and taken back, %d stolen", cont, offered, n.steals)
+}
+
 // TestCompiledNodeStatsOncePerNode: WithNodeStats sees every node of a
 // request exactly once, continued or spawned.
 func TestCompiledNodeStatsOncePerNode(t *testing.T) {

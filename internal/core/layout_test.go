@@ -29,7 +29,7 @@ func TestTaskLayout(t *testing.T) {
 	var x Task
 	lines := map[string]uintptr{
 		"handle": 0, "req": 0, "loop": 0, "events": 0, "fn": 0, "ownsScope": 0,
-		"body": 1, "parent": 1, "sc": 1, "deadline": 1, "epri": 1, "qstate": 1,
+		"body": 1, "parent": 1, "sc": 1, "deadline": 1, "spawned": 1, "epri": 1, "qstate": 1,
 		"pri": 1, "inherit": 1,
 		"alive":        2,
 		"node.Payload": 2, "node.Accesses": 2, "node.pins": 2, "node.pending": 2,

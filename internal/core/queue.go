@@ -224,11 +224,11 @@ func (rt *Runtime) stealCell(id int) *Offer {
 }
 
 // offerTask makes o, an offer thread id claimed from a cell, the task
-// it stands for, through Spawn's accounting — newTask and registerWith,
-// the one registration path — and then books the claim: the offer's
-// queued count is taken on id's line, and the parent-alive and live
-// counts its push raised are dropped, after the task raised its own, so
-// the parent cannot complete in between. With arm set, id's bypass slot
+// it stands for, through newTask and registerWith (an offer is counted
+// in its parent's alive, not on the body thread), and then books the
+// claim: the offer's queued count is taken on id's line, and the
+// parent-alive and live counts its push raised are dropped, after the
+// task raised its own, so the parent cannot complete in between. With arm set, id's bypass slot
 // is armed around the registration and the task comes straight back
 // for the caller to run, unless a hand-off gate sends it to the
 // scheduler (an aborted scope drains there); without, it is queued.

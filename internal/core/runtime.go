@@ -467,28 +467,75 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []AccessSpec, wor
 // of shells) before a body-side registration helps (helpSpawn).
 const spawnWindow = 2048
 
+// aliveBias is what a task's alive carries while its body counts
+// children privately (Task.spawned): far above any number of children
+// in flight, so their completions cannot take alive to zero before the
+// count is folded in.
+const aliveBias = 1 << 40
+
+// inFlight returns t's children in flight, given a value of t.alive.
+// Only the thread running t's body may call it: it reads t.spawned.
+func (t *Task) inFlight(alive int64) int64 {
+	n := alive - 1
+	if t.spawned != 0 {
+		n += t.spawned - aliveBias
+	}
+	return n
+}
+
+// fold moves the children t's body counted privately into alive and
+// takes the bias back: alive becomes 1 plus the children in flight.
+// Only the thread running t's body may call it, at Taskwait
+// (helpWhileChildren) and when the body returns (execute) — before any
+// other thread may complete t.
+func (t *Task) fold() {
+	if t.spawned != 0 {
+		t.alive.Add(t.spawned - aliveBias)
+		t.spawned = 0
+	}
+}
+
 // register links a child the running task's body created (Spawn,
-// GoBody, Loop) into the dependency graph — the window's one
-// enforcement site: past spawnWindow children in flight, it helps.
+// GoBody, Loop) into the dependency graph, counting it on the body's
+// own thread: the first registration since the last fold biases the
+// parent's alive once, later ones raise only parent.spawned, so a spawn
+// writes no line the children's completions write. It is the window's
+// one enforcement site: past spawnWindow children in flight, it helps.
+// In flight never exceeds spawned but by children counted atomically
+// (offers, loop descriptors), whose own sites check the window, so
+// alive is read only once spawned passes the window.
 func (rt *Runtime) register(parent *Task, t *Task, worker int) {
-	if rt.registerWith(parent, nil, t, worker) > spawnWindow {
+	if parent.spawned == 0 {
+		parent.alive.Add(aliveBias)
+	}
+	parent.spawned++
+	rt.live.Add(worker, 1)
+	rt.link(parent, nil, t, worker)
+	if parent.spawned > spawnWindow && parent.inFlight(parent.alive.Load()) > spawnWindow {
 		rt.helpSpawn(parent, worker)
 	}
 }
 
-// registerWith is the shared registration accounting: parent liveness,
-// the sharded live counter, trace emission and the dependency-system
-// call — against parent's own domain for nested tasks, or the sharded
-// root domain when d is non-nil (mirroring deps' register shape). It
-// returns parent's children in flight (0 for a root) and never helps.
-func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worker int) (inFlight int64) {
+// registerWith is the registration of every task no body counts on its
+// own thread — roots, offers made tasks and loop steal descriptors: the
+// parent's alive and the sharded live counter are raised atomically,
+// then the task is linked against parent's own domain, or the sharded
+// root domain when d is non-nil. It never helps.
+func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worker int) {
 	// Roots have no parent to keep alive: completeOne stops at
 	// &rt.global, so counting them there would be a dead RMW on a line
 	// every submitter shares. Their live count was raised by admit.
 	if parent != &rt.global {
-		inFlight = parent.alive.Add(1) - 1
+		parent.alive.Add(1)
 		rt.live.Add(worker, 1)
 	}
+	rt.link(parent, d, t, worker)
+}
+
+// link is the shared half of both registrations, after the counts:
+// trace emission and the dependency-system call (mirroring deps'
+// register shape), then priority inheritance.
+func (rt *Runtime) link(parent *Task, d *deps.RootDomain, t *Task, worker int) {
 	// The tracer is nil-receiver-safe (a nil *trace.Tracer no-ops every
 	// method), so emission sites call it unconditionally.
 	rt.tracer.Emit(worker, trace.KTaskCreate, 0)
@@ -515,7 +562,6 @@ func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worke
 	if inherit && lvl > 0 {
 		rt.promotePreds(&t.node, lvl, worker)
 	}
-	return inFlight
 }
 
 // helpSpawn runs ready tasks on the creating thread until half the
@@ -524,7 +570,7 @@ func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worke
 // cannot hold it), then emits one KSpawnHelp. It never waits.
 func (rt *Runtime) helpSpawn(parent *Task, id int) {
 	n := 0
-	for n < spawnWindow && parent.alive.Load() > spawnWindow/2+1 {
+	for n < spawnWindow && parent.inFlight(parent.alive.Load()) > spawnWindow/2 {
 		k := rt.runReady(id)
 		if k == 0 {
 			break
@@ -579,14 +625,14 @@ func OfferNode(c *Ctx, o *Offer) {
 		return
 	}
 	o.parent = p
-	inFlight := p.alive.Add(1) - 1
+	alive := p.alive.Add(1)
 	rt.live.Add(id, 1)
 	rt.added.Add(id, 1)
 	if out := cp.push(o); out != nil {
 		rt.offerTask(out, id, false)
 	}
 	rt.wakeWorker()
-	if inFlight > spawnWindow {
+	if p.inFlight(alive) > spawnWindow {
 		rt.helpSpawn(p, id)
 	}
 }
@@ -692,10 +738,13 @@ func (rt *Runtime) helpUntil(id int, done func() bool) {
 }
 
 // helpWhileChildren executes ready tasks on worker id until every child
-// of t (and their descendants) has fully completed. It is the waiting
-// half of Taskwait and of a loop owner's final-chunk barrier.
+// of t (and their descendants) has fully completed, then folds the
+// children t's body counted privately into alive. It is the waiting
+// half of Taskwait and of a loop owner's final-chunk barrier, and runs
+// on t's body thread.
 func (rt *Runtime) helpWhileChildren(t *Task, id int) {
-	rt.helpUntil(id, func() bool { return t.alive.Load() <= 1 })
+	rt.helpUntil(id, func() bool { return t.inFlight(t.alive.Load()) == 0 })
+	t.fold()
 }
 
 // runChain executes t on thread id and then every successor its
@@ -763,6 +812,10 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 	} else {
 		rt.tracer.Emit(id, trace.KTaskStart, 0)
 		rt.runBody(t, id)
+		// The body's private child count joins alive here, before the
+		// event hold's guard drop and before release: from either on,
+		// another thread may run t's completeOne.
+		t.fold()
 		rt.tracer.Emit(id, trace.KTaskEnd, 0)
 		if ec := t.events; ec != nil {
 			// The body obtained an event counter: drop its guard. If

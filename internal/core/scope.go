@@ -94,6 +94,8 @@ type scope struct {
 	ctxAborted atomic.Bool
 	cause      atomic.Pointer[error]
 
+	// mu serializes fail's appends to errs; err and release, which run
+	// after every fail, read and clear errs without it.
 	mu   sync.Mutex
 	errs []error
 }
@@ -123,7 +125,9 @@ func newScope(ctx context.Context, policy ErrorPolicy) *scope {
 // release returns the scope to the pool. It must only be called once no
 // task of the submission can touch the scope again: completeOne calls
 // it at the scope-owning root's full completion, after folding the
-// aggregate error into the handle.
+// aggregate error into the handle. Like err it takes no lock: every
+// fail happened in a task that completed before the owner, and the
+// alive decrements of that completion order the fail before this call.
 func (sc *scope) release() {
 	sc.ctx = nil
 	sc.done = nil
@@ -132,10 +136,8 @@ func (sc *scope) release() {
 	sc.aborted.Store(false)
 	sc.ctxAborted.Store(false)
 	sc.cause.Store(nil)
-	sc.mu.Lock()
 	clear(sc.errs) // drop the error references, keep the capacity
 	sc.errs = sc.errs[:0]
-	sc.mu.Unlock()
 	scopePool.Put(sc)
 }
 
@@ -203,15 +205,14 @@ func (sc *scope) observe(cause error) error {
 // deadline passing after every task already completed does not fail a
 // successful run — joined with every recorded task error. Skipped tasks
 // are not errors of the scope; only the failure (or cancellation) that
-// caused the skipping is reported.
+// caused the skipping is reported. It runs only at the scope owner's
+// full completion, after every fail (see release), so it reads errs
+// without the lock.
 func (sc *scope) err() error {
-	sc.mu.Lock()
-	errs := sc.errs
-	sc.mu.Unlock()
 	if sc.ctxAborted.Load() {
-		return errors.Join(append([]error{*sc.cause.Load()}, errs...)...)
+		return errors.Join(append([]error{*sc.cause.Load()}, sc.errs...)...)
 	}
-	return errors.Join(errs...)
+	return errors.Join(sc.errs...)
 }
 
 // Handle is the completion latch of a submitted task: it carries the

@@ -85,6 +85,17 @@ type Task struct {
 	// — so it is atomic like epri.
 	deadline atomic.Int64
 
+	// spawned counts the children this task's body registered
+	// (register) since the last fold into alive: a body-side spawn
+	// raises this plain word instead of the alive line its children's
+	// completions lower. Only the thread running the body reads or
+	// writes it, and that thread already owns this line. While it is
+	// non-zero, alive carries aliveBias, so completions of privately
+	// counted children cannot take alive to zero; the fold
+	// (Task.fold) moves the count into alive at Taskwait and at body
+	// end, before any other thread may complete the task.
+	spawned int64
+
 	// epri is the task's *effective* priority level: pri, possibly
 	// raised by priority inheritance after a high-priority successor
 	// registered behind this task. It is monotone per incarnation
@@ -116,17 +127,21 @@ type Task struct {
 	// inherited from the parent like pri.
 	inherit bool
 
-	_ [22]byte
+	_ [14]byte
 
 	// Line 2 — the completion line: alive is the one word of a
 	// *running* task that other cores write (every child completion
 	// lowers it), so it lives apart from the attribute line the
-	// spawning core keeps reading. The node's hot header — payload,
-	// access slice, pin and pending counts — fills the rest of the
-	// line, which makes lines 1 and 2 the only ones a Spawn writes.
+	// spawning core keeps reading. A body-side Spawn writes the
+	// parent's alive only once per batch (the bias), and the child's
+	// own line 2 at creation: the node's hot header — payload, access
+	// slice, pin and pending counts — fills the rest of the line.
 
 	// alive counts full completions outstanding: 1 guard for the body
-	// plus one per live child. The decrement to zero completes the task.
+	// plus one per live child counted atomically (registerWith), plus
+	// aliveBias while spawned holds a private count. Children in flight
+	// are alive + spawned − 1, less aliveBias when spawned is non-zero
+	// (inFlight). The decrement to zero completes the task.
 	alive atomic.Int64
 
 	_ [8]byte
@@ -165,7 +180,8 @@ func (t *Task) resetBody() {
 	// The four atomics need no reset: alive reached zero to get here,
 	// qstate was zeroed by the Swap that claimed the task (and is only
 	// set again by schedAdd), and newTask stores deadline and epri
-	// unconditionally.
+	// unconditionally. spawned is zero already: execute folds it when
+	// the body returns, before the task can complete.
 }
 
 // reset fully prepares a recycled Task shell for reuse. It must only

@@ -140,7 +140,14 @@ func (s *WaitFree) RegisterRoot(d *RootDomain, n *Node, worker int) {
 // receives the run's broadcast as soon as it is a member — so a count
 // raised after the link could reach zero while the task is still
 // registering, and ready it twice.
+//
+// A node with no accesses links nothing, so nothing can satisfy or
+// pin it: it is ready at once, with no pending guard, drain or sweep.
 func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
+	if len(n.Accesses) == 0 {
+		s.ready(n, worker)
+		return
+	}
 	mb := &s.mbs[worker].mb
 	pending, pins := int32(1), int32(0) // 1: the registration guard
 	for i := range n.Accesses {
@@ -253,7 +260,14 @@ func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) {
 // taken its child guard below zero, so both flags are this thread's to
 // set. With children still live, the last of them to release delivers
 // children-done later, from its own thread.
+//
+// A node with no accesses and an empty domain map has no message to
+// send and no tail to unpin (the mailbox is empty between operations),
+// so it returns at once.
 func (s *WaitFree) Unregister(n *Node, worker int) {
+	if len(n.Accesses) == 0 && len(n.domain) == 0 {
+		return
+	}
 	mb := &s.mbs[worker].mb
 	closeOpenGroups(n, mb)
 	for i := range n.Accesses {

@@ -342,8 +342,10 @@ func TestCompiledOfferedSiblingDrains(t *testing.T) {
 						}
 						err := tc.stop(c, cancel)
 						if stolen {
+							// The holder is in this body, not helping, so
+							// only a thief can empty its cells.
 							free()
-							for t0 := time.Now(); rt.LiveTasks() != 1; runtime.Gosched() {
+							for t0 := time.Now(); rt.Stats().Pending != 0; runtime.Gosched() {
 								if time.Since(t0) > 10*time.Second {
 									return nil, errors.New("the offered sibling was never stolen")
 								}

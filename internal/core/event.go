@@ -174,8 +174,8 @@ func (rt *Runtime) releaseDeferred(t *Task, id int, isWorker bool) {
 	t.node.ReleaseCommutative()
 	// Lowered before completeOne, which resolves the handle: a waiter
 	// that reads PendingEvents right after Wait returns must not see
-	// this task. Drain cannot pass early — the task stays in live until
-	// completeOne lowers that.
+	// this task. Drain cannot pass early — the task's root has not
+	// completed, so its submission stays in live.
 	rt.eventsHeld.v.Add(-1)
 	rt.runChain(rt.release(t, id, isWorker), id)
 }
@@ -214,8 +214,9 @@ func (c *Ctx) Await(h *Handle) error {
 }
 
 // Drain seals the runtime against new root submissions and waits until
-// every live task — including tasks parked on pending external events
-// — has fully completed. Sealed submissions (Run, Submit, loops)
+// every admitted submission has fully completed — a root completes only
+// after every task under it, including tasks parked on pending external
+// events. Sealed submissions (Run, Submit, loops)
 // resolve immediately with ErrRuntimeDraining. Drain returns nil on
 // quiescence or the context's cause if ctx fires first; the seal is
 // permanent either way, making Drain the graceful half of shutdown:
@@ -233,7 +234,7 @@ func (rt *Runtime) Drain(ctx context.Context) error {
 		done = ctx.Done()
 	}
 	for i := 0; ; i++ {
-		if rt.live.Sum() == 0 && rt.eventsHeld.v.Load() == 0 {
+		if rt.live.Sum() == 0 {
 			return nil
 		}
 		select {

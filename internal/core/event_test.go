@@ -452,31 +452,48 @@ func TestEventWithCommutativeAccess(t *testing.T) {
 	}
 }
 
-// TestDrainGraceful: Drain waits for live tasks and pending events.
+// TestDrainGraceful: Drain waits for live submissions and pending
+// events — roots parked on a timer, and children parked on one after
+// their parent's body returned, whose roots complete only after them.
 // (What a sealed runtime does with each root kind is TestRootAdmission.)
 func TestDrainGraceful(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	defer rt.Close()
-	var done atomic.Int64
-	for i := 0; i < 20; i++ {
-		submitAny(rt, func(c *Ctx) (any, error) {
-			c.After(2 * time.Millisecond)
-			done.Add(1)
-			return nil, nil
+	for _, child := range []bool{false, true} {
+		t.Run(fmt.Sprintf("child=%v", child), func(t *testing.T) {
+			rt := New(Config{Workers: 2})
+			defer rt.Close()
+			var done atomic.Int64
+			park := func(c *Ctx) {
+				c.AfterFunc(2*time.Millisecond, func() { done.Add(1) })
+			}
+			for i := 0; i < 20; i++ {
+				submit(rt, func(c *Ctx) {
+					if !child {
+						park(c)
+						return
+					}
+					// The child parks only once this body returned.
+					returned := make(chan struct{})
+					defer close(returned)
+					c.Spawn(func(c *Ctx) {
+						<-returned
+						park(c)
+					})
+				})
+			}
+			if err := rt.Drain(context.Background()); err != nil {
+				t.Fatalf("Drain = %v", err)
+			}
+			if done.Load() != 20 {
+				t.Fatalf("%d/20 timers fired before Drain returned", done.Load())
+			}
+			if l, p := rt.LiveTasks(), rt.PendingEvents(); l != 0 || p != 0 {
+				t.Fatalf("LiveTasks = %d, PendingEvents = %d after Drain", l, p)
+			}
+			// Drain again: already quiescent, still nil.
+			if err := rt.Drain(context.Background()); err != nil {
+				t.Fatalf("second Drain = %v", err)
+			}
 		})
-	}
-	if err := rt.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain = %v", err)
-	}
-	if done.Load() != 20 {
-		t.Fatalf("%d/20 tasks completed before Drain returned", done.Load())
-	}
-	if l, p := rt.LiveTasks(), rt.PendingEvents(); l != 0 || p != 0 {
-		t.Fatalf("LiveTasks = %d, PendingEvents = %d after Drain", l, p)
-	}
-	// Drain again: already quiescent, still nil.
-	if err := rt.Drain(context.Background()); err != nil {
-		t.Fatalf("second Drain = %v", err)
 	}
 }
 

@@ -224,11 +224,12 @@ func (rt *Runtime) stealCell(id int) *Offer {
 }
 
 // offerTask makes o, an offer thread id claimed from a cell, the task
-// it stands for, through newTask and registerWith (an offer is counted
-// in its parent's alive, not on the body thread), and then books the
-// claim: the offer's queued count is taken on id's line, and the
-// parent-alive and live counts its push raised are dropped, after the
-// task raised its own, so the parent cannot complete in between. With arm set, id's bypass slot
+// it stands for, through newTask and registerWith (the claimer is not
+// the parent's body thread, so the task is counted in its parent's
+// alive atomically), and then books the claim: the offer's queued count
+// is taken on id's line, and the parent count its push made is dropped
+// as a child's completion drops it, after the task raised its own, so
+// the parent cannot complete in between. With arm set, id's bypass slot
 // is armed around the registration and the task comes straight back
 // for the caller to run, unless a hand-off gate sends it to the
 // scheduler (an aborted scope drains there); without, it is queued.
@@ -244,7 +245,6 @@ func (rt *Runtime) offerTask(o *Offer, id int, arm bool) *Task {
 	t = bs.disarm()
 	rt.taken.Add(id, 1)
 	p.alive.Add(-1)
-	rt.live.Add(id, -1)
 	return t
 }
 
@@ -267,7 +267,6 @@ func (rt *Runtime) callOffer(o *Offer, id int) (ran bool) {
 	}
 	rt.taken.Add(id, 1)
 	p.alive.Add(-1)
-	rt.live.Add(id, -1)
 	rt.tracer.Emit(id, trace.KNodeOffer, uint64(o.node))
 	defer func() {
 		if r := recover(); r != nil {

@@ -89,7 +89,7 @@ type Runtime struct {
 
 	// added and taken are the two halves of the pending count
 	// (scheduler-queued tasks and offers in hand-off cells), sharded per
-	// slot like live and both monotone: a producer bumps added on its own
+	// slot and both monotone: a producer bumps added on its own
 	// slot's line (schedAdd/promote/OfferNode), a taker bumps taken on its
 	// own (schedTook, callOffer, offerTask), so
 	// the per-task hot path writes no line another core writes. Their
@@ -113,8 +113,9 @@ type Runtime struct {
 	// global is the completion parent of every root task submitted
 	// through Run/Submit: the sentinel completeOne's cascade stops at
 	// and the source of a root's inherited (zero) attributes. It counts
-	// nothing — its alive stays at the 1 set in build, and live roots
-	// are counted by the sharded live counter — and never completes.
+	// nothing — its alive stays at the 1 set in build, and roots not yet
+	// completed are counted by the sharded live counter — and never
+	// completes.
 	// Root dependency chains do not live under it — they live in the
 	// sharded rootDom, so unrelated submissions register in parallel.
 	global Task
@@ -128,14 +129,14 @@ type Runtime struct {
 	// lease holder uses exclusively.
 	rootDom *deps.RootDomain
 
-	// live counts created-but-not-fully-completed tasks, and offers
-	// waiting in hand-off cells (OfferNode), sharded per
-	// worker so the two hottest lifecycle events (create, complete)
-	// never ping-pong a shared cache line. The sum is exact at
-	// quiescence, which is the only time anyone reads it (LiveTasks
-	// diagnostics, the worker stop check, Drain). It is also the drain
-	// gate: admit raises it before reading sealed, and Drain stores
-	// sealed before summing it (see admit).
+	// live counts admitted root submissions not yet fully completed,
+	// sharded per slot so concurrent submitters never ping-pong a shared
+	// cache line. A root completes only after every task and offer under
+	// it (completeOne's alive cascade), so live == 0 is quiescence. The
+	// sum is exact at quiescence, which is the only time anyone reads it
+	// (LiveTasks diagnostics, the worker stop check, Drain). It is also
+	// the drain gate: admit raises it before reading sealed, and Drain
+	// stores sealed before summing it (see admit).
 	live     *counter.Sharded
 	sealed   atomic.Bool
 	stopping atomic.Bool
@@ -165,8 +166,8 @@ type Runtime struct {
 
 	// External-event machinery (see event.go): wheel is the timer queue
 	// behind Ctx.After/AfterFunc that idle threads poll; eventsHeld
-	// counts tasks parked between body return and final event decrement;
-	// together with the live counter it defines Drain's quiescence.
+	// counts tasks parked between body return and final event decrement
+	// (PendingEvents).
 	// A non-worker goroutine's final decrement borrows a root-shard
 	// lease for its thread index (releaseExternal).
 	wheel      *event.Wheel
@@ -495,39 +496,49 @@ func (t *Task) fold() {
 	}
 }
 
-// register links a child the running task's body created (Spawn,
-// GoBody, Loop) into the dependency graph, counting it on the body's
-// own thread: the first registration since the last fold biases the
-// parent's alive once, later ones raise only parent.spawned, so a spawn
-// writes no line the children's completions write. It is the window's
-// one enforcement site: past spawnWindow children in flight, it helps.
-// In flight never exceeds spawned but by children counted atomically
-// (offers, loop descriptors), whose own sites check the window, so
-// alive is read only once spawned passes the window.
-func (rt *Runtime) register(parent *Task, t *Task, worker int) {
+// countChild counts a child — a spawned task or an offer — that the
+// running task's body hands out, on the body's own thread: the first
+// count since the last fold biases the parent's alive once, later ones
+// raise only parent.spawned, so handing out a child writes no line the
+// children's completions write. Only parent's body thread may call it.
+func countChild(parent *Task) {
 	if parent.spawned == 0 {
 		parent.alive.Add(aliveBias)
 	}
 	parent.spawned++
-	rt.live.Add(worker, 1)
-	rt.link(parent, nil, t, worker)
+}
+
+// checkWindow is the spawn window's one enforcement site, run after
+// every child countChild counted: past spawnWindow children in flight,
+// the body helps. In flight exceeds spawned only by loop steal
+// descriptors, which are counted atomically and bypass the window, so
+// alive is read only once spawned passes it.
+func (rt *Runtime) checkWindow(parent *Task, worker int) {
 	if parent.spawned > spawnWindow && parent.inFlight(parent.alive.Load()) > spawnWindow {
 		rt.helpSpawn(parent, worker)
 	}
 }
 
+// register links a child the running task's body created (Spawn,
+// GoBody, Loop) into the dependency graph, counted on the body's own
+// thread (countChild) and under the spawn window (checkWindow).
+func (rt *Runtime) register(parent *Task, t *Task, worker int) {
+	countChild(parent)
+	rt.link(parent, nil, t, worker)
+	rt.checkWindow(parent, worker)
+}
+
 // registerWith is the registration of every task no body counts on its
 // own thread — roots, offers made tasks and loop steal descriptors: the
-// parent's alive and the sharded live counter are raised atomically,
-// then the task is linked against parent's own domain, or the sharded
-// root domain when d is non-nil. It never helps.
+// parent's alive is raised atomically, then the task is linked against
+// parent's own domain, or the sharded root domain when d is non-nil. It
+// never helps.
 func (rt *Runtime) registerWith(parent *Task, d *deps.RootDomain, t *Task, worker int) {
 	// Roots have no parent to keep alive: completeOne stops at
 	// &rt.global, so counting them there would be a dead RMW on a line
-	// every submitter shares. Their live count was raised by admit.
+	// every submitter shares. admit counted them in live.
 	if parent != &rt.global {
 		parent.alive.Add(1)
-		rt.live.Add(worker, 1)
 	}
 	rt.link(parent, d, t, worker)
 }
@@ -608,12 +619,13 @@ func ContinueNode(c *Ctx, node int) bool {
 // OfferNode hands graph node o, ready and access-free, to the workers
 // without creating a task for it. On an inline-serving slot, from a
 // level-0 task whose hand-off gates pass (mayHandOff), o is pushed into
-// the slot's hand-off cells with a queued task's bookkeeping — the
-// running task's alive count, the live and queued counts, a worker
-// woken, and the spawn window — and whoever takes it decides what it
-// costs: the holder, while this task waits on its thread, runs it as a
-// call inside the task (callOffer); anyone else makes it a task
-// (offerTask), as does a push that moves it out of both cells.
+// the slot's hand-off cells with a spawned child's bookkeeping — counted
+// by the running task's body (countChild), queued in the pending count,
+// a worker woken, and the spawn window (checkWindow) — and whoever
+// takes it decides what it costs: the holder, while this task waits on
+// its thread, runs it as a call inside the task (callOffer); anyone
+// else makes it a task (offerTask), as does a push that moves it out
+// of both cells.
 // Anywhere else o is spawned at once, as Spawn would. A record may be
 // pushed again only once its last push was claimed, which a request's
 // completion implies.
@@ -625,16 +637,13 @@ func OfferNode(c *Ctx, o *Offer) {
 		return
 	}
 	o.parent = p
-	alive := p.alive.Add(1)
-	rt.live.Add(id, 1)
+	countChild(p)
 	rt.added.Add(id, 1)
 	if out := cp.push(o); out != nil {
 		rt.offerTask(out, id, false)
 	}
 	rt.wakeWorker()
-	if p.inFlight(alive) > spawnWindow {
-		rt.helpSpawn(p, id)
-	}
+	rt.checkWindow(p, id)
 }
 
 // idleSpinDefault is a worker's idle spin budget: the consecutive empty
@@ -654,7 +663,7 @@ const idleSpinDefault = 1024
 // and that is when the owner's timers would fire (DESIGN.md, "Why an
 // owner at all"). No worker parks once the runtime is stopping (the
 // stop condition below must stay polled).
-// The loop exits once the runtime is stopping and no live tasks remain;
+// The loop exits once the runtime is stopping and no submission is live;
 // each exiting worker wakes all parked peers so the exit cascades.
 func (rt *Runtime) workerLoop(id int) {
 	defer rt.wg.Done()
@@ -662,14 +671,10 @@ func (rt *Runtime) workerLoop(id int) {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	spinning, owner := false, false
+	owner := false
 	for i := 0; ; i++ {
 		t0 := rt.tracer.Now()
 		if t := rt.take(id, true); t != nil {
-			if spinning {
-				rt.parker.MarkRunning(id)
-				spinning = false
-			}
 			rt.tracer.EmitTS(id, trace.KSchedEnter, 0, t0)
 			rt.tracer.Emit(id, trace.KSchedLeave, 0)
 			rt.runChain(t, id)
@@ -688,10 +693,6 @@ func (rt *Runtime) workerLoop(id int) {
 			rt.parker.WakeAll()
 			return
 		}
-		if rt.elastic && !spinning {
-			rt.parker.MarkSpinning(id)
-			spinning = true
-		}
 		if rt.elastic && i >= rt.idleSpin && !rt.stopping.Load() {
 			if owner = rt.wheel.Hold(id); !owner {
 				// Spin budget exhausted and no timer near enough to keep
@@ -702,7 +703,6 @@ func (rt *Runtime) workerLoop(id int) {
 				// never lost — either the recheck sees its pending count,
 				// or the producer's WakeOne sees this worker parked.
 				rt.parker.Park(id, rt.parkRecheck)
-				spinning = false
 				i = -1 // restart the ladder: poll eagerly after a wake
 				continue
 			}
@@ -790,7 +790,7 @@ func (rt *Runtime) runReady(id int) int {
 // If the task's scope has been cancelled (caller context done, or an
 // earlier error under FailFast), the body is skipped entirely — but the
 // dependency release and the completion cascade still run, so successor
-// tasks are released (and drained in turn), live-task accounting
+// tasks are released (and drained in turn), completion accounting
 // reaches zero, and the task shell is recycled. This is what lets a
 // cancelled submission unwind an arbitrarily deep ready graph without
 // executing it.
@@ -825,12 +825,11 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 			// straight back for more work. Pin-protocol note: the
 			// creation pin and the alive guard both survive the park
 			// (completeOne has not run), so the shell cannot be
-			// recycled under the pending events. eventsHeld is raised
-			// before the guard drop, so the final decrementer always
-			// finds it counted, and lowered (releaseDeferred) before
-			// completeOne lowers live and resolves the handle: Drain's
-			// live == 0 && eventsHeld == 0 can never hold with a
-			// release in flight, and PendingEvents never lags a
+			// recycled under the pending events, and its root cannot
+			// complete, so Drain waits. eventsHeld is raised before the
+			// guard drop, so the final decrementer always finds it
+			// counted, and lowered (releaseDeferred) before completeOne
+			// resolves the handle, so PendingEvents never lags a
 			// resolved handle. After a losing guard drop, t belongs to
 			// the final decrementer and must not be touched here.
 			rt.eventsHeld.v.Add(1)
@@ -914,7 +913,11 @@ func (rt *Runtime) runBody(t *Task, id int) {
 func (rt *Runtime) completeOne(t *Task, id int) {
 	for t != nil && t != &rt.global && t.alive.Add(-1) == 0 {
 		parent := t.parent
-		rt.live.Add(id, -1)
+		if parent == &rt.global {
+			// A root completes after every task and offer under it, so
+			// this is its whole submission's completion.
+			rt.live.Add(id, -1)
+		}
 		req := t.req
 		if t.ownsScope {
 			if agg := t.sc.err(); agg != nil {
@@ -992,8 +995,8 @@ func (rt *Runtime) maybeInjectNoise(owner int) {
 // It must not be called concurrently with Run. (Use Drain first to
 // quiesce a runtime that still has submissions or pending events in
 // flight.) The timer queue stops after the workers: a worker exits
-// only at live==0, which a pending timer's task prevents, so stopping
-// the queue earlier could strand the pool.
+// only at live==0, which a pending timer's task prevents (its root has
+// not completed), so stopping the queue earlier could strand the pool.
 func (rt *Runtime) Close() {
 	rt.stopping.Store(true)
 	rt.sched.Stop()
@@ -1005,16 +1008,16 @@ func (rt *Runtime) Close() {
 	rt.wheel.Stop()
 }
 
-// LiveTasks returns the number of tasks created but not yet fully
-// completed, counting an offer waiting in a hand-off cell as one
-// (diagnostics and tests). The underlying counter is sharded:
-// the value is exact once submitters and workers are quiescent, which
-// is when the tests that assert on it read it.
+// LiveTasks returns the number of root submissions admitted but not
+// yet fully completed — a submission completes with the last task and
+// offer under it (diagnostics and tests). The underlying counter is
+// sharded: the value is exact once submitters and workers are
+// quiescent, which is when the tests that assert on it read it.
 func (rt *Runtime) LiveTasks() int64 { return rt.live.Sum() }
 
 // Stats is a snapshot of the worker pool (Runtime.Stats): the current
 // worker states and the cumulative park/wake counters. Instantaneous
-// fields (Parked, Spinning, Pending) are racy snapshots, exact only at
+// fields (Parked, Pending) are racy snapshots, exact only at
 // quiescence; the cumulative counters are monotone.
 type Stats struct {
 	// Workers is the pool size (Config.Workers).
@@ -1022,9 +1025,6 @@ type Stats struct {
 	// Parked is the number of workers currently asleep on their wake
 	// channel.
 	Parked int
-	// Spinning is the number of workers currently in the bounded idle
-	// spin phase of the park ladder.
-	Spinning int
 	// Parks counts blocking parks over the runtime's lifetime
 	// (cancelled parks — recheck found work — are not counted).
 	Parks uint64
@@ -1041,12 +1041,11 @@ type Stats struct {
 // scheduler queues.
 func (rt *Runtime) Stats() Stats {
 	return Stats{
-		Workers:  rt.cfg.Workers,
-		Parked:   rt.parker.Parked(),
-		Spinning: rt.parker.Spinning(),
-		Parks:    rt.parker.Parks(),
-		Wakes:    rt.parker.Wakes(),
-		Pending:  rt.pending(),
+		Workers: rt.cfg.Workers,
+		Parked:  rt.parker.Parked(),
+		Parks:   rt.parker.Parks(),
+		Wakes:   rt.parker.Wakes(),
+		Pending: rt.pending(),
 	}
 }
 

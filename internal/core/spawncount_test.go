@@ -9,12 +9,12 @@ import (
 	"time"
 )
 
-// The counting-protocol tests: a body counts the children it spawns on
-// its own thread (Task.spawned, alive biased by aliveBias) and folds the
-// count into alive at Taskwait and when it returns. Each checks that a
-// task still completes exactly once — LiveTasks returns to 0, where a
-// second completion would take it below — and only after its last
-// child.
+// The counting-protocol tests: a body counts the children it spawns or
+// offers on its own thread (Task.spawned, alive biased by aliveBias)
+// and folds the count into alive at Taskwait and when it returns. Each
+// checks that a task completes only after its last child, and a root
+// exactly once — LiveTasks, which counts submissions, returns to 0,
+// where a second root completion would take it below.
 
 // countingRuntime returns a runtime the test closes only if it passed:
 // a broken count leaves a task that never completes, and Close would
@@ -246,4 +246,39 @@ func TestSpawnCountStress(t *testing.T) {
 		t.Fatalf("%d of %d tasks ran", ran.Load(), want.Load())
 	}
 	waitQuiescent(t, rt)
+}
+
+// TestSpawnCountLiveIsSubmissions: LiveTasks counts submissions, not
+// tasks. A root body on a hand-played serving slot has a thousand
+// children in flight and an offer waiting in the slot's cells, and
+// LiveTasks reads 1; once its Taskwait ran them all and the root
+// completed, 0.
+func TestSpawnCountLiveIsSubmissions(t *testing.T) {
+	rt := build(Config{Workers: 1})
+	defer rt.Close()
+	slot := rt.serveSlots.TryAcquire()
+	defer rt.serveSlots.Release(slot)
+	const n = 1000
+	ran := 0
+	o := NewOffer(func(*Ctx) { ran++ }, 0)
+	var inFlight, live int64
+	h := submit(rt, func(c *Ctx) {
+		for range n {
+			c.Spawn(func(*Ctx) { ran++ })
+		}
+		OfferNode(c, &o)
+		inFlight, live = c.task.inFlight(c.task.alive.Load()), rt.LiveTasks()
+		c.Taskwait()
+	})
+	rt.runChain(rt.take(slot, false), slot)
+	if inFlight != n+1 {
+		t.Fatalf("%d children in flight, want the %d spawned and the offer", inFlight, n)
+	}
+	if live != 1 {
+		t.Fatalf("LiveTasks = %d with one submission in flight, want 1", live)
+	}
+	if ran != n+1 {
+		t.Fatalf("%d of %d children ran", ran, n+1)
+	}
+	settled(t, rt, h)
 }

@@ -246,3 +246,48 @@ func TestSpawnWindowCommutativeHolder(t *testing.T) {
 		t.Fatalf("x = %d, want %d", x, n)
 	}
 }
+
+// TestSpawnWindowOffers: the window covers offers as it covers spawns.
+// A level-0 root body on a hand-played serving slot offers three
+// windows of records. The two cells push the older ones out to the
+// scheduler as tasks, and no worker runs them (the runtime is never
+// started), so only the body's own help bounds them: its children in
+// flight never pass the window by more than the offer that tripped it,
+// and all but a window of offers ran before the last was made.
+func TestSpawnWindowOffers(t *testing.T) {
+	rt := build(Config{Workers: 1})
+	defer rt.Close()
+	slot := rt.serveSlots.TryAcquire()
+	defer rt.serveSlots.Release(slot)
+	const n = 3 * spawnWindow
+	ran := make([]int, n)
+	offers := make([]Offer, n)
+	for i := range offers {
+		offers[i] = NewOffer(func(*Ctx) { ran[i]++ }, i)
+	}
+	var peak int64
+	before := 0
+	h := submit(rt, func(c *Ctx) {
+		for i := range offers {
+			OfferNode(c, &offers[i])
+			peak = max(peak, c.task.inFlight(c.task.alive.Load()))
+		}
+		for _, r := range ran {
+			before += r
+		}
+		c.Taskwait()
+	})
+	rt.runChain(rt.take(slot, false), slot)
+	settled(t, rt, h)
+	if peak > spawnWindow+1 {
+		t.Fatalf("%d offers in flight, want at most the window (%d) and one", peak, spawnWindow)
+	}
+	if before < n-spawnWindow-1 {
+		t.Fatalf("%d of %d offers ran before the last was made: the body did not help past the window", before, n)
+	}
+	for i, r := range ran {
+		if r != 1 {
+			t.Fatalf("offer %d ran %d times", i, r)
+		}
+	}
+}

@@ -15,7 +15,7 @@ func (rt *Runtime) Run(body func(*Ctx), accs ...AccessSpec) error {
 
 // RunCtx is Run honoring a caller context: when ctx is cancelled (or
 // its deadline passes), tasks of this submission that have not started
-// are drained without executing — the dependency graph and live-task
+// are drained without executing — the dependency graph and completion
 // accounting still unwind normally, so RunCtx returns only after the
 // scope has fully drained, with the cancellation cause. Tasks whose
 // bodies already started run to completion; they can poll Ctx.Err to
@@ -76,7 +76,9 @@ func (rt *Runtime) submitRoot(ctx context.Context, h *Handle, accs []AccessSpec,
 // once. build is only called, never stored, so a caller's closure stays
 // on its stack.
 //
-// The live count is the drain gate. admit raises it before it reads
+// The live count is the drain gate. It counts submissions, not tasks:
+// completeOne takes it back only at the root's completion, which follows
+// every task and offer under the root. admit raises it before it reads
 // sealed, and Drain stores sealed before it sums live; with
 // sequentially consistent atomics (Dekker), either this read sees the
 // seal, or Drain's sum sees the increment and waits for the root to

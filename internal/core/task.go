@@ -85,15 +85,16 @@ type Task struct {
 	// — so it is atomic like epri.
 	deadline atomic.Int64
 
-	// spawned counts the children this task's body registered
-	// (register) since the last fold into alive: a body-side spawn
-	// raises this plain word instead of the alive line its children's
-	// completions lower. Only the thread running the body reads or
-	// writes it, and that thread already owns this line. While it is
-	// non-zero, alive carries aliveBias, so completions of privately
-	// counted children cannot take alive to zero; the fold
-	// (Task.fold) moves the count into alive at Taskwait and at body
-	// end, before any other thread may complete the task.
+	// spawned counts the children this task's body handed out —
+	// registered (register) or offered (OfferNode) — since the last
+	// fold into alive: a body-side spawn or offer raises this plain
+	// word instead of the alive line its children's completions
+	// lower. Only the thread running the body reads or writes it, and
+	// that thread already owns this line. While it is non-zero, alive
+	// carries aliveBias, so completions of privately counted children
+	// cannot take alive to zero; the fold (Task.fold) moves the count
+	// into alive at Taskwait and at body end, before any other thread
+	// may complete the task.
 	spawned int64
 
 	// epri is the task's *effective* priority level: pri, possibly
@@ -138,7 +139,8 @@ type Task struct {
 	// slice, pin and pending counts — fills the rest of the line.
 
 	// alive counts full completions outstanding: 1 guard for the body
-	// plus one per live child counted atomically (registerWith), plus
+	// plus one per child counted atomically (registerWith: an offer made
+	// a task, a loop steal descriptor), plus
 	// aliveBias while spawned holds a private count. Children in flight
 	// are alive + spawned − 1, less aliveBias when spawned is non-zero
 	// (inFlight). The decrement to zero completes the task.

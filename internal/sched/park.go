@@ -3,17 +3,12 @@ package sched
 import "sync/atomic"
 
 // Worker idle states, as published in each worker's parking state word.
-// Only the owning worker moves itself between Running and Spinning, and
-// only the owner enters Parked; leaving Parked is a CAS race between
+// Only the owner enters Parked; leaving Parked is a CAS race between
 // the owner (cancelling its own park after the pre-sleep recheck) and a
 // waker claiming it, so a wake token is produced exactly once per park.
 const (
-	// WorkerRunning: executing tasks (or between Get attempts that are
-	// finding work).
+	// WorkerRunning: executing tasks or polling the scheduler.
 	WorkerRunning int32 = iota
-	// WorkerSpinning: in the bounded idle spin phase of the park ladder,
-	// still polling the scheduler.
-	WorkerSpinning
 	// WorkerParked: registered for sleep; the worker either cancels
 	// (recheck found work) or blocks on its wake channel until a
 	// producer claims it.
@@ -51,7 +46,7 @@ type parkSlot struct {
 // consumes so the channel is empty for the next cycle.
 type Parker struct {
 	// slots is written only by NewParker and read on every state change
-	// (MarkSpinning, MarkRunning, Park, the wake scans), so its header
+	// (Park, the wake scans), so its header
 	// has the first line to itself, away from the counters below.
 	slots []parkSlot
 	_     [40]byte
@@ -93,15 +88,6 @@ func NewParker(n, _ int, _ func(id int) int) *Parker {
 	}
 	return p
 }
-
-// MarkSpinning publishes worker id as idle-spinning (diagnostics only;
-// not part of the wake protocol). Must only be called by the owning
-// worker, and never while parked.
-func (p *Parker) MarkSpinning(id int) { p.slots[id].state.Store(WorkerSpinning) }
-
-// MarkRunning publishes worker id as running again. Must only be called
-// by the owning worker, and never while parked.
-func (p *Parker) MarkRunning(id int) { p.slots[id].state.Store(WorkerRunning) }
 
 // Park blocks worker id until a producer wakes it. Before sleeping it
 // calls recheck exactly once, after the worker is already visible as
@@ -199,18 +185,6 @@ func (p *Parker) Parked() int { return int(p.nparked.Load()) }
 // Woken returns the woken-but-not-yet-polling hint (racy diagnostics,
 // like Parked).
 func (p *Parker) Woken() int { return int(p.woken.Load()) }
-
-// Spinning returns the number of workers currently in the idle spin
-// phase (diagnostics; a racy snapshot like Parked).
-func (p *Parker) Spinning() int {
-	n := 0
-	for i := range p.slots {
-		if p.slots[i].state.Load() == WorkerSpinning {
-			n++
-		}
-	}
-	return n
-}
 
 // Parks returns the cumulative number of blocking parks.
 func (p *Parker) Parks() uint64 { return p.parks.Load() }

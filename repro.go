@@ -205,9 +205,9 @@ type (
 	ErrorPolicy = core.ErrorPolicy
 	// PanicError wraps a panic recovered from a task body.
 	PanicError = core.PanicError
-	// Stats is a runtime snapshot (Runtime.Stats): pool-wide parked and
-	// spinning worker counts, cumulative park/wake counters and the
-	// scheduler backlog.
+	// Stats is a runtime snapshot (Runtime.Stats): the pool-wide parked
+	// worker count, cumulative park/wake counters and the scheduler
+	// backlog.
 	Stats = core.Stats
 )
 

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,4 +234,80 @@ func TestGraphSetDeadline(t *testing.T) {
 	if _, err := repro.NewGraph().SetDeadline("nope", time.Second).Run(nil, rt); err == nil {
 		t.Fatal("SetDeadline on unknown task did not error")
 	}
+}
+
+// TestPriorityInversionInheritanceTransitive: the inheritance walk is
+// transitive through tasks registered after the runtime's first donor.
+// A runtime records chain predecessors only from its first donor on
+// (deps.System.RecordPreds), so a warm-up donor runs first; then the
+// chain h2 → h1 → waiter is submitted, h1 holding y and needing x from
+// h2, with the mid-priority flood between h1 and the waiter. The
+// waiter's walk promotes h1 and, through h1's recorded slot, h2: all
+// three run before any flood task. Without the warm-up, h1 registered
+// before any donor and recorded nothing, so only h1 is promoted — the
+// flood overtakes h2, and the three run last: depth one is exact, the
+// rest of the walk is best-effort.
+func TestPriorityInversionInheritanceTransitive(t *testing.T) {
+	const floods = 4
+	run := func(t *testing.T, warm bool) []string {
+		rt := repro.New(repro.WithWorkers(1))
+		defer rt.Close()
+		if warm {
+			if _, err := repro.Submit(rt, func(*repro.Ctx) (int, error) { return 0, nil },
+				repro.WithPriority(repro.MaxPriority), repro.WithInheritance()).Wait(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		running := make(chan struct{})
+		release := make(chan struct{})
+		gate := repro.Submit(rt, func(*repro.Ctx) (int, error) {
+			close(running)
+			<-release
+			return 0, nil
+		})
+		<-running
+
+		var order []string
+		var mu atomic.Int32
+		record := func(s string) func(*repro.Ctx) (int, error) {
+			return func(*repro.Ctx) (int, error) {
+				for !mu.CompareAndSwap(0, 1) {
+				}
+				order = append(order, s)
+				mu.Store(0)
+				return 0, nil
+			}
+		}
+		var x, y byte
+		var futs []*repro.Future[int]
+		futs = append(futs, repro.Submit(rt, record("h2"), repro.Out(&x)))
+		futs = append(futs, repro.Submit(rt, record("h1"), repro.In(&x), repro.Out(&y)))
+		for i := 0; i < floods; i++ {
+			futs = append(futs, repro.Submit(rt, record("flood"),
+				repro.WithPriority(repro.MaxPriority-1)))
+		}
+		futs = append(futs, repro.Submit(rt, record("waiter"), repro.In(&y),
+			repro.WithPriority(repro.MaxPriority), repro.WithInheritance()))
+		close(release)
+		for _, f := range futs {
+			if _, err := f.Wait(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := gate.Wait(nil); err != nil {
+			t.Fatal(err)
+		}
+		return order
+	}
+	chain := []string{"h2", "h1", "waiter"}
+	t.Run("warm", func(t *testing.T) {
+		if order := run(t, true); !slices.Equal(order[:3], chain) {
+			t.Fatalf("after a warm-up donor: order %v, want h2, h1, waiter before the flood", order)
+		}
+	})
+	t.Run("cold", func(t *testing.T) {
+		if order := run(t, false); !slices.Equal(order[floods:], chain) {
+			t.Fatalf("with no earlier donor: order %v, want the flood first (h1 recorded no predecessor)", order)
+		}
+	})
 }

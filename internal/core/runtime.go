@@ -449,6 +449,9 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []AccessSpec, wor
 			t.inherit = true
 		}
 	}
+	if t.inherit {
+		rt.deps.RecordPreds() // before t's registration: see deps.System
+	}
 	t.deadline.Store(dl)
 	t.epri.Store(int32(t.pri))
 	if nacc > 0 {

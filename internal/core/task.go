@@ -125,7 +125,11 @@ type Task struct {
 	// registration the runtime promotes its recorded unsatisfied
 	// predecessors (transitively) to the task's effective priority,
 	// closing the priority-inversion window. Set by the Inherit clause,
-	// inherited from the parent like pri.
+	// inherited from the parent like pri. The first task created with
+	// it turns predecessor recording on for the runtime
+	// (deps.System.RecordPreds), before its own registration: its
+	// immediate predecessors are recorded, and a transitive walk passes
+	// only through tasks registered after it.
 	inherit bool
 
 	_ [14]byte

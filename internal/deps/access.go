@@ -27,6 +27,10 @@ const (
 	flagHasSuccessor
 	// flagHasChild: the child pointer has been installed.
 	flagHasChild
+	// flagTailClosed: the access is a chain tail that no successor will
+	// replace (its parent's domain closed). An access gets at most one
+	// of flagHasSuccessor and flagTailClosed.
+	flagTailClosed
 )
 
 // flagsReleased is the conjunction after which an access no longer

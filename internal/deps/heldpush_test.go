@@ -15,7 +15,8 @@ import (
 // Tests for the pins the wait-free system does not take (see
 // mailbox.push): each names the pin that covers the unpinned message and
 // fails when that cover is dropped early. The runtime's side of the
-// shell-guard contract is core.TestShellGuardOutlivesUnregister.
+// shell-guard contract is core.TestShellGuardOutlivesUnregister; the
+// must-deliver messages are in reference_test.go.
 
 // pinnedNode builds a node as the runtime's newTask does: the shell
 // guard pin, then the accesses.
@@ -30,15 +31,15 @@ func pinnedNode(specs ...AccessSpec) *Node {
 	return n
 }
 
-// TestHeldPushTailPinRidesSuccessorMessage: the flagHasSuccessor message
-// to a replaced chain tail takes no pin of its own — it inherits the
-// tail pin, which must therefore survive until the message has been
-// delivered. Here the tail pin is the only thing left holding the old
-// tail's shell (its task completed long ago), and the quiescence
-// callback recycles the shell as the runtime would. Dropping the tail
-// pin at link time, or anywhere before the drain, fires the callback
-// with the message undelivered and the delivery then lands in a reset
-// access.
+// TestHeldPushTailPinRidesSuccessorMessage: the flagHasSuccessor
+// delivery to a replaced chain tail takes no pin of its own — the
+// tail's link pin, held from its release until a successor replaces it,
+// covers it and drops with it. Here the link pin is the only thing left
+// holding the old tail's shell (its task completed long ago), and the
+// quiescence callback recycles the shell as the runtime would. Dropping
+// the link pin at the release, or anywhere before the delivery, fires
+// the callback with the flag undelivered and the delivery then lands in
+// a reset access.
 func TestHeldPushTailPinRidesSuccessorMessage(t *testing.T) {
 	var x float64
 	var ready []*Node
@@ -60,7 +61,7 @@ func TestHeldPushTailPinRidesSuccessorMessage(t *testing.T) {
 	}
 	sys.Unregister(a, 0)
 	if a.Unpin() != 1 { // completeOne's drop of the shell guard
-		t.Fatalf("pins = %d after completion, want 1: the tail pin alone", a.pins.Load())
+		t.Fatalf("pins = %d after completion, want 1: the link pin alone", a.pins.Load())
 	}
 	if len(quiesced) != 0 {
 		t.Fatal("the chain tail quiesced while still installed in the domain map")
@@ -102,10 +103,10 @@ func TestHeldPushShellGuardCoversUnregister(t *testing.T) {
 		n := pinnedNode(specs...)
 		sys.Register(&root, n, 0)
 		// Successors take over both chain tails, so only the guard and
-		// the two release pins are left on n.
+		// the two link pins are left on n.
 		sys.Register(&root, pinnedNode(specs...), 0)
 		if got := n.pins.Load(); got != 3 {
-			t.Fatalf("pins = %d before Unregister, want 3 (guard + two release pins)", got)
+			t.Fatalf("pins = %d before Unregister, want 3 (guard + two link pins)", got)
 		}
 		if !guarded {
 			n.Unpin()
@@ -122,8 +123,9 @@ func TestHeldPushShellGuardCoversUnregister(t *testing.T) {
 
 // TestHeldPushFinishedWithLiveChildren: Unregister merges finished and
 // children-done into one delivery only when its own decrement closed the
-// child guard. An access with a live child must get finished alone, and
-// children-done later, from the child's release — two deliveries.
+// child guard, or when the task is a leaf. An access with a live child
+// must get finished alone, and children-done later, from the child's
+// release — two deliveries.
 func TestHeldPushFinishedWithLiveChildren(t *testing.T) {
 	var x float64
 	spec := AccessSpec{Addr: unsafe.Pointer(&x), Type: ReadWrite}
@@ -153,13 +155,18 @@ func TestHeldPushFinishedWithLiveChildren(t *testing.T) {
 		t.Fatal("successor not ready after the parent access released")
 	}
 
-	// The leaf case, for contrast: one delivery carries both flags.
+	// The leaf case, for contrast: one delivery carries both flags, and
+	// the child guard is not touched — a leaf's empty domain map shows
+	// that no child ever registered under its accesses.
 	sys.Unregister(next, 0)
 	leaf := pinnedNode(spec)
 	sys.Register(&root, leaf, 0)
 	sys.Unregister(leaf, 0)
 	if st := leaf.Accesses[0].state.Load(); !st.Has(flagsReleased) {
 		t.Fatalf("leaf access state %b after Unregister: want released", st)
+	}
+	if g := leaf.Accesses[0].childGuard.Load(); g != 0 {
+		t.Fatalf("leaf access child guard %d after Unregister, want 0 (untouched)", g)
 	}
 }
 
@@ -198,8 +205,7 @@ func TestStencilReadForwardInFlight(t *testing.T) {
 	mb0 := &sys.mbs[0].mb
 	step := func() {
 		m, _ := mb0.Pop()
-		before, after := m.To.state.Deliver(m.Bits &^ msgHeld)
-		sys.evaluate(m.To, before, after, mb0, 0)
+		sys.deliver(m.To, m.Bits&^msgHeld, mb0, 0)
 		if m.Bits&msgHeld == 0 {
 			sys.unpin(m.To.node, 0)
 		}

@@ -19,6 +19,7 @@ import (
 type Locked struct {
 	ready   ReadyFn
 	workers int
+	donorFlag
 }
 
 // NewLocked returns the locking dependency system.
@@ -245,10 +246,11 @@ func (s *Locked) linkInto(owner *Node, a *Access, post *ldefer, worker int) {
 			n.pending.Add(1)
 		}
 	}
-	if last := len(ch.entries) - 1; last >= ch.head && e.run == nil {
+	if last := len(ch.entries) - 1; last >= ch.head && e.run == nil && s.on.Load() {
 		// Record the chain predecessor for the core's priority-
-		// inheritance walk (group entries are excluded, mirroring the
-		// wait-free system's plain-tail-only recording).
+		// inheritance walk once the runtime has a donor (group entries
+		// are excluded, mirroring the wait-free system's plain-tail-only
+		// recording).
 		if p := ch.entries[last]; p.run == nil {
 			n.recordPred(p.node)
 		}
@@ -339,7 +341,13 @@ func (s *Locked) rescan(ch *lchain, post *ldefer, worker int) {
 		e := ch.entries[ch.head]
 		if e.run != nil {
 			// Group run: released only as a whole, when every member is
-			// done and the run can no longer grow.
+			// done and the run can no longer grow — and, nested under a
+			// parent access, only once that access is reached: eager
+			// reduction members can all be done before it, and the
+			// combine must not overtake the parent's predecessors.
+			if pe := ch.parentEntry; pe != nil && !pe.reached.Load() {
+				break
+			}
 			k := ch.head
 			all := true
 			for k < len(ch.entries) && ch.entries[k].run == e.run {

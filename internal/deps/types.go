@@ -123,6 +123,28 @@ type System interface {
 	ReductionBuffer(n *Node, addr unsafe.Pointer, worker int) []float64
 	// Name identifies the implementation in traces and benchmarks.
 	Name() string
+	// RecordPreds turns predecessor recording (Node.VisitPreds) on for
+	// every later registration, for good. The runtime calls it when it
+	// creates its first priority-inheritance donor, on the creating
+	// thread and before that task registers.
+	RecordPreds()
+}
+
+// donorFlag is the sticky switch behind System.RecordPreds. Until a
+// runtime has a donor, nothing walks predecessor slots, so no
+// registration records one: that saves each linked access a load of
+// the predecessor's generation and two atomic stores, and Reset the
+// clearing of the slots. Recording then starts with the first donor's
+// own registration, so a donor's immediate predecessors are always
+// recorded; a transitive walk passes only through tasks registered
+// after the first donor was created.
+type donorFlag struct{ on atomic.Bool }
+
+// RecordPreds implements System.
+func (d *donorFlag) RecordPreds() {
+	if !d.on.Load() {
+		d.on.Store(true)
+	}
 }
 
 // InlineAccessCap is the number of accesses a Node stores inline,
@@ -151,11 +173,11 @@ type Node struct {
 	// pins counts outstanding reasons the node's access storage may
 	// still be dereferenced by another thread: the runtime's shell
 	// guard (held from creation to full completion), one per non-alias
-	// access until that access releases, one per access currently
-	// installed as a domain-map chain tail, and one per undelivered
-	// mailbox message targeting an access of this node. The wait-free
-	// system maintains the last three (see waitfree.go); the locking
-	// baseline maintains none, because it never dereferences an Access
+	// access until that access has released and — for a plain access
+	// — is no longer a domain-map chain tail, and one per undelivered
+	// pinned mailbox message targeting an access of this node. The
+	// wait-free system maintains the last two (see waitfree.go); the
+	// locking baseline maintains none, because it never dereferences an Access
 	// after Register returns. The transition to zero means the access
 	// storage is quiescent and the shell — inline array included — can
 	// be recycled.
@@ -198,9 +220,10 @@ type Node struct {
 	// Slots are atomics plus a generation snapshot because a recorded
 	// predecessor's shell can be recycled and re-registered
 	// concurrently with a transitive walk: the walker revalidates the
-	// generation and skips recycled shells. Group predecessors
-	// (reduction/commutative runs) are not recorded — promotion is
-	// best-effort and those tasks are satisfied eagerly anyway.
+	// generation and skips recycled shells. Nothing is recorded before
+	// the runtime's first donor (System.RecordPreds), and group
+	// predecessors (reduction/commutative runs) never are — promotion
+	// is best-effort and those tasks are satisfied eagerly anyway.
 	preds [InlineAccessCap]predSlot
 }
 
@@ -213,7 +236,8 @@ type predSlot struct {
 
 // recordPred appends p to n's predecessor slots (best-effort: silently
 // dropped once the fixed slots are full). Called by the registering
-// thread only.
+// thread only, and only once the system records predecessors
+// (System.RecordPreds).
 func (n *Node) recordPred(p *Node) {
 	if p == nil || p == n || n.npreds >= InlineAccessCap {
 		return

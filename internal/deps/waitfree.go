@@ -22,29 +22,54 @@ type mailbox struct {
 // evaluation of a pinned access, registering under a pinned chain
 // tail, or operating on their own still-guarded task.
 //
-// Every message to a successor, child, parent or fellow group member
-// goes through push. Two kinds of message need no pin of their own and
-// bypass it: one whose target the pusher keeps pinned until its own
-// drain has returned (pushHeld), and the flagHasSuccessor message to a
-// replaced chain tail, which inherits the tail pin (linkAfterAccess).
+// Only messages between members of one reduction or commutative run
+// (group.go) and satisfiability sent to a weak access (pushSat) go
+// through push; every other message is held (pushHeld). A replaced
+// chain tail's flagHasSuccessor is no message at all: the registrar
+// delivers it in place (linkAfterAccess).
 func (mb *mailbox) push(a *Access, f asm.Flags) {
 	a.node.Pin()
 	mb.Push(a, f)
 }
 
-// msgHeld marks a message pushed by pushHeld; it rides in the flag word
-// above the ASM's flags and is masked off before delivery.
+// msgHeld marks a message pushed without a pin; it rides in the flag
+// word above the ASM's flags and is masked off before delivery.
 const msgHeld asm.Flags = 1 << 63
 
-// pushHeld enqueues a message to an access of the task the caller is
-// registering or unregistering. That task cannot complete before the
-// call returns — registration precedes its execution, and the shell
-// guard outlives Unregister (the runtime drops it in completeOne) — so
-// a pin held by the caller already covers the message through its
-// delivery, which the caller's own drain performs before returning:
-// no pin is taken and drain drops none.
+// pushHeld enqueues a message that needs no pin because its target
+// cannot lose its storage before the delivery — and the evaluation it
+// triggers — has finished. Two kinds of message qualify, and drain
+// drops no pin for either:
+//
+//   - A message to the task the caller is registering or unregistering,
+//     or to the running parent registering it. That task cannot
+//     complete before the call returns — registration precedes its
+//     execution, a parent's body outlives its children's registration,
+//     and the shell guard outlives Unregister (the runtime drops it in
+//     completeOne) — and the caller's own drain delivers the message
+//     before returning.
+//   - A message its target must receive to release: satisfiability to
+//     a chain successor or to the head of a child chain, and
+//     children-done to a parent access. Until the flag lands, the
+//     target's release pin holds its node; after it, deliver touches
+//     the target only while its own delivery keeps the target alive
+//     (see deliver).
 func (mb *mailbox) pushHeld(a *Access, f asm.Flags) {
 	mb.Push(a, f|msgHeld)
+}
+
+// pushSat enqueues satisfiability owed to a chain successor or to the
+// head of a child chain, held (pushHeld) unless the target is weak. A
+// weak access does not gate its task, which may already have finished:
+// once its read satisfiability lands, another thread's write
+// satisfiability can release it while this delivery is still forwarding
+// to its read successor, so a weak target keeps the message pin.
+func (mb *mailbox) pushSat(a *Access, f asm.Flags) {
+	if a.weak() {
+		mb.push(a, f)
+		return
+	}
+	mb.pushHeld(a, f)
 }
 
 // mbSlot pads each worker's mailbox onto its own cache line.
@@ -60,8 +85,9 @@ type mbSlot struct {
 // commutative runs use a tiny per-run mutex off the critical path (see
 // group).
 //
-// The struct is read-only after construction and read by every thread
-// on every register and unregister, so it is padded to one cache line
+// The struct is read-only after construction — but for the donor flag
+// (System.RecordPreds), written once — and read by every thread on
+// every register and unregister, so it is padded to one cache line
 // (a 64-byte heap object is line-aligned): at 48 bytes it shared lines
 // with whatever the allocator placed beside it — the scheduler's FIFO
 // structs, whose lock owner writes them per task; see sched.FIFO.
@@ -70,7 +96,8 @@ type WaitFree struct {
 	quiescent ReadyFn
 	workers   int
 	mbs       []mbSlot
-	_         [16]byte
+	donorFlag
+	_ [12]byte
 }
 
 // NewWaitFree returns a wait-free dependency system for the given worker
@@ -108,14 +135,14 @@ func (s *WaitFree) Name() string { return "wait-free" }
 // executing the parent creates its children), so registration itself
 // needs no lock; all cross-thread interaction happens through messages.
 //
-// Pin accounting: every non-alias access pins its node once until it
-// releases (dropped in evaluate at the release transition), and once
-// more while it is the domain-map tail of its chain — until a later
-// sibling replaces it and has delivered flagHasSuccessor to it (the
-// tail pin passes to that message, see linkAfterAccess), until
-// Unregister closes the parent's domain for good, or — in a root shard,
-// which no Unregister closes — until the registrar's sweep deletes the
-// released tail.
+// Pin accounting: every non-alias access pins its node once. A run
+// member's pin drops when the member releases (deliver). A plain
+// access's link pin also covers its time as the domain-map tail of its
+// chain: it drops once the access has released and is a tail no more
+// — a later sibling replaced it and delivered flagHasSuccessor
+// (linkAfterAccess), or Unregister closed the parent's domain for good
+// (closeTail) — or, in a root shard, which no Unregister closes, when
+// the registrar's sweep deletes the released tail.
 func (s *WaitFree) Register(parent, n *Node, worker int) {
 	s.register(parent, nil, n, worker)
 }
@@ -164,7 +191,7 @@ func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
 		if a.typ == Reduction || a.typ == Commutative {
 			pins++ // release pin; a run's domain-map tail is its group
 		} else {
-			pins += 2 // release pin, and tail pin while a is the chain tail
+			pins++ // link pin: until released and replaced as the chain tail
 		}
 	}
 	n.pending.Store(pending)
@@ -180,7 +207,7 @@ func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
 		if d != nil {
 			owner = &d.shard(a.addr).node
 		}
-		s.linkInto(owner, a, mb)
+		s.linkInto(owner, a, mb, worker)
 	}
 	s.drain(mb, worker)
 	if d != nil {
@@ -196,14 +223,16 @@ func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
 }
 
 // sweep deletes from root shard sh's map every plain tail whose access
-// has released, dropping its tail pin — on the last pin, the
+// has released, dropping its link pin — on the last pin, the
 // quiescence callback recycles the shell onto the sweeper's slot. The
 // caller must hold sh's lease, which makes it the map's single writer
 // and the only thread that could still link a successor after the
-// tail; once released, an access is owed no other message, so the tail
-// pin protects nothing more. Group tails stay: a run is released only
-// as a whole, and a later compatible member may still join it. The
-// workers' release path is untouched — it never reads the map.
+// tail; once released, an access is owed no other message, so the link
+// pin protects nothing more, and a deleted tail gets neither
+// flagHasSuccessor nor flagTailClosed, so nothing else drops the pin.
+// Group tails stay: a run is released only as a whole, and a later
+// compatible member may still join it. The workers' release path is
+// untouched — it never reads the map.
 func (s *WaitFree) sweep(sh *rootShard, worker int) {
 	m := sh.node.domain
 	for addr, t := range m {
@@ -217,7 +246,7 @@ func (s *WaitFree) sweep(sh *rootShard, worker int) {
 
 // linkInto links one non-alias access into owner's domain map. The
 // caller must be the single writer of owner's domain.
-func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) {
+func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox, worker int) {
 	n := a.node
 	if owner.domain == nil {
 		owner.domain = make(map[unsafe.Pointer]tailEntry, InlineAccessCap)
@@ -227,11 +256,14 @@ func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) {
 	case ok && tail.group != nil:
 		s.linkAfterGroup(tail, a, mb)
 	case ok:
-		s.linkAfterAccess(tail, a, mb)
 		// Record the chain predecessor for the core's priority-
-		// inheritance walk; the tail pin, now riding on the undelivered
-		// flagHasSuccessor message, makes the dereference safe.
-		n.recordPred(tail.access.node)
+		// inheritance walk, once the runtime has a donor; the old
+		// tail's link pin, held until linkAfterAccess has delivered
+		// flagHasSuccessor to it, makes the dereference safe.
+		if s.on.Load() {
+			n.recordPred(tail.access.node)
+		}
+		s.linkAfterAccess(tail, a, mb, worker)
 	default:
 		tail.parent = findOwnAccess(owner, a.addr)
 		s.linkFresh(tail.parent, a, mb)
@@ -251,21 +283,25 @@ func (s *WaitFree) linkInto(owner *Node, a *Access, mb *mailbox) {
 //
 // The task's body has returned, and children are only ever registered
 // by the thread executing the parent's body, so after this call n's
-// domain map can never be consulted again: the chain-tail pins still
-// held by the current tails (accesses of n's children) are dropped
-// here, after the drain.
+// domain map can never be consulted again: the current tails (accesses
+// of n's children) are closed here, after the drain, so that their
+// link pins drop at their release (closeTail).
 //
-// An access with no live children — every access of a leaf task — gets
-// finished and children-done as one delivery: this thread has just
-// taken its child guard below zero, so both flags are this thread's to
-// set. With children still live, the last of them to release delivers
-// children-done later, from its own thread.
+// An access with no live children gets finished and children-done as
+// one delivery: this thread has just taken its child guard below zero,
+// so both flags are this thread's to set. With children still live, the
+// last of them to release delivers children-done later, from its own
+// thread. A leaf — an empty domain map — skips the guards altogether:
+// children link only into their parent's domain map, and nothing
+// deletes an entry there before Reset, so no access of a leaf ever had
+// a child.
 //
 // A node with no accesses and an empty domain map has no message to
 // send and no tail to unpin (the mailbox is empty between operations),
 // so it returns at once.
 func (s *WaitFree) Unregister(n *Node, worker int) {
-	if len(n.Accesses) == 0 && len(n.domain) == 0 {
+	leaf := len(n.domain) == 0
+	if len(n.Accesses) == 0 && leaf {
 		return
 	}
 	mb := &s.mbs[worker].mb
@@ -276,7 +312,7 @@ func (s *WaitFree) Unregister(n *Node, worker int) {
 			continue
 		}
 		f := flagFinished
-		if a.childGuard.Add(-1) < 0 {
+		if leaf || a.childGuard.Add(-1) < 0 {
 			f |= flagChildrenDone
 		}
 		mb.pushHeld(a, f)
@@ -284,7 +320,7 @@ func (s *WaitFree) Unregister(n *Node, worker int) {
 	s.drain(mb, worker)
 	for _, t := range n.domain {
 		if t.access != nil {
-			s.unpin(t.access.node, worker)
+			s.closeTail(t.access, worker)
 		}
 	}
 }
@@ -347,23 +383,51 @@ func (s *WaitFree) linkFresh(pa *Access, a *Access, mb *mailbox) {
 	s.armAccess(a, pa, mb)
 	if pa != nil {
 		pa.child.Store(a)
-		mb.push(pa, flagHasChild)
+		mb.pushHeld(pa, flagHasChild)
 	} else {
 		mb.pushHeld(a, flagReadSat|flagWriteSat)
 	}
 }
 
-// linkAfterAccess appends a after the current chain tail. The replaced
-// tail's pin is not dropped here but handed to the flagHasSuccessor
-// message (a bare Push: no pin taken, and drain's unpin after the
-// delivery is the tail pin's drop), so the old tail stays
-// dereferenceable exactly until the message has been evaluated.
-func (s *WaitFree) linkAfterAccess(tail tailEntry, a *Access, mb *mailbox) {
+// linkAfterAccess appends a after the current chain tail, delivering
+// flagHasSuccessor to the replaced tail in place. The old tail's link
+// pin needs that flag to drop, so the tail is dereferenceable up to the
+// Deliver; after it, another thread's release may drop the pin and
+// recycle the shell, so the follow-ups use only what was read before —
+// the forwards go to a, which this registration holds — and the tail
+// is touched again only where this delivery completed its release.
+func (s *WaitFree) linkAfterAccess(tail tailEntry, a *Access, mb *mailbox, worker int) {
 	prev := tail.access
 	s.armAccess(a, tail.parent, mb)
-	prev.succReadCompat = prev.typ == Read && a.typ == Read
+	compat := prev.typ == Read && a.typ == Read
+	prev.succReadCompat = compat
 	prev.succ.Store(a)
-	mb.Push(prev, flagHasSuccessor)
+	pn := prev.node
+	before, after := prev.state.Deliver(flagHasSuccessor)
+	// The early read forward and the release push of deliver, for the
+	// deliveries in which flagHasSuccessor is the last flag to land.
+	if compat && asm.Transitioned(before, after, flagReadSat|flagHasSuccessor) {
+		mb.pushHeld(a, flagReadSat)
+	}
+	if asm.Transitioned(before, after, flagsReleased|flagHasSuccessor) {
+		f := flagReadSat | flagWriteSat
+		if compat {
+			f = flagWriteSat
+		}
+		mb.pushHeld(a, f)
+		s.unpin(pn, worker)
+	}
+}
+
+// closeTail tells a plain chain tail that no successor will replace
+// it — its parent's domain is closed — so that its link pin drops at
+// its release, or here if it has already released.
+func (s *WaitFree) closeTail(a *Access, worker int) {
+	n := a.node
+	before, after := a.state.Deliver(flagTailClosed)
+	if asm.Transitioned(before, after, flagsReleased|flagTailClosed) {
+		s.unpin(n, worker)
+	}
 }
 
 // linkAfterGroup either joins a compatible open run or closes the run and
@@ -397,75 +461,106 @@ func (s *WaitFree) armAccess(a *Access, chainParent *Access, mb *mailbox) {
 
 // drain delivers queued messages until the mailbox is empty, evaluating
 // each resulting transition (the while loop of paper Fig. 2). Each
-// delivery drops the pin its message carries (none for a held message,
-// whose pusher is this very caller) — after the evaluation, so the
-// access stays dereferenceable throughout, even when another worker
-// concurrently completes the access's release transition.
+// delivery drops the pin its message carries (none for a held message)
+// — after the evaluation, so the access stays dereferenceable
+// throughout, even when another worker concurrently completes the
+// access's release transition.
 func (s *WaitFree) drain(mb *mailbox, worker int) {
 	for {
 		m, ok := mb.Pop()
 		if !ok {
 			return
 		}
-		before, after := m.To.state.Deliver(m.Bits &^ msgHeld)
-		s.evaluate(m.To, before, after, mb, worker)
+		n := m.To.node
 		if m.Bits&msgHeld == 0 {
-			s.unpin(m.To.node, worker)
+			s.deliver(m.To, m.Bits, mb, worker)
+			s.unpin(n, worker)
+			continue
+		}
+		if checked && n.pins.Load() <= 0 {
+			panic(fmt.Sprintf("deps: held message %b to an access whose node holds no pin", m.Bits&^msgHeld))
+		}
+		if !s.deliver(m.To, m.Bits&^msgHeld, mb, worker) && checked {
+			panic(fmt.Sprintf("deps: held message %b delivered twice", m.Bits&^msgHeld))
 		}
 	}
 }
 
-// evaluate inspects the flag transition produced by one delivery and
-// pushes the follow-up messages it triggers. Each condition below is a
-// conjunction of set-once flags, so asm.Transitioned guarantees the
-// corresponding action fires exactly once per access regardless of which
-// thread's delivery completed it.
-func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, worker int) {
+// deliver merges f into a's flags and performs the follow-up actions the
+// transition triggers; it reports whether the delivery set a new flag.
+// Each condition below is a conjunction of set-once flags, so
+// asm.Transitioned guarantees the corresponding action fires exactly
+// once per access regardless of which thread's delivery completed it.
+//
+// A held message (pushHeld) keeps a's storage alive only until its flag
+// lands; from then on another thread's delivery may release a and
+// recycle its shell. So a's fixed fields are read before the Deliver,
+// and after it a is touched only where this delivery itself keeps a
+// alive:
+//   - it completed a's execution satisfaction: a's task cannot run, let
+//     alone finish, before the satisfied call, which therefore comes
+//     last;
+//   - it forwards to a's child chain, whose head cannot release without
+//     the forwarded flag — so a cannot collect children-done — until
+//     the forward, still in this mailbox, lands (a run's head reports
+//     its release only once satisfied, like any other access);
+//   - it released a run member, or released a plain access that is a
+//     chain tail no more, and drops a's pin itself, after every use of
+//     a. A plain access released while still a tail keeps its link pin
+//     for the registrar of its successor or its parent's Unregister,
+//     which may drop it at once (linkAfterAccess, closeTail), so its
+//     release uses only the fields read before the Deliver.
+func (s *WaitFree) deliver(a *Access, f asm.Flags, mb *mailbox, worker int) bool {
+	n, g, typ, marks := a.node, a.group, a.typ, a.marks
+	var pa *Access
+	if g == nil {
+		// Fixed at link time for a plain access; a run member's is set
+		// after its join has published it, so the group path reads it
+		// at the member's release.
+		pa = a.parentAccess
+	}
+	before, after := a.state.Deliver(f)
 	if before == after {
-		return // redundant delivery
+		return false // redundant delivery
+	}
+	// Execution satisfaction of a blocking access (Access.blocking):
+	// reads need read satisfiability, the rest need both.
+	runnable := false
+	if typ == Commutative || typ != Reduction && marks&markWeak == 0 {
+		need := flagReadSat | flagWriteSat
+		if typ == Read {
+			need = flagReadSat
+		}
+		runnable = asm.Transitioned(before, after, need)
 	}
 
-	if a.group != nil {
+	if g != nil {
 		// Run member: satisfiability is managed by the group.
-		if a.groupHead() && asm.Transitioned(before, after, flagReadSat|flagWriteSat) {
-			a.group.satArrived(mb)
+		if marks&markGroupHead != 0 && asm.Transitioned(before, after, flagReadSat|flagWriteSat) {
+			g.satArrived(mb)
 		}
-		if a.typ == Commutative && asm.Transitioned(before, after, flagReadSat|flagWriteSat) {
-			a.node.satisfied(s.ready, worker)
+		// A plain reduction member is owed nothing after its own
+		// finished+children-done, so it releases — to its run, its
+		// parent access, and its storage pin — then. The run's head is
+		// still owed the chain predecessor's satisfiability, and a
+		// commutative member the group's broadcast, so they release
+		// only at the full conjunction (run members finish eagerly, so
+		// finished can long precede the sat flags).
+		done := flagFinished | flagChildrenDone
+		if marks&markGroupHead != 0 || typ == Commutative {
+			done = flagsReleased
 		}
-		if asm.Transitioned(before, after, flagFinished|flagChildrenDone) {
-			a.group.memberReleased(mb)
+		if asm.Transitioned(before, after, done) {
+			g.memberReleased(mb)
 			if a.parentAccess != nil {
 				s.childReleased(a.parentAccess, mb)
 			}
+			s.unpin(n, worker)
 		}
-		// Storage pin: drop it only once no further message can target
-		// this access. A plain reduction member receives nothing after
-		// its own finished+children-done — but the run's head is still
-		// owed the chain predecessor's satisfiability push, and a
-		// commutative member the group's broadcast, so those hold the
-		// pin until the full release conjunction (run members release
-		// eagerly, so finished can long precede the sat flags).
-		memberDone := flagFinished | flagChildrenDone
-		if a.groupHead() || a.typ == Commutative {
-			memberDone = flagsReleased
+		if runnable {
+			n.satisfied(s.ready, worker)
 		}
-		if asm.Transitioned(before, after, memberDone) {
-			s.unpin(a.node, worker)
-		}
-		return
-	}
-
-	// Execution satisfaction: reads need read satisfiability, exclusive
-	// accesses need both. Weak accesses never gate execution.
-	if !a.weak() {
-		if a.typ == Read {
-			if asm.Transitioned(before, after, flagReadSat) {
-				a.node.satisfied(s.ready, worker)
-			}
-		} else if asm.Transitioned(before, after, flagReadSat|flagWriteSat) {
-			a.node.satisfied(s.ready, worker)
-		}
+		return true
 	}
 
 	// Early read forwarding: consecutive reads run concurrently, so read
@@ -474,25 +569,23 @@ func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, wor
 	// before it delivers flagHasSuccessor, so it must only be read after
 	// the transition check observes that flag (the atomic state word
 	// orders the publication); keep the Transitioned operand first.
-	if asm.Transitioned(before, after, flagReadSat|flagHasSuccessor) && a.succReadCompat {
-		mb.push(a.succ.Load(), flagReadSat)
+	if typ == Read && asm.Transitioned(before, after, flagReadSat|flagHasSuccessor) && a.succReadCompat {
+		mb.pushSat(a.succ.Load(), flagReadSat)
 	}
 
 	// Child forwarding: accesses of child tasks inherit the
 	// satisfiability of the parent access they nest under.
 	if asm.Transitioned(before, after, flagReadSat|flagHasChild) {
-		mb.push(a.child.Load(), flagReadSat)
+		mb.pushSat(a.child.Load(), flagReadSat)
 	}
 	if asm.Transitioned(before, after, flagWriteSat|flagHasChild) {
-		mb.push(a.child.Load(), flagWriteSat)
+		mb.pushSat(a.child.Load(), flagWriteSat)
 	}
 
 	// Release: satisfied + finished + children done. Forward full
 	// satisfiability to the successor and notify across nesting levels.
-	if asm.Transitioned(before, after, flagsReleased) {
-		if a.parentAccess != nil {
-			s.childReleased(a.parentAccess, mb)
-		}
+	if asm.Transitioned(before, after, flagsReleased) && pa != nil {
+		s.childReleased(pa, mb)
 	}
 	if asm.Transitioned(before, after, flagsReleased|flagHasSuccessor) {
 		// A read-compatible successor is sent only what the early
@@ -506,14 +599,21 @@ func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, wor
 		if a.succReadCompat {
 			f = flagWriteSat
 		}
-		mb.push(a.succ.Load(), f)
+		mb.pushSat(a.succ.Load(), f)
 	}
-	if asm.Transitioned(before, after, flagsReleased) {
-		// The access released: drop its storage pin, after every use of
-		// a above. A later flagHasSuccessor delivery may still read
-		// a.succ, but that message carries the tail pin.
-		s.unpin(a.node, worker)
+	if asm.Transitioned(before, after, flagsReleased|flagHasSuccessor) ||
+		asm.Transitioned(before, after, flagsReleased|flagTailClosed) {
+		// The access released and is no longer a chain tail: drop its
+		// link pin, after every use of a above.
+		s.unpin(n, worker)
 	}
+	// A blocking access is satisfied before its task can finish, so its
+	// satisfaction never comes with its release: this is the last use
+	// of a when it fires.
+	if runnable {
+		n.satisfied(s.ready, worker)
+	}
+	return true
 }
 
 // childReleased drops one child from pa's child guard; if pa's task has
@@ -521,7 +621,7 @@ func (s *WaitFree) evaluate(a *Access, before, after asm.Flags, mb *mailbox, wor
 // enabling pa's own release.
 func (s *WaitFree) childReleased(pa *Access, mb *mailbox) {
 	if pa.childGuard.Add(-1) < 0 {
-		mb.push(pa, flagChildrenDone)
+		mb.pushHeld(pa, flagChildrenDone)
 	}
 }
 

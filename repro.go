@@ -305,8 +305,11 @@ func WithDeadlineAt(absNS int64) AccessSpec { return core.Deadline(absNS) }
 // high-priority work is re-ranked ahead of mid-priority work instead
 // of starving behind it (the classic priority-inversion window).
 // Promotion re-ranks tasks already waiting in the scheduler; a
-// predecessor that is already executing keeps its worker. It pairs
-// with WithPriority:
+// predecessor that is already executing keeps its worker. A runtime
+// records predecessors only from its first donor on, so the donor's
+// immediate predecessors are always promoted, but the transitive walk
+// passes only through tasks registered after the runtime's first
+// donor was created. It pairs with WithPriority:
 //
 //	f := repro.Submit(rt, handle, repro.In(&row),
 //		repro.WithPriority(repro.MaxPriority), repro.WithInheritance())

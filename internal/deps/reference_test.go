@@ -245,3 +245,56 @@ func TestReductionUnderWeakParentCombinesBeforeSuccessor(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldPushWeakTargetKeepsPin: satisfiability to a weak access keeps
+// the message pin, and to a strong one travels held. A weak access does
+// not gate its task, which may have finished before the access is
+// satisfied: once its read satisfiability lands, another thread's write
+// satisfiability can release it while the delivering thread still
+// forwards to its read successor — a window only the pin covers. Here
+// the writer w releases to a weak read r (whose own task already
+// finished) and, on a second chain, to a strong read; the queued
+// messages are inspected before they are delivered.
+func TestHeldPushWeakTargetKeepsPin(t *testing.T) {
+	var x, y float64
+	sys := NewWaitFree(func(*Node, int) {}, 1)
+	var root Node
+	w := pinnedNode(AccessSpec{Addr: unsafe.Pointer(&x), Type: ReadWrite}, AccessSpec{Addr: unsafe.Pointer(&y), Type: ReadWrite})
+	weak := pinnedNode(AccessSpec{Addr: unsafe.Pointer(&x), Type: Read, Weak: true})
+	strong := pinnedNode(AccessSpec{Addr: unsafe.Pointer(&y), Type: Read})
+	for _, n := range []*Node{w, weak, strong} {
+		sys.Register(&root, n, 0)
+	}
+	sys.Unregister(weak, 0) // the weak task ran at once and finished
+	weakPins, strongPins := weak.pins.Load(), strong.pins.Load()
+
+	mb := &sys.mbs[0].mb
+	for i := range w.Accesses {
+		mb.pushHeld(&w.Accesses[i], flagFinished|flagChildrenDone)
+	}
+	held := map[*Node]bool{}
+	for mb.Len() > 0 {
+		m, _ := mb.Pop()
+		if to := m.To.node; to == weak || to == strong {
+			held[to] = m.Bits&msgHeld != 0
+		}
+		// Deliver by hand, as drain does, noting how w's releases
+		// queued the messages to the two reads.
+		sys.deliver(m.To, m.Bits&^msgHeld, mb, 0)
+		if m.Bits&msgHeld == 0 {
+			if m.To.node == weak && weak.pins.Load() != weakPins+1 {
+				t.Fatalf("weak target holds %d pins with its message queued, want %d", weak.pins.Load(), weakPins+1)
+			}
+			sys.unpin(m.To.node, 0)
+		}
+	}
+	if h, ok := held[weak]; !ok || h {
+		t.Fatalf("satisfiability to the weak access: queued %v, held %v; want a pinned message", ok, h)
+	}
+	if h, ok := held[strong]; !ok || !h {
+		t.Fatalf("satisfiability to the strong access: queued %v, held %v; want a held message", ok, h)
+	}
+	if strong.pins.Load() != strongPins {
+		t.Fatalf("strong target's pins moved from %d to %d", strongPins, strong.pins.Load())
+	}
+}

@@ -28,8 +28,9 @@ func (w *unregisterWatch) Unregister(n *deps.Node, worker int) {
 // the node's pin count cannot reach zero inside its own Unregister, so
 // the quiescence callback firing for the very node the calling slot is
 // unregistering means the guard went early. The chain below makes that
-// the common case if it ever does: every task's only other pin is the
-// release pin its own Unregister drops.
+// the common case if it ever does: every task's only other pins are its
+// access pins, which its own Unregister drops (a later sibling has
+// replaced each access as its chain's tail by then).
 func TestShellGuardOutlivesUnregister(t *testing.T) {
 	rt := build(Config{Workers: 2})
 	watch := &unregisterWatch{System: rt.deps, cur: make([]atomic.Pointer[deps.Node], rt.Slots())}

@@ -51,7 +51,7 @@ const msgHeld asm.Flags = 1 << 63
 //   - A message its target must receive to release: satisfiability to
 //     a chain successor or to the head of a child chain, and
 //     children-done to a parent access. Until the flag lands, the
-//     target's release pin holds its node; after it, deliver touches
+//     target's own access pin holds its node; after it, deliver touches
 //     the target only while its own delivery keeps the target alive
 //     (see deliver).
 func (mb *mailbox) pushHeld(a *Access, f asm.Flags) {
@@ -188,11 +188,7 @@ func (s *WaitFree) register(parent *Node, d *RootDomain, n *Node, worker int) {
 		if a.blocking() {
 			pending++
 		}
-		if a.typ == Reduction || a.typ == Commutative {
-			pins++ // release pin; a run's domain-map tail is its group
-		} else {
-			pins++ // link pin: until released and replaced as the chain tail
-		}
+		pins++ // the access pin (see Register)
 	}
 	n.pending.Store(pending)
 	if pins > 0 {

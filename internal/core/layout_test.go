@@ -17,6 +17,10 @@ func TestAccessSpecLayout(t *testing.T) {
 	}
 }
 
+// layoutShell keeps TestTaskLayout's shell on the heap, where the
+// allocator places every shell the runtime pools.
+var layoutShell *Task
+
 // TestTaskLayout pins the hot/cold layout of the task shell (see the
 // Task doc comment and DESIGN.md, "Task lifetime and memory"): every
 // field an access-free task's lifecycle touches sits on its assigned
@@ -24,18 +28,29 @@ func TestAccessSpecLayout(t *testing.T) {
 // line with alive or body, and the shell stays in its allocator size
 // class. A failure names the field that moved. (deps.TestNodeLayout
 // pins the order inside the node.)
+//
+// The lines are the ones memory holds, read off the addresses of a
+// heap-allocated shell: a pointerful object past 512 bytes starts
+// after an 8-byte allocator header, so a shell sits 8 bytes into a
+// line and line k holds shell bytes [64k-8, 64k+56), not [64k, 64k+64).
 func TestTaskLayout(t *testing.T) {
 	const line = 64
-	var x Task
+	layoutShell = new(Task)
+	x := layoutShell
+	base := uintptr(unsafe.Pointer(x))
+	if mis := base % line; mis != 8 {
+		t.Errorf("a heap shell starts %d bytes into its line, want 8 (the allocator header): the line map below assumes it", mis)
+	}
+	lineOf := func(addr uintptr) uintptr { return addr/line - base/line }
 	lines := map[string]uintptr{
 		"handle": 0, "req": 0, "loop": 0, "events": 0, "fn": 0, "ownsScope": 0,
 		"body": 1, "parent": 1, "sc": 1, "deadline": 1, "spawned": 1, "epri": 1, "qstate": 1,
 		"pri": 1, "inherit": 1,
 		"alive":        2,
-		"node.Payload": 2, "node.Accesses": 2, "node.pins": 2, "node.pending": 2,
-		"node.gen": 3, "node.npreds": 3, "node.domain": 3, "node.ldomain": 3,
+		"node.Payload": 2, "node.Accesses": 2,
+		"node.pins": 3, "node.pending": 3, "node.gen": 3, "node.npreds": 3, "node.domain": 3, "node.ldomain": 3,
 	}
-	check := func(prefix string, base uintptr, typ reflect.Type) {
+	check := func(prefix string, at uintptr, typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			want, ok := lines[prefix+f.Name]
@@ -43,17 +58,17 @@ func TestTaskLayout(t *testing.T) {
 				continue
 			}
 			delete(lines, prefix+f.Name)
-			off := base + f.Offset
-			if first, last := off/line, (off+f.Type.Size()-1)/line; first != want || last != want {
-				t.Errorf("Task.%s%s spans bytes [%d,%d), lines %d-%d; the layout contract puts it on line %d",
-					prefix, f.Name, off, off+f.Type.Size(), first, last, want)
+			addr := at + f.Offset
+			if first, last := lineOf(addr), lineOf(addr+f.Type.Size()-1); first != want || last != want {
+				t.Errorf("Task.%s%s spans shell bytes [%d,%d), lines %d-%d; the layout contract puts it on line %d",
+					prefix, f.Name, addr-base, addr-base+f.Type.Size(), first, last, want)
 			}
 		}
 	}
-	taskT := reflect.TypeOf(&x).Elem()
+	taskT := reflect.TypeOf(x).Elem()
 	nodeT := reflect.TypeOf(&x.node).Elem()
-	check("", 0, taskT)
-	check("node.", unsafe.Offsetof(x.node), nodeT)
+	check("", base, taskT)
+	check("node.", uintptr(unsafe.Pointer(&x.node)), nodeT)
 	for name := range lines {
 		t.Errorf("Task.%s is pinned by this test but no longer exists", name)
 	}
@@ -61,7 +76,7 @@ func TestTaskLayout(t *testing.T) {
 	// running task's other cores write (alive) or its creator fills
 	// (body).
 	inl, _ := nodeT.FieldByName("inline")
-	if l := (unsafe.Offsetof(x.node) + inl.Offset) / line; l == unsafe.Offsetof(x.alive)/line || l == unsafe.Offsetof(x.body)/line {
+	if l := lineOf(uintptr(unsafe.Pointer(&x.node)) + inl.Offset); l == lineOf(uintptr(unsafe.Pointer(&x.alive))) || l == lineOf(uintptr(unsafe.Pointer(&x.body))) {
 		t.Errorf("Task.node.inline starts on line %d, shared with alive or body", l)
 	}
 	// Pointerful objects past 512 bytes carry an 8-byte allocator
@@ -71,7 +86,7 @@ func TestTaskLayout(t *testing.T) {
 	// pinned above, leave 480 for deps.InlineAccessCap inline accesses
 	// and predecessor slots (deps.TestNodeLayout, deps.TestAccessLayout
 	// name the field when that part moves).
-	if s := unsafe.Sizeof(x); s != 704-8 {
+	if s := unsafe.Sizeof(*x); s != 704-8 {
 		t.Errorf("Task is %d bytes, want 696 (node at %d, %d bytes): larger leaves the 704-byte size class, smaller gives away inline access storage",
 			s, unsafe.Offsetof(x.node), unsafe.Sizeof(x.node))
 	}

@@ -413,11 +413,20 @@ func (rt *Runtime) DepsName() string { return rt.deps.Name() }
 // task inherits the parent's scope; root submitters override it.
 // Access sets up to deps.InlineAccessCap (five) live in the shell's
 // inline array — no allocation on the spawn path; larger sets overflow
-// to a heap slice. The shell pin taken here is the completion guard of
-// the storage-quiescence protocol: it is dropped in completeOne — never
-// earlier, deps.Unregister relies on it to cover the unpinned messages
-// it sends the task's own accesses — and the shell is recycled by
-// whoever drops the node's last pin (usually completeOne itself).
+// to a heap slice. A task with accesses takes the shell pin here, the
+// completion guard of the storage-quiescence protocol: it is dropped in
+// completeOne — never earlier, deps.Unregister relies on it to cover
+// the unpinned messages it sends the task's own accesses — and the
+// shell is recycled by whoever drops the node's last pin (usually
+// completeOne itself). An access-free task takes no guard: it gets no
+// message, is never a chain tail and no dependency system pins it, so
+// the count would only go 0 → 1 → 0 on one thread.
+//
+// deadline and epri are stored only when they differ from what the
+// shell holds: an atomic Store is an XCHG, and even a plain store
+// dirties the line for the core that reads it next. A stale promotion
+// that raised the last incarnation's epri still differs, so it is
+// still overwritten.
 func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []AccessSpec, worker int) *Task {
 	t := rt.alloc.Get(worker)
 	t.body = body
@@ -432,7 +441,6 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []AccessSpec, wor
 		// a recycled shell's is already this task.
 		t.node.Payload = t
 	}
-	t.node.Pin()
 	// Attribute clauses set the task's scheduling attributes (the last
 	// clause of a kind wins over the inherited value); data clauses go
 	// to the node.
@@ -452,9 +460,14 @@ func (rt *Runtime) newTask(parent *Task, body func(*Ctx), accs []AccessSpec, wor
 	if t.inherit {
 		rt.deps.RecordPreds() // before t's registration: see deps.System
 	}
-	t.deadline.Store(dl)
-	t.epri.Store(int32(t.pri))
+	if t.deadline.Load() != dl {
+		t.deadline.Store(dl)
+	}
+	if t.epri.Load() != int32(t.pri) {
+		t.epri.Store(int32(t.pri))
+	}
 	if nacc > 0 {
+		t.node.Pin()
 		dst := t.node.InitAccesses(nacc)
 		j := 0
 		for i := range accs {
@@ -826,15 +839,16 @@ func (rt *Runtime) execute(t *Task, id int) *Task {
 			// dependency release and completion are deferred to the
 			// final decrement (releaseDeferred) — and this worker goes
 			// straight back for more work. Pin-protocol note: the
-			// creation pin and the alive guard both survive the park
-			// (completeOne has not run), so the shell cannot be
-			// recycled under the pending events, and its root cannot
-			// complete, so Drain waits. eventsHeld is raised before the
-			// guard drop, so the final decrementer always finds it
-			// counted, and lowered (releaseDeferred) before completeOne
-			// resolves the handle, so PendingEvents never lags a
-			// resolved handle. After a losing guard drop, t belongs to
-			// the final decrementer and must not be touched here.
+			// alive guard (and, with accesses, the shell guard)
+			// survives the park (completeOne has not run), so the
+			// shell cannot be recycled under the pending events, and
+			// its root cannot complete, so Drain waits. eventsHeld is
+			// raised before the guard drop, so the final decrementer
+			// always finds it counted, and lowered (releaseDeferred)
+			// before completeOne resolves the handle, so PendingEvents
+			// never lags a resolved handle. After a losing guard drop,
+			// t belongs to the final decrementer and must not be
+			// touched here.
 			rt.eventsHeld.v.Add(1)
 			if ec.n.Add(-1) > 0 {
 				rt.tracer.Emit(id, trace.KEventHold, 0)
@@ -905,14 +919,15 @@ func (rt *Runtime) runBody(t *Task, id int) {
 // fold their scope's aggregate error into their one result slot (a
 // Handle's or a Req's) and release the scope.
 //
-// Shell recycling is gated by the node's pin count: dropping the
-// completion guard recycles immediately when the dependency system
-// holds no further references to the task's access storage (the fast
-// path — exclusive-access chains release during their own Unregister).
-// Otherwise the shell stays out of the pool until the wait-free
-// system's quiescence callback fires (early-forwarded readers, chain
-// tails still registered in a live domain), which is what makes reusing
-// the inline access array safe; see DESIGN.md.
+// Shell recycling is gated by the node's pin count: an access-free
+// task, which holds no pin, is recycled at once; for a task with
+// accesses, dropping the completion guard recycles immediately when the
+// dependency system holds no further references to its access storage
+// (the fast path — exclusive-access chains release during their own
+// Unregister). Otherwise the shell stays out of the pool until the
+// wait-free system's quiescence callback fires (early-forwarded
+// readers, chain tails still registered in a live domain), which is
+// what makes reusing the inline access array safe; see DESIGN.md.
 func (rt *Runtime) completeOne(t *Task, id int) {
 	for t != nil && t != &rt.global && t.alive.Add(-1) == 0 {
 		parent := t.parent
@@ -952,7 +967,9 @@ func (rt *Runtime) completeOne(t *Task, id int) {
 			}
 		}
 		t.resetBody()
-		if t.node.Unpin() == 0 {
+		// An access-free task took no shell guard (newTask), and
+		// nothing else pins its node.
+		if len(t.node.Accesses) == 0 || t.node.Unpin() == 0 {
 			t.node.Reset()
 			rt.alloc.Put(id, t)
 		}

@@ -19,13 +19,16 @@ import (
 // written by the core that creates the next task in it and again by the
 // core that executes and completes that task, so every cache line both
 // touch crosses between them once per task. Everything an access-free
-// task's lifecycle touches sits in the first four lines, and the
-// creating core writes only two of them.
+// task's lifecycle touches sits in the first four lines, and both
+// cores write only two of them, lines 1 and 2: lines 0 and 3 are only
+// read. The lines are the ones memory holds: a pointerful object past
+// 512 bytes follows an 8-byte allocator header, so the shell starts 8
+// bytes into a line, and line k holds shell bytes [64k-8, 64k+56).
 type Task struct {
 	// Line 0 — completion-side references: tested by execute and
-	// completeOne, cleared by resetBody; a plain Spawn never writes
-	// them, so for Spawn-only tasks the line stays in the executing
-	// core's cache.
+	// completeOne, cleared by resetBody only when set; a plain Spawn
+	// never writes them, so for Spawn-only tasks the line stays clean
+	// in every core's cache.
 
 	// handle, when non-nil (roots and future-backed spawns), receives
 	// the task's result/error and is closed at full completion.
@@ -79,7 +82,8 @@ type Task struct {
 	// nanoseconds on the runtime's monotonic clock (NowNS); 0 means no
 	// deadline. Inherited from the parent like pri and overridden by a
 	// Deadline clause; read by the EDF policy, which sorts deadline-less
-	// tasks last. newTask stores it once per incarnation, but the EDF
+	// tasks last. newTask stores it at most once per incarnation (when
+	// it differs from the shell's), but the EDF
 	// heap may still read it through a stale promotion duplicate — a
 	// queue entry that outlived its task and points at a recycled shell
 	// — so it is atomic like epri.
@@ -139,8 +143,8 @@ type Task struct {
 	// lowers it), so it lives apart from the attribute line the
 	// spawning core keeps reading. A body-side Spawn writes the
 	// parent's alive only once per batch (the bias), and the child's
-	// own line 2 at creation: the node's hot header — payload, access
-	// slice, pin and pending counts — fills the rest of the line.
+	// own line 2 at creation: the node's payload and access slice
+	// fill the rest of the line.
 
 	// alive counts full completions outstanding: 1 guard for the body
 	// plus one per child counted atomically (registerWith: an offer made
@@ -152,11 +156,15 @@ type Task struct {
 
 	_ [8]byte
 
-	// Line 3 starts 48 bytes into the node: its generation, domain
-	// maps and predecessor cursor, touched only by the core that
-	// unregisters and recycles the task. The cold access storage
-	// follows: node.inline, five 80-byte accesses, and node.preds, five
-	// 16-byte slots — the 480 bytes that fill the shell's size class.
+	// Line 3 starts 40 bytes into the node: its pin and pending
+	// counts, generation, predecessor cursor and domain maps. An
+	// access-free task only reads them (its registration skips the
+	// dependency system, and Node.Reset skips every store of a value
+	// the line already holds); a task with accesses writes them at
+	// registration, release and recycling. The cold access storage
+	// follows, from 32 bytes into line 3: node.inline, five 80-byte
+	// accesses, and node.preds, five 16-byte slots — the 480 bytes that
+	// fill the shell's size class.
 	node deps.Node
 }
 
@@ -173,21 +181,38 @@ type Body interface{ Run(*Ctx) error }
 // still installed in a live domain map, or a root-shard tail the
 // registrar has not swept yet), so a retained shell never keeps a body
 // closure, error scope or Future alive.
+//
+// The line-0 fields are cleared only when set: a plain Spawn never
+// writes them, and a store of the value the line already holds would
+// still dirty it, so the next core to complete a task in this shell
+// would have to fetch the line back. The line-1 references are always
+// set, and the next creator rewrites that line anyway.
 func (t *Task) resetBody() {
+	if t.fn != nil {
+		t.fn = nil
+	}
+	if t.handle != nil {
+		t.handle = nil
+	}
+	if t.req != nil {
+		t.req = nil
+	}
+	if t.ownsScope {
+		t.ownsScope = false
+	}
+	if t.events != nil {
+		t.events = nil
+	}
 	t.body = nil
-	t.fn = nil
 	t.parent = nil
 	t.sc = nil
-	t.handle = nil
-	t.req = nil
-	t.ownsScope = false
-	t.events = nil
 	t.inherit = false
 	// The four atomics need no reset: alive reached zero to get here,
 	// qstate was zeroed by the Swap that claimed the task (and is only
 	// set again by schedAdd), and newTask stores deadline and epri
-	// unconditionally. spawned is zero already: execute folds it when
-	// the body returns, before the task can complete.
+	// whenever they differ from the new task's. spawned is zero
+	// already: execute folds it when the body returns, before the task
+	// can complete.
 }
 
 // reset fully prepares a recycled Task shell for reuse. It must only

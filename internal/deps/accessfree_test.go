@@ -131,3 +131,84 @@ func TestAccessFreeParentClosesDomain(t *testing.T) {
 		t.Fatalf("the parent is still pinned (%d pins)", parent.pins.Load())
 	}
 }
+
+// TestAccessFreeReuseKeepsStalePredRejected: Reset moves a node's
+// generation only after an incarnation that had accesses, because only
+// such a node can be a recorded predecessor. A slot recorded while a
+// shell had accesses must still be rejected after the shell was reused
+// by an access-free task — which leaves the generation where it is —
+// and then reused again with accesses. Both dependency systems; the
+// shells are completed as the runtime's completeOne does.
+func TestAccessFreeReuseKeepsStalePredRejected(t *testing.T) {
+	var x, y float64
+	for _, kind := range []string{"wait-free", "locked"} {
+		t.Run(kind, func(t *testing.T) {
+			recycled := map[*Node]bool{}
+			ready := func(*Node, int) {}
+			var sys System = NewLocked(ready, 1)
+			if kind == "wait-free" {
+				wf := NewWaitFree(ready, 1)
+				wf.OnQuiescent(func(n *Node, _ int) { n.Reset(); recycled[n] = true })
+				sys = wf
+			}
+			sys.RecordPreds()
+			var root Node
+			// start is newTask's half: only a task with accesses takes the
+			// shell guard.
+			start := func(n *Node, specs ...AccessSpec) {
+				if len(specs) > 0 {
+					n.Pin()
+					acc := n.InitAccesses(len(specs))
+					for i := range specs {
+						acc[i].Init(n, specs[i])
+					}
+				}
+				sys.Register(&root, n, 0)
+			}
+			complete := func(n *Node) {
+				sys.Unregister(n, 0)
+				if len(n.Accesses) == 0 || n.Unpin() == 0 {
+					n.Reset()
+					recycled[n] = true
+				}
+			}
+			p, s := &Node{}, &Node{}
+			p.Payload, s.Payload = p, s
+			onX := AccessSpec{Addr: addrOf(&x), Type: ReadWrite}
+			start(p, onX)
+			start(s, onX)
+			visits := func() (k int) {
+				s.VisitPreds(func(q *Node) {
+					if q == p {
+						k++
+					}
+				})
+				return k
+			}
+			if k := visits(); k != 1 {
+				t.Fatalf("the successor visits its predecessor %d times, want 1", k)
+			}
+
+			complete(p)
+			if !recycled[p] {
+				t.Fatal("the predecessor's shell was not recycled at its completion")
+			}
+			gen := p.gen.Load()
+			delete(recycled, p)
+			start(p) // an access-free task in the same shell
+			complete(p)
+			if !recycled[p] {
+				t.Fatal("the access-free task's shell was not recycled at its completion")
+			}
+			if g := p.gen.Load(); g != gen {
+				t.Errorf("an access-free incarnation moved the generation %d -> %d", gen, g)
+			}
+			start(p, AccessSpec{Addr: addrOf(&y), Type: ReadWrite})
+			if k := visits(); k != 0 {
+				t.Fatalf("a slot recorded two incarnations ago was visited %d times: stale predecessor accepted", k)
+			}
+			complete(p)
+			complete(s)
+		})
+	}
+}

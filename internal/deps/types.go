@@ -11,6 +11,7 @@
 package deps
 
 import (
+	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -172,15 +173,18 @@ type Node struct {
 
 	// pins counts outstanding reasons the node's access storage may
 	// still be dereferenced by another thread: the runtime's shell
-	// guard (held from creation to full completion), one per non-alias
-	// access until that access has released and — for a plain access
-	// — is no longer a domain-map chain tail, and one per undelivered
-	// pinned mailbox message targeting an access of this node. The
-	// wait-free system maintains the last two (see waitfree.go); the
-	// locking baseline maintains none, because it never dereferences an Access
-	// after Register returns. The transition to zero means the access
-	// storage is quiescent and the shell — inline array included — can
-	// be recycled.
+	// guard (held from creation to full completion, by a task with
+	// accesses only), one per non-alias access until that access has
+	// released and — for a plain access — is no longer a domain-map
+	// chain tail, and one per undelivered pinned mailbox message
+	// targeting an access of this node. The wait-free system maintains
+	// the last two (see waitfree.go); the locking baseline maintains
+	// none, because it never dereferences an Access after Register
+	// returns. The transition to zero means the access storage is
+	// quiescent and the shell — inline array included — can be
+	// recycled. A node with no accesses gets no message, is never a
+	// chain tail and has nothing to guard, so nothing ever pins it and
+	// its count stays 0 — unwritten — for its whole incarnation.
 	pins atomic.Int32
 
 	// pending counts unsatisfied blocking accesses plus a registration
@@ -301,31 +305,56 @@ func (n *Node) Unpin() int32 { return n.pins.Add(-1) }
 const domainRetainCap = 64
 
 // Reset prepares a recycled Node for reuse by a new task. It must only
-// be called once the node is quiescent (pin count zero): that is what
-// makes clearing the inline accesses safe, and with plain stores — no
-// thread can be reading them. Clearing drops their pointers so a
-// pooled shell does not keep dead dependency structures reachable
-// (groups with per-worker slot buffers, chain links, locking-baseline
-// chains); the next task's Init rewrites every field anyway. An
-// overflow slice (when Accesses pointed to heap storage) is dropped to
-// the garbage collector wholesale, and domain maps are retained empty
-// up to domainRetainCap.
+// be called once the node is quiescent (pin count zero; the checked
+// build panics otherwise): that is what makes clearing the inline
+// accesses safe, and with plain stores — no thread can be reading them.
+// Clearing drops their pointers so a pooled shell does not keep dead
+// dependency structures reachable (groups with per-worker slot buffers,
+// chain links, locking-baseline chains); the next task's Init rewrites
+// every field anyway. An overflow slice (when Accesses pointed to heap
+// storage) is dropped to the garbage collector wholesale, and domain
+// maps are retained empty up to domainRetainCap.
+//
+// Each header field is written only when its value changes, so the
+// reset of an access-free node writes nothing at all and its line stays
+// clean in whichever core holds it:
+//
+//   - pending is already 0 at every reset, because the task was
+//     readied; it is stored only if it is not.
+//   - gen moves only after an incarnation that had accesses. Only such
+//     a node can be a chain tail, so only such a node can be a recorded
+//     predecessor; a walker's slot from an earlier incarnation still
+//     mismatches, because that incarnation's own reset moved gen.
+//   - Accesses and npreds are written only when set.
+//
+// The domain maps are cleared unconditionally: clear returns at once
+// on an empty map.
 func (n *Node) Reset() {
-	if len(n.Accesses) > 0 && &n.Accesses[0] == &n.inline[0] {
-		clear(n.Accesses)
+	if checked && n.pins.Load() != 0 {
+		panic(fmt.Sprintf("deps: Reset of a node holding %d pins", n.pins.Load()))
 	}
-	// Payload stays: it names the shell the node is embedded in and
-	// recycled with, and the priority-inheritance walk may read it from
-	// a recorded predecessor concurrently with this reset.
-	n.Accesses = nil
-	n.pending.Store(0)
-	// Invalidate outstanding pred-slot references to this shell before
-	// clearing our own slots: walkers compare against gen first.
-	n.gen.Add(1)
-	for i := range n.preds[:n.npreds] {
-		n.preds[i].n.Store(nil)
+	if len(n.Accesses) > 0 {
+		if &n.Accesses[0] == &n.inline[0] {
+			clear(n.Accesses)
+		}
+		// Payload stays: it names the shell the node is embedded in and
+		// recycled with, and the priority-inheritance walk may read it
+		// from a recorded predecessor concurrently with this reset.
+		n.Accesses = nil
+		// Invalidate outstanding pred-slot references to this shell
+		// before clearing our own slots: walkers compare against gen
+		// first.
+		n.gen.Add(1)
 	}
-	n.npreds = 0
+	if n.pending.Load() != 0 {
+		n.pending.Store(0)
+	}
+	if n.npreds != 0 {
+		for i := range n.preds[:n.npreds] {
+			n.preds[i].n.Store(nil)
+		}
+		n.npreds = 0
+	}
 	if len(n.domain) <= domainRetainCap {
 		clear(n.domain)
 	} else {

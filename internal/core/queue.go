@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -258,23 +257,19 @@ func (rt *Runtime) offerTask(o *Offer, id int, arm bool) *Task {
 // The offer's counts are dropped before the call, so a Taskwait inside
 // it does not wait for itself; the parent's body guard keeps the parent
 // from completing meanwhile. A panic that escapes the call fails the
-// parent, as runBody's recover fails a task.
+// parent, as runBody's recover fails a task (ctxSlot.recoverBody).
 func (rt *Runtime) callOffer(o *Offer, id int) (ran bool) {
-	c := &rt.wctx[id].ctx
+	s := &rt.wctx[id]
 	p := o.parent
-	if p != c.task || p.sc.abortCause() != nil {
+	if p != s.ctx.task || p.sc.abortCause() != nil {
 		return false
 	}
 	rt.taken.Add(id, 1)
 	p.alive.Add(-1)
 	rt.tracer.Emit(id, trace.KNodeOffer, uint64(o.node))
-	defer func() {
-		if r := recover(); r != nil {
-			p.fail(&PanicError{Value: r, Stack: debug.Stack()})
-		}
-	}()
+	defer s.recoverBody(p, p, s.helping)
 	ran = true
-	o.body(c)
+	o.body(&s.ctx)
 	return ran
 }
 

@@ -66,10 +66,26 @@ func (bs *bypassSlot) disarm() *Task {
 // Reusing it keeps the per-execute Ctx from escaping to the heap;
 // bodies only observe the Ctx while they run (an API guarantee), and
 // nested execution (taskwait helping) saves and restores the task
-// field around the inner body.
+// field around the inner body. helping counts the helping loops
+// (helpUntil, helpSpawn) running on the thread; only a body enters one.
 type ctxSlot struct {
-	ctx Ctx
-	_   [40]byte
+	ctx     Ctx
+	helping int32
+	_       [36]byte
+}
+
+// recoverBody is deferred around body code, given the slot's helping
+// count at the body's start: it restores the slot's task to prev and
+// fails t with a panic the body raised. A panic raised under a helping
+// loop the body entered (the count moved) is a runtime fault, left to
+// crash the process.
+func (s *ctxSlot) recoverBody(t, prev *Task, helping int32) {
+	s.ctx.task = prev
+	if s.helping == helping {
+		if r := recover(); r != nil {
+			t.fail(&PanicError{Value: r, Stack: debug.Stack()})
+		}
+	}
 }
 
 // Runtime is a Nanos6-style task-based runtime instance: a pool of
@@ -596,6 +612,7 @@ func (rt *Runtime) link(parent *Task, d *deps.RootDomain, t *Task, worker int) {
 // window of tasks ran (a commutative child losing its token race
 // cannot hold it), then emits one KSpawnHelp. It never waits.
 func (rt *Runtime) helpSpawn(parent *Task, id int) {
+	rt.wctx[id].helping++
 	n := 0
 	for n < spawnWindow && parent.inFlight(parent.alive.Load()) > spawnWindow/2 {
 		k := rt.runReady(id)
@@ -604,6 +621,7 @@ func (rt *Runtime) helpSpawn(parent *Task, id int) {
 		}
 		n += k
 	}
+	rt.wctx[id].helping--
 	rt.tracer.Emit(id, trace.KSpawnHelp, uint64(n))
 }
 
@@ -740,6 +758,7 @@ func (rt *Runtime) workerLoop(id int) {
 // must be cheap; it is polled between tasks. The func value is only
 // called, never stored, so closure arguments stay on the caller's stack.
 func (rt *Runtime) helpUntil(id int, done func() bool) {
+	rt.wctx[id].helping++
 	for i := 0; !done(); i++ {
 		if rt.runReady(id) > 0 {
 			i = 0
@@ -751,6 +770,7 @@ func (rt *Runtime) helpUntil(id int, done func() bool) {
 		}
 		spinOrYield(i)
 	}
+	rt.wctx[id].helping--
 }
 
 // helpWhileChildren executes ready tasks on worker id until every child
@@ -884,7 +904,8 @@ func (rt *Runtime) release(t *Task, id int, arm bool) *Task {
 // runBody invokes the task body with panic recovery: a panicking body
 // fails the task with a *PanicError instead of killing the worker, and
 // execution (commutative release, dependency release, completion)
-// continues as if the body had returned that error.
+// continues as if the body had returned that error. Only the body's own
+// panics are recovered (ctxSlot.recoverBody).
 //
 // The Ctx is the worker's reusable instance, so it never escapes to the
 // heap; bodies only observe it while they run (an API guarantee). The
@@ -892,15 +913,10 @@ func (rt *Runtime) release(t *Task, id int, arm bool) *Task {
 // helping nests execute — the inner body borrows the slot and the
 // outer body must see its own task again afterwards.
 func (rt *Runtime) runBody(t *Task, id int) {
-	c := &rt.wctx[id].ctx
-	prev := c.task
+	s := &rt.wctx[id]
+	c := &s.ctx
+	defer s.recoverBody(t, c.task, s.helping)
 	c.task = t
-	defer func() {
-		c.task = prev
-		if r := recover(); r != nil {
-			t.fail(&PanicError{Value: r, Stack: debug.Stack()})
-		}
-	}()
 	switch {
 	case t.loop != nil:
 		rt.runLoopBody(c, t)

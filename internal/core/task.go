@@ -359,7 +359,7 @@ func (c *Ctx) ReductionBuffer(p *float64) []float64 {
 	if l := c.task.loop; l != nil {
 		n = &l.owner.node
 	}
-	return c.rt.deps.ReductionBuffer(n, unsafe.Pointer(p), c.worker)
+	return n.ReductionBuffer(unsafe.Pointer(p), c.worker)
 }
 
 // AccessSpec is one clause of a task: a data access the dependency

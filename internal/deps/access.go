@@ -68,9 +68,9 @@ type Access struct {
 	// childGuard.
 	parentAccess *Access
 
-	// group is the reduction or commutative run this access belongs to,
-	// nil for ordinary accesses; a commutative member's execution token
-	// lives in it (see token).
+	// group is the reduction or commutative run this access belongs to
+	// on either dependency system, nil for ordinary accesses; the run's
+	// token and slots are read through it (token, Node.ReductionBuffer).
 	group *group
 
 	// lentry is the locking baseline's chain entry for this access.
@@ -113,9 +113,8 @@ const (
 	markGroupHead
 )
 
-func (a *Access) weak() bool      { return a.marks&markWeak != 0 }
-func (a *Access) alias() bool     { return a.marks&markAlias != 0 }
-func (a *Access) groupHead() bool { return a.marks&markGroupHead != 0 }
+func (a *Access) weak() bool  { return a.marks&markWeak != 0 }
+func (a *Access) alias() bool { return a.marks&markAlias != 0 }
 
 // blocking reports whether a counts in its task's pending count: every
 // access but a reduction (reductions execute eagerly into privatized
@@ -128,13 +127,8 @@ func (a *Access) blocking() bool {
 // token returns the commutative execution token shared by the access's
 // run, nil for every other access (aliases included: they join no run).
 func (a *Access) token() *atomic.Int32 {
-	switch {
-	case a.typ != Commutative:
-		return nil
-	case a.group != nil:
+	if a.typ == Commutative && a.group != nil {
 		return &a.group.token
-	case a.lentry != nil:
-		return &a.lentry.run.token
 	}
 	return nil
 }

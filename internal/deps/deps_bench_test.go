@@ -59,7 +59,7 @@ func benchReduction(b *testing.B, kind string) {
 		tk := mkTask("r", spec, nil)
 		te.spawn(root, tk, 0)
 		got := te.pop(nil)
-		te.sys.ReductionBuffer(&got.node, unsafe.Pointer(&target[0]), 0)[0]++
+		got.node.ReductionBuffer(unsafe.Pointer(&target[0]), 0)[0]++
 		te.sys.Unregister(&got.node, 0)
 	}
 }

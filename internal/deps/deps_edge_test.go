@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -91,13 +92,13 @@ func TestReductionGroupAfterReduction(t *testing.T) {
 		mx := []AccessSpec{{Addr: addrOf(&target[0]), Len: 1, Type: Reduction, Op: OpMax}}
 		for i := 0; i < 4; i++ {
 			te.spawn(root, mkTask("s", sum, func(self *ttask) {
-				te.sys.ReductionBuffer(&self.node, addrOf(&target[0]), 0)[0] += 2
+				self.node.ReductionBuffer(addrOf(&target[0]), 0)[0] += 2
 			}), 0)
 		}
 		for i := 0; i < 3; i++ {
 			v := float64(i)
 			te.spawn(root, mkTask("m", mx, func(self *ttask) {
-				buf := te.sys.ReductionBuffer(&self.node, addrOf(&target[0]), 1)
+				buf := self.node.ReductionBuffer(addrOf(&target[0]), 1)
 				if v > buf[0] {
 					buf[0] = v
 				}
@@ -112,48 +113,83 @@ func TestReductionGroupAfterReduction(t *testing.T) {
 	}
 }
 
-// TestQuickSystemsAgree runs random integer-valued programs (writes and
-// reductions; order-independent arithmetic) under both systems and
-// requires identical final states.
+// TestQuickSystemsAgree runs random integer-valued programs under both
+// systems and requires both to reach the serial final state. Each cell
+// is two elements, and a task is an inout update, a sum reduction of
+// length 1, a max or min reduction of length 2 or a commutative update
+// (which takes and returns its run's token): chain order fixes the
+// result, and a run's members commute, so any valid execution agrees
+// with the serial one. That checks the run storage both systems share —
+// slot identities, combine, token — and how each reaches it.
 func TestQuickSystemsAgree(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		nTasks := 4 + r.Intn(16)
-		kinds := make([]int, nTasks)   // 0: inout ++, 1: reduction +=
+		kinds := make([]int, nTasks)   // 0 inout, 1 sum, 2 max, 3 min, 4 commutative
 		cellIdx := make([]int, nTasks) // target cell
 		for i := range kinds {
-			kinds[i] = r.Intn(2)
+			kinds[i] = r.Intn(5)
 			cellIdx[i] = r.Intn(3)
 		}
-		results := map[string][]float64{}
+		want := make([]float64, 6) // the serial execution
+		for i, k := range kinds {
+			c, v := want[2*cellIdx[i]:2*cellIdx[i]+2], float64(i%5)
+			switch k {
+			case 0:
+				c[0], c[1] = c[0]+1, c[1]-1
+			case 1:
+				c[0]++
+			case 2:
+				c[0], c[1] = math.Max(c[0], v), math.Max(c[1], -v)
+			case 3:
+				c[0], c[1] = math.Min(c[0], v), math.Min(c[1], -v)
+			default:
+				c[0], c[1] = c[0]+3, c[1]-3
+			}
+		}
 		for _, kind := range systems() {
-			cells := make([]float64, 3)
+			cells := make([]float64, 6)
 			te := newExec(kind, 2)
 			root := mkTask("root", nil, nil)
 			for i := 0; i < nTasks; i++ {
-				ci := cellIdx[i]
-				addr := addrOf(&cells[ci])
-				if kinds[i] == 0 {
-					te.spawn(root, mkTask("w",
-						[]AccessSpec{{Addr: addr, Type: ReadWrite}},
-						func(*ttask) { cells[ci]++ }), 0)
-				} else {
-					te.spawn(root, mkTask("r",
-						[]AccessSpec{{Addr: addr, Len: 1, Type: Reduction, Op: OpSum}},
+				c := cells[2*cellIdx[i] : 2*cellIdx[i]+2]
+				addr, v, w := addrOf(&c[0]), float64(i%5), i%2
+				red := func(op ReductionOp, f func(x, y float64) float64) *ttask {
+					return mkTask("r", []AccessSpec{{Addr: addr, Len: 2, Type: Reduction, Op: op}},
 						func(self *ttask) {
-							te.sys.ReductionBuffer(&self.node, addr, 0)[0]++
-						}), 0)
+							buf := self.node.ReductionBuffer(addr, w)
+							buf[0], buf[1] = f(buf[0], v), f(buf[1], -v)
+						})
 				}
+				var tk *ttask
+				switch kinds[i] {
+				case 0:
+					tk = mkTask("w", []AccessSpec{{Addr: addr, Type: ReadWrite}},
+						func(*ttask) { c[0], c[1] = c[0]+1, c[1]-1 })
+				case 1:
+					tk = mkTask("s", []AccessSpec{{Addr: addr, Len: 1, Type: Reduction, Op: OpSum}},
+						func(self *ttask) { self.node.ReductionBuffer(addr, w)[0]++ })
+				case 2:
+					tk = red(OpMax, math.Max)
+				case 3:
+					tk = red(OpMin, math.Min)
+				default:
+					tk = mkTask("c", []AccessSpec{{Addr: addr, Type: Commutative}}, func(self *ttask) {
+						if !self.node.TryAcquireCommutative() || self.node.TryAcquireCommutative() {
+							t.Errorf("seed %d %s: commutative token not exclusive", seed, kind)
+						}
+						c[0], c[1] = c[0]+3, c[1]-3
+						self.node.ReleaseCommutative()
+					})
+				}
+				te.spawn(root, tk, 0)
 			}
 			te.runAll(r, 0)
 			te.sys.CloseDomain(&root.node, 0)
-			results[kind] = cells
-		}
-		wf, lk := results["waitfree"], results["locked"]
-		for i := range wf {
-			if wf[i] != lk[i] {
-				t.Fatalf("seed %d: cell %d differs: waitfree %v locked %v",
-					seed, i, wf[i], lk[i])
+			for i := range want {
+				if cells[i] != want[i] {
+					t.Fatalf("seed %d %s: element %d = %v, serial order gives %v", seed, kind, i, cells[i], want[i])
+				}
 			}
 		}
 	}
@@ -170,7 +206,7 @@ func TestReadsAfterReductionConcurrent(t *testing.T) {
 		spec := []AccessSpec{{Addr: addrOf(&target[0]), Len: 1, Type: Reduction, Op: OpSum}}
 		for i := 0; i < 3; i++ {
 			te.spawn(root, mkTask("red", spec, func(self *ttask) {
-				te.sys.ReductionBuffer(&self.node, addrOf(&target[0]), 0)[0]++
+				self.node.ReductionBuffer(addrOf(&target[0]), 0)[0]++
 			}), 0)
 		}
 		seen := make([]float64, 2)

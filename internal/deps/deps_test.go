@@ -279,7 +279,7 @@ func TestReductionCombines(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			w := i % 3 // emulate different workers
 			tk := mkTask("red", spec, func(self *ttask) {
-				buf := te.sys.ReductionBuffer(&self.node, addrOf(&target[0]), w)
+				buf := self.node.ReductionBuffer(addrOf(&target[0]), w)
 				for j := range buf {
 					buf[j] += 1
 				}
@@ -308,7 +308,7 @@ func TestReductionThenReaderSeesCombined(t *testing.T) {
 		var seen float64 = -1
 		for i := 0; i < 4; i++ {
 			tk := mkTask("red", rspec, func(self *ttask) {
-				te.sys.ReductionBuffer(&self.node, addrOf(&target[0]), 0)[0] += 2
+				self.node.ReductionBuffer(addrOf(&target[0]), 0)[0] += 2
 			})
 			te.spawn(root, tk, 0)
 		}
@@ -332,7 +332,7 @@ func TestReductionMax(t *testing.T) {
 		for _, v := range vals {
 			v := v
 			tk := mkTask("red", spec, func(self *ttask) {
-				buf := te.sys.ReductionBuffer(&self.node, addrOf(&target[0]), 1)
+				buf := self.node.ReductionBuffer(addrOf(&target[0]), 1)
 				if v > buf[0] {
 					buf[0] = v
 				}

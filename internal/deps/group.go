@@ -8,12 +8,14 @@ import (
 )
 
 // group is a maximal run of consecutive reduction or commutative accesses
-// to one address within one domain. The chain treats the whole run as a
-// single segment: the run's head receives satisfiability from the chain
-// predecessor, and the run releases downstream (to `after`) only when
-// every member has released and the run is closed.
+// to one address within one domain, on either dependency system (the
+// locking baseline uses only the storage newRun builds). The wait-free
+// chain treats the whole run as a single segment: the run's head
+// receives satisfiability from the chain predecessor, and the run
+// releases downstream (to `after`) only when every member has released
+// and the run is closed.
 //
-// Group state transitions are the one place this dependency system uses a
+// Group state transitions are the one place the wait-free system uses a
 // mutex. Runs are coarse (one per reduction clause per address), so the
 // mutex is far off the per-task critical path the paper optimizes; the
 // chain propagation itself stays wait-free.
@@ -52,18 +54,25 @@ type group struct {
 	token atomic.Int32
 }
 
-func newGroup(kind AccessType, a *Access, workers int) *group {
-	g := &group{
-		kind:   kind,
+// newRun builds the storage of a run that a starts, on either system.
+func newRun(a *Access, workers int) *group {
+	return &group{
+		kind:   a.typ,
 		op:     a.op,
 		addr:   a.addr,
 		length: a.length,
 		slots:  make([][]float64, workers+1),
 	}
+}
+
+// newGroup starts a wait-free run at a: the storage plus the head's
+// mark, pending count and commutative member entry.
+func newGroup(a *Access, workers int) *group {
+	g := newRun(a, workers)
 	a.group = g
 	a.marks |= markGroupHead
 	g.pending = 1
-	if kind == Commutative {
+	if g.kind == Commutative {
 		g.members = append(g.members, a)
 	}
 	return g
@@ -106,7 +115,7 @@ func (g *group) satArrived(mb *mailbox) {
 	g.satisfied = true
 	if g.kind == Commutative {
 		for _, m := range g.members {
-			if !m.groupHead() {
+			if m.marks&markGroupHead == 0 {
 				mb.push(m, flagReadSat|flagWriteSat)
 			}
 		}
@@ -178,8 +187,8 @@ func (g *group) slot(worker int) []float64 {
 	return s
 }
 
-// combine folds every privatized buffer into the target memory. Safe to
-// call with g.mu held: by release time no member can be writing slots.
+// combine folds every privatized buffer into the target memory, once per
+// run: by release time no member can be writing slots.
 func (g *group) combine() {
 	dst := unsafe.Slice((*float64)(g.addr), g.length)
 	for _, s := range g.slots {

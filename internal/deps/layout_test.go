@@ -10,6 +10,13 @@ import (
 // shell): the four fields an access-free registration touches fill the
 // first 48 bytes, the rest of the header ends at 72, and the access
 // storage and predecessor slots come last, in a fixed 480 bytes.
+//
+// The 48 is not a line boundary. core.TestTaskLayout reads the lines
+// off a heap shell, which starts 8 bytes into a line, with the node 144
+// bytes in: node bytes [0,40) end the shell's line 2 (Payload and
+// Accesses, beside alive) and line 3 begins 40 bytes into the node.
+// pins and pending are line 3's first 8 bytes, and gen, the first field
+// only release and recycling touch, follows them at 48.
 func TestNodeLayout(t *testing.T) {
 	var n Node
 	const hot, header = 48, 72
@@ -31,7 +38,7 @@ func TestNodeLayout(t *testing.T) {
 		}
 	}
 	if off := unsafe.Offsetof(n.gen); off != hot {
-		t.Errorf("Node.gen at %d: the hot part must be exactly %d bytes (core.Task ends a line there)", off, hot)
+		t.Errorf("Node.gen at %d, want %d: right after pins and pending, which open the shell's line 3 at node byte 40 (core.TestTaskLayout)", off, hot)
 	}
 	if off := unsafe.Offsetof(n.inline); off != header {
 		t.Errorf("Node.inline at %d, want %d: the header grew or shrank", off, header)

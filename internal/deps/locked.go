@@ -1,8 +1,6 @@
 package deps
 
 import (
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -69,70 +67,11 @@ type lentry struct {
 	// parentEntry/parentChain locate the access one nesting level up.
 	parentEntry *lentry
 	parentChain *lchain
-	run         *lrun
+	run         *group
 	chain       *lchain
 }
 
 func (e *lentry) done() bool { return e.pendingChildren.Load() == 0 }
-
-// lrun is a reduction or commutative run in the locking baseline.
-type lrun struct {
-	mu       sync.Mutex
-	op       ReductionOp
-	addr     unsafe.Pointer
-	length   int
-	slots    [][]float64
-	token    atomic.Int32
-	combined bool
-}
-
-func (r *lrun) slot(worker int) []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.slots[worker]
-	if s == nil {
-		s = make([]float64, r.length)
-		switch r.op {
-		case OpMax:
-			for i := range s {
-				s[i] = math.Inf(-1)
-			}
-		case OpMin:
-			for i := range s {
-				s[i] = math.Inf(1)
-			}
-		}
-		r.slots[worker] = s
-	}
-	return s
-}
-
-func (r *lrun) combine() {
-	if r.combined {
-		return
-	}
-	r.combined = true
-	dst := unsafe.Slice((*float64)(r.addr), r.length)
-	for _, s := range r.slots {
-		if s == nil {
-			continue
-		}
-		switch r.op {
-		case OpSum:
-			for i := range dst {
-				dst[i] += s[i]
-			}
-		case OpMax:
-			for i := range dst {
-				dst[i] = math.Max(dst[i], s[i])
-			}
-		case OpMin:
-			for i := range dst {
-				dst[i] = math.Min(dst[i], s[i])
-			}
-		}
-	}
-}
 
 // ldefer accumulates cross-chain work discovered during a rescan so it
 // can be applied after the chain lock is dropped (avoiding lock nesting,
@@ -231,20 +170,17 @@ func (s *Locked) linkInto(owner *Node, a *Access, post *ldefer, worker int) {
 	if parentEntry != nil {
 		parentEntry.pendingChildren.Add(1)
 	}
-	switch a.typ {
-	case Reduction:
+	if a.typ == Reduction || a.typ == Commutative {
 		e.run = s.runFor(ch, a)
-		e.satisfied = true // eager, privatized
-		e.reached.Store(true)
-	case Commutative:
-		e.run = s.runFor(ch, a) // Access.token finds the run's token here
+		a.group = e.run // read after Register only by the task's own thread
+	}
+	if a.blocking() {
 		n.pending.Add(1)
-	default:
-		if a.weak() {
-			e.satisfied = true // weak: never gates execution
-		} else {
-			n.pending.Add(1)
-		}
+	} else {
+		// A reduction runs eagerly into its slot, so it is reached at
+		// once; a weak access never gates its task.
+		e.satisfied = true
+		e.reached.Store(a.typ == Reduction)
 	}
 	if last := len(ch.entries) - 1; last >= ch.head && e.run == nil && s.on.Load() {
 		// Record the chain predecessor for the core's priority-
@@ -260,18 +196,15 @@ func (s *Locked) linkInto(owner *Node, a *Access, post *ldefer, worker int) {
 	ch.mu.Unlock()
 }
 
-// runFor joins the chain's trailing open run if compatible, else starts a
-// new one. Caller holds ch.mu.
-func (s *Locked) runFor(ch *lchain, a *Access) *lrun {
+// runFor joins the chain's trailing unreleased run if compatible, else
+// starts a new one. Caller holds ch.mu.
+func (s *Locked) runFor(ch *lchain, a *Access) *group {
 	if len(ch.entries) > ch.head {
-		last := ch.entries[len(ch.entries)-1]
-		if last.run != nil && last.typ == a.typ &&
-			(a.typ != Reduction || last.run.op == a.op) {
-			return last.run
+		if g := ch.entries[len(ch.entries)-1].run; g != nil && g.compatible(a) {
+			return g
 		}
 	}
-	return &lrun{op: a.op, addr: a.addr, length: a.length,
-		slots: make([][]float64, s.workers+1)}
+	return newRun(a, s.workers)
 }
 
 // Unregister implements System.
@@ -308,17 +241,6 @@ func (s *Locked) closeChains(n *Node, post *ldefer, worker int) {
 		s.rescan(ch, post, worker)
 		ch.mu.Unlock()
 	}
-}
-
-// ReductionBuffer implements System.
-func (s *Locked) ReductionBuffer(n *Node, addr unsafe.Pointer, worker int) []float64 {
-	for i := range n.Accesses {
-		a := &n.Accesses[i]
-		if a.addr == addr && a.typ == Reduction && a.lentry != nil && a.lentry.run != nil {
-			return a.lentry.run.slot(worker)
-		}
-	}
-	panic(fmt.Sprintf("deps: no reduction access on %p", addr))
 }
 
 // apply performs the cross-chain notifications collected by rescans,

@@ -2,8 +2,8 @@ package deps
 
 // Private is a set of per-worker privatized reduction slots for
 // work-sharing loop tasks: the generic-element counterpart of the
-// float64 slot arrays inside reduction groups (group.slots,
-// lrun.slots). A loop's chunks accumulate into the slot of whichever
+// float64 slot arrays inside reduction runs (group.slots, on either
+// dependency system). A loop's chunks accumulate into the slot of whichever
 // worker executes them — no atomic traffic per iteration or per chunk —
 // and the partials are combined exactly once, by the single thread that
 // observes the loop's completion (the commutative/reduction group

@@ -157,7 +157,7 @@ func TestHeldPushReductionMemberRecycledEarly(t *testing.T) {
 	if ready[reader] != 0 || ready[head] != 1 || ready[member] != 1 {
 		t.Fatal("want both reduction members ready eagerly and the reader blocked")
 	}
-	sys.ReductionBuffer(member, xAddr, 0)[0] += 2
+	member.ReductionBuffer(xAddr, 0)[0] += 2
 	complete(member)
 	if recycled[member] != 1 {
 		t.Fatalf("finished reduction member recycled %d times before its run was satisfied, want once", recycled[member])
@@ -174,7 +174,7 @@ func TestHeldPushReductionMemberRecycledEarly(t *testing.T) {
 	sys.Register(&root, reused, 0)
 	before := reused.Accesses[0].state.Load()
 
-	sys.ReductionBuffer(head, xAddr, 0)[0] += 3
+	head.ReductionBuffer(xAddr, 0)[0] += 3
 	complete(head)
 	x[0] = 10
 	complete(w) // satisfies the run: it combines and releases to the reader
@@ -232,7 +232,7 @@ func TestReductionUnderWeakParentCombinesBeforeSuccessor(t *testing.T) {
 		}
 		c := pinnedNode(AccessSpec{Addr: xAddr, Len: 1, Type: Reduction})
 		sys.Register(p, c, 0)
-		sys.ReductionBuffer(c, xAddr, 0)[0] += 5
+		c.ReductionBuffer(xAddr, 0)[0] += 5
 		sys.Unregister(c, 0)
 		sys.Unregister(p, 0)
 		if len(sawX) != 0 {

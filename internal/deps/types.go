@@ -99,8 +99,8 @@ type ReadyFn func(n *Node, worker int)
 // called by the thread executing the parent task (sibling registration is
 // single-writer per domain, as in Nanos6); Unregister and CloseDomain may
 // be called from the worker that ran the task. The worker index selects
-// thread-local structures (message mailboxes, reduction slots) and must
-// be unique per concurrent caller.
+// thread-local structures (message mailboxes) and must be unique per
+// concurrent caller. A run's slots and token are read through the Node.
 type System interface {
 	// Register links every access of n into the dependency graph of
 	// parent's domain and arms readiness tracking. It must be called
@@ -119,9 +119,6 @@ type System interface {
 	// CloseDomain closes any open reduction or commutative groups in n's
 	// domain so trailing reductions can combine. Called at taskwait.
 	CloseDomain(n *Node, worker int)
-	// ReductionBuffer returns the worker-private partial-result buffer
-	// for the reduction access of n on addr.
-	ReductionBuffer(n *Node, addr unsafe.Pointer, worker int) []float64
 	// Name identifies the implementation in traces and benchmarks.
 	Name() string
 	// RecordPreds turns predecessor recording (Node.VisitPreds) on for
@@ -380,11 +377,7 @@ func (n *Node) satisfied(ready ReadyFn, worker int) {
 // dependency system during Register.
 func (n *Node) TryAcquireCommutative() bool {
 	for i := range n.Accesses {
-		tok := n.Accesses[i].token()
-		if tok == nil {
-			continue
-		}
-		if !tok.CompareAndSwap(0, 1) {
+		if tok := n.Accesses[i].token(); tok != nil && !tok.CompareAndSwap(0, 1) {
 			for j := 0; j < i; j++ {
 				if t := n.Accesses[j].token(); t != nil {
 					t.Store(0)
@@ -403,6 +396,18 @@ func (n *Node) ReleaseCommutative() {
 			t.Store(0)
 		}
 	}
+}
+
+// ReductionBuffer returns worker's privatized partial-result buffer for
+// n's reduction access on addr, on either dependency system.
+func (n *Node) ReductionBuffer(addr unsafe.Pointer, worker int) []float64 {
+	for i := range n.Accesses {
+		a := &n.Accesses[i]
+		if a.addr == addr && a.typ == Reduction && a.group != nil {
+			return a.group.slot(worker)
+		}
+	}
+	panic(fmt.Sprintf("deps: no reduction access on %p", addr))
 }
 
 // HasCommutative reports whether any access of n needs an execution token.

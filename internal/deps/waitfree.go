@@ -329,17 +329,6 @@ func (s *WaitFree) CloseDomain(n *Node, worker int) {
 	s.drain(mb, worker)
 }
 
-// ReductionBuffer implements System.
-func (s *WaitFree) ReductionBuffer(n *Node, addr unsafe.Pointer, worker int) []float64 {
-	for i := range n.Accesses {
-		a := &n.Accesses[i]
-		if a.addr == addr && a.typ == Reduction && a.group != nil {
-			return a.group.slot(worker)
-		}
-	}
-	panic(fmt.Sprintf("deps: no reduction access on %p", addr))
-}
-
 func closeOpenGroups(n *Node, mb *mailbox) {
 	for _, t := range n.domain {
 		if t.group != nil {
@@ -348,8 +337,6 @@ func closeOpenGroups(n *Node, mb *mailbox) {
 	}
 }
 
-// findOwnAccess returns parent's access to addr, if any: the anchor for a
-// child chain crossing nesting levels (paper Fig. 1's child relation).
 // hasEarlierAccess reports whether accesses[0:i] already contains the
 // address of access i (duplicate declaration within one task).
 func hasEarlierAccess(n *Node, i int) bool {
@@ -362,6 +349,8 @@ func hasEarlierAccess(n *Node, i int) bool {
 	return false
 }
 
+// findOwnAccess returns parent's access to addr, if any: the anchor for a
+// child chain crossing nesting levels (paper Fig. 1's child relation).
 func findOwnAccess(parent *Node, addr unsafe.Pointer) *Access {
 	for i := range parent.Accesses {
 		a := &parent.Accesses[i]
@@ -451,7 +440,7 @@ func (s *WaitFree) armAccess(a *Access, chainParent *Access, mb *mailbox) {
 		chainParent.childGuard.Add(1)
 	}
 	if a.typ == Reduction || a.typ == Commutative {
-		newGroup(a.typ, a, s.workers)
+		newGroup(a, s.workers)
 	}
 }
 

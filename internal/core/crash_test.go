@@ -48,8 +48,8 @@ func TestRuntimePanicUnderBodyCrashes(t *testing.T) {
 
 // TestBodyPanicUnderHelpingRecovered: the other half of the rule — a
 // body that panics while it runs inside another body's helping loop is
-// still recovered as its own task's *PanicError, and the waiting body
-// goes on.
+// still recovered as its own task's *PanicError, and so is the waiting
+// body's own panic once the helping loop has returned.
 func TestBodyPanicUnderHelpingRecovered(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
@@ -57,11 +57,10 @@ func TestBodyPanicUnderHelpingRecovered(t *testing.T) {
 	err := rt.Run(func(c *Ctx) {
 		f := submitAny(rt, func(*Ctx) (any, error) { panic("inner body") })
 		inner = c.Await(&f.Handle)
-		c.Spawn(func(*Ctx) {})
-		c.Taskwait()
+		panic("outer body")
 	})
-	var pe *PanicError
-	if err != nil || !errors.As(inner, &pe) {
-		t.Fatalf("Run = %v, awaited = %v; want nil and a *PanicError", err, inner)
+	var pi, po *PanicError
+	if !errors.As(inner, &pi) || pi.Value != "inner body" || !errors.As(err, &po) || po.Value != "outer body" {
+		t.Fatalf("awaited = %v, Run = %v; want the inner and the outer body's *PanicError", inner, err)
 	}
 }
